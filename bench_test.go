@@ -14,19 +14,14 @@ import (
 
 	patternfusion "repro"
 
-	"repro/internal/apriori"
 	"repro/internal/bitset"
-	"repro/internal/carpenter"
-	"repro/internal/charm"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/itemset"
-	"repro/internal/maximal"
 	"repro/internal/quality"
 	"repro/internal/rng"
 	"repro/internal/tidset"
-	"repro/internal/topk"
 )
 
 // Shared heavyweight fixtures, built once.
@@ -48,7 +43,7 @@ func replaceFixture(b *testing.B) (*dataset.Dataset, []itemset.Itemset, []itemse
 	b.Helper()
 	replaceOnce.Do(func() {
 		replaceDB, replacePaths = datagen.Replace(1)
-		res := charm.Mine(replaceDB, replaceDB.MinCount(0.03))
+		res := mine(b, "closed", replaceDB, patternfusion.Options{MinSupport: 0.03})
 		replaceClosed = dataset.Itemsets(res.Patterns)
 	})
 	return replaceDB, replacePaths, replaceClosed
@@ -70,7 +65,7 @@ func microFixture(b *testing.B) (*dataset.Dataset, []*dataset.Pattern) {
 	b.Helper()
 	microOnce.Do(func() {
 		microDB, _ = datagen.Microarray(1)
-		microTop = carpenter.Mine(microDB, 30, 70).Patterns
+		microTop = mine(b, "closedrows", microDB, patternfusion.Options{MinCount: 30, MinSize: 70}).Patterns
 	})
 	return microDB, microTop
 }
@@ -83,14 +78,7 @@ func BenchmarkIntroDiagPlusFusion(b *testing.B) {
 	colossal := itemset.Canonical(datagen.DiagColossal(40, 39))
 	found := 0
 	for i := 0; i < b.N; i++ {
-		cfg := core.DefaultConfig(20, 0)
-		cfg.MinCount = 20
-		cfg.InitPoolMaxSize = 2
-		cfg.Seed = uint64(i + 1)
-		res, err := core.Mine(context.Background(), d, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := mine(b, "fusion", d, patternfusion.Options{K: 20, MinCount: 20, InitPoolMaxSize: 2, Seed: uint64(i + 1)})
 		for _, p := range res.Patterns {
 			if p.Items.Equal(colossal) {
 				found++
@@ -111,7 +99,7 @@ func BenchmarkFig6MaximalDiag(b *testing.B) {
 		b.Run(byN(n), func(b *testing.B) {
 			d := datagen.Diag(n)
 			for i := 0; i < b.N; i++ {
-				res := maximal.Mine(d, n/2)
+				res := mine(b, "maximal", d, patternfusion.Options{MinCount: n / 2})
 				if res.Stopped {
 					b.Fatal("unexpected stop")
 				}
@@ -125,13 +113,7 @@ func BenchmarkFig6FusionDiag(b *testing.B) {
 		b.Run(byN(n), func(b *testing.B) {
 			d := datagen.Diag(n)
 			for i := 0; i < b.N; i++ {
-				cfg := core.DefaultConfig(40, 0)
-				cfg.MinCount = n / 2
-				cfg.InitPoolMaxSize = 2
-				cfg.Seed = uint64(i + 1)
-				if _, err := core.Mine(context.Background(), d, cfg); err != nil {
-					b.Fatal(err)
-				}
+				mine(b, "fusion", d, patternfusion.Options{K: 40, MinCount: n / 2, InitPoolMaxSize: 2, Seed: uint64(i + 1)})
 			}
 		})
 	}
@@ -149,14 +131,7 @@ func BenchmarkFig7ApproxErrorDiag40(b *testing.B) {
 	}
 	var fusionDelta, uniformDelta float64
 	for i := 0; i < b.N; i++ {
-		cfg := core.DefaultConfig(100, 0)
-		cfg.MinCount = 20
-		cfg.InitPoolMaxSize = 2
-		cfg.Seed = uint64(i + 1)
-		res, err := core.Mine(context.Background(), d, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := mine(b, "fusion", d, patternfusion.Options{K: 100, MinCount: 20, InitPoolMaxSize: 2, Seed: uint64(i + 1)})
 		fusionDelta = quality.Delta(dataset.Itemsets(res.Patterns), q)
 		uniform := make([]itemset.Itemset, 100)
 		for j := range uniform {
@@ -178,12 +153,7 @@ func BenchmarkFig8ApproxErrorReplace(b *testing.B) {
 	var delta float64
 	hits := 0
 	for i := 0; i < b.N; i++ {
-		cfg := core.DefaultConfig(100, 0.03)
-		cfg.Seed = uint64(i + 1)
-		res, err := core.Mine(context.Background(), d, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := mine(b, "fusion", d, patternfusion.Options{K: 100, MinSupport: 0.03, Seed: uint64(i + 1)})
 		p := dataset.Itemsets(res.Patterns)
 		delta = quality.Delta(p, q42)
 		found := 0
@@ -211,14 +181,7 @@ func BenchmarkFig9MicroarrayComparison(b *testing.B) {
 	b.ResetTimer()
 	var recovered, total float64
 	for i := 0; i < b.N; i++ {
-		cfg := core.DefaultConfig(100, 0)
-		cfg.MinCount = 30
-		cfg.InitPoolMaxSize = 2
-		cfg.Seed = uint64(i + 1)
-		res, err := core.Mine(context.Background(), d, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := mine(b, "fusion", d, patternfusion.Options{K: 100, MinCount: 30, InitPoolMaxSize: 2, Seed: uint64(i + 1)})
 		found := make(map[string]bool, len(res.Patterns))
 		for _, p := range res.Patterns {
 			found[p.Items.Key()] = true
@@ -245,13 +208,7 @@ func BenchmarkFig10FusionALL(b *testing.B) {
 	for _, mc := range []int{31, 28, 25, 21} {
 		b.Run(byMinCount(mc), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cfg := core.DefaultConfig(100, 0)
-				cfg.MinCount = mc
-				cfg.InitPoolMaxSize = 2
-				cfg.Seed = uint64(i + 1)
-				if _, err := core.Mine(context.Background(), d, cfg); err != nil {
-					b.Fatal(err)
-				}
+				mine(b, "fusion", d, patternfusion.Options{K: 100, MinCount: mc, InitPoolMaxSize: 2, Seed: uint64(i + 1)})
 			}
 		})
 	}
@@ -263,7 +220,7 @@ func BenchmarkFig10MaximalALL(b *testing.B) {
 	for _, mc := range []int{31, 30, 29} {
 		b.Run(byMinCount(mc), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				maximal.Mine(d, mc)
+				mine(b, "maximal", d, patternfusion.Options{MinCount: mc})
 			}
 		})
 	}
@@ -274,7 +231,7 @@ func BenchmarkFig10TopKALL(b *testing.B) {
 	for _, mc := range []int{31, 28, 25} {
 		b.Run(byMinCount(mc), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				topk.MineOpts(context.Background(), d, topk.Options{K: 5000, MinLength: 5, FloorMin: mc})
+				mine(b, "topk", d, patternfusion.Options{K: 5000, MinSize: 5, MinCount: mc})
 			}
 		})
 	}
@@ -285,15 +242,18 @@ func BenchmarkFig10TopKALL(b *testing.B) {
 // measured on the Replace workload with recall of the three colossal
 // patterns as the quality metric.
 
-func ablationRun(b *testing.B, mutate func(*core.Config)) {
+// ablationRun mines the Replace workload with the registered fusion
+// defaults, as modified by mutate: engine options for τ and the initial
+// pool, the fusion-only knobs for everything else.
+func ablationRun(b *testing.B, mutate func(*patternfusion.Options, *core.Knobs)) {
 	d, paths, _ := replaceFixture(b)
 	b.ResetTimer()
 	found := 0
 	for i := 0; i < b.N; i++ {
-		cfg := core.DefaultConfig(100, 0.03)
-		cfg.Seed = uint64(i + 1)
-		mutate(&cfg)
-		res, err := core.Mine(context.Background(), d, cfg)
+		opts := patternfusion.Options{K: 100, MinSupport: 0.03, Seed: uint64(i + 1)}
+		kn := core.DefaultKnobs(opts.K)
+		mutate(&opts, &kn)
+		res, err := core.WithKnobs(kn).Mine(context.Background(), d, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -314,7 +274,7 @@ func ablationRun(b *testing.B, mutate func(*core.Config)) {
 func BenchmarkAblationTau(b *testing.B) {
 	for _, tau := range []float64{0.5, 0.7, 0.9} {
 		b.Run(byTau(tau), func(b *testing.B) {
-			ablationRun(b, func(c *core.Config) { c.Tau = tau })
+			ablationRun(b, func(o *patternfusion.Options, _ *core.Knobs) { o.Tau = tau })
 		})
 	}
 }
@@ -322,7 +282,7 @@ func BenchmarkAblationTau(b *testing.B) {
 func BenchmarkAblationInitPoolSize(b *testing.B) {
 	for _, s := range []int{1, 2, 3} {
 		b.Run(byN(s), func(b *testing.B) {
-			ablationRun(b, func(c *core.Config) { c.InitPoolMaxSize = s })
+			ablationRun(b, func(o *patternfusion.Options, _ *core.Knobs) { o.InitPoolMaxSize = s })
 		})
 	}
 }
@@ -330,7 +290,7 @@ func BenchmarkAblationInitPoolSize(b *testing.B) {
 func BenchmarkAblationFusionDraws(b *testing.B) {
 	for _, draws := range []int{2, 10, 20} {
 		b.Run(byN(draws), func(b *testing.B) {
-			ablationRun(b, func(c *core.Config) { c.FusionDraws = draws })
+			ablationRun(b, func(_ *patternfusion.Options, k *core.Knobs) { k.FusionDraws = draws })
 		})
 	}
 }
@@ -338,7 +298,7 @@ func BenchmarkAblationFusionDraws(b *testing.B) {
 func BenchmarkAblationBallSize(b *testing.B) {
 	for _, size := range []int{256, 2048, 8192} {
 		b.Run(byN(size), func(b *testing.B) {
-			ablationRun(b, func(c *core.Config) { c.MaxBallSize = size })
+			ablationRun(b, func(_ *patternfusion.Options, k *core.Knobs) { k.MaxBallSize = size })
 		})
 	}
 }
@@ -346,7 +306,7 @@ func BenchmarkAblationBallSize(b *testing.B) {
 func BenchmarkAblationElitism(b *testing.B) {
 	for _, e := range []int{0, 26} {
 		b.Run(byN(e), func(b *testing.B) {
-			ablationRun(b, func(c *core.Config) { c.Elitism = e })
+			ablationRun(b, func(_ *patternfusion.Options, k *core.Knobs) { k.Elitism = e })
 		})
 	}
 }
@@ -354,10 +314,10 @@ func BenchmarkAblationElitism(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Parallel fusion engine: sequential vs. parallel throughput of the same
 // deterministic mining run. The `p=1` and `p=N` sub-benchmarks execute
-// bit-identical work (core.Config.Parallelism does not change results), so
+// bit-identical work (Options.Parallelism does not change results), so
 // their ns/op ratio is the engine's wall-clock speedup on this machine.
 
-func benchMineParallelism(b *testing.B, d *dataset.Dataset, mkCfg func() core.Config) {
+func benchMineParallelism(b *testing.B, d *dataset.Dataset, opts patternfusion.Options) {
 	parallel := runtime.GOMAXPROCS(0)
 	if parallel < 2 {
 		parallel = 2 // exercise the worker pool even on a single-core machine
@@ -365,11 +325,9 @@ func benchMineParallelism(b *testing.B, d *dataset.Dataset, mkCfg func() core.Co
 	for _, par := range []int{1, parallel} {
 		b.Run("p="+itoa(par), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cfg := mkCfg()
-				cfg.Parallelism = par
-				if _, err := core.Mine(context.Background(), d, cfg); err != nil {
-					b.Fatal(err)
-				}
+				o := opts
+				o.Parallelism = par
+				mine(b, "fusion", d, o)
 			}
 		})
 	}
@@ -378,67 +336,43 @@ func benchMineParallelism(b *testing.B, d *dataset.Dataset, mkCfg func() core.Co
 func BenchmarkMineReplace(b *testing.B) {
 	d, _, _ := replaceFixture(b)
 	b.ResetTimer()
-	benchMineParallelism(b, d, func() core.Config {
-		cfg := core.DefaultConfig(100, 0.03)
-		cfg.Seed = 1
-		return cfg
-	})
+	benchMineParallelism(b, d, patternfusion.Options{K: 100, MinSupport: 0.03, Seed: 1})
 }
 
 func BenchmarkMineMicroarray(b *testing.B) {
 	d, _ := microFixture(b)
 	b.ResetTimer()
-	benchMineParallelism(b, d, func() core.Config {
-		cfg := core.DefaultConfig(100, 0)
-		cfg.MinCount = 25
-		cfg.InitPoolMaxSize = 2
-		cfg.Seed = 1
-		return cfg
-	})
+	benchMineParallelism(b, d, patternfusion.Options{K: 100, MinCount: 25, InitPoolMaxSize: 2, Seed: 1})
 }
 
 // BenchmarkIncrementalMine quantifies the streaming warm start on the
 // Replace fixture: "cold" is a full re-mine (Apriori phase 1 + fusion
 // from the complete ≤3-itemset pool), "warm" is the incremental policy a
 // pfserve monitor runs between appends — re-seed fusion from the
-// previous Result's converged pool (its ≤K colossal patterns) via
-// Reseed + MineFromPool, skipping phase 1 and the pool-shrinking
-// iterations entirely. The warm/cold ns/op ratio is the per-re-mine cost
-// of keeping a live answer fresh; the warm result is the incremental
-// approximation pinned by the pool-containment conformance test
-// (previously-found patterns are re-validated and extended; patterns
-// over genuinely new items wait for the next cold re-mine).
+// previous Report's converged pool (its ≤K colossal patterns) via
+// Options.Pool, skipping phase 1 and the pool-shrinking iterations
+// entirely. The warm/cold ns/op ratio is the per-re-mine cost of keeping
+// a live answer fresh; the warm result is the incremental approximation
+// pinned by the pool-containment conformance test (previously-found
+// patterns are re-validated and extended; patterns over genuinely new
+// items wait for the next cold re-mine).
 func BenchmarkIncrementalMine(b *testing.B) {
 	d, _, _ := replaceFixture(b)
-	mkCfg := func() core.Config {
-		cfg := core.DefaultConfig(100, 0.03)
-		cfg.Seed = 1
-		cfg.Parallelism = 1
-		return cfg
-	}
-	prev, err := core.Mine(context.Background(), d, mkCfg())
-	if err != nil {
-		b.Fatal(err)
-	}
-	seeds := make([][]int, len(prev.Patterns))
-	for i, p := range prev.Patterns {
-		seeds[i] = p.Items
+	opts := patternfusion.Options{K: 100, MinSupport: 0.03, Seed: 1, Parallelism: 1}
+	prev := mine(b, "fusion", d, opts)
+	warm := opts
+	for _, p := range prev.Patterns {
+		warm.Pool = append(warm.Pool, p.Items)
 	}
 	b.ResetTimer()
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Mine(context.Background(), d, mkCfg()); err != nil {
-				b.Fatal(err)
-			}
+			mine(b, "fusion", d, opts)
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			cfg := mkCfg()
-			pool := core.Reseed(d, seeds, cfg.ResolveMinCount(d))
-			if _, err := core.MineFromPool(context.Background(), d, pool, cfg); err != nil {
-				b.Fatal(err)
-			}
+			mine(b, "fusion", d, warm)
 		}
 	})
 }
@@ -458,9 +392,7 @@ func benchEngineParallelism(b *testing.B, algo string, d *dataset.Dataset, opts 
 			for i := 0; i < b.N; i++ {
 				o := opts
 				o.Parallelism = par
-				if _, err := patternfusion.MineWith(context.Background(), algo, d, o); err != nil {
-					b.Fatal(err)
-				}
+				mine(b, algo, d, o)
 			}
 		})
 	}
@@ -528,7 +460,7 @@ func BenchmarkEngineTopKMicroarray(b *testing.B) {
 // of dense word-walks and sparse element-walks, exactly as charm sees it.
 func BenchmarkEngineCharmClosureProbe(b *testing.B) {
 	d, _, _ := replaceFixture(b)
-	pats := charm.Mine(d, d.MinCount(0.03)).Patterns
+	pats := mine(b, "closed", d, patternfusion.Options{MinSupport: 0.03}).Patterns
 	closer := dataset.NewCloser(d)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -643,19 +575,17 @@ func BenchmarkTIDSetReplace(b *testing.B) {
 
 func BenchmarkAprioriInitPoolReplace(b *testing.B) {
 	d, _, _ := replaceFixture(b)
-	minCount := d.MinCount(0.03)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		apriori.MineUpTo(d, minCount, 2)
+		mine(b, "apriori", d, patternfusion.Options{MinSupport: 0.03, MaxSize: 2})
 	}
 }
 
 func BenchmarkClosedMinerReplace(b *testing.B) {
 	d, _, _ := replaceFixture(b)
-	minCount := d.MinCount(0.03)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		charm.Mine(d, minCount)
+		mine(b, "closed", d, patternfusion.Options{MinSupport: 0.03})
 	}
 }
 
@@ -663,7 +593,7 @@ func BenchmarkCarpenterMicroarray(b *testing.B) {
 	d, _ := microFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		carpenter.Mine(d, 30, 70)
+		mine(b, "closedrows", d, patternfusion.Options{MinCount: 30, MinSize: 70})
 	}
 }
 
@@ -679,12 +609,7 @@ func BenchmarkQualityDelta(b *testing.B) {
 func BenchmarkPublicAPIQuickMine(b *testing.B) {
 	db := patternfusion.DiagPlus(20, 10, 15)
 	for i := 0; i < b.N; i++ {
-		cfg := patternfusion.DefaultConfig(10, 0)
-		cfg.MinCount = 10
-		cfg.Seed = uint64(i + 1)
-		if _, err := patternfusion.Mine(context.Background(), db, cfg); err != nil {
-			b.Fatal(err)
-		}
+		mine(b, "fusion", db, patternfusion.Options{K: 10, MinCount: 10, Seed: uint64(i + 1)})
 	}
 }
 

@@ -20,10 +20,10 @@
 //
 //	db, err := patternfusion.Load("transactions.dat") // FIMI format
 //	if err != nil { ... }
-//	cfg := patternfusion.DefaultConfig(20, 0.05) // K=20 patterns, σ=5%
-//	res, err := patternfusion.Mine(ctx, db, cfg)
+//	rep, err := patternfusion.MineWith(ctx, "fusion", db,
+//		patternfusion.Options{K: 20, MinSupport: 0.05}) // K=20 patterns, σ=5%
 //	if err != nil { ... }
-//	for _, p := range res.Patterns {
+//	for _, p := range rep.Patterns {
 //		fmt.Printf("%v support=%d\n", p.Items, p.Support())
 //	}
 //
@@ -33,10 +33,10 @@
 //
 // # The unified engine
 //
-// Every algorithm in the repository — Pattern-Fusion and the seven exact
-// baselines — implements one interface (Engine: Name plus
-// Mine(ctx, dataset, Options)) and registers itself by name, so any of
-// them can be run uniformly:
+// Every algorithm in the repository — Pattern-Fusion, its sequence
+// extension and the seven exact baselines — implements one interface
+// (Engine: Name plus Mine(ctx, dataset, Options)) and registers itself by
+// name. MineWith is the one way to mine; any algorithm runs the same way:
 //
 //	rep, err := patternfusion.MineWith(ctx, "maximal", db,
 //		patternfusion.Options{MinSupport: 0.5})
@@ -51,12 +51,12 @@
 //
 // # Parallelism and determinism
 //
-// Mine fuses the K seed balls of each iteration on a worker pool of
-// Config.Parallelism goroutines (0 = all CPUs). Results are a pure
-// function of Config.Seed: every seed slot draws from a private RNG stream
-// derived from (Seed, iteration, slot) and per-slot outputs are merged in
-// slot order, so the same seed yields bit-identical Result.Patterns for
-// every Parallelism value — scheduling and core count never leak into the
+// Pattern-Fusion fuses the K seed balls of each iteration on a worker
+// pool of Options.Parallelism goroutines (0 = all CPUs). Results are a
+// pure function of Options.Seed: every seed slot draws from a private RNG
+// stream derived from (Seed, iteration, slot) and per-slot outputs are
+// merged in slot order, so the same seed yields bit-identical
+// Report.Patterns for every Parallelism value — scheduling and core count never leak into the
 // output. The stream-splitting contract lives in the internal rng
 // package's Stream function.
 //
@@ -76,13 +76,13 @@
 // # What else is in the box
 //
 // Because the paper's evaluation needs complete miners as baselines and
-// ground truth, the library also ships exact miners behind the same
-// Dataset type: MineFrequent (Apriori), MineFrequentFP (FP-growth),
-// MineFrequentEclat (Eclat), MineClosed (item enumeration), MineClosedRows
-// (CARPENTER-style row enumeration for long microarray-shaped data),
-// MineMaximal (LCM_maximal stand-in) and MineTopK (TFP stand-in) — plus
-// the quality evaluation model (Evaluate, Delta) and the paper's dataset
-// generators (Diag, DiagPlus, ReplaceSim, MicroarraySim).
+// ground truth, the registry also holds exact miners over the same
+// Dataset type: "apriori", "fpgrowth" and "eclat" (complete frequent
+// sets), "closed" (item enumeration), "closedrows" (CARPENTER-style row
+// enumeration for long microarray-shaped data), "maximal" (LCM_maximal
+// stand-in) and "topk" (TFP stand-in) — plus the quality evaluation model
+// (Evaluate, Delta) and the paper's dataset generators (Diag, DiagPlus,
+// ReplaceSim, MicroarraySim).
 //
 // Every experiment of the paper (Figures 6–10 and the motivating example)
 // can be regenerated with cmd/pfexp or the benchmarks in bench_test.go;

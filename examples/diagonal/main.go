@@ -18,7 +18,6 @@ import (
 	patternfusion "repro"
 
 	"repro/internal/datagen"
-	"repro/internal/maximal"
 )
 
 func main() {
@@ -33,15 +32,16 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
 	t0 := time.Now()
-	mres := maximal.MineOpts(ctx, db, maximal.Options{MinCount: 20})
+	mres, err := patternfusion.MineWith(ctx, "maximal", db, patternfusion.Options{MinCount: 20})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("exhaustive maximal miner: stopped=%v after %v, trapped with %d mid-sized patterns\n",
 		mres.Stopped, time.Since(t0).Round(time.Millisecond), len(mres.Patterns))
 
-	cfg := patternfusion.DefaultConfig(20, 0)
-	cfg.MinCount = 20
-	cfg.InitPoolMaxSize = 2
 	t0 = time.Now()
-	res, err := patternfusion.Mine(context.Background(), db, cfg)
+	res, err := patternfusion.MineWith(context.Background(), "fusion", db,
+		patternfusion.Options{K: 20, MinCount: 20, InitPoolMaxSize: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -38,15 +38,17 @@ func main() {
 	// computable by row enumeration even though the full frequent set is
 	// hopeless.
 	t0 := time.Now()
-	complete := patternfusion.MineClosedRows(db, minCount, minSize)
+	complete, err := patternfusion.MineWith(context.Background(), "closedrows", db,
+		patternfusion.Options{MinCount: minCount, MinSize: minSize})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("ground truth: %d colossal closed patterns (size ≥ %d) in %v\n",
-		len(complete), minSize, time.Since(t0).Round(time.Millisecond))
+		len(complete.Patterns), minSize, time.Since(t0).Round(time.Millisecond))
 
-	cfg := patternfusion.DefaultConfig(k, 0)
-	cfg.MinCount = minCount
-	cfg.InitPoolMaxSize = 2
 	t0 = time.Now()
-	res, err := patternfusion.Mine(context.Background(), db, cfg)
+	res, err := patternfusion.MineWith(context.Background(), "fusion", db,
+		patternfusion.Options{K: k, MinCount: minCount, InitPoolMaxSize: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +62,7 @@ func main() {
 	}
 	type row struct{ size, complete, fusion int }
 	bySize := map[int]*row{}
-	for _, p := range complete {
+	for _, p := range complete.Patterns {
 		r, ok := bySize[p.Size()]
 		if !ok {
 			r = &row{size: p.Size()}

@@ -33,8 +33,8 @@ func main() {
 	fmt.Println("database:", db.ComputeStats())
 
 	// Mine at most K=3 patterns at 15% minimum support.
-	cfg := patternfusion.DefaultConfig(3, 0.15)
-	res, err := patternfusion.Mine(context.Background(), db, cfg)
+	res, err := patternfusion.MineWith(context.Background(), "fusion", db,
+		patternfusion.Options{K: 3, MinSupport: 0.15})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,9 +45,13 @@ func main() {
 
 	// The database is tiny, so the exact closed miner can verify that the
 	// colossal pattern is real and that nothing bigger was missed.
-	closed := patternfusion.MineClosed(db, db.MinCount(0.15))
+	closed, err := patternfusion.MineWith(context.Background(), "closed", db,
+		patternfusion.Options{MinSupport: 0.15})
+	if err != nil {
+		log.Fatal(err)
+	}
 	biggest := 0
-	for _, p := range closed {
+	for _, p := range closed.Patterns {
 		if p.Size() > biggest {
 			biggest = p.Size()
 		}
@@ -57,6 +61,6 @@ func main() {
 
 	// The quality evaluation model (Section 5 of the paper) quantifies how
 	// well the 3-pattern result represents the full closed set.
-	delta := patternfusion.Delta(patternfusion.Itemsets(res.Patterns), patternfusion.Itemsets(closed))
+	delta := patternfusion.Delta(patternfusion.Itemsets(res.Patterns), patternfusion.Itemsets(closed.Patterns))
 	fmt.Printf("approximation error Δ(A_P^Q) against the complete closed set: %.4f\n", delta)
 }

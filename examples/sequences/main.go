@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -57,27 +58,44 @@ func main() {
 		clickstreams = append(clickstreams, s)
 	}
 
-	db, err := patternfusion.NewSeqDataset(clickstreams)
+	// The subsequence algebra counts the funnel's true support.
+	seqs, err := patternfusion.NewSeqDataset(clickstreams)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("clickstream database: %d sessions, %d event types\n", db.Size(), db.NumEvents())
-	fmt.Printf("planted funnel: %v (support %d)\n\n", funnel, db.SupportCount(funnel))
+	fmt.Printf("clickstream database: %d sessions, %d event types\n", seqs.Size(), seqs.NumEvents())
+	fmt.Printf("planted funnel: %v (support %d)\n\n", funnel, seqs.SupportCount(funnel))
 
-	cfg := patternfusion.DefaultSeqConfig(8, 100)
+	// The miner reads the ordered view attached to an ordinary Dataset —
+	// what a "seq"-format ingestion delivers.
+	rows := make([][]int, len(clickstreams))
+	for i, s := range clickstreams {
+		rows[i] = s
+	}
+	db, err := patternfusion.New(rows)
+	if err != nil {
+		log.Fatal(err)
+	}
+	db.SetSequences(rows)
+
 	t0 := time.Now()
-	res, err := patternfusion.MineSequences(db, cfg)
+	rep, err := patternfusion.MineWith(context.Background(), patternfusion.SeqFusion, db,
+		patternfusion.Options{K: 8, MinCount: 100})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("sequence Pattern-Fusion: %d patterns from a pool of %d in %v\n",
-		len(res.Patterns), res.InitPoolSize, time.Since(t0).Round(time.Millisecond))
+		len(rep.Patterns), rep.InitPoolSize, time.Since(t0).Round(time.Millisecond))
+	if rep.Quality != nil {
+		fmt.Printf("approximation error Δ against the pool: %.4f\n", rep.Quality.Delta)
+	}
 
-	for _, p := range res.Patterns {
+	for _, p := range rep.Patterns {
+		s := patternfusion.Sequence(p.Items)
 		marker := ""
-		if p.Seq.Equal(funnel) {
+		if s.Equal(funnel) {
 			marker = "   ← the colossal checkout funnel"
 		}
-		fmt.Printf("  len=%2d support=%3d  %v%s\n", len(p.Seq), p.Support(), p.Seq, marker)
+		fmt.Printf("  len=%2d support=%3d  %v%s\n", len(s), p.Support(), s, marker)
 	}
 }

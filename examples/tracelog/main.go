@@ -28,9 +28,9 @@ func main() {
 	fmt.Printf("planted: %d colossal execution paths of size %d\n\n",
 		len(plantedPaths), len(plantedPaths[0]))
 
-	cfg := patternfusion.DefaultConfig(100, 0.03)
 	t0 := time.Now()
-	res, err := patternfusion.Mine(context.Background(), db, cfg)
+	res, err := patternfusion.MineWith(context.Background(), "fusion", db,
+		patternfusion.Options{K: 100, MinSupport: 0.03})
 	if err != nil {
 		log.Fatal(err)
 	}

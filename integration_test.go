@@ -33,15 +33,14 @@ func TestPipelineGenerateSaveLoadMineEvaluate(t *testing.T) {
 
 	// The exact closed set is the ground truth at this scale.
 	minCount := 8
-	closed := patternfusion.MineClosed(loaded, minCount)
+	closed := mine(t, "closed", loaded, patternfusion.Options{MinCount: minCount}).Patterns
 	if len(closed) == 0 {
 		t.Fatal("no closed patterns")
 	}
 
 	// Pattern-Fusion approximates it.
-	cfg := patternfusion.DefaultConfig(10, 0)
-	cfg.MinCount = minCount
-	res, err := patternfusion.Mine(context.Background(), loaded, cfg)
+	res, err := patternfusion.MineWith(context.Background(), "fusion", loaded,
+		patternfusion.Options{K: 10, MinCount: minCount})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,26 +88,19 @@ func TestAllMinersAgreeOnColossal(t *testing.T) {
 		}
 		return false
 	}
-	if !contains(patternfusion.MineClosed(db, minCount)) {
-		t.Error("closed miner missed the colossal pattern")
-	}
-	if !contains(patternfusion.MineClosedRows(db, minCount, 0)) {
-		t.Error("row-enumeration miner missed the colossal pattern")
-	}
-	if !contains(patternfusion.MineMaximal(db, minCount)) {
-		t.Error("maximal miner missed the colossal pattern")
-	}
-	if !contains(patternfusion.MineTopK(db, 3, 10)) {
-		t.Error("top-k miner missed the colossal pattern")
-	}
-	cfg := patternfusion.DefaultConfig(10, 0)
-	cfg.MinCount = minCount
-	res, err := patternfusion.Mine(context.Background(), db, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !contains(res.Patterns) {
-		t.Error("Pattern-Fusion missed the colossal pattern")
+	for _, c := range []struct {
+		name string
+		opts patternfusion.Options
+	}{
+		{"closed", patternfusion.Options{MinCount: minCount}},
+		{"closedrows", patternfusion.Options{MinCount: minCount}},
+		{"maximal", patternfusion.Options{MinCount: minCount}},
+		{"topk", patternfusion.Options{K: 3, MinSize: 10}},
+		{"fusion", patternfusion.Options{K: 10, MinCount: minCount}},
+	} {
+		if !contains(mine(t, c.name, db, c.opts).Patterns) {
+			t.Errorf("%s missed the colossal pattern", c.name)
+		}
 	}
 }
 
@@ -116,7 +108,7 @@ func TestQualityModelOrdersMinersSanely(t *testing.T) {
 	// The complete closed set approximates itself perfectly; a truncated
 	// result approximates it strictly worse once real patterns are dropped.
 	db := patternfusion.RandomDB(11, 40, 10, 0.4)
-	closed := patternfusion.Itemsets(patternfusion.MineClosed(db, 4))
+	closed := patternfusion.Itemsets(mine(t, "closed", db, patternfusion.Options{MinCount: 4}).Patterns)
 	if len(closed) < 8 {
 		t.Skip("random database too sparse for this seed")
 	}

@@ -21,16 +21,6 @@ func (algorithm) Name() string { return Name }
 // mined on Options.Parallelism workers.
 func (algorithm) Mine(ctx context.Context, d *dataset.Dataset, opts engine.Options) (*engine.Report, error) {
 	return engine.Run(Name, opts, engine.Uses{MaxSize: true}, func() (*engine.Report, error) {
-		res := MineOpts(ctx, d, Options{
-			MinCount:    opts.ResolveMinCount(d),
-			MaxSize:     opts.MaxSize,
-			Parallelism: opts.Parallelism,
-			Observer:    opts.Observer,
-		})
-		return &engine.Report{
-			Patterns:   res.Patterns,
-			Iterations: len(res.Levels),
-			Stopped:    res.Stopped,
-		}, nil
+		return search(ctx, d, opts.ResolveMinCount(d), opts.MaxSize, opts.Parallelism, opts.Observer), nil
 	})
 }

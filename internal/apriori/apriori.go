@@ -6,7 +6,7 @@
 // structural role in the reproduction: phase 1 of Pattern-Fusion assumes
 // "an initial pool of small frequent patterns, which is the complete set of
 // frequent patterns up to a small size, e.g., 3" (Section 2.3) — that pool
-// is mined here with MineUpTo.
+// is mined here with InitialPool.
 //
 // Support counting uses the dataset's vertical representation: the tidset of
 // a (k)-candidate is the intersection of a (k−1)-parent's tidset with one
@@ -34,74 +34,55 @@ import (
 	"repro/internal/tidset"
 )
 
-// Options configures a mining run.
-type Options struct {
-	MinCount    int             // absolute minimum support count (≥ 1)
-	MaxSize     int             // stop after this level; 0 means unbounded
-	Parallelism int             // worker goroutines; 0 = all CPUs; results identical for any value
-	Observer    engine.Observer // optional progress events, one per level
+// InitialPool returns the complete set of frequent patterns of d with
+// support count at least minCount and at most maxSize items, in level
+// order — Pattern-Fusion's phase-1 pool. It is the raw level-wise search,
+// deliberately outside engine.Run: fusion's seed draws index the pool in
+// exactly this order, and the pool build emits no progress events of its
+// own. A canceled run returns the completed levels and true.
+func InitialPool(ctx context.Context, d *dataset.Dataset, minCount, maxSize, parallelism int) ([]*dataset.Pattern, bool) {
+	rep := search(ctx, d, minCount, maxSize, parallelism, nil)
+	return rep.Patterns, rep.Stopped
 }
 
-// Result is the outcome of a mining run.
-type Result struct {
-	Patterns []*dataset.Pattern // all frequent patterns found, level by level
-	Levels   []int              // Levels[k] = number of frequent patterns of size k+1
-	Stopped  bool               // true if the run was canceled before completion
-}
-
-// Mine returns the complete set of frequent patterns of d with support
-// count at least minCount.
-func Mine(d *dataset.Dataset, minCount int) *Result {
-	return MineOpts(context.Background(), d, Options{MinCount: minCount})
-}
-
-// MineUpTo returns the complete set of frequent patterns of size at most
-// maxSize — the Pattern-Fusion initial pool.
-func MineUpTo(d *dataset.Dataset, minCount, maxSize int) *Result {
-	return MineOpts(context.Background(), d, Options{MinCount: minCount, MaxSize: maxSize})
-}
-
-// MineOpts runs Apriori under the given options. Cancellation is polled on
-// ctx once per level; a canceled run returns the levels completed so far
-// with Stopped=true.
-func MineOpts(ctx context.Context, d *dataset.Dataset, opts Options) *Result {
-	if opts.MinCount < 1 {
-		opts.MinCount = 1
-	}
-	res := &Result{}
+// search runs Apriori at the resolved threshold minCount (≥ 1), stopping
+// after level maxSize (0 = unbounded). Patterns come out level by level;
+// Iterations counts the completed levels, each announced to obs.
+// Cancellation is polled on ctx once per level; a canceled run returns
+// the levels completed so far with Stopped=true.
+func search(ctx context.Context, d *dataset.Dataset, minCount, maxSize, parallelism int, obs engine.Observer) *engine.Report {
+	rep := &engine.Report{}
 
 	// L1: frequent single items.
 	var level []*dataset.Pattern
-	for _, item := range d.FrequentItems(opts.MinCount) {
+	for _, item := range d.FrequentItems(minCount) {
 		level = append(level, dataset.NewPatternTIDs(
 			itemset.Itemset{item}, d.ItemTIDs(item).Clone()))
 	}
-	k := 1
 	for len(level) > 0 {
-		res.Patterns = append(res.Patterns, level...)
-		res.Levels = append(res.Levels, len(level))
-		opts.Observer.Emit(engine.Event{
+		rep.Patterns = append(rep.Patterns, level...)
+		rep.Iterations++
+		obs.Emit(engine.Event{
 			Algorithm: Name, Phase: engine.PhaseIteration,
-			Iteration: k, PoolSize: len(res.Patterns),
+			Iteration: rep.Iterations, PoolSize: len(rep.Patterns),
 		})
-		if opts.MaxSize > 0 && k >= opts.MaxSize {
+		if maxSize > 0 && rep.Iterations >= maxSize {
 			break
 		}
 		if ctx.Err() != nil {
-			res.Stopped = true
+			rep.Stopped = true
 			break
 		}
 		var stopped bool
-		level, stopped = nextLevel(ctx, d, level, opts.MinCount, opts.Parallelism)
+		level, stopped = nextLevel(ctx, d, level, minCount, parallelism)
 		if stopped {
 			// Canceled mid-level: keep the complete levels only, so a
 			// partial report never contains a torn level.
-			res.Stopped = true
+			rep.Stopped = true
 			break
 		}
-		k++
 	}
-	return res
+	return rep
 }
 
 // nextLevel generates and counts the (k+1)-candidates from the frequent

@@ -1,14 +1,23 @@
 package apriori
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/itemset"
 	"repro/internal/minertest"
 	"repro/internal/rng"
 )
+
+// mine runs Apriori through the engine at the given support count and
+// maximum pattern size (0 = unbounded).
+func mine(t *testing.T, d *dataset.Dataset, minCount, maxSize int) *engine.Report {
+	t.Helper()
+	return minertest.Mine(t, context.Background(), Name, d, engine.Options{MinCount: minCount, MaxSize: maxSize})
+}
 
 func smallDB(t *testing.T) *dataset.Dataset {
 	t.Helper()
@@ -22,7 +31,7 @@ func smallDB(t *testing.T) *dataset.Dataset {
 
 func TestMineCompleteSmall(t *testing.T) {
 	d := smallDB(t)
-	res := Mine(d, 2)
+	res := mine(t, d, 2, 0)
 	got, noDup := minertest.PatternsToMap(res.Patterns)
 	if !noDup {
 		t.Fatal("duplicate patterns in Apriori output")
@@ -40,7 +49,7 @@ func TestMineAgainstBruteForceRandom(t *testing.T) {
 		numItems := 3 + r.Intn(8)
 		d := datagen.Random(r.Split(), numTxns, numItems, 0.4)
 		minCount := 1 + r.Intn(4)
-		res := Mine(d, minCount)
+		res := mine(t, d, minCount, 0)
 		got, noDup := minertest.PatternsToMap(res.Patterns)
 		if !noDup {
 			t.Fatalf("trial %d: duplicates", trial)
@@ -55,7 +64,7 @@ func TestMineAgainstBruteForceRandom(t *testing.T) {
 
 func TestMineUpToBoundsSize(t *testing.T) {
 	d := smallDB(t)
-	res := MineUpTo(d, 1, 2)
+	res := mine(t, d, 1, 2)
 	for _, p := range res.Patterns {
 		if len(p.Items) > 2 {
 			t.Fatalf("pattern %v exceeds MaxSize", p.Items)
@@ -70,7 +79,7 @@ func TestMineUpToBoundsSize(t *testing.T) {
 		}
 	}
 	if len(res.Patterns) != want {
-		t.Fatalf("MineUpTo found %d patterns, want %d", len(res.Patterns), want)
+		t.Fatalf("MaxSize 2 found %d patterns, want %d", len(res.Patterns), want)
 	}
 }
 
@@ -79,34 +88,43 @@ func TestInitialPoolSizeDiag40(t *testing.T) {
 	// 820 patterns of size ≤ 2" on Diag40 with support count 20. Indeed:
 	// 40 singletons + C(40,2) = 820, all with support ≥ 38 ≥ 20.
 	d := datagen.Diag(40)
-	res := MineUpTo(d, 20, 2)
+	res := mine(t, d, 20, 2)
 	if len(res.Patterns) != 820 {
 		t.Fatalf("Diag40 initial pool = %d patterns, want 820", len(res.Patterns))
 	}
 }
 
+// TestLevelsAccounting pins the per-level progress stream: one iteration
+// event per completed level, each carrying the cumulative pattern count,
+// ending at the report's totals.
 func TestLevelsAccounting(t *testing.T) {
 	d := smallDB(t)
-	res := Mine(d, 2)
-	total := 0
-	for k, n := range res.Levels {
-		total += n
-		for _, p := range res.Patterns {
-			_ = p
-		}
-		if n < 0 {
-			t.Fatalf("level %d negative", k)
+	var pools []int
+	rep := minertest.Mine(t, context.Background(), Name, d, engine.Options{
+		MinCount: 2,
+		Observer: func(e engine.Event) {
+			if e.Phase == engine.PhaseIteration {
+				pools = append(pools, e.PoolSize)
+			}
+		},
+	})
+	if len(pools) != rep.Iterations {
+		t.Fatalf("%d level events, want %d", len(pools), rep.Iterations)
+	}
+	for k := 1; k < len(pools); k++ {
+		if pools[k] <= pools[k-1] {
+			t.Fatalf("level %d added no patterns: %v", k+1, pools)
 		}
 	}
-	if total != len(res.Patterns) {
-		t.Fatalf("levels sum %d != %d patterns", total, len(res.Patterns))
+	if pools[len(pools)-1] != len(rep.Patterns) {
+		t.Fatalf("levels sum %d != %d patterns", pools[len(pools)-1], len(rep.Patterns))
 	}
 }
 
 func TestDownwardClosure(t *testing.T) {
 	r := rng.New(7)
 	d := datagen.Random(r, 30, 8, 0.5)
-	res := Mine(d, 3)
+	res := mine(t, d, 3, 0)
 	index, _ := minertest.PatternsToMap(res.Patterns)
 	for _, p := range res.Patterns {
 		for _, drop := range p.Items {
@@ -124,7 +142,7 @@ func TestDownwardClosure(t *testing.T) {
 func TestSupportSetsAreExact(t *testing.T) {
 	r := rng.New(8)
 	d := datagen.Random(r, 40, 7, 0.45)
-	for _, p := range Mine(d, 2).Patterns {
+	for _, p := range mine(t, d, 2, 0).Patterns {
 		if !p.TIDs.Equal(d.TIDSet(p.Items)) {
 			t.Fatalf("pattern %v carries wrong tidset", p.Items)
 		}
@@ -133,24 +151,26 @@ func TestSupportSetsAreExact(t *testing.T) {
 
 func TestEmptyAndDegenerate(t *testing.T) {
 	d := dataset.MustNew(nil)
-	if got := Mine(d, 1).Patterns; len(got) != 0 {
+	if got := mine(t, d, 1, 0).Patterns; len(got) != 0 {
 		t.Fatalf("empty dataset yielded %d patterns", len(got))
 	}
 	d2 := dataset.MustNew([][]int{{}, {}})
-	if got := Mine(d2, 1).Patterns; len(got) != 0 {
+	if got := mine(t, d2, 1, 0).Patterns; len(got) != 0 {
 		t.Fatalf("all-empty transactions yielded %d patterns", len(got))
 	}
 	d3 := dataset.MustNew([][]int{{5}})
-	got := Mine(d3, 1).Patterns
+	got := mine(t, d3, 1, 0).Patterns
 	if len(got) != 1 || !got[0].Items.Equal(itemset.Itemset{5}) {
 		t.Fatalf("single-item dataset mined %v", got)
 	}
 }
 
+// TestMinCountBelowOneTreatedAsOne pins the threshold floor: with no
+// support threshold set, the engine resolves it to one transaction.
 func TestMinCountBelowOneTreatedAsOne(t *testing.T) {
 	d := smallDB(t)
-	a := Mine(d, 0)
-	b := Mine(d, 1)
+	a := mine(t, d, 0, 0)
+	b := mine(t, d, 1, 0)
 	if len(a.Patterns) != len(b.Patterns) {
 		t.Fatal("minCount 0 and 1 differ")
 	}
@@ -158,8 +178,29 @@ func TestMinCountBelowOneTreatedAsOne(t *testing.T) {
 
 func TestCancellation(t *testing.T) {
 	d := datagen.Diag(20)
-	res := MineOpts(minertest.CancelAfter(1), d, Options{MinCount: 1})
+	res := minertest.Mine(t, minertest.CancelAfter(1), Name, d, engine.Options{MinCount: 1})
 	if !res.Stopped {
 		t.Fatal("cancellation not honored")
+	}
+}
+
+// TestInitialPoolMatchesEngine pins fusion's phase-1 entry point to the
+// registered miner: the same patterns, in level order rather than the
+// engine's largest-first order.
+func TestInitialPoolMatchesEngine(t *testing.T) {
+	d := datagen.Diag(12)
+	pool, stopped := InitialPool(context.Background(), d, 6, 2, 2)
+	if stopped {
+		t.Fatal("uncanceled pool build reported stopped")
+	}
+	got, _ := minertest.PatternsToMap(pool)
+	want, _ := minertest.PatternsToMap(mine(t, d, 6, 2).Patterns)
+	if !minertest.SameMap(got, want) {
+		t.Fatalf("InitialPool has %d patterns, engine %d", len(got), len(want))
+	}
+	for i := 1; i < len(pool); i++ {
+		if len(pool[i].Items) < len(pool[i-1].Items) {
+			t.Fatalf("pool not in level order at %d", i)
+		}
 	}
 }

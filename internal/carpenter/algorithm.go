@@ -23,26 +23,15 @@ func (algorithm) Name() string { return Name }
 // microarray-shaped data.
 func (algorithm) Mine(ctx context.Context, d *dataset.Dataset, opts engine.Options) (*engine.Report, error) {
 	return engine.Run(Name, opts, engine.Uses{MinSize: true}, func() (*engine.Report, error) {
-		res := MineOpts(ctx, d, minerOptions(d, opts))
-		return &engine.Report{Patterns: res.Patterns, Visited: res.Visited, Stopped: res.Stopped}, nil
+		return mineRange(ctx, d, opts.ResolveMinCount(d), opts, 0, -1), nil
 	})
-}
-
-// minerOptions maps engine options onto this package's option set.
-func minerOptions(d *dataset.Dataset, opts engine.Options) Options {
-	return Options{
-		MinCount:    opts.ResolveMinCount(d),
-		MinSize:     opts.MinSize,
-		Parallelism: opts.Parallelism,
-		Observer:    opts.Observer,
-	}
 }
 
 // ShardUnits implements engine.Sharder: one task unit per frontier
 // subtree of the deterministic dispatcher expansion, or 0 for the
 // degenerate empty run.
 func (algorithm) ShardUnits(d *dataset.Dataset, opts engine.Options) int {
-	return rootUnits(d, minerOptions(d, opts))
+	return rootUnits(d, opts.ResolveMinCount(d), opts.MinSize)
 }
 
 // MineShard implements engine.Sharder: mines the frontier subtrees
@@ -53,8 +42,9 @@ func (a algorithm) MineShard(ctx context.Context, d *dataset.Dataset, opts engin
 	if err := engine.ValidateShard(Name, opts, lo, hi, a.ShardUnits(d, opts)); err != nil {
 		return nil, err
 	}
-	res := mineRange(ctx, d, minerOptions(d, opts), lo, hi)
-	return &engine.Report{Algorithm: Name, Patterns: res.Patterns, Visited: res.Visited, Stopped: res.Stopped}, nil
+	rep := mineRange(ctx, d, opts.ResolveMinCount(d), opts, lo, hi)
+	rep.Algorithm = Name
+	return rep, nil
 }
 
 // MergeShards implements engine.Sharder: frontier subtrees are

@@ -42,14 +42,6 @@ import (
 	"repro/internal/tidset"
 )
 
-// Options configures a mining run.
-type Options struct {
-	MinCount    int             // absolute minimum support count (≥ 1)
-	MinSize     int             // only report closed itemsets with at least this many items
-	Parallelism int             // worker goroutines; 0 = all CPUs; results identical for any value
-	Observer    engine.Observer // optional progress events, every engine.ProgressStride nodes
-}
-
 // spawnDepth is the row-enumeration depth at which the dispatcher stops
 // expanding and hands subtrees to the scheduler. It is a constant — never
 // derived from the worker count — so the task decomposition, and with it
@@ -57,47 +49,28 @@ type Options struct {
 // Parallelism value.
 const spawnDepth = 2
 
-// Result is the outcome of a mining run.
-type Result struct {
-	Patterns []*dataset.Pattern // the closed frequent patterns (size ≥ MinSize)
-	Visited  int                // search nodes explored
-	Stopped  bool
-}
-
-// Mine returns all closed frequent patterns of d with support count at
-// least minCount and size at least minSize.
-func Mine(d *dataset.Dataset, minCount, minSize int) *Result {
-	return MineOpts(context.Background(), d, Options{MinCount: minCount, MinSize: minSize})
-}
-
-// MineOpts runs the row-enumeration miner under the given options.
+// mineRange mines the dispatcher's frontier tasks [lo, hi) for the closed
+// patterns of at least opts.MinSize items at the resolved threshold
+// minCount (≥ 1); hi < 0 selects all of them. It backs both the registered Mine
+// and the engine.Sharder adapter. Every range replays the deterministic
+// dispatcher expansion to rebuild the task list, but the dispatcher's own
+// output — the above-frontier patterns and visit counts — belongs to the
+// lo == 0 range only, so shard results sum to the single-node run.
 // Cancellation is polled on ctx at every search node; a canceled run
 // returns the patterns found so far with Stopped=true.
-func MineOpts(ctx context.Context, d *dataset.Dataset, opts Options) *Result {
-	return mineRange(ctx, d, opts, 0, -1)
-}
-
-// mineRange mines the dispatcher's frontier tasks [lo, hi); hi < 0
-// selects all of them. It backs both MineOpts and the engine.Sharder
-// adapter. Every range replays the deterministic dispatcher expansion to
-// rebuild the task list, but the dispatcher's own output — the
-// above-frontier patterns and visit counts — belongs to the lo == 0
-// range only, so shard results sum to the single-node run.
-func mineRange(ctx context.Context, d *dataset.Dataset, opts Options, lo, hi int) *Result {
-	if opts.MinCount < 1 {
-		opts.MinCount = 1
-	}
-	res := &Result{}
+func mineRange(ctx context.Context, d *dataset.Dataset, minCount int, opts engine.Options, lo, hi int) *engine.Report {
+	minSize := opts.MinSize
+	res := &engine.Report{}
 	n := d.Size()
-	if n < opts.MinCount {
+	if n < minCount {
 		return res
 	}
 	meter := engine.NewMeter(ctx, Name, opts.Observer)
 	rootRes := res
 	if lo != 0 {
-		rootRes = &Result{}
+		rootRes = &engine.Report{}
 	}
-	root := newRoot(meter, d, opts, rootRes)
+	root := newRoot(meter, d, minCount, minSize, rootRes)
 	full := bitset.New(d.NumItems())
 	full.SetAll()
 
@@ -125,10 +98,11 @@ func mineRange(ctx context.Context, d *dataset.Dataset, opts Options, lo, hi int
 		lo = hi
 	}
 
-	perTask := make([]*Result, hi-lo)
+	perTask := make([]*engine.Report, hi-lo)
 	stopped := engine.Tasks(ctx, engine.Workers(opts.Parallelism), hi-lo, func(_, task int) {
 		ft := tasks[lo+task]
-		sub := &miner{meter: meter, d: d, opts: opts, res: &Result{}, n: n, rows: root.rows, inSet: ft.inSet}
+		sub := &miner{meter: meter, d: d, minCount: minCount, minSize: minSize, res: &engine.Report{},
+			n: n, rows: root.rows, inSet: ft.inSet}
 		sub.enumerate(ft.rsize, ft.x, ft.next, spawnDepth)
 		perTask[task] = sub.res
 	})
@@ -147,9 +121,9 @@ func mineRange(ctx context.Context, d *dataset.Dataset, opts Options, lo, hi int
 
 // newRoot builds the dispatcher miner with the shared read-only row
 // item-bitsets and row-membership state.
-func newRoot(meter *engine.Meter, d *dataset.Dataset, opts Options, res *Result) *miner {
+func newRoot(meter *engine.Meter, d *dataset.Dataset, minCount, minSize int, res *engine.Report) *miner {
 	n := d.Size()
-	root := &miner{meter: meter, d: d, opts: opts, res: res, n: n}
+	root := &miner{meter: meter, d: d, minCount: minCount, minSize: minSize, res: res, n: n}
 	root.rows = make([]*bitset.Bitset, n)
 	for i := 0; i < n; i++ {
 		b := bitset.New(d.NumItems())
@@ -165,14 +139,11 @@ func newRoot(meter *engine.Meter, d *dataset.Dataset, opts Options, res *Result)
 // rootUnits replays the dispatcher expansion alone and returns its
 // frontier-task count — the shardable task-unit count — or 0 for the
 // degenerate empty run.
-func rootUnits(d *dataset.Dataset, opts Options) int {
-	if opts.MinCount < 1 {
-		opts.MinCount = 1
-	}
-	if d.Size() < opts.MinCount {
+func rootUnits(d *dataset.Dataset, minCount, minSize int) int {
+	if d.Size() < minCount {
 		return 0
 	}
-	root := newRoot(engine.NewMeter(context.Background(), Name, nil), d, opts, &Result{})
+	root := newRoot(engine.NewMeter(context.Background(), Name, nil), d, minCount, minSize, &engine.Report{})
 	full := bitset.New(d.NumItems())
 	full.SetAll()
 	units := 0
@@ -192,13 +163,14 @@ type frontierTask struct {
 }
 
 type miner struct {
-	meter *engine.Meter
-	d     *dataset.Dataset
-	opts  Options
-	res   *Result
-	n     int
-	rows  []*bitset.Bitset
-	inSet []bool // inSet[r] = row r is in the current row set
+	meter    *engine.Meter
+	d        *dataset.Dataset
+	minCount int
+	minSize  int
+	res      *engine.Report
+	n        int
+	rows     []*bitset.Bitset
+	inSet    []bool // inSet[r] = row r is in the current row set
 	// free recycles intersection bitsets: one buffer per recursion depth in
 	// steady state instead of one allocation per explored branch.
 	free []*bitset.Bitset
@@ -273,20 +245,20 @@ func (m *miner) enumerate(rsize int, x *bitset.Bitset, next, depth int) {
 
 	// After absorption the current set holds *every* row containing x, so x
 	// is closed with support rsize.
-	if rsize >= m.opts.MinCount && !x.Empty() && x.Count() >= m.opts.MinSize {
+	if rsize >= m.minCount && !x.Empty() && x.Count() >= m.minSize {
 		m.emit(x, rsize)
 	}
 
 	for i, r := range rest {
 		// Pruning 1: can the remaining rows still reach minCount?
-		if rsize+len(rest)-i < m.opts.MinCount {
+		if rsize+len(rest)-i < m.minCount {
 			return
 		}
 		nx := m.grabX()
 		nx.AndOf(x, m.rows[r])
 		// Min-size pruning: intersections only shrink as rows are added.
 		// One popcount serves both the emptiness and the min-size test.
-		if c := nx.Count(); c == 0 || c < m.opts.MinSize {
+		if c := nx.Count(); c == 0 || c < m.minSize {
 			m.free = append(m.free, nx)
 			continue
 		}

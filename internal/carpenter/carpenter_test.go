@@ -1,21 +1,30 @@
 package carpenter
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/charm"
 	"repro/internal/datagen"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/minertest"
 	"repro/internal/rng"
 )
+
+// mine runs the named closed miner through the engine at the given
+// support count and minimum pattern size.
+func mine(t *testing.T, name string, d *dataset.Dataset, minCount, minSize int) *engine.Report {
+	t.Helper()
+	return minertest.Mine(t, context.Background(), name, d, engine.Options{MinCount: minCount, MinSize: minSize})
+}
 
 func TestAgainstBruteForceRandom(t *testing.T) {
 	r := rng.New(888)
 	for trial := 0; trial < 30; trial++ {
 		d := datagen.Random(r.Split(), 5+r.Intn(20), 3+r.Intn(8), 0.3+r.Float64()*0.4)
 		minCount := 1 + r.Intn(4)
-		res := Mine(d, minCount, 0)
+		res := mine(t, Name, d, minCount, 0)
 		got, noDup := minertest.PatternsToMap(res.Patterns)
 		if !noDup {
 			t.Fatalf("trial %d: duplicate closed patterns from row enumeration", trial)
@@ -36,8 +45,8 @@ func TestAgreesWithCharm(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		d := datagen.Random(r.Split(), 8+r.Intn(20), 4+r.Intn(10), 0.35+r.Float64()*0.3)
 		minCount := 2 + r.Intn(3)
-		a, _ := minertest.PatternsToMap(Mine(d, minCount, 0).Patterns)
-		b, _ := minertest.PatternsToMap(charm.Mine(d, minCount).Patterns)
+		a, _ := minertest.PatternsToMap(mine(t, Name, d, minCount, 0).Patterns)
+		b, _ := minertest.PatternsToMap(mine(t, charm.Name, d, minCount, 0).Patterns)
 		if !minertest.SameMap(a, b) {
 			t.Fatalf("trial %d: carpenter %d vs charm %d closed patterns", trial, len(a), len(b))
 		}
@@ -47,8 +56,8 @@ func TestAgreesWithCharm(t *testing.T) {
 func TestMinSizePruning(t *testing.T) {
 	r := rng.New(890)
 	d := datagen.Random(r, 25, 10, 0.5)
-	full := Mine(d, 2, 0)
-	pruned := Mine(d, 2, 3)
+	full := mine(t, Name, d, 2, 0)
+	pruned := mine(t, Name, d, 2, 3)
 	want := 0
 	for _, p := range full.Patterns {
 		if len(p.Items) >= 3 {
@@ -66,7 +75,7 @@ func TestMinSizePruning(t *testing.T) {
 func TestSupportSetsExact(t *testing.T) {
 	r := rng.New(891)
 	d := datagen.Random(r, 20, 8, 0.5)
-	for _, p := range Mine(d, 2, 0).Patterns {
+	for _, p := range mine(t, Name, d, 2, 0).Patterns {
 		if !p.TIDs.Equal(d.TIDSet(p.Items)) {
 			t.Fatalf("pattern %v carries wrong tidset", p.Items)
 		}
@@ -98,7 +107,7 @@ func TestLongDataShape(t *testing.T) {
 		txns[i] = t
 	}
 	d := dataset.MustNew(txns)
-	res := Mine(d, 4, 30)
+	res := mine(t, Name, d, 4, 30)
 	// Expected closed patterns of size ≥ 30 with support ≥ 4: blockA
 	// (rows 0-5), blockB (rows 2-7), blockA∪blockB (rows 2-5) and nothing
 	// else.
@@ -112,18 +121,18 @@ func TestLongDataShape(t *testing.T) {
 }
 
 func TestDegenerate(t *testing.T) {
-	if got := Mine(dataset.MustNew(nil), 1, 0).Patterns; len(got) != 0 {
+	if got := mine(t, Name, dataset.MustNew(nil), 1, 0).Patterns; len(got) != 0 {
 		t.Fatalf("empty dataset: %d patterns", len(got))
 	}
 	d := dataset.MustNew([][]int{{0}, {1}})
-	if got := Mine(d, 3, 0).Patterns; len(got) != 0 {
+	if got := mine(t, Name, d, 3, 0).Patterns; len(got) != 0 {
 		t.Fatalf("minCount above |D|: %v", got)
 	}
 }
 
 func TestCancellation(t *testing.T) {
 	d := datagen.Diag(18)
-	res := MineOpts(minertest.CancelAfter(5), d, Options{MinCount: 2})
+	res := minertest.Mine(t, minertest.CancelAfter(5), Name, d, engine.Options{MinCount: 2})
 	if !res.Stopped {
 		t.Fatal("cancellation not honored")
 	}

@@ -38,48 +38,22 @@ import (
 	"repro/internal/tidset"
 )
 
-// Options configures a mining run.
-type Options struct {
-	MinCount    int             // absolute minimum support count (≥ 1)
-	MinSize     int             // only report closed itemsets with at least this many items
-	Parallelism int             // worker goroutines; 0 = all CPUs; results identical for any value
-	Observer    engine.Observer // optional progress events, every engine.ProgressStride nodes
-}
-
-// Result is the outcome of a mining run.
-type Result struct {
-	Patterns []*dataset.Pattern // the closed frequent patterns
-	Visited  int                // branches explored (for the runtime experiments)
-	Stopped  bool               // true if the run was canceled before completion
-}
-
-// Mine returns all closed frequent patterns of d with support count at
-// least minCount.
-func Mine(d *dataset.Dataset, minCount int) *Result {
-	return MineOpts(context.Background(), d, Options{MinCount: minCount})
-}
-
-// MineOpts runs the closed miner under the given options. Cancellation is
-// polled on ctx at every search node; a canceled run returns the patterns
-// found so far with Stopped=true.
-func MineOpts(ctx context.Context, d *dataset.Dataset, opts Options) *Result {
-	return mineRange(ctx, d, opts, 0, -1)
-}
-
-// mineRange mines the root-closure extension items [lo, hi); hi < 0
-// selects all of them. It backs both MineOpts and the engine.Sharder
-// adapter. The root extend node (its visit count and the root closure's
-// emission) belongs to the lo == 0 range only, so shard counters and
-// patterns sum to the single-node run.
-func mineRange(ctx context.Context, d *dataset.Dataset, opts Options, lo, hi int) *Result {
-	if opts.MinCount < 1 {
-		opts.MinCount = 1
-	}
-	res := &Result{}
-	if d.Size() < opts.MinCount {
-		return res
+// mineRange mines the root-closure extension items [lo, hi) at the
+// resolved threshold minCount (≥ 1); hi < 0 selects all of them. It backs
+// both the registered Mine and the engine.Sharder adapter. The root
+// extend node (its visit count and the root closure's emission) belongs
+// to the lo == 0 range only, so shard counters and patterns sum to the
+// single-node run. Cancellation is polled on ctx at every search node; a
+// canceled run returns the patterns found so far with Stopped=true.
+func mineRange(ctx context.Context, d *dataset.Dataset, minCount int, opts engine.Options, lo, hi int) *engine.Report {
+	rep := &engine.Report{}
+	if d.Size() < minCount {
+		return rep
 	}
 	meter := engine.NewMeter(ctx, Name, opts.Observer)
+	newMiner := func(res *engine.Report, sc *scratch) *miner {
+		return &miner{meter: meter, d: d, minCount: minCount, minSize: opts.MinSize, res: res, sc: sc}
+	}
 
 	all := tidset.Full(d.Size())
 	c0 := ClosureOf(d, all)
@@ -88,7 +62,7 @@ func mineRange(ctx context.Context, d *dataset.Dataset, opts Options, lo, hi int
 	}
 	if lo == 0 {
 		// The root extend node, processed here on the dispatcher.
-		root := &miner{meter: meter, d: d, opts: opts, res: res, sc: newScratch(d)}
+		root := newMiner(rep, newScratch(d))
 		root.res.Visited++
 		root.emit(c0, all, d.Size())
 	}
@@ -98,13 +72,12 @@ func mineRange(ctx context.Context, d *dataset.Dataset, opts Options, lo, hi int
 	// subtree independently (all and the item TID sets are read-only).
 	// Pools, closer and arenas live per worker, not per task: scratch reuse
 	// changes allocation, never values, so determinism is preserved.
-	perTask := make([]*Result, hi-lo)
+	perTask := make([]*engine.Report, hi-lo)
 	stopped := engine.TasksWithScratch(ctx, engine.Workers(opts.Parallelism), hi-lo,
 		func() *scratch { return newScratch(d) },
 		func(sc *scratch, task int) {
-			sub := &Result{}
-			m := &miner{meter: meter, d: d, opts: opts, res: sub, sc: sc}
-			m.extendFrom(c0, all, lo+task)
+			sub := &engine.Report{}
+			newMiner(sub, sc).extendFrom(c0, all, lo+task)
 			perTask[task] = sub
 		})
 	for _, sub := range perTask {
@@ -112,20 +85,21 @@ func mineRange(ctx context.Context, d *dataset.Dataset, opts Options, lo, hi int
 			stopped = true // abandoned after cancellation
 			continue
 		}
-		res.Patterns = append(res.Patterns, sub.Patterns...)
-		res.Visited += sub.Visited
+		rep.Patterns = append(rep.Patterns, sub.Patterns...)
+		rep.Visited += sub.Visited
 		stopped = stopped || sub.Stopped
 	}
-	res.Stopped = stopped
-	return res
+	rep.Stopped = stopped
+	return rep
 }
 
 type miner struct {
-	meter *engine.Meter
-	d     *dataset.Dataset
-	opts  Options
-	res   *Result
-	sc    *scratch
+	meter    *engine.Meter
+	d        *dataset.Dataset
+	minCount int
+	minSize  int
+	res      *engine.Report
+	sc       *scratch
 }
 
 // scratch is the per-worker allocation state: a pool of branch TID-sets, a
@@ -158,7 +132,7 @@ func (m *miner) visit(newPatterns int) bool {
 // pattern retains an arena-carved compact copy (which also re-picks the
 // representation for the now-known cardinality).
 func (m *miner) emit(c itemset.Itemset, tids *tidset.Set, sup int) {
-	if len(c) == 0 || len(c) < m.opts.MinSize {
+	if len(c) == 0 || len(c) < m.minSize {
 		return
 	}
 	m.meter.Emitted(1)
@@ -192,7 +166,7 @@ func (m *miner) extendFrom(c itemset.Itemset, tids *tidset.Set, i int) {
 	sub := m.sc.pool.Get()
 	sub.AndOf(tids, m.d.ItemTIDs(i))
 	sup := sub.Count()
-	if sup < m.opts.MinCount {
+	if sup < m.minCount {
 		m.sc.pool.Put(sub)
 		return
 	}

@@ -6,17 +6,25 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/itemset"
 	"repro/internal/minertest"
 	"repro/internal/rng"
 )
+
+// mine runs the closed miner through the engine at the given support
+// count and minimum pattern size.
+func mine(t *testing.T, d *dataset.Dataset, minCount, minSize int) *engine.Report {
+	t.Helper()
+	return minertest.Mine(t, context.Background(), Name, d, engine.Options{MinCount: minCount, MinSize: minSize})
+}
 
 func TestClosedAgainstBruteForceRandom(t *testing.T) {
 	r := rng.New(555)
 	for trial := 0; trial < 30; trial++ {
 		d := datagen.Random(r.Split(), 5+r.Intn(25), 3+r.Intn(8), 0.3+r.Float64()*0.4)
 		minCount := 1 + r.Intn(4)
-		res := Mine(d, minCount)
+		res := mine(t, d, minCount, 0)
 		got, noDup := minertest.PatternsToMap(res.Patterns)
 		if !noDup {
 			t.Fatalf("trial %d: duplicate closed patterns", trial)
@@ -31,7 +39,7 @@ func TestClosedAgainstBruteForceRandom(t *testing.T) {
 func TestAllOutputsAreClosed(t *testing.T) {
 	r := rng.New(556)
 	d := datagen.Random(r, 40, 9, 0.45)
-	for _, p := range Mine(d, 2).Patterns {
+	for _, p := range mine(t, d, 2, 0).Patterns {
 		if !IsClosed(d, p.Items) {
 			t.Fatalf("miner emitted non-closed pattern %v", p.Items)
 		}
@@ -47,7 +55,7 @@ func TestPaperExampleClosures(t *testing.T) {
 		}
 	}
 	d := dataset.MustNew(txns)
-	res := Mine(d, 1)
+	res := mine(t, d, 1, 0)
 	got, _ := minertest.PatternsToMap(res.Patterns)
 	// The closed sets are the four transactions plus the closures of the
 	// single items: closure(a)=(a):300, closure(b)=(b):300,
@@ -71,8 +79,8 @@ func TestPaperExampleClosures(t *testing.T) {
 func TestMinSizeFilter(t *testing.T) {
 	r := rng.New(557)
 	d := datagen.Random(r, 30, 8, 0.5)
-	all := Mine(d, 2)
-	filtered := MineOpts(context.Background(), d, Options{MinCount: 2, MinSize: 3})
+	all := mine(t, d, 2, 0)
+	filtered := mine(t, d, 2, 3)
 	want := 0
 	for _, p := range all.Patterns {
 		if len(p.Items) >= 3 {
@@ -106,17 +114,17 @@ func TestIsClosed(t *testing.T) {
 }
 
 func TestDegenerate(t *testing.T) {
-	if got := Mine(dataset.MustNew(nil), 1).Patterns; len(got) != 0 {
+	if got := mine(t, dataset.MustNew(nil), 1, 0).Patterns; len(got) != 0 {
 		t.Fatalf("empty dataset: %d patterns", len(got))
 	}
 	// minCount above |D|: nothing can be frequent.
 	d := dataset.MustNew([][]int{{0}, {0}})
-	if got := Mine(d, 3).Patterns; len(got) != 0 {
+	if got := mine(t, d, 3, 0).Patterns; len(got) != 0 {
 		t.Fatalf("threshold above |D|: %v", got)
 	}
 	// Common items across all transactions: closure of ∅ is reported once.
 	d2 := dataset.MustNew([][]int{{0, 1}, {0, 1}})
-	got := Mine(d2, 2).Patterns
+	got := mine(t, d2, 2, 0).Patterns
 	if len(got) != 1 || got[0].Items.Key() != "0,1" {
 		t.Fatalf("want single closed set (0 1), got %v", got)
 	}
@@ -124,7 +132,7 @@ func TestDegenerate(t *testing.T) {
 
 func TestCancellation(t *testing.T) {
 	d := datagen.Diag(20)
-	res := MineOpts(minertest.CancelAfter(10), d, Options{MinCount: 1})
+	res := minertest.Mine(t, minertest.CancelAfter(10), Name, d, engine.Options{MinCount: 1})
 	if !res.Stopped {
 		t.Fatal("cancellation not honored")
 	}
@@ -132,7 +140,7 @@ func TestCancellation(t *testing.T) {
 
 func TestVisitedCounter(t *testing.T) {
 	d := datagen.Diag(8)
-	res := Mine(d, 4)
+	res := mine(t, d, 4, 0)
 	if res.Visited == 0 {
 		t.Fatal("Visited not counted")
 	}

@@ -26,13 +26,13 @@
 // # Parallel fusion
 //
 // Each iteration deals its K seed balls to the shared engine.Tasks
-// work-stealing scheduler on Config.Parallelism workers (default: all
-// CPUs); phase 1 mines the initial pool on the same worker count through
-// apriori's level chunking. Every seed slot draws only from a private RNG
-// stream derived from (Config.Seed, iteration, slot) via rng.Stream, and
-// per-slot results are merged in slot order, so a run's Result is
-// bit-identical for every Parallelism value — reproducibility depends on
-// Config.Seed alone, never on scheduling or core count.
+// work-stealing scheduler on engine.Options.Parallelism workers (default:
+// all CPUs); phase 1 mines the initial pool on the same worker count
+// through apriori's level chunking. Every seed slot draws only from a
+// private RNG stream derived from (Options.Seed, iteration, slot) via
+// rng.Stream, and per-slot results are merged in slot order, so a run's
+// Report is bit-identical for every Parallelism value — reproducibility
+// depends on Options.Seed alone, never on scheduling or core count.
 //
 // # Hot path
 //
@@ -48,15 +48,17 @@
 // allocates only when it discovers a new super-pattern. Bit-identity with
 // the naive implementation is pinned by differential tests and by golden
 // result hashes (TestResultGoldenBitIdentical).
+//
+// The package's mining entry point is the registered engine algorithm
+// "fusion" (engine.Get(Name).Mine); WithKnobs builds the unregistered
+// variants the design-choice ablations run.
 package core
 
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 
-	"repro/internal/apriori"
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/itemset"
@@ -67,31 +69,26 @@ import (
 // Name is this algorithm's engine registry name.
 const Name = "fusion"
 
-// Config parameterizes a Pattern-Fusion run. The zero value is not valid;
-// use DefaultConfig as a starting point.
-type Config struct {
-	// K is the maximum number of patterns to mine (the paper's K): the
-	// iteration stops once the pool holds at most K patterns.
-	K int
-	// Tau is the core ratio τ ∈ (0, 1] of Definition 3.
-	Tau float64
-	// MinCount is the absolute minimum support count. If zero, MinSupport
-	// is used instead.
-	MinCount int
-	// MinSupport is the relative minimum support threshold σ ∈ [0, 1],
-	// used only when MinCount is zero.
-	MinSupport float64
-	// InitPoolMaxSize bounds the size of patterns in the initial pool
-	// (phase 1 mines the complete set of frequent patterns up to this
-	// size; the paper uses 2 or 3).
-	InitPoolMaxSize int
+const (
+	// maxSupersPerSeed caps the distinct super-patterns a single seed may
+	// contribute; beyond it, survivors are weighted-sampled by the number
+	// of core patterns they fused (the paper's sampling heuristic).
+	maxSupersPerSeed = 8
+	// maxIterations is a safety bound on fusion iterations.
+	maxIterations = 64
+	// defaultInitPoolMaxSize bounds phase-1 pattern size when
+	// Options.InitPoolMaxSize is zero: the paper's "small size, e.g., 3".
+	defaultInitPoolMaxSize = 3
+)
+
+// Knobs are the fusion design choices the paper leaves to the
+// implementation. The registered "fusion" algorithm always runs
+// DefaultKnobs; WithKnobs builds the unregistered variants the ablation
+// sweeps compare against it.
+type Knobs struct {
 	// FusionDraws is the number of randomized agglomeration passes per
 	// seed; each pass can contribute one super-pattern.
 	FusionDraws int
-	// MaxSupersPerSeed caps the distinct super-patterns a single seed may
-	// contribute; beyond it, survivors are weighted-sampled by the number
-	// of core patterns they fused (the paper's sampling heuristic).
-	MaxSupersPerSeed int
 	// MaxBallSize bounds the CoreList considered per seed: when a seed's
 	// ball holds more patterns, a random sample of this size is fused
 	// instead. This implements the paper's "bounded-breadth" traversal
@@ -100,14 +97,6 @@ type Config struct {
 	// pool size, which is what makes the Figure 10 curve level off.
 	// Zero means unbounded.
 	MaxBallSize int
-	// MaxIterations is a safety bound on fusion iterations.
-	MaxIterations int
-	// CloseFused, when true, replaces each fused super-pattern with its
-	// closure (the intersection of the transactions in its support set).
-	// The closure has the identical support set — it is the canonical
-	// representative the closed-set ground truths of Figures 8 and 9 are
-	// stated in — so this is a free quality win; DefaultConfig enables it.
-	CloseFused bool
 	// Elitism carries the largest Elitism patterns of the current pool into
 	// the next pool unconditionally. Algorithm 2 keeps only the K seeds'
 	// fusion outputs, so a colossal pattern already discovered would
@@ -116,151 +105,46 @@ type Config struct {
 	// starve small patterns — elitism shields the large ones from the same
 	// effect). Zero disables it.
 	Elitism int
-	// KeepPool records the run's initial pool itemsets in Result.Pool —
-	// Mine's phase-1 apriori output, or the caller-supplied pool of
-	// MineFromPool — so an incremental re-mine can warm-start from them
-	// via Reseed instead of re-running phase 1. Off by default: the pool
-	// can dwarf the result.
-	KeepPool bool
-	// Parallelism is the number of worker goroutines fusing seed balls
-	// within one iteration (and mining the phase-1 pool). The K seeds of
-	// an iteration are independent, so they are dealt to the shared
-	// engine.Tasks scheduler; each seed slot draws from its own RNG stream
-	// derived from (Seed, iteration, slot) — see rng.Stream — and per-seed
-	// outputs are merged back in slot order, so Result is bit-identical
-	// for every Parallelism value, including 1. Zero means
-	// runtime.GOMAXPROCS(0); negative is invalid.
-	Parallelism int
-	// Seed seeds the deterministic RNG.
-	Seed uint64
-	// Observer, if non-nil, receives structured progress events: a
-	// PhaseInitPool event after phase 1 (Mine only) and a PhaseIteration
-	// event after each fusion iteration, carrying the iteration number,
-	// the pool size, and — for pool inspection by the experiments and the
-	// Lemma 5 tests — the live pool slice in Event.Pool (which must not be
-	// modified or retained). The Observer is only ever called from the
-	// goroutine running Mine, never from the fusion workers.
-	Observer engine.Observer
+	// CloseFused replaces each fused super-pattern with its closure (the
+	// intersection of the transactions in its support set). The closure
+	// has the identical support set — it is the canonical representative
+	// the closed-set ground truths of Figures 8 and 9 are stated in — so
+	// this is a free quality win.
+	CloseFused bool
 }
 
-// DefaultConfig returns the configuration used throughout the experiments:
-// τ = 0.5 (the paper's running example value), initial pool of patterns up
-// to size 3, five agglomeration passes per seed.
-func DefaultConfig(k int, minSupport float64) Config {
-	return Config{
-		K:                k,
-		Tau:              0.5,
-		MinSupport:       minSupport,
-		InitPoolMaxSize:  3,
-		FusionDraws:      10,
-		MaxSupersPerSeed: 8,
-		MaxBallSize:      2048,
-		MaxIterations:    64,
-		CloseFused:       true,
-		Elitism:          k/4 + 1,
-		Seed:             1,
-	}
+// DefaultKnobs returns the knobs the registered algorithm runs with for a
+// result budget of k patterns: ten draws per seed, balls sampled down to
+// 2,048 members, the k/4+1 largest patterns kept by elitism, and fused
+// patterns closed.
+func DefaultKnobs(k int) Knobs {
+	return Knobs{FusionDraws: 10, MaxBallSize: 2048, Elitism: k/4 + 1, CloseFused: true}
 }
 
-// validate checks a Config for hard errors. It never mutates the config:
-// out-of-range values are rejected, not silently rewritten — a negative
-// FusionDraws, MaxSupersPerSeed, MaxIterations, InitPoolMaxSize,
-// MaxBallSize or Elitism is a caller bug, not a request for the default.
-// Zero values of the optional knobs are legal and filled in by normalized.
-func (c *Config) validate() error {
-	if c.K < 1 {
-		return fmt.Errorf("core: K must be >= 1, got %d", c.K)
-	}
-	if c.Tau <= 0 || c.Tau > 1 {
-		return fmt.Errorf("core: Tau must be in (0,1], got %v", c.Tau)
-	}
-	if c.MinCount < 0 {
-		return fmt.Errorf("core: MinCount must be >= 0, got %d", c.MinCount)
-	}
-	if c.MinCount == 0 && (c.MinSupport < 0 || c.MinSupport > 1) {
-		return fmt.Errorf("core: MinSupport must be in [0,1], got %v", c.MinSupport)
-	}
-	if c.InitPoolMaxSize < 0 {
-		return fmt.Errorf("core: InitPoolMaxSize must be >= 0, got %d", c.InitPoolMaxSize)
-	}
-	if c.FusionDraws < 0 {
-		return fmt.Errorf("core: FusionDraws must be >= 0, got %d", c.FusionDraws)
-	}
-	if c.MaxSupersPerSeed < 0 {
-		return fmt.Errorf("core: MaxSupersPerSeed must be >= 0, got %d", c.MaxSupersPerSeed)
-	}
-	if c.MaxBallSize < 0 {
-		return fmt.Errorf("core: MaxBallSize must be >= 0, got %d", c.MaxBallSize)
-	}
-	if c.MaxIterations < 0 {
-		return fmt.Errorf("core: MaxIterations must be >= 0, got %d", c.MaxIterations)
-	}
-	if c.Elitism < 0 {
-		return fmt.Errorf("core: Elitism must be >= 0, got %d", c.Elitism)
-	}
-	if c.Parallelism < 0 {
-		return fmt.Errorf("core: Parallelism must be >= 0, got %d", c.Parallelism)
-	}
-	return nil
+// params is one run's resolved parameter set: the engine options with
+// their defaults filled in, plus the knobs.
+type params struct {
+	Knobs
+	k        int     // result budget: fusion stops once at most k patterns remain
+	tau      float64 // core ratio τ ∈ (0, 1] of Definition 3
+	minCount int     // resolved absolute support threshold (≥ 1)
+	seed     uint64  // root of every per-iteration and per-slot RNG stream
+	workers  int     // fusion (and phase-1) worker goroutines
+	obs      engine.Observer
 }
 
-// normalized returns a copy of the config with documented defaults filled
-// in for the zero values of the optional knobs: InitPoolMaxSize 3 (the
-// paper's "small size, e.g., 3"), FusionDraws 5, MaxSupersPerSeed 5,
-// MaxIterations 64. MaxBallSize and Elitism stay zero (unbounded /
-// disabled): zero is their meaningful value, not an omission.
-func (c Config) normalized() Config {
-	if c.InitPoolMaxSize == 0 {
-		c.InitPoolMaxSize = 3
-	}
-	if c.FusionDraws == 0 {
-		c.FusionDraws = 5
-	}
-	if c.MaxSupersPerSeed == 0 {
-		c.MaxSupersPerSeed = 5
-	}
-	if c.MaxIterations == 0 {
-		c.MaxIterations = 64
-	}
-	return c
-}
-
-// workers resolves Parallelism to a concrete worker count.
-func (c *Config) workers() int {
-	if c.Parallelism > 0 {
-		return c.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// Result is the outcome of a Pattern-Fusion run.
-type Result struct {
-	// Patterns is the final pool: the approximation to the colossal
-	// patterns, at most K patterns, sorted by decreasing size.
-	Patterns []*dataset.Pattern
-	// InitPoolSize is the size of the phase-1 initial pool.
-	InitPoolSize int
-	// Iterations is the number of fusion iterations performed.
-	Iterations int
-	// Stopped is true if the run was canceled before convergence.
-	Stopped bool
-	// Pool is the initial pool's itemsets in pool order, recorded only
-	// when Config.KeepPool is set — the warm-start seed for Reseed.
-	Pool [][]int
-}
-
-// Reseed materializes warm-start pool patterns against d from bare
-// itemsets (a previous Result.Pool): each itemset is canonicalized and
+// reseed materializes warm-start pool patterns against d from bare
+// itemsets (a previous Report.Pool): each itemset is canonicalized and
 // gets its TID set and support recomputed on the current — typically
 // appended-to — dataset. Entries containing an item outside d's universe
 // or supported by fewer than minCount transactions are dropped in place;
 // order is otherwise preserved, which matters because fusion's seed
-// sampling is a function of pool length and order. Feeding the result to
-// MineFromPool with the same options on the unchanged dataset reproduces
+// sampling is a function of pool length and order. Warm-starting fusion
+// from the result with the same options on the unchanged dataset reproduces
 // the cold run's Report byte-for-byte; after appends it is the
 // incremental approximation (absolute supports only grow under appends,
 // so a fixed MinCount never drops a previously frequent seed).
-func Reseed(d *dataset.Dataset, pool [][]int, minCount int) []*dataset.Pattern {
+func reseed(d *dataset.Dataset, pool [][]int, minCount int) []*dataset.Pattern {
 	out := make([]*dataset.Pattern, 0, len(pool))
 	for _, raw := range pool {
 		alpha := itemset.Canonical(raw)
@@ -276,15 +160,6 @@ func Reseed(d *dataset.Dataset, pool [][]int, minCount int) []*dataset.Pattern {
 	return out
 }
 
-// ResolveMinCount resolves cfg's support threshold against d exactly as
-// Mine does: MinCount if set, otherwise d.MinCount(MinSupport).
-func (c Config) ResolveMinCount(d *dataset.Dataset) int {
-	if c.MinCount > 0 {
-		return c.MinCount
-	}
-	return d.MinCount(c.MinSupport)
-}
-
 // Radius returns r(τ) = 1 − 1/(2/τ − 1), the ball radius of Theorem 2: all
 // τ-core patterns of a common pattern lie within pairwise pattern distance
 // r(τ). It panics unless τ ∈ (0, 1].
@@ -295,58 +170,20 @@ func Radius(tau float64) float64 {
 	return 1 - 1/(2/tau-1)
 }
 
-// Mine runs the full two-phase Pattern-Fusion algorithm on d: it mines the
-// initial pool (the complete set of frequent patterns of size at most
-// cfg.InitPoolMaxSize) and then iterates fusion until at most K patterns
-// remain. Cancellation is polled on ctx once per Apriori level in phase 1
-// and once per seed within each fusion iteration; a canceled run returns a
-// partial Result with Stopped=true and a nil error.
-func Mine(ctx context.Context, d *dataset.Dataset, cfg Config) (*Result, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.normalized()
-	minCount := cfg.MinCount
-	if minCount == 0 {
-		minCount = d.MinCount(cfg.MinSupport)
-	}
-	ares := apriori.MineOpts(ctx, d, apriori.Options{
-		MinCount:    minCount,
-		MaxSize:     cfg.InitPoolMaxSize,
-		Parallelism: cfg.Parallelism,
-	})
-	cfg.Observer.Emit(engine.Event{
-		Algorithm: Name, Phase: engine.PhaseInitPool, PoolSize: len(ares.Patterns),
-	})
-	res, err := MineFromPool(ctx, d, ares.Patterns, cfg)
-	if err == nil && ares.Stopped {
-		// A run canceled during phase 1 is partial even when the truncated
-		// pool is empty and no fusion step ever observes the cancellation.
-		res.Stopped = true
-	}
-	return res, err
-}
-
-// MineFromPool runs phase 2 (iterative fusion) from a caller-supplied
-// initial pool; the pool patterns must carry support sets computed against
-// d. The pool slice is not modified. Cancellation is polled on ctx once
-// per seed within each fusion iteration (by the scheduler, before each
-// slot is claimed); the bit-identical-across-Parallelism guarantee
-// applies to runs that complete without cancellation.
-func MineFromPool(ctx context.Context, d *dataset.Dataset, pool []*dataset.Pattern, cfg Config) (*Result, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.normalized()
-	minCount := cfg.MinCount
-	if minCount == 0 {
-		minCount = d.MinCount(cfg.MinSupport)
-	}
-	res := &Result{InitPoolSize: len(pool)}
-	if cfg.KeepPool {
-		res.Pool = make([][]int, len(pool))
-		for i, p := range pool {
-			res.Pool[i] = p.Items
+// mineFromPool runs phase 2 (iterative fusion) from pool, whose patterns
+// must carry support sets computed against d; the slice is not modified.
+// The report carries the final pool (at most p.k patterns, largest
+// first), the iteration count and — with keepPool — the pool's itemsets
+// for a later warm start. Cancellation is polled on ctx once per seed
+// within each fusion iteration (by the scheduler, before each slot is
+// claimed); the bit-identical-across-Parallelism guarantee applies to
+// runs that complete without cancellation.
+func mineFromPool(ctx context.Context, d *dataset.Dataset, pool []*dataset.Pattern, p params, keepPool bool) *engine.Report {
+	rep := &engine.Report{InitPoolSize: len(pool)}
+	if keepPool {
+		rep.Pool = make([][]int, len(pool))
+		for i, pat := range pool {
+			rep.Pool[i] = pat.Items
 		}
 	}
 
@@ -354,24 +191,24 @@ func MineFromPool(ctx context.Context, d *dataset.Dataset, pool []*dataset.Patte
 	// Memoize support counts up front: the ball search and the core-ratio
 	// checks read them once per (seed, candidate) pair, and caller-supplied
 	// pools may carry uncounted patterns.
-	for _, p := range cur {
-		p.EnsureSupport()
+	for _, pat := range cur {
+		pat.EnsureSupport()
 	}
-	radius := Radius(cfg.Tau)
+	radius := Radius(p.tau)
 	prevKey := poolFingerprints(cur)
 	// Algorithm 1 is a do-while: Pattern_Fusion runs at least once even when
 	// the initial pool already holds at most K patterns (otherwise a pool of
 	// singletons smaller than K would be returned unfused).
-	for len(cur) > 0 && (res.Iterations == 0 || len(cur) > cfg.K) && res.Iterations < cfg.MaxIterations {
-		next, stopped := fusionStep(ctx, d, cur, cfg, minCount, radius, res.Iterations)
+	for len(cur) > 0 && (rep.Iterations == 0 || len(cur) > p.k) && rep.Iterations < maxIterations {
+		next, stopped := fusionStep(ctx, d, cur, &p, radius, rep.Iterations)
 		if stopped {
-			res.Stopped = true
+			rep.Stopped = true
 			break
 		}
-		res.Iterations++
-		cfg.Observer.Emit(engine.Event{
+		rep.Iterations++
+		p.obs.Emit(engine.Event{
 			Algorithm: Name, Phase: engine.PhaseIteration,
-			Iteration: res.Iterations, PoolSize: len(next), Pool: next,
+			Iteration: rep.Iterations, PoolSize: len(next), Pool: next,
 		})
 		key := poolFingerprints(next)
 		if fingerprintsEqual(key, prevKey) {
@@ -384,11 +221,11 @@ func MineFromPool(ctx context.Context, d *dataset.Dataset, pool []*dataset.Patte
 		cur = next
 	}
 	dataset.SortPatterns(cur)
-	if len(cur) > cfg.K {
-		cur = cur[:cfg.K]
+	if len(cur) > p.k {
+		cur = cur[:p.k]
 	}
-	res.Patterns = cur
-	return res, nil
+	rep.Patterns = cur
+	return rep
 }
 
 // fusionStep is one iteration of Algorithm 2 (Pattern_Fusion): draw K seed
@@ -396,11 +233,11 @@ func MineFromPool(ctx context.Context, d *dataset.Dataset, pool []*dataset.Patte
 // super-patterns, and return the union of all super-patterns as the next
 // pool.
 //
-// The K seeds are independent, so they are dealt to cfg.workers()
-// scheduler workers. Determinism regardless of worker count comes from two rules:
+// The K seeds are independent, so they are dealt to p.workers scheduler
+// workers. Determinism regardless of worker count comes from two rules:
 // every seed slot s draws only from its private stream
-// rng.Stream(cfg.Seed, iteration, s) (the seed indices themselves come from
-// the iteration-level stream rng.Stream(cfg.Seed, iteration)), and per-slot
+// rng.Stream(p.seed, iteration, s) (the seed indices themselves come from
+// the iteration-level stream rng.Stream(p.seed, iteration)), and per-slot
 // outputs are concatenated in slot order before dedup. Scheduling can
 // change which goroutine fuses which seed, but never what any seed
 // produces or where its output lands.
@@ -410,11 +247,11 @@ func MineFromPool(ctx context.Context, d *dataset.Dataset, pool []*dataset.Patte
 // which polls ctx before each slot, so cancellation aborts the step
 // without waiting for the remaining seeds. A stopped step reports
 // stopped=true and its partial output is discarded.
-func fusionStep(ctx context.Context, d *dataset.Dataset, pool []*dataset.Pattern, cfg Config, minCount int, radius float64, iteration int) (next []*dataset.Pattern, stopped bool) {
-	seedIdx := rng.Stream(cfg.Seed, uint64(iteration)).SampleInts(len(pool), cfg.K)
+func fusionStep(ctx context.Context, d *dataset.Dataset, pool []*dataset.Pattern, p *params, radius float64, iteration int) (next []*dataset.Pattern, stopped bool) {
+	seedIdx := rng.Stream(p.seed, uint64(iteration)).SampleInts(len(pool), p.k)
 	perSeed := make([][]*dataset.Pattern, len(seedIdx))
 	fuseSlot := func(slot int, sc *fuseScratch) {
-		r := rng.Stream(cfg.Seed, uint64(iteration), uint64(slot))
+		r := rng.Stream(p.seed, uint64(iteration), uint64(slot))
 		seed := pool[seedIdx[slot]]
 		// The ball: all pool patterns within distance r(τ) of the seed (the
 		// seed's CoreList in the paper's terms). Membership is decided by
@@ -426,33 +263,33 @@ func fusionStep(ctx context.Context, d *dataset.Dataset, pool []*dataset.Pattern
 		// bound is decided either way.
 		sa := seed.Support()
 		ball := sc.ball[:0]
-		for _, p := range pool {
-			if p == seed {
+		for _, cand := range pool {
+			if cand == seed {
 				continue
 			}
-			t := ballThreshold(sa, p.Support(), radius)
+			t := ballThreshold(sa, cand.Support(), radius)
 			if t < 0 {
 				continue
 			}
-			if seed.TIDs.AndCountAtLeast(p.TIDs, t) {
-				ball = append(ball, p)
+			if seed.TIDs.AndCountAtLeast(cand.TIDs, t) {
+				ball = append(ball, cand)
 			}
 		}
 		sc.ball = ball
-		if cfg.MaxBallSize > 0 && len(ball) > cfg.MaxBallSize {
+		if p.MaxBallSize > 0 && len(ball) > p.MaxBallSize {
 			sampled := sc.sample[:0]
-			for _, i := range r.SampleIntsScratch(len(ball), cfg.MaxBallSize, &sc.draw) {
+			for _, i := range r.SampleIntsScratch(len(ball), p.MaxBallSize, &sc.draw) {
 				sampled = append(sampled, ball[i])
 			}
 			sc.sample = sampled
 			ball = sampled
 		}
-		perSeed[slot] = fuse(d, seed, ball, cfg, minCount, r, sc)
+		perSeed[slot] = fuse(d, seed, ball, p, r, sc)
 	}
 
 	// Per-worker scratch buffers, allocated lazily by the scheduler: a
 	// worker that never claims a slot never pays for a scratch.
-	if engine.TasksWithScratch(ctx, cfg.workers(), len(seedIdx),
+	if engine.TasksWithScratch(ctx, p.workers, len(seedIdx),
 		func() *fuseScratch { return newFuseScratch(d) },
 		func(sc *fuseScratch, slot int) { fuseSlot(slot, sc) }) {
 		return nil, true
@@ -461,12 +298,12 @@ func fusionStep(ctx context.Context, d *dataset.Dataset, pool []*dataset.Pattern
 	for _, ps := range perSeed {
 		next = append(next, ps...)
 	}
-	if cfg.Elitism > 0 {
+	if p.Elitism > 0 {
 		// Shield the largest patterns found so far from seed-lottery death.
 		elite := append([]*dataset.Pattern(nil), pool...)
 		dataset.SortPatterns(elite)
-		if len(elite) > cfg.Elitism {
-			elite = elite[:cfg.Elitism]
+		if len(elite) > p.Elitism {
+			elite = elite[:p.Elitism]
 		}
 		next = append(next, elite...)
 	}
@@ -577,11 +414,11 @@ func unionInto(dst, a, b itemset.Itemset) itemset.Itemset {
 // seed as long as the grown pattern stays frequent and every fused member —
 // including the seed and all previously fused ones — remains a τ-core
 // pattern of it; one super-pattern is emitted per pass. If more than
-// cfg.MaxSupersPerSeed distinct super-patterns result, survivors are
+// maxSupersPerSeed distinct super-patterns result, survivors are
 // sampled with probability proportional to the number of core patterns
 // they fused (patterns of larger core-sets are kept with higher
 // probability, steering the search toward colossal patterns).
-func fuse(d *dataset.Dataset, seed *dataset.Pattern, ball []*dataset.Pattern, cfg Config, minCount int, r *rng.RNG, sc *fuseScratch) []*dataset.Pattern {
+func fuse(d *dataset.Dataset, seed *dataset.Pattern, ball []*dataset.Pattern, p *params, r *rng.RNG, sc *fuseScratch) []*dataset.Pattern {
 	if len(ball) == 0 {
 		return []*dataset.Pattern{seed}
 	}
@@ -610,7 +447,7 @@ func fuse(d *dataset.Dataset, seed *dataset.Pattern, ball []*dataset.Pattern, cf
 	// pattern with the seed's exact support set, which is how mid-level
 	// colossal patterns (whose supersets are still frequent, so saturating
 	// merges would always run past them) get generated.
-	if cfg.CloseFused && !seed.TIDs.Empty() {
+	if p.CloseFused && !seed.TIDs.Empty() {
 		emit(sc.closer.Closure(seed.TIDs), seed.TIDs, seed.Support(), 0)
 	}
 
@@ -625,7 +462,7 @@ func fuse(d *dataset.Dataset, seed *dataset.Pattern, ball []*dataset.Pattern, cf
 	for 1<<uint(maxExp) < len(ball) {
 		maxExp++
 	}
-	for draw := 0; draw < cfg.FusionDraws; draw++ {
+	for draw := 0; draw < p.FusionDraws; draw++ {
 		r.ShuffleInts(order)
 		// Each pass fuses a random-size subset t_β ⊆ CoreList (Section 4).
 		// The merge budget is drawn on a geometric scale (1, 2, 4, …, |ball|)
@@ -649,7 +486,7 @@ func fuse(d *dataset.Dataset, seed *dataset.Pattern, ball []*dataset.Pattern, cf
 				continue // no growth; D would not change for the union's sake
 			}
 			nsup := tids.AndCount(b.TIDs)
-			if nsup < minCount {
+			if nsup < p.minCount {
 				continue
 			}
 			bSup := b.Support()
@@ -660,7 +497,7 @@ func fuse(d *dataset.Dataset, seed *dataset.Pattern, ball []*dataset.Pattern, cf
 			// Core-pattern check (Definition 3): every member m fused so far
 			// must satisfy |D_fused| ≥ τ·|D_m|; the member with the largest
 			// support is the binding constraint.
-			if float64(nsup) < cfg.Tau*float64(limit) {
+			if float64(nsup) < p.tau*float64(limit) {
 				continue
 			}
 			items, spare = unionInto(spare, items, b.Items), items
@@ -675,7 +512,7 @@ func fuse(d *dataset.Dataset, seed *dataset.Pattern, ball []*dataset.Pattern, cf
 		// lineage ends up in which field is irrelevant, they only need to
 		// stay distinct.
 		sc.itemsA, sc.itemsB = items, spare
-		if cfg.CloseFused && !tids.Empty() {
+		if p.CloseFused && !tids.Empty() {
 			// Canonicalize to the closed pattern with the same support set.
 			items = sc.closer.Closure(tids)
 		}
@@ -689,12 +526,12 @@ func fuse(d *dataset.Dataset, seed *dataset.Pattern, ball []*dataset.Pattern, cf
 	sort.Slice(out, func(i, j int) bool {
 		return itemset.Compare(out[i].p.Items, out[j].p.Items) < 0
 	})
-	if len(out) > cfg.MaxSupersPerSeed {
+	if len(out) > maxSupersPerSeed {
 		weights := make([]float64, len(out))
 		for i, s := range out {
 			weights[i] = float64(s.fused + 1)
 		}
-		keep := r.WeightedSample(weights, cfg.MaxSupersPerSeed)
+		keep := r.WeightedSample(weights, maxSupersPerSeed)
 		sort.Ints(keep)
 		sampled := make([]super, 0, len(keep))
 		for _, i := range keep {
@@ -816,7 +653,3 @@ func ComplementarySets(d *dataset.Dataset, alpha itemset.Itemset, tau float64) i
 	}
 	return count
 }
-
-// Distance is the pattern distance of Definition 6 computed directly from
-// two support sets.
-func Distance(a, b *tidset.Set) float64 { return a.Distance(b) }

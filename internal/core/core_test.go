@@ -226,73 +226,54 @@ func TestIsCoreBasics(t *testing.T) {
 	}
 }
 
+// mine runs the registered fusion algorithm through the engine.
+func mine(t *testing.T, ctx context.Context, d *dataset.Dataset, opts engine.Options) *engine.Report {
+	t.Helper()
+	return minertest.Mine(t, ctx, Name, d, opts)
+}
+
+// TestConfigValidation pins that out-of-range fusion options are errors
+// rather than silent rewrites: only zero selects a default.
 func TestConfigValidation(t *testing.T) {
 	d := fig3DB(t)
-	bad := []Config{
-		{K: 0, Tau: 0.5},
-		{K: 5, Tau: 0},
-		{K: 5, Tau: 1.5},
-		{K: 5, Tau: 0.5, MinSupport: 2},
-		{K: 5, Tau: 0.5, MinCount: -1},
+	alg, err := engine.Get(Name)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, cfg := range bad {
-		if _, err := Mine(context.Background(), d, cfg); err == nil {
-			t.Errorf("config %d accepted: %+v", i, cfg)
+	for i, opts := range []engine.Options{
+		{K: -1},
+		{Tau: -0.5},
+		{Tau: 1.5},
+		{Tau: math.NaN()},
+		{MinSupport: 2},
+		{MinSupport: math.NaN()},
+		{MinCount: -1},
+	} {
+		if _, err := alg.Mine(context.Background(), d, opts); err == nil {
+			t.Errorf("options %d accepted: %+v", i, opts)
 		}
 	}
 }
 
-// TestValidateRejectsNegatives pins the validate/normalized split: a
-// negative optional knob is a hard error, never silently rewritten to the
-// default as it used to be.
+// TestValidateRejectsNegatives pins that a negative count option is a
+// hard error, never silently rewritten to the default.
 func TestValidateRejectsNegatives(t *testing.T) {
 	d := fig3DB(t)
-	base := func() Config { return Config{K: 5, Tau: 0.5, MinCount: 100} }
-	mutations := []func(*Config){
-		func(c *Config) { c.InitPoolMaxSize = -1 },
-		func(c *Config) { c.FusionDraws = -1 },
-		func(c *Config) { c.MaxSupersPerSeed = -3 },
-		func(c *Config) { c.MaxBallSize = -1 },
-		func(c *Config) { c.MaxIterations = -2 },
-		func(c *Config) { c.Elitism = -1 },
-		func(c *Config) { c.Parallelism = -1 },
+	alg, err := engine.Get(Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutations := []func(*engine.Options){
+		func(o *engine.Options) { o.InitPoolMaxSize = -1 },
+		func(o *engine.Options) { o.K = -3 },
+		func(o *engine.Options) { o.MinCount = -2 },
+		func(o *engine.Options) { o.Parallelism = -1 },
 	}
 	for i, mutate := range mutations {
-		cfg := base()
-		mutate(&cfg)
-		if _, err := Mine(context.Background(), d, cfg); err == nil {
-			t.Errorf("negative config %d accepted: %+v", i, cfg)
-		}
-	}
-}
-
-// TestNormalizedDefaultsZeroKnobs pins the documented defaulting: a
-// config with the optional knobs left at zero runs (defaults filled in by
-// normalized), and behaves identically to spelling the defaults out.
-func TestNormalizedDefaultsZeroKnobs(t *testing.T) {
-	d := fig3DB(t)
-	zero := Config{K: 3, Tau: 0.5, MinCount: 100, Seed: 9}
-	spelled := zero
-	spelled.InitPoolMaxSize = 3
-	spelled.FusionDraws = 5
-	spelled.MaxSupersPerSeed = 5
-	spelled.MaxIterations = 64
-
-	a, err := Mine(context.Background(), d, zero)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Mine(context.Background(), d, spelled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Patterns) != len(b.Patterns) || a.Iterations != b.Iterations {
-		t.Fatalf("zero-knob config diverged from spelled-out defaults: %d/%d patterns, %d/%d iterations",
-			len(a.Patterns), len(b.Patterns), a.Iterations, b.Iterations)
-	}
-	for i := range a.Patterns {
-		if !a.Patterns[i].Items.Equal(b.Patterns[i].Items) {
-			t.Fatalf("pattern %d differs between zero-knob and spelled-out runs", i)
+		opts := engine.Options{K: 5, MinCount: 100}
+		mutate(&opts)
+		if _, err := alg.Mine(context.Background(), d, opts); err == nil {
+			t.Errorf("negative options %d accepted: %+v", i, opts)
 		}
 	}
 }
@@ -304,14 +285,7 @@ func TestMineDiagPlusFindsColossal(t *testing.T) {
 	// to the colossal one.
 	d := datagen.DiagPlus(12, 6, 11)
 	colossal := itemset.Canonical(datagen.DiagColossal(12, 11))
-	cfg := DefaultConfig(10, 0)
-	cfg.MinCount = 6
-	cfg.InitPoolMaxSize = 2
-	cfg.Seed = 7
-	res, err := Mine(context.Background(), d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mine(t, context.Background(), d, engine.Options{K: 10, MinCount: 6, InitPoolMaxSize: 2, Seed: 7})
 	found := false
 	for _, p := range res.Patterns {
 		if p.Items.Equal(colossal) {
@@ -324,8 +298,8 @@ func TestMineDiagPlusFindsColossal(t *testing.T) {
 	if !found {
 		t.Fatalf("colossal pattern not found; got %v", res.Patterns)
 	}
-	if len(res.Patterns) > cfg.K {
-		t.Fatalf("result exceeds K: %d > %d", len(res.Patterns), cfg.K)
+	if len(res.Patterns) > 10 {
+		t.Fatalf("result exceeds K: %d > 10", len(res.Patterns))
 	}
 }
 
@@ -334,11 +308,7 @@ func TestLemma5MinSizeMonotone(t *testing.T) {
 	// iterations (Lemma 5).
 	d := datagen.DiagPlus(14, 7, 9)
 	var minSizes []int
-	cfg := DefaultConfig(8, 0)
-	cfg.MinCount = 7
-	cfg.InitPoolMaxSize = 2
-	cfg.Seed = 3
-	cfg.Observer = func(e engine.Event) {
+	observe := func(e engine.Event) {
 		if e.Phase != engine.PhaseIteration {
 			return
 		}
@@ -350,9 +320,7 @@ func TestLemma5MinSizeMonotone(t *testing.T) {
 		}
 		minSizes = append(minSizes, min)
 	}
-	if _, err := Mine(context.Background(), d, cfg); err != nil {
-		t.Fatal(err)
-	}
+	mine(t, context.Background(), d, engine.Options{K: 8, MinCount: 7, InitPoolMaxSize: 2, Seed: 3, Observer: observe})
 	for i := 1; i < len(minSizes); i++ {
 		if minSizes[i] < minSizes[i-1] {
 			t.Fatalf("Lemma 5 violated: min sizes %v", minSizes)
@@ -366,12 +334,7 @@ func TestFusedPatternsAreFrequentAndExact(t *testing.T) {
 	r := rng.New(11)
 	planted := [][]int{{20, 21, 22, 23, 24, 25, 26, 27}}
 	d := datagen.RandomWithPlanted(r, 60, 20, 0.25, planted, 0.4)
-	cfg := DefaultConfig(15, 0.2)
-	cfg.Seed = 5
-	res, err := Mine(context.Background(), d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mine(t, context.Background(), d, engine.Options{K: 15, MinSupport: 0.2, Seed: 5})
 	minCount := d.MinCount(0.2)
 	for _, p := range res.Patterns {
 		if !p.TIDs.Equal(d.TIDSet(p.Items)) {
@@ -389,12 +352,7 @@ func TestMineRecoversPlantedColossal(t *testing.T) {
 	r := rng.New(21)
 	planted := itemset.Itemset{30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40, 41}
 	d := datagen.RandomWithPlanted(r, 100, 30, 0.1, [][]int{planted}, 0.4)
-	cfg := DefaultConfig(10, 0.25)
-	cfg.Seed = 9
-	res, err := Mine(context.Background(), d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mine(t, context.Background(), d, engine.Options{K: 10, MinSupport: 0.25, Seed: 9})
 	best := 0
 	for _, p := range res.Patterns {
 		if inter := p.Items.IntersectLen(planted); inter > best {
@@ -408,26 +366,18 @@ func TestMineRecoversPlantedColossal(t *testing.T) {
 
 func TestMineFromPoolRespectsKAndTermination(t *testing.T) {
 	d := fig3DB(t)
-	cfg := DefaultConfig(2, 0.1)
-	cfg.Seed = 2
-	res, err := Mine(context.Background(), d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mine(t, context.Background(), d, engine.Options{K: 2, MinSupport: 0.1, Seed: 2})
 	if len(res.Patterns) > 2 {
 		t.Fatalf("K=2 but %d patterns returned", len(res.Patterns))
 	}
-	if res.Iterations > cfg.MaxIterations {
+	if res.Iterations > maxIterations {
 		t.Fatalf("iterations %d exceeded cap", res.Iterations)
 	}
 }
 
 func TestMineEmptyDataset(t *testing.T) {
 	d := dataset.MustNew(nil)
-	res, err := Mine(context.Background(), d, DefaultConfig(5, 0.5))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mine(t, context.Background(), d, engine.Options{K: 5, MinSupport: 0.5})
 	if len(res.Patterns) != 0 {
 		t.Fatalf("empty dataset returned %d patterns", len(res.Patterns))
 	}
@@ -436,13 +386,7 @@ func TestMineEmptyDataset(t *testing.T) {
 func TestMineDeterministicForSeed(t *testing.T) {
 	d := datagen.DiagPlus(10, 5, 7)
 	run := func() []string {
-		cfg := DefaultConfig(5, 0)
-		cfg.MinCount = 5
-		cfg.Seed = 123
-		res, err := Mine(context.Background(), d, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := mine(t, context.Background(), d, engine.Options{K: 5, MinCount: 5, Seed: 123})
 		keys := make([]string, len(res.Patterns))
 		for i, p := range res.Patterns {
 			keys[i] = p.Items.Key()
@@ -462,13 +406,7 @@ func TestMineDeterministicForSeed(t *testing.T) {
 
 func TestCancellation(t *testing.T) {
 	d := datagen.Diag(30)
-	cfg := DefaultConfig(5, 0)
-	cfg.MinCount = 15
-	res, err := Mine(minertest.CancelAfter(2), d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = res
+	mine(t, minertest.CancelAfter(2), d, engine.Options{K: 5, MinCount: 15})
 }
 
 // TestCancellationDuringInitPool pins that a run canceled while phase 1
@@ -476,12 +414,7 @@ func TestCancellation(t *testing.T) {
 // ever observe the cancellation itself.
 func TestCancellationDuringInitPool(t *testing.T) {
 	d := fig3DB(t)
-	cfg := DefaultConfig(5, 0)
-	cfg.MinCount = 100
-	res, err := Mine(minertest.CancelAfter(1), d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mine(t, minertest.CancelAfter(1), d, engine.Options{K: 5, MinCount: 100})
 	if !res.Stopped {
 		t.Fatal("run canceled during phase 1 not reported as Stopped")
 	}

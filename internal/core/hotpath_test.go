@@ -9,8 +9,16 @@ import (
 	"repro/internal/apriori"
 	"repro/internal/datagen"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/rng"
 )
+
+// initialPool is fusion's phase-1 pool of d: the frequent patterns of at
+// most maxSize items.
+func initialPool(d *dataset.Dataset, minCount, maxSize int) []*dataset.Pattern {
+	pool, _ := apriori.InitialPool(context.Background(), d, minCount, maxSize, 1)
+	return pool
+}
 
 // TestBallPruningMatchesNaiveDistance is the differential test for the
 // count-algebra ball search: for randomized pools and every τ, membership
@@ -32,7 +40,7 @@ func TestBallPruningMatchesNaiveDistance(t *testing.T) {
 			txns[i] = row
 		}
 		d := dataset.MustNew(txns)
-		pool := apriori.MineUpTo(d, 1+r.Intn(3), 2).Patterns
+		pool := initialPool(d, 1+r.Intn(3), 2)
 		if len(pool) < 2 {
 			continue
 		}
@@ -82,9 +90,9 @@ func TestBallThresholdEdgeCases(t *testing.T) {
 	}
 }
 
-// resultHash condenses a Result into a sha256 over every pattern's itemset
-// and support, in order.
-func resultHash(res *Result) string {
+// resultHash condenses a report into a sha256 over every pattern's
+// itemset and support, in order.
+func resultHash(res *engine.Report) string {
 	h := sha256.New()
 	for _, p := range res.Patterns {
 		fmt.Fprintf(h, "%s|%d;", p.Items.Key(), p.Support())
@@ -92,7 +100,7 @@ func resultHash(res *Result) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// TestResultGoldenBitIdentical pins Result.Patterns to hashes recorded from
+// TestResultGoldenBitIdentical pins Report.Patterns to hashes recorded from
 // the pre-optimization implementation (PR 1, commit 89968c8): the cached
 // supports, pruned ball search, fingerprint dedup and scratch-buffer fusion
 // must reproduce the exact same patterns, supports, ordering and iteration
@@ -106,17 +114,12 @@ func TestResultGoldenBitIdentical(t *testing.T) {
 		hash  string
 	}
 	diag := datagen.Diag(30)
-	diagCfg := DefaultConfig(20, 0)
-	diagCfg.MinCount = 15
-	diagCfg.InitPoolMaxSize = 2
+	diagOpts := engine.Options{K: 20, MinCount: 15, InitPoolMaxSize: 2}
 
-	check := func(t *testing.T, d *dataset.Dataset, cfg Config, g golden) {
+	check := func(t *testing.T, d *dataset.Dataset, opts engine.Options, g golden) {
 		t.Helper()
-		cfg.Seed = g.seed
-		res, err := Mine(context.Background(), d, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		opts.Seed = g.seed
+		res := mine(t, context.Background(), d, opts)
 		if res.Iterations != g.iters || len(res.Patterns) != g.n {
 			t.Fatalf("seed %d: %d iterations / %d patterns, want %d / %d",
 				g.seed, res.Iterations, len(res.Patterns), g.iters, g.n)
@@ -132,7 +135,7 @@ func TestResultGoldenBitIdentical(t *testing.T) {
 			{7, 5, 20, "b576cc59b51776c7ae763cddc4ef07273df3d558539d884d90fddffce10b508c"},
 			{42, 5, 20, "c29944f103f8f83209eefd515ac7c81423476d17afe98532ab46d1d023687ea4"},
 		} {
-			check(t, diag, diagCfg, g)
+			check(t, diag, diagOpts, g)
 		}
 	})
 
@@ -141,12 +144,12 @@ func TestResultGoldenBitIdentical(t *testing.T) {
 			t.Skip("heavyweight workload")
 		}
 		d, _ := datagen.Replace(1)
-		cfg := DefaultConfig(50, 0.03)
+		opts := engine.Options{K: 50, MinSupport: 0.03}
 		for _, g := range []golden{
 			{1, 12, 50, "83f8767297d5d046ff2a7f30db9823978c0a705da51deeddb969e3bb9bcd9233"},
 			{7, 8, 50, "f92f3993fa9452bb3f4ef2ff90b9193abceb3ad69d3ef2d68bc5059ec3b5bde4"},
 		} {
-			check(t, d, cfg, g)
+			check(t, d, opts, g)
 		}
 	})
 
@@ -155,10 +158,7 @@ func TestResultGoldenBitIdentical(t *testing.T) {
 			t.Skip("heavyweight workload")
 		}
 		d, _ := datagen.Microarray(1)
-		cfg := DefaultConfig(100, 0)
-		cfg.MinCount = 25
-		cfg.InitPoolMaxSize = 2
-		check(t, d, cfg, golden{1, 7, 100, "7c927868695c1c9d6345791e3fe9bd58b910a991322b7f9b3310352ebef175b0"})
+		check(t, d, engine.Options{K: 100, MinCount: 25, InitPoolMaxSize: 2}, golden{1, 7, 100, "7c927868695c1c9d6345791e3fe9bd58b910a991322b7f9b3310352ebef175b0"})
 	})
 }
 
@@ -167,31 +167,30 @@ func TestResultGoldenBitIdentical(t *testing.T) {
 // between calls through the reused buffers.
 func TestFuseScratchIsolation(t *testing.T) {
 	d := datagen.Diag(20)
-	pool := apriori.MineUpTo(d, 10, 2).Patterns
+	pool := initialPool(d, 10, 2)
 	for _, p := range pool {
 		p.EnsureSupport()
 	}
-	cfg := DefaultConfig(10, 0)
-	cfg.MinCount = 10
-	radius := Radius(cfg.Tau)
+	p := algorithm{}.resolve(d, engine.Options{K: 10, MinCount: 10})
+	radius := Radius(p.tau)
 
 	runSeed := func(sc *fuseScratch, seedPat *dataset.Pattern) []string {
 		r := rng.New(99)
 		sa := seedPat.Support()
 		ball := sc.ball[:0]
-		for _, p := range pool {
-			if p == seedPat {
+		for _, cand := range pool {
+			if cand == seedPat {
 				continue
 			}
-			if th := ballThreshold(sa, p.Support(), radius); th >= 0 && seedPat.TIDs.AndCountAtLeast(p.TIDs, th) {
-				ball = append(ball, p)
+			if th := ballThreshold(sa, cand.Support(), radius); th >= 0 && seedPat.TIDs.AndCountAtLeast(cand.TIDs, th) {
+				ball = append(ball, cand)
 			}
 		}
 		sc.ball = ball
-		out := fuse(d, seedPat, ball, cfg, cfg.MinCount, r, sc)
+		out := fuse(d, seedPat, ball, &p, r, sc)
 		keys := make([]string, len(out))
-		for i, p := range out {
-			keys[i] = fmt.Sprintf("%v|%d", p.Items, p.Support())
+		for i, pat := range out {
+			keys[i] = fmt.Sprintf("%v|%d", pat.Items, pat.Support())
 		}
 		return keys
 	}

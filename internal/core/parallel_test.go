@@ -5,15 +5,15 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/apriori"
 	"repro/internal/datagen"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/minertest"
 )
 
 // fingerprint captures everything observable about a result: the pattern
 // order, each pattern's itemset, and its exact support set.
-func fingerprint(t *testing.T, res *Result) []string {
+func fingerprint(t *testing.T, res *engine.Report) []string {
 	t.Helper()
 	out := make([]string, len(res.Patterns))
 	for i, p := range res.Patterns {
@@ -23,39 +23,28 @@ func fingerprint(t *testing.T, res *Result) []string {
 }
 
 // TestParallelismDeterminism is the regression test for the parallel fusion
-// engine's core guarantee: the same Config.Seed must produce bit-identical
-// Result.Patterns for every Parallelism value, on both the Diag and Replace
+// engine's core guarantee: the same Options.Seed must produce bit-identical
+// Report.Patterns for every Parallelism value, on both the Diag and Replace
 // workloads.
 func TestParallelismDeterminism(t *testing.T) {
 	type workload struct {
 		name string
 		db   *dataset.Dataset
-		cfg  Config
+		opts engine.Options
 	}
-	diagCfg := DefaultConfig(20, 0)
-	diagCfg.MinCount = 15
-	diagCfg.InitPoolMaxSize = 2
-	diagCfg.Seed = 7
-
 	replaceDB, _ := datagen.Replace(1)
-	replaceCfg := DefaultConfig(50, 0.03)
-	replaceCfg.Seed = 7
-
 	workloads := []workload{
-		{"Diag30", datagen.Diag(30), diagCfg},
-		{"Replace", replaceDB, replaceCfg},
+		{"Diag30", datagen.Diag(30), engine.Options{K: 20, MinCount: 15, InitPoolMaxSize: 2, Seed: 7}},
+		{"Replace", replaceDB, engine.Options{K: 50, MinSupport: 0.03, Seed: 7}},
 	}
 	for _, w := range workloads {
 		t.Run(w.name, func(t *testing.T) {
 			var want []string
 			var wantIters int
 			for _, par := range []int{1, 2, 8} {
-				cfg := w.cfg
-				cfg.Parallelism = par
-				res, err := Mine(context.Background(), w.db, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
+				opts := w.opts
+				opts.Parallelism = par
+				res := mine(t, context.Background(), w.db, opts)
 				got := fingerprint(t, res)
 				if want == nil {
 					want, wantIters = got, res.Iterations
@@ -82,11 +71,12 @@ func TestParallelismDeterminism(t *testing.T) {
 
 // TestParallelismValidation rejects negative Parallelism.
 func TestParallelismValidation(t *testing.T) {
+	alg, err := engine.Get(Name)
+	if err != nil {
+		t.Fatal(err)
+	}
 	d := datagen.Diag(8)
-	cfg := DefaultConfig(5, 0)
-	cfg.MinCount = 4
-	cfg.Parallelism = -1
-	if _, err := Mine(context.Background(), d, cfg); err == nil {
+	if _, err := alg.Mine(context.Background(), d, engine.Options{K: 5, MinCount: 4, Parallelism: -1}); err == nil {
 		t.Fatal("Parallelism=-1 accepted")
 	}
 }
@@ -96,17 +86,16 @@ func TestParallelismValidation(t *testing.T) {
 // the first fusion iteration, not after it.
 func TestCancellationMidStep(t *testing.T) {
 	d := datagen.Diag(30)
-	// Pre-mine the initial pool so cancellation bites in fusion, not while
-	// phase 1 is still running.
-	pool := apriori.MineUpTo(d, 15, 2).Patterns
+	// Warm-start from the pre-mined initial pool so cancellation bites in
+	// fusion, not while phase 1 is still running.
+	pool := dataset.Itemsets(initialPool(d, 15, 2))
+	seeds := make([][]int, len(pool))
+	for i, s := range pool {
+		seeds[i] = s
+	}
 	for _, par := range []int{1, 4} {
-		cfg := DefaultConfig(20, 0)
-		cfg.MinCount = 15
-		cfg.Parallelism = par
-		res, err := MineFromPool(minertest.CancelAfter(3), d, pool, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		opts := engine.Options{K: 20, MinCount: 15, Parallelism: par, Pool: seeds}
+		res := mine(t, minertest.CancelAfter(3), d, opts)
 		if !res.Stopped {
 			t.Errorf("Parallelism=%d: canceled run not reported as stopped", par)
 		}

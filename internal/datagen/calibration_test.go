@@ -10,6 +10,8 @@ import (
 
 	"repro/internal/carpenter"
 	"repro/internal/charm"
+	"repro/internal/engine"
+	"repro/internal/minertest"
 )
 
 func TestReplaceClosedCalibration(t *testing.T) {
@@ -18,7 +20,7 @@ func TestReplaceClosedCalibration(t *testing.T) {
 	}
 	d, paths := Replace(1)
 	minCount := d.MinCount(0.03)
-	res := charm.Mine(d, minCount)
+	res := minertest.Mine(t, context.Background(), charm.Name, d, engine.Options{MinCount: minCount})
 	if res.Stopped {
 		t.Fatal("closed mining did not finish")
 	}
@@ -66,7 +68,7 @@ func TestMicroarrayColossalCalibration(t *testing.T) {
 		t.Skip("mines the microarray colossal set")
 	}
 	d, _ := Microarray(1)
-	res := carpenter.Mine(d, 30, 70)
+	res := minertest.Mine(t, context.Background(), carpenter.Name, d, engine.Options{MinCount: 30, MinSize: 70})
 	if res.Stopped {
 		t.Fatal("row enumeration did not finish")
 	}
@@ -104,8 +106,8 @@ func TestMicroarrayLowSupportExplosion(t *testing.T) {
 	// Figure 10's premise: frequency explodes as σ drops below the noise
 	// support band. Compare closed row-enumeration node counts at minSize 0.
 	d, _ := Microarray(1)
-	hi := carpenter.MineOpts(context.Background(), d, carpenter.Options{MinCount: 34, MinSize: 40})
-	lo := carpenter.MineOpts(context.Background(), d, carpenter.Options{MinCount: 30, MinSize: 40})
+	hi := minertest.Mine(t, context.Background(), carpenter.Name, d, engine.Options{MinCount: 34, MinSize: 40})
+	lo := minertest.Mine(t, context.Background(), carpenter.Name, d, engine.Options{MinCount: 30, MinSize: 40})
 	if lo.Visited <= hi.Visited {
 		t.Errorf("no growth in search effort: visited %d at σ=34 vs %d at σ=30", hi.Visited, lo.Visited)
 	}

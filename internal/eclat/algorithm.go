@@ -21,19 +21,8 @@ func (algorithm) Name() string { return Name }
 // mined on Options.Parallelism workers.
 func (algorithm) Mine(ctx context.Context, d *dataset.Dataset, opts engine.Options) (*engine.Report, error) {
 	return engine.Run(Name, opts, engine.Uses{MaxSize: true}, func() (*engine.Report, error) {
-		res := MineOpts(ctx, d, minerOptions(d, opts))
-		return &engine.Report{Patterns: res.Patterns, Stopped: res.Stopped}, nil
+		return mineRange(ctx, d, opts.ResolveMinCount(d), opts, 0, -1), nil
 	})
-}
-
-// minerOptions maps engine options onto this package's option set.
-func minerOptions(d *dataset.Dataset, opts engine.Options) Options {
-	return Options{
-		MinCount:    opts.ResolveMinCount(d),
-		MaxSize:     opts.MaxSize,
-		Parallelism: opts.Parallelism,
-		Observer:    opts.Observer,
-	}
 }
 
 // ShardUnits implements engine.Sharder: one task unit per frequent
@@ -48,8 +37,9 @@ func (a algorithm) MineShard(ctx context.Context, d *dataset.Dataset, opts engin
 	if err := engine.ValidateShard(Name, opts, lo, hi, a.ShardUnits(d, opts)); err != nil {
 		return nil, err
 	}
-	res := mineRange(ctx, d, minerOptions(d, opts), lo, hi)
-	return &engine.Report{Algorithm: Name, Patterns: res.Patterns, Stopped: res.Stopped}, nil
+	rep := mineRange(ctx, d, opts.ResolveMinCount(d), opts, lo, hi)
+	rep.Algorithm = Name
+	return rep, nil
 }
 
 // MergeShards implements engine.Sharder: per-task subtrees are

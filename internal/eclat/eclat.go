@@ -23,46 +23,19 @@ import (
 	"repro/internal/tidset"
 )
 
-// Options configures a mining run.
-type Options struct {
-	MinCount    int             // absolute minimum support count (≥ 1)
-	MaxSize     int             // only report itemsets up to this size; 0 = unbounded
-	Parallelism int             // worker goroutines; 0 = all CPUs; results identical for any value
-	Observer    engine.Observer // optional progress events, every engine.ProgressStride nodes
-}
-
-// Result is the outcome of a mining run.
-type Result struct {
-	Patterns []*dataset.Pattern
-	Stopped  bool
-}
-
-// Mine returns the complete set of frequent patterns of d with support
-// count at least minCount.
-func Mine(d *dataset.Dataset, minCount int) *Result {
-	return MineOpts(context.Background(), d, Options{MinCount: minCount})
-}
-
-// MineOpts runs Eclat under the given options. Cancellation is polled on
-// ctx at every search node; a canceled run returns the patterns found so
-// far with Stopped=true.
-func MineOpts(ctx context.Context, d *dataset.Dataset, opts Options) *Result {
-	return mineRange(ctx, d, opts, 0, -1)
-}
-
-// mineRange mines the first-level class members [lo, hi); hi < 0 selects
-// the full class. It backs both MineOpts and the engine.Sharder adapter:
-// patterns are emitted in task order, so concatenating consecutive
-// ranges reproduces the full run byte for byte.
-func mineRange(ctx context.Context, d *dataset.Dataset, opts Options, lo, hi int) *Result {
-	if opts.MinCount < 1 {
-		opts.MinCount = 1
-	}
-	res := &Result{}
+// mineRange mines the first-level class members [lo, hi) at the resolved
+// threshold minCount (≥ 1); hi < 0 selects the full class. It backs both
+// the registered Mine and the engine.Sharder adapter: patterns are
+// emitted in task order, so concatenating consecutive ranges reproduces
+// the full run byte for byte. Cancellation is polled on ctx at every
+// search node; a canceled run returns the patterns found so far with
+// Stopped=true.
+func mineRange(ctx context.Context, d *dataset.Dataset, minCount int, opts engine.Options, lo, hi int) *engine.Report {
+	rep := &engine.Report{}
 	meter := engine.NewMeter(ctx, Name, opts.Observer)
 
 	var class []extension
-	for _, item := range d.FrequentItems(opts.MinCount) {
+	for _, item := range d.FrequentItems(minCount) {
 		tids := d.ItemTIDs(item)
 		class = append(class, extension{item: item, sup: tids.Count(), tids: tids})
 	}
@@ -74,12 +47,12 @@ func mineRange(ctx context.Context, d *dataset.Dataset, opts Options, lo, hi int
 	// read-only across workers (its tidsets are dataset-owned and never
 	// pooled). Merging the per-task results in task order reproduces the
 	// sequential depth-first emission order exactly.
-	perTask := make([]*Result, hi-lo)
+	perTask := make([]*engine.Report, hi-lo)
 	stopped := engine.TasksWithScratch(ctx, engine.Workers(opts.Parallelism), hi-lo,
 		func() *scratch { return &scratch{pool: tidset.NewPool(d.Size())} },
 		func(sc *scratch, task int) {
-			sub := &Result{}
-			m := &miner{meter: meter, opts: opts, res: sub, sc: sc}
+			sub := &engine.Report{}
+			m := &miner{meter: meter, minCount: minCount, maxSize: opts.MaxSize, res: sub, sc: sc}
 			m.searchFrom(nil, class, lo+task)
 			perTask[task] = sub
 		})
@@ -88,11 +61,11 @@ func mineRange(ctx context.Context, d *dataset.Dataset, opts Options, lo, hi int
 			stopped = true // abandoned after cancellation
 			continue
 		}
-		res.Patterns = append(res.Patterns, sub.Patterns...)
+		rep.Patterns = append(rep.Patterns, sub.Patterns...)
 		stopped = stopped || sub.Stopped
 	}
-	res.Stopped = stopped
-	return res
+	rep.Stopped = stopped
+	return rep
 }
 
 type extension struct {
@@ -102,10 +75,11 @@ type extension struct {
 }
 
 type miner struct {
-	meter *engine.Meter
-	opts  Options
-	res   *Result
-	sc    *scratch
+	meter    *engine.Meter
+	minCount int
+	maxSize  int // 0 = unbounded
+	res      *engine.Report
+	sc       *scratch
 }
 
 // scratch is the per-worker allocation state: a pool recycling the
@@ -151,7 +125,7 @@ func (m *miner) searchFrom(prefix itemset.Itemset, class []extension, i int) {
 	items := m.sc.items.Add(prefix, ext.item)
 	m.res.Patterns = append(m.res.Patterns,
 		dataset.NewPatternCounted(items, m.sc.tids.CompactClone(ext.tids), ext.sup))
-	if m.opts.MaxSize > 0 && len(items) >= m.opts.MaxSize {
+	if m.maxSize > 0 && len(items) >= m.maxSize {
 		return
 	}
 	// Sub-class TID-sets are pooled scratch: intersected in place, handed
@@ -160,7 +134,7 @@ func (m *miner) searchFrom(prefix itemset.Itemset, class []extension, i int) {
 	for _, other := range class[i+1:] {
 		tids := m.sc.pool.Get()
 		tids.AndOf(ext.tids, other.tids)
-		if c := tids.Count(); c >= m.opts.MinCount {
+		if c := tids.Count(); c >= m.minCount {
 			sub = append(sub, extension{item: other.item, sup: c, tids: tids})
 		} else {
 			m.sc.pool.Put(tids)

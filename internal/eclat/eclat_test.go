@@ -6,16 +6,22 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/minertest"
 	"repro/internal/rng"
 )
+
+func mine(t *testing.T, d *dataset.Dataset, opts engine.Options) *engine.Report {
+	t.Helper()
+	return minertest.Mine(t, context.Background(), Name, d, opts)
+}
 
 func TestMineAgainstBruteForceRandom(t *testing.T) {
 	r := rng.New(314)
 	for trial := 0; trial < 30; trial++ {
 		d := datagen.Random(r.Split(), 5+r.Intn(30), 3+r.Intn(8), 0.3+r.Float64()*0.4)
 		minCount := 1 + r.Intn(4)
-		res := Mine(d, minCount)
+		res := mine(t, d, engine.Options{MinCount: minCount})
 		got, noDup := minertest.PatternsToMap(res.Patterns)
 		if !noDup {
 			t.Fatalf("trial %d: duplicates", trial)
@@ -30,7 +36,7 @@ func TestMineAgainstBruteForceRandom(t *testing.T) {
 func TestTIDSetsExact(t *testing.T) {
 	r := rng.New(4)
 	d := datagen.Random(r, 30, 7, 0.5)
-	for _, p := range Mine(d, 2).Patterns {
+	for _, p := range mine(t, d, engine.Options{MinCount: 2}).Patterns {
 		if !p.TIDs.Equal(d.TIDSet(p.Items)) {
 			t.Fatalf("pattern %v carries wrong tidset", p.Items)
 		}
@@ -40,7 +46,7 @@ func TestTIDSetsExact(t *testing.T) {
 func TestMaxSize(t *testing.T) {
 	r := rng.New(6)
 	d := datagen.Random(r, 25, 8, 0.5)
-	res := MineOpts(context.Background(), d, Options{MinCount: 2, MaxSize: 3})
+	res := mine(t, d, engine.Options{MinCount: 2, MaxSize: 3})
 	for _, p := range res.Patterns {
 		if len(p.Items) > 3 {
 			t.Fatalf("pattern %v exceeds MaxSize", p.Items)
@@ -49,11 +55,11 @@ func TestMaxSize(t *testing.T) {
 }
 
 func TestDegenerateInputs(t *testing.T) {
-	if got := Mine(dataset.MustNew(nil), 1).Patterns; len(got) != 0 {
+	if got := mine(t, dataset.MustNew(nil), engine.Options{MinCount: 1}).Patterns; len(got) != 0 {
 		t.Fatalf("empty dataset: %d patterns", len(got))
 	}
 	d := dataset.MustNew([][]int{{7}})
-	got := Mine(d, 1).Patterns
+	got := mine(t, d, engine.Options{MinCount: 1}).Patterns
 	if len(got) != 1 || got[0].Items.Key() != "7" {
 		t.Fatalf("singleton dataset mined %v", got)
 	}
@@ -61,7 +67,7 @@ func TestDegenerateInputs(t *testing.T) {
 
 func TestCancellation(t *testing.T) {
 	d := datagen.Diag(18)
-	res := MineOpts(minertest.CancelAfter(2), d, Options{MinCount: 1})
+	res := minertest.Mine(t, minertest.CancelAfter(2), Name, d, engine.Options{MinCount: 1})
 	if !res.Stopped {
 		t.Fatal("cancellation not honored")
 	}

@@ -7,6 +7,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -82,6 +83,51 @@ func TestNegativeParallelismRejected(t *testing.T) {
 	for _, alg := range engine.All() {
 		if _, err := alg.Mine(context.Background(), datagen.Diag(6), engine.Options{MinCount: 3, Parallelism: -1}); err == nil {
 			t.Errorf("%s accepted negative Parallelism", alg.Name())
+		}
+	}
+}
+
+// TestOptionsValidation pins the single options range check on every
+// registered algorithm: each out-of-range value is an error from Mine and
+// from MineShard, never a silent rewrite (a negative MinCount used to
+// mine every itemset at support 1, and NaN slipped through everywhere).
+func TestOptionsValidation(t *testing.T) {
+	d := datagen.Diag(10)
+	bad := []struct {
+		name string
+		opts engine.Options
+	}{
+		{"negative MinCount", engine.Options{MinCount: -5}},
+		{"NaN MinSupport", engine.Options{MinSupport: math.NaN()}},
+		{"MinSupport above 1", engine.Options{MinSupport: 1.5}},
+		{"negative MinSupport", engine.Options{MinSupport: -0.1}},
+		{"negative K", engine.Options{MinCount: 5, K: -1}},
+		{"negative InitPoolMaxSize", engine.Options{MinCount: 5, InitPoolMaxSize: -1}},
+		{"negative MinSize", engine.Options{MinCount: 5, MinSize: -1}},
+		{"negative MaxSize", engine.Options{MinCount: 5, MaxSize: -1}},
+		{"negative Parallelism", engine.Options{MinCount: 5, Parallelism: -1}},
+		{"negative Tau", engine.Options{MinCount: 5, Tau: -0.5}},
+		{"Tau above 1", engine.Options{MinCount: 5, Tau: 1.5}},
+		{"NaN Tau", engine.Options{MinCount: 5, Tau: math.NaN()}},
+	}
+	for _, name := range engine.Names() {
+		alg, err := engine.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh, sharded := engine.AsSharder(alg)
+		for _, tc := range bad {
+			if err := tc.opts.Validate(); err == nil {
+				t.Errorf("Validate accepted %s", tc.name)
+			}
+			if _, err := alg.Mine(context.Background(), d, tc.opts); err == nil {
+				t.Errorf("%s: Mine accepted %s", name, tc.name)
+			}
+			if sharded {
+				if _, err := sh.MineShard(context.Background(), d, tc.opts, 0, 1); err == nil {
+					t.Errorf("%s: MineShard accepted %s", name, tc.name)
+				}
+			}
 		}
 	}
 }

@@ -2,8 +2,9 @@
 // this repository implements, and the process-wide registry that makes
 // them addressable by name.
 //
-// The repository ships eight miners — Pattern-Fusion (the paper's
-// contribution) and the seven exact baselines its evaluation compares
+// The repository ships nine miners — Pattern-Fusion (the paper's
+// contribution), its sequence extension seqfusion (the paper's Section 8
+// direction), and the seven exact baselines its evaluation compares
 // against (Section 6). Before this package each had its own entry
 // signature, its own ad-hoc cancellation hook, and a hand-rolled dispatch
 // switch in every caller. The engine collapses that to one contract:
@@ -24,11 +25,22 @@
 //
 // Miner packages register an adapter from init, keyed by the historical
 // CLI names: "fusion" (core), "apriori", "fpgrowth", "eclat", "closed"
-// (charm), "closedrows" (carpenter), "maximal", "topk". Importing
-// repro/internal/engine/all (blank import) pulls in all eight; Get, Names
-// and All look them up. cmd/pfmine iterates the registry for dispatch and
-// help text, and cmd/pfserve exposes every registered algorithm over
-// HTTP, so a new miner becomes reachable everywhere by registering.
+// (charm), "closedrows" (carpenter), "maximal", "topk", "seqfusion".
+// Importing repro/internal/engine/all (blank import) pulls in all nine;
+// Get, Names and All look them up. cmd/pfmine iterates the registry for
+// dispatch and help text, and cmd/pfserve exposes every registered
+// algorithm over HTTP, so a new miner becomes reachable everywhere by
+// registering. The registered adapter is each miner package's only
+// mining entry point: a package keeps the raw search the adapter wraps
+// unexported, and every caller — experiments, examples, tests — mines
+// through Get(name).Mine.
+//
+// # Options
+//
+// Options is the one parameter set of every algorithm, and
+// Options.Validate its one range check: Run, ValidateShard and the job
+// server all apply it, so an out-of-range value is rejected the same way
+// on every surface before any mining starts.
 //
 // # Parallelism
 //
@@ -37,16 +49,16 @@
 // decomposes its search into independent task units — first-level
 // equivalence classes (eclat, closed, maximal, topk), conditional-tree
 // roots (fpgrowth), per-level candidate-range chunks (apriori),
-// row-enumeration subtrees (closedrows), seed slots (fusion) — seeds one
-// bounded deque per worker, and lets idle workers steal the back half of
-// a victim's range. Cross-worker progress aggregates through a Meter, so
+// row-enumeration subtrees (closedrows), seed slots (fusion, seqfusion)
+// — seeds one bounded deque per worker, and lets idle workers steal the
+// back half of a victim's range. Cross-worker progress aggregates through a Meter, so
 // Observer events stay serialized.
 //
 // # Determinism
 //
 // A Report is a pure function of (algorithm, dataset, Options): no
 // timestamps, no scheduling artifacts. The fusion engine's founding
-// bit-identical-across-Parallelism guarantee now extends to all eight
+// bit-identical-across-Parallelism guarantee now extends to all nine
 // algorithms: each task's output is a pure function of the task, outputs
 // merge in canonical task order (never completion order), and any
 // cross-task reconciliation — maximal's subsumption filter, topk's

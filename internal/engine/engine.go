@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/dataset"
 )
@@ -27,12 +28,15 @@ type Algorithm interface {
 // per-algorithm defaults. The field ↔ algorithm mapping:
 //
 //	MinCount / MinSupport  all:        support threshold (MinCount wins)
-//	K                      fusion:     max patterns; topk: k (default 100)
-//	Tau                    fusion:     core ratio τ (default 0.5)
+//	K                      fusion:     max patterns (default 100)
+//	                       seqfusion:  seed slots = max patterns (default 100)
+//	                       topk:       k (default 100)
+//	Tau                    fusion, seqfusion: core ratio τ (default 0.5)
 //	InitPoolMaxSize        fusion:     phase-1 pool max pattern size (default 3)
 //	MinSize                closed, closedrows, topk: minimum pattern size
+//	                       seqfusion:  minimum sequence length
 //	MaxSize                apriori, eclat, fpgrowth: maximum pattern size
-//	Seed                   fusion:     RNG seed (default 1)
+//	Seed                   fusion, seqfusion: RNG seed (default 1)
 //	Pool                   fusion:     warm-start pool itemsets (skips phase 1)
 //	KeepPool               fusion:     return the pool in Report.Pool
 //	Parallelism            all:        worker goroutines (0 = all CPUs)
@@ -42,7 +46,8 @@ type Algorithm interface {
 // the same Options value can drive every algorithm — but it is recorded:
 // the run's Report.Warnings lists each ignored non-zero field, so callers
 // (and the pfmine / pfserve surfaces) can tell a mis-aimed option from an
-// applied one.
+// applied one. Out-of-range values are errors for every algorithm; see
+// Validate.
 type Options struct {
 	// MinCount is the absolute minimum support count. If zero, MinSupport
 	// is used instead.
@@ -69,7 +74,7 @@ type Options struct {
 	// itemsets instead of mining the initial pool: each itemset is
 	// re-materialized against the current dataset (supports recomputed),
 	// entries below the support threshold or outside the item universe
-	// are dropped in place, and fusion proceeds via MineFromPool. With an
+	// are dropped in place, and fusion proceeds straight to phase 2. With an
 	// unchanged dataset and options the warm report is byte-identical
 	// (ReportHash) to a cold run whose phase-1 pool it was; after appends
 	// it is the incremental approximation the pool-containment
@@ -81,7 +86,7 @@ type Options struct {
 	// Report.Pool, in pool order, for a later incremental warm start.
 	KeepPool bool
 	// Parallelism is the worker-goroutine count every algorithm mines
-	// with; zero means all CPUs and negative values are rejected by Run.
+	// with; zero means all CPUs and negative values are rejected.
 	// Reports are bit-identical for every value: each miner decomposes
 	// its search into deterministic task
 	// units (see the Tasks scheduler) and merges per-task results in
@@ -92,6 +97,37 @@ type Options struct {
 	// come from worker goroutines (see Meter); the Observer must not
 	// block and must not assume a single calling goroutine identity.
 	Observer Observer
+}
+
+// Validate is the one range check of Options, shared by every algorithm:
+// Run, ValidateShard and the job server's spec validation all call it, so
+// a bad value fails the same way on every surface. It rejects a negative
+// MinCount, K, InitPoolMaxSize, MinSize, MaxSize or Parallelism, a
+// MinSupport that is NaN or outside [0,1], and a Tau that is NaN or
+// outside {0} ∪ (0,1]. Zero always means "use the default"; no value is
+// silently rewritten.
+func (o Options) Validate() error {
+	if o.MinCount < 0 {
+		return fmt.Errorf("engine: MinCount must be >= 0, got %d", o.MinCount)
+	}
+	if math.IsNaN(o.MinSupport) || o.MinSupport < 0 || o.MinSupport > 1 {
+		return fmt.Errorf("engine: MinSupport must be in [0,1], got %v", o.MinSupport)
+	}
+	if math.IsNaN(o.Tau) || o.Tau < 0 || o.Tau > 1 {
+		return fmt.Errorf("engine: Tau must be 0 (default) or in (0,1], got %v", o.Tau)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"K", o.K}, {"InitPoolMaxSize", o.InitPoolMaxSize}, {"MinSize", o.MinSize},
+		{"MaxSize", o.MaxSize}, {"Parallelism", o.Parallelism},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("engine: %s must be >= 0, got %d", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // ResolveMinCount resolves the configured support threshold against d:
@@ -258,17 +294,15 @@ func (o Observer) Emit(e Event) {
 }
 
 // Run brackets a miner invocation with the uniform engine contract so it
-// lives in one place instead of eight adapters: a PhaseStart event
-// before; then Algorithm stamping, ignored-option Warnings (from the
+// lives in one place instead of nine adapters: option validation and a
+// PhaseStart event before; then Algorithm stamping, ignored-option Warnings (from the
 // adapter's Uses declaration), canonical pattern sorting (largest first)
 // and a PhaseDone event — carrying the iteration count, or the
 // visited-node count for the DFS miners — after. mine returns the raw
 // report; errors pass through unbracketed.
 func Run(name string, opts Options, uses Uses, mine func() (*Report, error)) (*Report, error) {
-	// Uniform across algorithms: a negative worker count is a caller bug,
-	// not a request for the default (matching core.Config.validate).
-	if opts.Parallelism < 0 {
-		return nil, fmt.Errorf("engine: Parallelism must be >= 0, got %d", opts.Parallelism)
+	if err := opts.Validate(); err != nil {
+		return nil, err
 	}
 	obs := opts.Observer
 	obs.Emit(Event{Algorithm: name, Phase: PhaseStart})

@@ -39,7 +39,7 @@ func mineFusion(t *testing.T, d *dataset.Dataset, opts engine.Options) *engine.R
 }
 
 // TestWarmStartZeroAppendByteIdentical pins the spine of the incremental
-// mode: re-seeding MineFromPool from a cold run's pool, with the dataset
+// mode: warm-starting fusion from a cold run's pool, with the dataset
 // unchanged, reproduces the cold Report byte-for-byte — for every
 // Parallelism, since both paths share the bit-identical fusion engine.
 func TestWarmStartZeroAppendByteIdentical(t *testing.T) {

@@ -56,14 +56,14 @@ func AsSharder(a Algorithm) (Sharder, bool) {
 }
 
 // ValidateShard checks the uniform MineShard preconditions shared by
-// every Sharder: a non-negative worker count (mirroring Run) and a
-// non-empty range inside [0, units). Callers recompute units from
+// every Sharder: in-range options (Options.Validate, as Run applies) and
+// a non-empty range inside [0, units). Callers recompute units from
 // (d, opts), so a worker whose rebuilt dataset decomposes differently
 // than the coordinator planned fails loudly here instead of mining the
 // wrong subtrees.
 func ValidateShard(name string, opts Options, lo, hi, units int) error {
-	if opts.Parallelism < 0 {
-		return fmt.Errorf("engine: Parallelism must be >= 0, got %d", opts.Parallelism)
+	if err := opts.Validate(); err != nil {
+		return err
 	}
 	if lo < 0 || hi > units || lo >= hi {
 		return fmt.Errorf("engine: %s shard [%d,%d) invalid for %d task units", name, lo, hi, units)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/engine"
 )
 
 // AblationRow is one configuration point of an ablation sweep on the
@@ -23,7 +24,7 @@ type AblationConfig struct {
 	K    int
 	Seed uint64
 	// Parallelism fans the ablation cells out to this many workers and is
-	// handed to core.Config.Parallelism (<= 1 = fully sequential). Every
+	// handed to the fusion runs' Parallelism (<= 1 = fully sequential). Every
 	// cell is seeded independently, so results are identical for any
 	// value.
 	Parallelism int
@@ -37,13 +38,15 @@ func DefaultAblationConfig() AblationConfig { return AblationConfig{K: 100, Seed
 func Ablations(cfg AblationConfig) (map[string][]AblationRow, error) {
 	d, paths := datagen.Replace(cfg.Seed)
 
-	runOne := func(name string, mutate func(*core.Config)) (AblationRow, error) {
-		pf := core.DefaultConfig(cfg.K, 0.03)
-		pf.Seed = cfg.Seed
-		pf.Parallelism = corePar(cfg.Parallelism)
-		mutate(&pf)
+	// runOne runs fusion with the registered algorithm's defaults, as
+	// modified by mutate: engine options for τ and the initial pool, the
+	// fusion-only knobs for everything else.
+	runOne := func(name string, mutate func(*engine.Options, *core.Knobs)) (AblationRow, error) {
+		opts := engine.Options{K: cfg.K, MinSupport: 0.03, Seed: cfg.Seed, Parallelism: corePar(cfg.Parallelism)}
+		kn := core.DefaultKnobs(cfg.K)
+		mutate(&opts, &kn)
 		t0 := time.Now()
-		res, err := core.Mine(context.Background(), d, pf)
+		res, err := core.WithKnobs(kn).Mine(context.Background(), d, opts)
 		if err != nil {
 			return AblationRow{}, err
 		}
@@ -63,25 +66,25 @@ func Ablations(cfg AblationConfig) (map[string][]AblationRow, error) {
 
 	type sweep struct {
 		group, name string
-		mutate      func(*core.Config)
+		mutate      func(*engine.Options, *core.Knobs)
 	}
 	sweeps := []sweep{
-		{"tau", "τ=0.5", func(c *core.Config) { c.Tau = 0.5 }},
-		{"tau", "τ=0.7", func(c *core.Config) { c.Tau = 0.7 }},
-		{"tau", "τ=0.9", func(c *core.Config) { c.Tau = 0.9 }},
-		{"initpool", "size≤1", func(c *core.Config) { c.InitPoolMaxSize = 1 }},
-		{"initpool", "size≤2", func(c *core.Config) { c.InitPoolMaxSize = 2 }},
-		{"initpool", "size≤3", func(c *core.Config) { c.InitPoolMaxSize = 3 }},
-		{"draws", "draws=2", func(c *core.Config) { c.FusionDraws = 2 }},
-		{"draws", "draws=10", func(c *core.Config) { c.FusionDraws = 10 }},
-		{"draws", "draws=20", func(c *core.Config) { c.FusionDraws = 20 }},
-		{"ball", "ball=256", func(c *core.Config) { c.MaxBallSize = 256 }},
-		{"ball", "ball=2048", func(c *core.Config) { c.MaxBallSize = 2048 }},
-		{"ball", "ball=8192", func(c *core.Config) { c.MaxBallSize = 8192 }},
-		{"elitism", "elitism=0", func(c *core.Config) { c.Elitism = 0 }},
-		{"elitism", "elitism=26", func(c *core.Config) { c.Elitism = 26 }},
-		{"closure", "closure=off", func(c *core.Config) { c.CloseFused = false }},
-		{"closure", "closure=on", func(c *core.Config) { c.CloseFused = true }},
+		{"tau", "τ=0.5", func(o *engine.Options, _ *core.Knobs) { o.Tau = 0.5 }},
+		{"tau", "τ=0.7", func(o *engine.Options, _ *core.Knobs) { o.Tau = 0.7 }},
+		{"tau", "τ=0.9", func(o *engine.Options, _ *core.Knobs) { o.Tau = 0.9 }},
+		{"initpool", "size≤1", func(o *engine.Options, _ *core.Knobs) { o.InitPoolMaxSize = 1 }},
+		{"initpool", "size≤2", func(o *engine.Options, _ *core.Knobs) { o.InitPoolMaxSize = 2 }},
+		{"initpool", "size≤3", func(o *engine.Options, _ *core.Knobs) { o.InitPoolMaxSize = 3 }},
+		{"draws", "draws=2", func(_ *engine.Options, k *core.Knobs) { k.FusionDraws = 2 }},
+		{"draws", "draws=10", func(_ *engine.Options, k *core.Knobs) { k.FusionDraws = 10 }},
+		{"draws", "draws=20", func(_ *engine.Options, k *core.Knobs) { k.FusionDraws = 20 }},
+		{"ball", "ball=256", func(_ *engine.Options, k *core.Knobs) { k.MaxBallSize = 256 }},
+		{"ball", "ball=2048", func(_ *engine.Options, k *core.Knobs) { k.MaxBallSize = 2048 }},
+		{"ball", "ball=8192", func(_ *engine.Options, k *core.Knobs) { k.MaxBallSize = 8192 }},
+		{"elitism", "elitism=0", func(_ *engine.Options, k *core.Knobs) { k.Elitism = 0 }},
+		{"elitism", "elitism=26", func(_ *engine.Options, k *core.Knobs) { k.Elitism = 26 }},
+		{"closure", "closure=off", func(_ *engine.Options, k *core.Knobs) { k.CloseFused = false }},
+		{"closure", "closure=on", func(_ *engine.Options, k *core.Knobs) { k.CloseFused = true }},
 	}
 	// Every sweep cell is an independent Pattern-Fusion run; fan them out,
 	// then fold the rows into their groups in declaration order.

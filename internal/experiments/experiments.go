@@ -21,12 +21,26 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/itemset"
 	"repro/internal/maximal"
 	"repro/internal/quality"
 	"repro/internal/rng"
 	"repro/internal/topk"
 )
+
+// mine runs the registered algorithm name on d through the engine under
+// a time budget (zero: none); a run that exhausts it returns a partial
+// report with Stopped set.
+func mine(budget time.Duration, name string, d *dataset.Dataset, opts engine.Options) (*engine.Report, error) {
+	alg, err := engine.Get(name)
+	if err != nil {
+		return nil, err
+	}
+	ctx, cancel := budgetContext(budget)
+	defer cancel()
+	return alg.Mine(ctx, d, opts)
+}
 
 // budgetContext returns a Context enforcing a time budget, plus its cancel
 // func (which must be called to release the deadline timer). A zero budget
@@ -38,10 +52,10 @@ func budgetContext(budget time.Duration) (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), budget)
 }
 
-// corePar maps an experiment-level Parallelism value to the one handed to
-// core.Config: at this layer 0 means "sequential" (like 1), never "all
-// CPUs", so that default-constructed configs measure single-core fusion
-// timings as documented.
+// corePar maps an experiment-level Parallelism value to the fusion run's
+// engine.Options.Parallelism: at this layer 0 means "sequential" (like 1),
+// never "all CPUs", so that default-constructed configs measure
+// single-core fusion timings as documented.
 func corePar(parallelism int) int {
 	if parallelism < 1 {
 		return 1
@@ -123,27 +137,25 @@ type IntroResult struct {
 
 // Intro runs the motivating example with the given budget for the exact
 // miner. Parallelism follows the experiment-layer convention: it is handed
-// to core.Config.Parallelism with <= 1 meaning a sequential fusion run.
+// to the fusion run's Parallelism with <= 1 meaning a sequential fusion run.
 func Intro(budget time.Duration, seed uint64, parallelism int) (*IntroResult, error) {
 	d := datagen.DiagPlus(40, 20, 39)
 	colossal := itemset.Canonical(datagen.DiagColossal(40, 39))
 	res := &IntroResult{}
 
 	t0 := time.Now()
-	mctx, mcancel := budgetContext(budget)
-	mres := maximal.MineOpts(mctx, d, maximal.Options{MinCount: 20})
-	mcancel()
+	mres, err := mine(budget, maximal.Name, d, engine.Options{MinCount: 20})
+	if err != nil {
+		return nil, err
+	}
 	res.MaximalTime = time.Since(t0)
 	res.MaximalTimedOut = mres.Stopped
 	res.MaximalFound = len(mres.Patterns)
 
-	cfg := core.DefaultConfig(20, 0)
-	cfg.MinCount = 20
-	cfg.InitPoolMaxSize = 2
-	cfg.Seed = seed
-	cfg.Parallelism = corePar(parallelism)
 	t0 = time.Now()
-	fres, err := core.Mine(context.Background(), d, cfg)
+	fres, err := mine(0, core.Name, d, engine.Options{
+		K: 20, MinCount: 20, InitPoolMaxSize: 2, Seed: seed, Parallelism: corePar(parallelism),
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -179,10 +191,10 @@ type Fig6Config struct {
 	Budget time.Duration // per-point budget for the exact miner
 	Seed   uint64
 	// Parallelism fans the per-n cells out to this many workers and is
-	// handed to core.Config.Parallelism. Cells are seeded independently of
+	// handed to the fusion run's Parallelism. Cells are seeded independently of
 	// execution order, so mined results are identical for any value; <= 1
 	// keeps both the cells and the fusion runs sequential for clean
-	// per-cell timings (unlike core.Config, 0 here never means all CPUs).
+	// per-cell timings (unlike engine.Options, 0 here never means all CPUs).
 	Parallelism int
 }
 
@@ -210,21 +222,19 @@ func Fig6(cfg Fig6Config) ([]Fig6Row, error) {
 		row := Fig6Row{N: n}
 
 		t0 := time.Now()
-		mctx, mcancel := budgetContext(cfg.Budget)
-		mres := maximal.MineOpts(mctx, d, maximal.Options{MinCount: minCount})
-		mcancel()
+		mres, err := mine(cfg.Budget, maximal.Name, d, engine.Options{MinCount: minCount})
+		if err != nil {
+			return err
+		}
 		row.MaximalTime = time.Since(t0)
 		row.MaximalOut = mres.Stopped
 		row.MaximalFound = len(mres.Patterns)
 
-		pf := core.DefaultConfig(cfg.K, 0)
-		pf.MinCount = minCount
-		pf.Tau = cfg.Tau
-		pf.InitPoolMaxSize = 2
-		pf.Seed = cfg.Seed
-		pf.Parallelism = corePar(cfg.Parallelism)
 		t0 = time.Now()
-		fres, err := core.Mine(context.Background(), d, pf)
+		fres, err := mine(0, core.Name, d, engine.Options{
+			K: cfg.K, MinCount: minCount, Tau: cfg.Tau, InitPoolMaxSize: 2,
+			Seed: cfg.Seed, Parallelism: corePar(cfg.Parallelism),
+		})
 		if err != nil {
 			return err
 		}
@@ -258,7 +268,7 @@ type Fig7Config struct {
 	SampleSize int   // |Q|: the complete set is too large, so it is sampled
 	Seed       uint64
 	// Parallelism fans the per-K cells out to this many workers and is
-	// handed to core.Config.Parallelism (<= 1 = fully sequential, even for
+	// handed to the fusion run's Parallelism (<= 1 = fully sequential, even for
 	// the fusion runs). Each cell draws from its own rng.Stream keyed by K,
 	// so results are identical for any Parallelism and unaffected by
 	// adding or removing other Ks.
@@ -300,12 +310,10 @@ func Fig7(cfg Fig7Config) ([]Fig7Row, error) {
 	err := forEachCell(cfg.Parallelism, len(cfg.Ks), func(i int) error {
 		k := cfg.Ks[i]
 		cr := rng.Stream(cfg.Seed, uint64(k))
-		pf := core.DefaultConfig(k, 0)
-		pf.MinCount = cfg.MinCount
-		pf.InitPoolMaxSize = 2
-		pf.Seed = cr.Uint64()
-		pf.Parallelism = corePar(cfg.Parallelism)
-		res, err := core.Mine(context.Background(), d, pf)
+		res, err := mine(0, core.Name, d, engine.Options{
+			K: k, MinCount: cfg.MinCount, InitPoolMaxSize: 2,
+			Seed: cr.Uint64(), Parallelism: corePar(cfg.Parallelism),
+		})
 		if err != nil {
 			return err
 		}
@@ -358,7 +366,7 @@ type Fig8Config struct {
 	Seed     uint64
 	Budget   time.Duration // budget for the complete closed mining
 	// Parallelism fans the per-K Pattern-Fusion cells out to this many
-	// workers and is handed to core.Config.Parallelism (<= 1 = fully
+	// workers and is handed to the fusion run's Parallelism (<= 1 = fully
 	// sequential). Results are identical for any value.
 	Parallelism int
 }
@@ -379,9 +387,10 @@ func Fig8(cfg Fig8Config) (*Fig8Result, error) {
 	d, paths := datagen.Replace(cfg.Seed)
 	minCount := d.MinCount(cfg.Sigma)
 
-	cctx, ccancel := budgetContext(cfg.Budget)
-	closed := charm.MineOpts(cctx, d, charm.Options{MinCount: minCount})
-	ccancel()
+	closed, err := mine(cfg.Budget, charm.Name, d, engine.Options{MinCount: minCount})
+	if err != nil {
+		return nil, err
+	}
 	if closed.Stopped {
 		return nil, fmt.Errorf("fig8: complete closed mining exceeded budget with %d patterns", len(closed.Patterns))
 	}
@@ -394,13 +403,12 @@ func Fig8(cfg Fig8Config) (*Fig8Result, error) {
 		initPool int
 	}
 	cells := make([]cell, len(cfg.Ks))
-	err := forEachCell(cfg.Parallelism, len(cfg.Ks), func(i int) error {
+	err = forEachCell(cfg.Parallelism, len(cfg.Ks), func(i int) error {
 		k := cfg.Ks[i]
-		pf := core.DefaultConfig(k, cfg.Sigma)
-		pf.InitPoolMaxSize = 3
-		pf.Seed = cfg.Seed + uint64(k)
-		pf.Parallelism = corePar(cfg.Parallelism)
-		res, err := core.Mine(context.Background(), d, pf)
+		res, err := mine(0, core.Name, d, engine.Options{
+			K: k, MinSupport: cfg.Sigma, InitPoolMaxSize: 3,
+			Seed: cfg.Seed + uint64(k), Parallelism: corePar(cfg.Parallelism),
+		})
 		if err != nil {
 			return err
 		}
@@ -470,7 +478,7 @@ type Fig9Config struct {
 	// of size > 85.
 	LargeCutoff int
 	Seed        uint64
-	// Parallelism is handed to core.Config.Parallelism (<= 1 = sequential;
+	// Parallelism is handed to the fusion run's Parallelism (<= 1 = sequential;
 	// Figure 9 is a single Pattern-Fusion run, so there are no cells to
 	// fan out).
 	Parallelism int
@@ -484,14 +492,14 @@ func DefaultFig9Config() Fig9Config {
 // Fig9 runs the microarray comparison.
 func Fig9(cfg Fig9Config) (*Fig9Result, error) {
 	d, _ := datagen.Microarray(cfg.Seed)
-	complete := carpenter.Mine(d, cfg.MinCount, cfg.MinSize)
-
-	pf := core.DefaultConfig(cfg.K, 0)
-	pf.MinCount = cfg.MinCount
-	pf.InitPoolMaxSize = 2
-	pf.Seed = cfg.Seed
-	pf.Parallelism = corePar(cfg.Parallelism)
-	fres, err := core.Mine(context.Background(), d, pf)
+	complete, err := mine(0, carpenter.Name, d, engine.Options{MinCount: cfg.MinCount, MinSize: cfg.MinSize})
+	if err != nil {
+		return nil, err
+	}
+	fres, err := mine(0, core.Name, d, engine.Options{
+		K: cfg.K, MinCount: cfg.MinCount, InitPoolMaxSize: 2,
+		Seed: cfg.Seed, Parallelism: corePar(cfg.Parallelism),
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -556,9 +564,9 @@ type Fig10Config struct {
 	Budget   time.Duration // per-point budget for the exact miners
 	Seed     uint64
 	// Parallelism fans the per-support cells out to this many workers and
-	// is handed to core.Config.Parallelism. <= 1 keeps the cells and
+	// is handed to the fusion run's Parallelism. <= 1 keeps the cells and
 	// fusion runs sequential so the runtime curves stay free of sibling
-	// contention (unlike core.Config, 0 here never means all CPUs).
+	// contention (unlike engine.Options, 0 here never means all CPUs).
 	Parallelism int
 }
 
@@ -583,26 +591,28 @@ func Fig10(cfg Fig10Config) ([]Fig10Row, error) {
 		row := Fig10Row{MinCount: mc}
 
 		t0 := time.Now()
-		mctx, mcancel := budgetContext(cfg.Budget)
-		mres := maximal.MineOpts(mctx, d, maximal.Options{MinCount: mc})
-		mcancel()
+		mres, err := mine(cfg.Budget, maximal.Name, d, engine.Options{MinCount: mc})
+		if err != nil {
+			return err
+		}
 		row.MaximalTime = time.Since(t0)
 		row.MaximalOut = mres.Stopped
 
+		// The support threshold is TFP's floor: it must enumerate the closed
+		// lattice down to σ.
 		t0 = time.Now()
-		tctx, tcancel := budgetContext(cfg.Budget)
-		tres := topk.MineOpts(tctx, d, topk.Options{K: cfg.TopKK, MinLength: cfg.TopKMinL, FloorMin: mc})
-		tcancel()
+		tres, err := mine(cfg.Budget, topk.Name, d,
+			engine.Options{K: cfg.TopKK, MinSize: cfg.TopKMinL, MinCount: mc})
+		if err != nil {
+			return err
+		}
 		row.TopKTime = time.Since(t0)
 		row.TopKOut = tres.Stopped
 
-		pf := core.DefaultConfig(cfg.K, 0)
-		pf.MinCount = mc
-		pf.InitPoolMaxSize = 2
-		pf.Seed = cfg.Seed
-		pf.Parallelism = corePar(cfg.Parallelism)
 		t0 = time.Now()
-		if _, err := core.Mine(context.Background(), d, pf); err != nil {
+		if _, err := mine(0, core.Name, d, engine.Options{
+			K: cfg.K, MinCount: mc, InitPoolMaxSize: 2, Seed: cfg.Seed, Parallelism: corePar(cfg.Parallelism),
+		}); err != nil {
 			return err
 		}
 		row.FusionTime = time.Since(t0)

@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 	"time"
 
 	"repro/internal/apriori"
 	"repro/internal/datagen"
 	"repro/internal/eclat"
+	"repro/internal/engine"
 	"repro/internal/fpgrowth"
 	"repro/internal/minertest"
 	"repro/internal/rng"
@@ -21,14 +23,15 @@ func TestThreeWayOracleAgreement(t *testing.T) {
 		d := datagen.Random(r.Split(), 10+r.Intn(40), 4+r.Intn(9), 0.25+r.Float64()*0.4)
 		minCount := 1 + r.Intn(5)
 
-		a, okA := minertest.PatternsToMap(apriori.Mine(d, minCount).Patterns)
-		e, okE := minertest.PatternsToMap(eclat.Mine(d, minCount).Patterns)
-		if !okA || !okE {
-			t.Fatalf("trial %d: duplicates in a complete miner", trial)
+		complete := func(name string) (map[string]int, bool) {
+			rep := minertest.Mine(t, context.Background(), name, d, engine.Options{MinCount: minCount})
+			return minertest.PatternsToMap(rep.Patterns)
 		}
-		f := make(map[string]int)
-		for _, ic := range fpgrowth.Mine(d, minCount).Itemsets {
-			f[ic.Items.Key()] = ic.Count
+		a, okA := complete(apriori.Name)
+		e, okE := complete(eclat.Name)
+		f, okF := complete(fpgrowth.Name)
+		if !okA || !okE || !okF {
+			t.Fatalf("trial %d: duplicates in a complete miner", trial)
 		}
 		if !minertest.SameMap(a, e) {
 			t.Fatalf("trial %d: Apriori (%d) != Eclat (%d)", trial, len(a), len(e))

@@ -23,29 +23,8 @@ func (algorithm) Name() string { return Name }
 // so the reported patterns carry memoized support counts but nil TID sets.
 func (algorithm) Mine(ctx context.Context, d *dataset.Dataset, opts engine.Options) (*engine.Report, error) {
 	return engine.Run(Name, opts, engine.Uses{MaxSize: true}, func() (*engine.Report, error) {
-		res := MineOpts(ctx, d, minerOptions(d, opts))
-		return &engine.Report{Patterns: toPatterns(res), Stopped: res.Stopped}, nil
+		return mineRange(ctx, d, opts.ResolveMinCount(d), opts, 0, -1), nil
 	})
-}
-
-// minerOptions maps engine options onto this package's option set.
-func minerOptions(d *dataset.Dataset, opts engine.Options) Options {
-	return Options{
-		MinCount:    opts.ResolveMinCount(d),
-		MaxSize:     opts.MaxSize,
-		Parallelism: opts.Parallelism,
-		Observer:    opts.Observer,
-	}
-}
-
-// toPatterns converts mined itemset/count pairs to counted patterns with
-// nil TID sets (FP-growth is horizontal).
-func toPatterns(res *Result) []*dataset.Pattern {
-	patterns := make([]*dataset.Pattern, len(res.Itemsets))
-	for i, ic := range res.Itemsets {
-		patterns[i] = dataset.NewPatternCounted(ic.Items, nil, ic.Count)
-	}
-	return patterns
 }
 
 // ShardUnits implements engine.Sharder: one task unit per root header
@@ -64,8 +43,9 @@ func (a algorithm) MineShard(ctx context.Context, d *dataset.Dataset, opts engin
 	if err := engine.ValidateShard(Name, opts, lo, hi, a.ShardUnits(d, opts)); err != nil {
 		return nil, err
 	}
-	res := mineRange(ctx, d, minerOptions(d, opts), lo, hi)
-	return &engine.Report{Algorithm: Name, Patterns: toPatterns(res), Stopped: res.Stopped}, nil
+	rep := mineRange(ctx, d, opts.ResolveMinCount(d), opts, lo, hi)
+	rep.Algorithm = Name
+	return rep, nil
 }
 
 // MergeShards implements engine.Sharder: per-header-item subtrees are

@@ -25,60 +25,28 @@ import (
 	"repro/internal/itemset"
 )
 
-// ItemsetCount is a frequent itemset with its support count. FP-growth is a
-// horizontal miner, so unlike the vertical miners it reports counts rather
-// than materialized TID sets.
-type ItemsetCount struct {
-	Items itemset.Itemset
-	Count int
-}
-
-// Options configures a mining run.
-type Options struct {
-	MinCount    int             // absolute minimum support count (≥ 1)
-	MaxSize     int             // only report itemsets up to this size; 0 = unbounded
-	Parallelism int             // worker goroutines; 0 = all CPUs; results identical for any value
-	Observer    engine.Observer // optional progress events, every engine.ProgressStride nodes
-}
-
-// Result is the outcome of a mining run.
-type Result struct {
-	Itemsets []ItemsetCount
-	Stopped  bool
-}
-
-// Mine returns the complete set of frequent itemsets of d with support
-// count at least minCount.
-func Mine(d *dataset.Dataset, minCount int) *Result {
-	return MineOpts(context.Background(), d, Options{MinCount: minCount})
-}
-
-// MineOpts runs FP-growth under the given options. Cancellation is polled
-// on ctx at every conditional-tree node; a canceled run returns the
-// itemsets found so far with Stopped=true.
-func MineOpts(ctx context.Context, d *dataset.Dataset, opts Options) *Result {
-	return mineRange(ctx, d, opts, 0, -1)
-}
-
-// mineRange mines the root header items [lo, hi); hi < 0 selects all of
-// them. It backs both MineOpts and the engine.Sharder adapter. A
-// single-path root is one task unit: the only valid shard is [0, 1) and
-// it runs the whole combination enumeration.
-func mineRange(ctx context.Context, d *dataset.Dataset, opts Options, lo, hi int) *Result {
-	if opts.MinCount < 1 {
-		opts.MinCount = 1
-	}
-	res := &Result{}
-	tree := fptree.Build(d, opts.MinCount)
+// mineRange mines the root header items [lo, hi) at the resolved
+// threshold minCount (≥ 1); hi < 0 selects all of them. It backs both the
+// registered Mine and the engine.Sharder adapter. A single-path root is
+// one task unit: the only valid shard is [0, 1) and it runs the whole
+// combination enumeration. FP-growth is a horizontal miner, so the
+// patterns carry memoized support counts but nil TID sets. Cancellation
+// is polled on ctx at every conditional-tree node; a canceled run returns
+// the itemsets found so far with Stopped=true.
+func mineRange(ctx context.Context, d *dataset.Dataset, minCount int, opts engine.Options, lo, hi int) *engine.Report {
+	rep := &engine.Report{}
+	tree := fptree.Build(d, minCount)
 	meter := engine.NewMeter(ctx, Name, opts.Observer)
+	newMiner := func(res *engine.Report) *miner {
+		return &miner{meter: meter, minCount: minCount, maxSize: opts.MaxSize, res: res}
+	}
 
 	if path := tree.SinglePath(); path != nil {
 		// Degenerate root: all patterns are sub-combinations of one chain.
-		m := &miner{meter: meter, opts: opts, res: res}
+		m := newMiner(rep)
 		if !m.visit(0) {
 			m.combinations(path, nil)
 		}
-		res.Stopped = m.res.Stopped
 	} else {
 		// One task per root header item — the roots of the conditional
 		// trees; the shared parent tree is read-only across workers.
@@ -86,11 +54,10 @@ func mineRange(ctx context.Context, d *dataset.Dataset, opts Options, lo, hi int
 		if hi < 0 {
 			hi = len(items)
 		}
-		perTask := make([]*Result, hi-lo)
+		perTask := make([]*engine.Report, hi-lo)
 		stopped := engine.Tasks(ctx, engine.Workers(opts.Parallelism), hi-lo, func(_, task int) {
-			sub := &Result{}
-			m := &miner{meter: meter, opts: opts, res: sub}
-			m.growFrom(tree, nil, items[lo+task])
+			sub := &engine.Report{}
+			newMiner(sub).growFrom(tree, nil, items[lo+task])
 			perTask[task] = sub
 		})
 		for _, sub := range perTask {
@@ -98,22 +65,23 @@ func mineRange(ctx context.Context, d *dataset.Dataset, opts Options, lo, hi int
 				stopped = true // abandoned after cancellation
 				continue
 			}
-			res.Itemsets = append(res.Itemsets, sub.Itemsets...)
+			rep.Patterns = append(rep.Patterns, sub.Patterns...)
 			stopped = stopped || sub.Stopped
 		}
-		res.Stopped = stopped
+		rep.Stopped = stopped
 	}
 	// Deterministic presentation order.
-	sort.Slice(res.Itemsets, func(i, j int) bool {
-		return itemset.Compare(res.Itemsets[i].Items, res.Itemsets[j].Items) < 0
+	sort.Slice(rep.Patterns, func(i, j int) bool {
+		return itemset.Compare(rep.Patterns[i].Items, rep.Patterns[j].Items) < 0
 	})
-	return res
+	return rep
 }
 
 type miner struct {
-	meter *engine.Meter
-	opts  Options
-	res   *Result
+	meter    *engine.Meter
+	minCount int
+	maxSize  int // 0 = unbounded
+	res      *engine.Report
 }
 
 // visit records one conditional-tree node with the meter and latches
@@ -126,11 +94,11 @@ func (m *miner) visit(newPatterns int) bool {
 }
 
 func (m *miner) emit(items itemset.Itemset, count int) {
-	if m.opts.MaxSize > 0 && len(items) > m.opts.MaxSize {
+	if m.maxSize > 0 && len(items) > m.maxSize {
 		return
 	}
 	m.meter.Emitted(1)
-	m.res.Itemsets = append(m.res.Itemsets, ItemsetCount{Items: items, Count: count})
+	m.res.Patterns = append(m.res.Patterns, dataset.NewPatternCounted(items, nil, count))
 }
 
 // grow mines tree conditioned on suffix (the itemset accumulated so far).
@@ -138,7 +106,7 @@ func (m *miner) grow(tree *fptree.Tree, suffix itemset.Itemset) {
 	if m.visit(0) {
 		return
 	}
-	if m.opts.MaxSize > 0 && len(suffix) >= m.opts.MaxSize {
+	if m.maxSize > 0 && len(suffix) >= m.maxSize {
 		return
 	}
 	if path := tree.SinglePath(); path != nil {
@@ -162,15 +130,15 @@ func (m *miner) growFrom(tree *fptree.Tree, suffix itemset.Itemset, item int) {
 		return
 	}
 	count := tree.Counts[item]
-	if count < m.opts.MinCount {
+	if count < m.minCount {
 		return
 	}
 	newSuffix := suffix.Add(item)
 	m.emit(newSuffix, count)
-	if m.opts.MaxSize > 0 && len(newSuffix) >= m.opts.MaxSize {
+	if m.maxSize > 0 && len(newSuffix) >= m.maxSize {
 		return
 	}
-	cond := tree.ConditionalTree(item, m.opts.MinCount)
+	cond := tree.ConditionalTree(item, m.minCount)
 	if !cond.Empty() {
 		m.grow(cond, newSuffix)
 	}
@@ -181,8 +149,8 @@ func (m *miner) growFrom(tree *fptree.Tree, suffix itemset.Itemset, item int) {
 func (m *miner) combinations(path []*fptree.Node, suffix itemset.Itemset) {
 	n := len(path)
 	limit := n
-	if m.opts.MaxSize > 0 {
-		budget := m.opts.MaxSize - len(suffix)
+	if m.maxSize > 0 {
+		budget := m.maxSize - len(suffix)
 		if budget < limit {
 			limit = budget
 		}

@@ -6,20 +6,18 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/minertest"
 	"repro/internal/rng"
 )
 
-func toMap(res *Result) (map[string]int, bool) {
-	out := make(map[string]int, len(res.Itemsets))
-	for _, ic := range res.Itemsets {
-		k := ic.Items.Key()
-		if _, dup := out[k]; dup {
-			return out, false
-		}
-		out[k] = ic.Count
-	}
-	return out, true
+func mine(t *testing.T, d *dataset.Dataset, opts engine.Options) *engine.Report {
+	t.Helper()
+	return minertest.Mine(t, context.Background(), Name, d, opts)
+}
+
+func toMap(rep *engine.Report) (map[string]int, bool) {
+	return minertest.PatternsToMap(rep.Patterns)
 }
 
 func TestMineCompleteSmall(t *testing.T) {
@@ -29,7 +27,7 @@ func TestMineCompleteSmall(t *testing.T) {
 		{0, 2, 4},
 		{0, 1, 2, 3, 4},
 	})
-	got, noDup := toMap(Mine(d, 2))
+	got, noDup := toMap(mine(t, d, engine.Options{MinCount: 2}))
 	if !noDup {
 		t.Fatal("duplicate itemsets in FP-growth output")
 	}
@@ -44,7 +42,7 @@ func TestMineAgainstBruteForceRandom(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		d := datagen.Random(r.Split(), 5+r.Intn(30), 3+r.Intn(8), 0.35+r.Float64()*0.3)
 		minCount := 1 + r.Intn(4)
-		got, noDup := toMap(Mine(d, minCount))
+		got, noDup := toMap(mine(t, d, engine.Options{MinCount: minCount}))
 		if !noDup {
 			t.Fatalf("trial %d: duplicates", trial)
 		}
@@ -63,7 +61,7 @@ func TestSinglePathShortCircuit(t *testing.T) {
 		{0, 1, 2},
 		{0, 1, 2, 3},
 	})
-	got, _ := toMap(Mine(d, 1))
+	got, _ := toMap(mine(t, d, engine.Options{MinCount: 1}))
 	want := minertest.BruteForceFrequent(d, 1)
 	if !minertest.SameMap(got, want) {
 		t.Fatalf("single-path mining wrong: %d vs %d", len(got), len(want))
@@ -73,10 +71,10 @@ func TestSinglePathShortCircuit(t *testing.T) {
 func TestMaxSize(t *testing.T) {
 	r := rng.New(5)
 	d := datagen.Random(r, 25, 8, 0.5)
-	res := MineOpts(context.Background(), d, Options{MinCount: 2, MaxSize: 2})
-	for _, ic := range res.Itemsets {
-		if len(ic.Items) > 2 {
-			t.Fatalf("itemset %v exceeds MaxSize", ic.Items)
+	res := mine(t, d, engine.Options{MinCount: 2, MaxSize: 2})
+	for _, p := range res.Patterns {
+		if len(p.Items) > 2 {
+			t.Fatalf("itemset %v exceeds MaxSize", p.Items)
 		}
 	}
 	// It must still contain every frequent itemset of size ≤ 2.
@@ -95,28 +93,28 @@ func TestMaxSize(t *testing.T) {
 			}
 		}
 	}
-	if len(res.Itemsets) != want {
-		t.Fatalf("MaxSize mining found %d, want %d", len(res.Itemsets), want)
+	if len(res.Patterns) != want {
+		t.Fatalf("MaxSize mining found %d, want %d", len(res.Patterns), want)
 	}
 }
 
 func TestEmptyDataset(t *testing.T) {
 	d := dataset.MustNew(nil)
-	if got := Mine(d, 1).Itemsets; len(got) != 0 {
+	if got := mine(t, d, engine.Options{MinCount: 1}).Patterns; len(got) != 0 {
 		t.Fatalf("empty dataset yielded %d itemsets", len(got))
 	}
 }
 
 func TestHighThresholdYieldsNothing(t *testing.T) {
 	d := dataset.MustNew([][]int{{0, 1}, {1, 2}})
-	if got := Mine(d, 3).Itemsets; len(got) != 0 {
+	if got := mine(t, d, engine.Options{MinCount: 3}).Patterns; len(got) != 0 {
 		t.Fatalf("impossible threshold yielded %v", got)
 	}
 }
 
 func TestDuplicateTransactions(t *testing.T) {
 	d := dataset.MustNew([][]int{{0, 1}, {0, 1}, {0, 1}})
-	got, _ := toMap(Mine(d, 3))
+	got, _ := toMap(mine(t, d, engine.Options{MinCount: 3}))
 	if got["0,1"] != 3 || got["0"] != 3 || got["1"] != 3 || len(got) != 3 {
 		t.Fatalf("duplicate transactions mined wrong: %v", got)
 	}
@@ -124,7 +122,7 @@ func TestDuplicateTransactions(t *testing.T) {
 
 func TestCancellation(t *testing.T) {
 	d := datagen.Diag(18)
-	res := MineOpts(minertest.CancelAfter(3), d, Options{MinCount: 1})
+	res := minertest.Mine(t, minertest.CancelAfter(3), Name, d, engine.Options{MinCount: 1})
 	if !res.Stopped {
 		t.Fatal("cancellation not honored")
 	}

@@ -21,24 +21,22 @@ func (algorithm) Name() string { return Name }
 // the resolved support threshold, mined on Options.Parallelism workers.
 func (algorithm) Mine(ctx context.Context, d *dataset.Dataset, opts engine.Options) (*engine.Report, error) {
 	return engine.Run(Name, opts, engine.Uses{}, func() (*engine.Report, error) {
-		res := MineOpts(ctx, d, minerOptions(d, opts))
-		return &engine.Report{Patterns: res.Patterns, Visited: res.Visited, Stopped: res.Stopped}, nil
+		rep, candidates, handled := mineRange(ctx, d, opts.ResolveMinCount(d), opts, 0, -1)
+		if !handled {
+			// Task-local MFIs only prune within their own subtree; the
+			// earliest-wins filter removes the cross-subtree subsumptions a
+			// shared MFI would have caught, restoring the sequential answer
+			// exactly.
+			rep.Patterns = filterSubsumed(d, candidates)
+		}
+		return rep, nil
 	})
-}
-
-// minerOptions maps engine options onto this package's option set.
-func minerOptions(d *dataset.Dataset, opts engine.Options) Options {
-	return Options{
-		MinCount:    opts.ResolveMinCount(d),
-		Parallelism: opts.Parallelism,
-		Observer:    opts.Observer,
-	}
 }
 
 // ShardUnits implements engine.Sharder: one task unit per surviving
 // root extension, or 0 when the root node handles the run outright.
 func (algorithm) ShardUnits(d *dataset.Dataset, opts engine.Options) int {
-	return rootUnits(d, Options{MinCount: opts.ResolveMinCount(d)})
+	return rootUnits(d, opts.ResolveMinCount(d))
 }
 
 // MineShard implements engine.Sharder: mines the subtrees of root
@@ -50,8 +48,10 @@ func (a algorithm) MineShard(ctx context.Context, d *dataset.Dataset, opts engin
 	if err := engine.ValidateShard(Name, opts, lo, hi, a.ShardUnits(d, opts)); err != nil {
 		return nil, err
 	}
-	res, candidates, _ := mineRange(ctx, d, minerOptions(d, opts), lo, hi)
-	return &engine.Report{Algorithm: Name, Patterns: candidates, Visited: res.Visited, Stopped: res.Stopped}, nil
+	rep, candidates, _ := mineRange(ctx, d, opts.ResolveMinCount(d), opts, lo, hi)
+	rep.Algorithm = Name
+	rep.Patterns = candidates
+	return rep, nil
 }
 
 // MergeShards implements engine.Sharder: concatenate the raw candidate

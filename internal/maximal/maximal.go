@@ -45,43 +45,10 @@ import (
 	"repro/internal/tidset"
 )
 
-// Options configures a mining run.
-type Options struct {
-	MinCount    int             // absolute minimum support count (≥ 1)
-	Parallelism int             // worker goroutines; 0 = all CPUs; results identical for any value
-	Observer    engine.Observer // optional progress events, every engine.ProgressStride nodes
-}
-
-// Result is the outcome of a mining run.
-type Result struct {
-	Patterns []*dataset.Pattern // the maximal frequent patterns
-	Visited  int                // search nodes explored
-	Stopped  bool               // true if the run was canceled; Patterns is then partial
-}
-
-// Mine returns all maximal frequent patterns of d with support count at
-// least minCount.
-func Mine(d *dataset.Dataset, minCount int) *Result {
-	return MineOpts(context.Background(), d, Options{MinCount: minCount})
-}
-
-// MineOpts runs the maximal miner under the given options. Cancellation is
-// polled on ctx at every search node; a canceled run returns the patterns
-// found so far with Stopped=true.
-func MineOpts(ctx context.Context, d *dataset.Dataset, opts Options) *Result {
-	res, candidates, handled := mineRange(ctx, d, opts, 0, -1)
-	if handled {
-		return res
-	}
-	// Task-local MFIs only prune within their own subtree; the earliest-
-	// wins filter removes the cross-subtree subsumptions a shared MFI
-	// would have caught, restoring the sequential answer exactly.
-	res.Patterns = filterSubsumed(d, candidates)
-	return res
-}
-
 // mineRange runs the root node and the task subtrees of root extensions
-// [lo, hi); hi < 0 selects all of them. A degenerate run — no frequent
+// [lo, hi) at the resolved threshold minCount (≥ 1); hi < 0 selects all
+// of them. Cancellation is polled on ctx at every search node; a canceled
+// run returns the patterns found so far with Stopped=true. A degenerate run — no frequent
 // items, or a root handled without recursion — returns the completed
 // result with handled=true. Otherwise the result carries counters only
 // and the raw task-order candidate stream comes back separately, NOT yet
@@ -89,18 +56,11 @@ func MineOpts(ctx context.Context, d *dataset.Dataset, opts Options) *Result {
 // consecutive ranges before one global filterSubsumed, which restores
 // the shared-MFI answer exactly. The root node's visit count belongs to
 // the lo == 0 range only.
-func mineRange(ctx context.Context, d *dataset.Dataset, opts Options, lo, hi int) (*Result, []*dataset.Pattern, bool) {
-	if opts.MinCount < 1 {
-		opts.MinCount = 1
-	}
+func mineRange(ctx context.Context, d *dataset.Dataset, minCount int, opts engine.Options, lo, hi int) (*engine.Report, []*dataset.Pattern, bool) {
 	meter := engine.NewMeter(ctx, Name, opts.Observer)
-	root := &miner{meter: meter, d: d, opts: opts, res: &Result{}, sc: newScratch(d)}
+	root := &miner{meter: meter, d: d, minCount: minCount, res: &engine.Report{}, sc: newScratch(d)}
 
-	var tail []extension
-	for _, item := range d.FrequentItems(opts.MinCount) {
-		tids := d.ItemTIDs(item)
-		tail = append(tail, extension{item: item, tids: tids, sup: tids.Count()})
-	}
+	tail := frequentTail(d, minCount)
 	if len(tail) == 0 {
 		return root.res, nil, true
 	}
@@ -119,16 +79,16 @@ func mineRange(ctx context.Context, d *dataset.Dataset, opts Options, lo, hi int
 	if hi < 0 {
 		hi = len(exts)
 	}
-	res := &Result{}
+	res := &engine.Report{}
 	if lo == 0 {
 		res.Visited = root.res.Visited
 	}
-	perTask := make([]*Result, hi-lo)
+	perTask := make([]*engine.Report, hi-lo)
 	stopped := engine.TasksWithScratch(ctx, engine.Workers(opts.Parallelism), hi-lo,
 		func() *scratch { return newScratch(d) },
 		func(sc *scratch, task int) {
 			t := lo + task
-			sub := &miner{meter: meter, d: d, opts: opts, res: &Result{}, sc: sc}
+			sub := &miner{meter: meter, d: d, minCount: minCount, res: &engine.Report{}, sc: sc}
 			sub.search(head.Add(exts[t].item), exts[t].tids, exts[t+1:])
 			perTask[task] = sub.res
 		})
@@ -149,17 +109,10 @@ func mineRange(ctx context.Context, d *dataset.Dataset, opts Options, lo, hi int
 // rootUnits runs the root node alone and returns its surviving extension
 // count — the shardable task-unit count — or 0 for runs the root handles
 // outright (no frequent items, PEP/FHUT/HUTMFI closing the whole tree).
-func rootUnits(d *dataset.Dataset, opts Options) int {
-	if opts.MinCount < 1 {
-		opts.MinCount = 1
-	}
+func rootUnits(d *dataset.Dataset, minCount int) int {
 	root := &miner{meter: engine.NewMeter(context.Background(), Name, nil),
-		d: d, opts: opts, res: &Result{}, sc: newScratch(d)}
-	var tail []extension
-	for _, item := range d.FrequentItems(opts.MinCount) {
-		tids := d.ItemTIDs(item)
-		tail = append(tail, extension{item: item, tids: tids, sup: tids.Count()})
-	}
+		d: d, minCount: minCount, res: &engine.Report{}, sc: newScratch(d)}
+	tail := frequentTail(d, minCount)
 	if len(tail) == 0 {
 		return 0
 	}
@@ -168,6 +121,17 @@ func rootUnits(d *dataset.Dataset, opts Options) int {
 		return 0
 	}
 	return len(exts)
+}
+
+// frequentTail is the root's candidate extension list: the frequent
+// single items in item order, with their dataset-owned TID sets.
+func frequentTail(d *dataset.Dataset, minCount int) []extension {
+	var tail []extension
+	for _, item := range d.FrequentItems(minCount) {
+		tids := d.ItemTIDs(item)
+		tail = append(tail, extension{item: item, tids: tids, sup: tids.Count()})
+	}
+	return tail
 }
 
 // filterSubsumed keeps, in order, every candidate not contained in an
@@ -204,11 +168,11 @@ type extension struct {
 }
 
 type miner struct {
-	meter *engine.Meter
-	d     *dataset.Dataset
-	opts  Options
-	res   *Result
-	sc    *scratch
+	meter    *engine.Meter
+	d        *dataset.Dataset
+	minCount int
+	res      *engine.Report
+	sc       *scratch
 	// mfi is the list of maximal sets this miner has found so far, each
 	// with an item bitset for fast subset tests. In a parallel run every
 	// task owns its own miner, so the table is task-local by construction.
@@ -314,8 +278,8 @@ func (m *miner) search(head itemset.Itemset, tids *tidset.Set, tail []extension)
 // gathering with PEP absorption, leaf recording, the HUTMFI subsumption
 // prune, the FHUT lookahead, and dynamic reordering — and returns the
 // (possibly PEP-grown) head with its reordered extensions. handled=true
-// means the node completed without needing to recurse; MineOpts uses the
-// root node's extensions as the parallel task units.
+// means the node completed without needing to recurse; mineRange uses
+// the root node's extensions as the parallel task units.
 func (m *miner) node(head itemset.Itemset, tids *tidset.Set, tail []extension) (itemset.Itemset, []extension, bool) {
 	// Compute frequent extensions relative to head; PEP-absorb equal-support
 	// ones directly into the head. Extension tidsets are pooled scratch
@@ -326,7 +290,7 @@ func (m *miner) node(head itemset.Itemset, tids *tidset.Set, tail []extension) (
 		sub := m.sc.pool.Get()
 		sub.AndOf(tids, e.tids)
 		c := sub.Count()
-		if c < m.opts.MinCount {
+		if c < m.minCount {
 			m.sc.pool.Put(sub)
 			continue
 		}
@@ -364,7 +328,7 @@ func (m *miner) node(head itemset.Itemset, tids *tidset.Set, tail []extension) (
 	frequent := true
 	for _, e := range exts {
 		hutTids.InPlaceAnd(e.tids)
-		if hutSup = hutTids.Count(); hutSup < m.opts.MinCount {
+		if hutSup = hutTids.Count(); hutSup < m.minCount {
 			frequent = false
 			break
 		}

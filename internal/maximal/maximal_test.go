@@ -1,21 +1,30 @@
 package maximal
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/itemset"
 	"repro/internal/minertest"
 	"repro/internal/rng"
 )
+
+// mine runs the maximal miner through the engine at the given support
+// count.
+func mine(t *testing.T, d *dataset.Dataset, minCount int) *engine.Report {
+	t.Helper()
+	return minertest.Mine(t, context.Background(), Name, d, engine.Options{MinCount: minCount})
+}
 
 func TestMaximalAgainstBruteForceRandom(t *testing.T) {
 	r := rng.New(777)
 	for trial := 0; trial < 30; trial++ {
 		d := datagen.Random(r.Split(), 5+r.Intn(25), 3+r.Intn(8), 0.3+r.Float64()*0.4)
 		minCount := 1 + r.Intn(4)
-		res := Mine(d, minCount)
+		res := mine(t, d, minCount)
 		got, noDup := minertest.PatternsToMap(res.Patterns)
 		if !noDup {
 			t.Fatalf("trial %d: duplicate maximal patterns", trial)
@@ -31,7 +40,7 @@ func TestMaximalAgainstBruteForceRandom(t *testing.T) {
 func TestAllOutputsAreMaximal(t *testing.T) {
 	r := rng.New(778)
 	d := datagen.Random(r, 40, 9, 0.45)
-	for _, p := range Mine(d, 3).Patterns {
+	for _, p := range mine(t, d, 3).Patterns {
 		if !IsMaximal(d, p.Items, 3) {
 			t.Fatalf("miner emitted non-maximal pattern %v", p.Items)
 		}
@@ -44,7 +53,7 @@ func TestDiagMaximalCount(t *testing.T) {
 	// C(n, n/2) of them.
 	for _, n := range []int{4, 6, 8, 10} {
 		d := datagen.Diag(n)
-		res := Mine(d, n/2)
+		res := mine(t, d, n/2)
 		want := binomial(n, n/2)
 		if len(res.Patterns) != want {
 			t.Fatalf("Diag%d: %d maximal patterns, want C(%d,%d)=%d",
@@ -74,7 +83,7 @@ func TestDiagPlusFindsColossal(t *testing.T) {
 	// fresh 11-item pattern, σ count = 6. The colossal pattern must appear
 	// among the maximal patterns.
 	d := datagen.DiagPlus(12, 6, 11)
-	res := Mine(d, 6)
+	res := mine(t, d, 6)
 	colossal := itemset.Canonical(datagen.DiagColossal(12, 11))
 	found := false
 	for _, p := range res.Patterns {
@@ -104,11 +113,11 @@ func TestIsMaximal(t *testing.T) {
 }
 
 func TestDegenerate(t *testing.T) {
-	if got := Mine(dataset.MustNew(nil), 1).Patterns; len(got) != 0 {
+	if got := mine(t, dataset.MustNew(nil), 1).Patterns; len(got) != 0 {
 		t.Fatalf("empty dataset: %d patterns", len(got))
 	}
 	d := dataset.MustNew([][]int{{0, 1, 2}})
-	got := Mine(d, 1).Patterns
+	got := mine(t, d, 1).Patterns
 	if len(got) != 1 || got[0].Items.Key() != "0,1,2" {
 		t.Fatalf("single transaction: %v", got)
 	}
@@ -116,7 +125,7 @@ func TestDegenerate(t *testing.T) {
 
 func TestCancellationReturnsPartial(t *testing.T) {
 	d := datagen.Diag(24)
-	res := MineOpts(minertest.CancelAfter(50), d, Options{MinCount: 12})
+	res := minertest.Mine(t, minertest.CancelAfter(50), Name, d, engine.Options{MinCount: 12})
 	if !res.Stopped {
 		t.Fatal("cancellation not honored")
 	}
@@ -124,8 +133,8 @@ func TestCancellationReturnsPartial(t *testing.T) {
 
 func TestVisitedGrowsWithDiagSize(t *testing.T) {
 	// The exponential blow-up of Figure 6, observed through node counts.
-	v10 := Mine(datagen.Diag(10), 5).Visited
-	v14 := Mine(datagen.Diag(14), 7).Visited
+	v10 := mine(t, datagen.Diag(10), 5).Visited
+	v14 := mine(t, datagen.Diag(14), 7).Visited
 	if v14 <= v10 {
 		t.Fatalf("expected node explosion: Diag10=%d, Diag14=%d", v10, v14)
 	}

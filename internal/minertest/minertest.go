@@ -7,11 +7,29 @@ package minertest
 import (
 	"context"
 	"sync/atomic"
+	"testing"
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/itemset"
 )
+
+// Mine runs the registered algorithm name on d under opts through the
+// engine — the only mining entry point — failing t on an error. The
+// algorithm's package must be linked into the test binary.
+func Mine(t testing.TB, ctx context.Context, name string, d *dataset.Dataset, opts engine.Options) *engine.Report {
+	t.Helper()
+	alg, err := engine.Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := alg.Mine(ctx, d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
 
 // CancelAfter returns a Context whose Err flips to context.Canceled after
 // it has been polled n times — the test-side replacement for the old

@@ -8,6 +8,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/dataset"
+	"repro/internal/engine"
+	"repro/internal/minertest"
 	"repro/internal/quality"
 )
 
@@ -25,13 +27,8 @@ func TestReplaceDeltaGolden(t *testing.T) {
 		t.Skip("full Replace mine is slow")
 	}
 	d, planted := datagen.Replace(1)
-	cfg := core.DefaultConfig(100, 0.03)
-	cfg.Seed = 1
-	cfg.Parallelism = 1
-	res, err := core.Mine(context.Background(), d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := minertest.Mine(t, context.Background(), core.Name, d,
+		engine.Options{K: 100, MinSupport: 0.03, Seed: 1, Parallelism: 1})
 	p := dataset.Itemsets(res.Patterns)
 
 	rec := quality.ExactRecall(p, planted)

@@ -18,19 +18,17 @@
 //     subsequence, which is the colossal-pattern regime this package
 //     targets.
 //
-// The mining loop mirrors internal/core: an initial pool of short frequent
-// subsequences (1- and 2-grams), then iterative fusion of r(τ)-balls around
-// K random seeds until at most K patterns remain.
+// The mining loop built on this algebra is the registered "seqfusion"
+// engine algorithm (internal/seqfusion); this package holds only the
+// algebra.
 package seq
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
 	"repro/internal/bitset"
-	"repro/internal/rng"
 )
 
 // Sequence is an ordered list of event IDs; repeats are allowed.
@@ -270,173 +268,3 @@ func (p *Pattern) Support() int { return p.TIDs.Count() }
 
 // String renders the pattern as "<...>:support".
 func (p *Pattern) String() string { return fmt.Sprintf("%v:%d", p.Seq, p.Support()) }
-
-// Config parameterizes a sequence Pattern-Fusion run.
-type Config struct {
-	K             int     // maximum number of patterns to mine
-	Tau           float64 // core ratio τ ∈ (0,1]
-	MinCount      int     // absolute minimum support count
-	MaxBallSize   int     // bound on the per-seed CoreList (0 = unbounded)
-	MaxIterations int
-	Seed          uint64
-}
-
-// DefaultConfig mirrors the itemset defaults.
-func DefaultConfig(k, minCount int) Config {
-	return Config{K: k, Tau: 0.5, MinCount: minCount, MaxBallSize: 1024, MaxIterations: 32, Seed: 1}
-}
-
-// Result is the outcome of a sequence Pattern-Fusion run.
-type Result struct {
-	Patterns     []*Pattern
-	InitPoolSize int
-	Iterations   int
-}
-
-// Mine runs Pattern-Fusion for sequences: the initial pool is the complete
-// set of frequent 1- and 2-grams (contiguous bigrams suffice to seed the
-// balls: every colossal subsequence contains many frequent bigrams), then
-// iterative ball fusion via support-set closures.
-func Mine(d *Dataset, cfg Config) (*Result, error) {
-	if cfg.K < 1 {
-		return nil, fmt.Errorf("seq: K must be >= 1, got %d", cfg.K)
-	}
-	if cfg.Tau <= 0 || cfg.Tau > 1 {
-		return nil, fmt.Errorf("seq: Tau must be in (0,1], got %v", cfg.Tau)
-	}
-	if cfg.MinCount < 1 {
-		cfg.MinCount = 1
-	}
-	if cfg.MaxIterations < 1 {
-		cfg.MaxIterations = 32
-	}
-	r := rng.New(cfg.Seed)
-	res := &Result{}
-
-	pool := initialPool(d, cfg.MinCount)
-	res.InitPoolSize = len(pool)
-	radius := 1 - 1/(2/cfg.Tau-1)
-
-	prevKey := poolKey(pool)
-	for len(pool) > cfg.K && res.Iterations < cfg.MaxIterations {
-		pool = fusionStep(d, pool, cfg, radius, r)
-		res.Iterations++
-		key := poolKey(pool)
-		if key == prevKey {
-			break
-		}
-		prevKey = key
-	}
-	sort.Slice(pool, func(i, j int) bool {
-		if len(pool[i].Seq) != len(pool[j].Seq) {
-			return len(pool[i].Seq) > len(pool[j].Seq)
-		}
-		return pool[i].Seq.Key() < pool[j].Seq.Key()
-	})
-	if len(pool) > cfg.K {
-		pool = pool[:cfg.K]
-	}
-	res.Patterns = pool
-	return res, nil
-}
-
-// initialPool mines all frequent unigrams and contiguous bigrams.
-func initialPool(d *Dataset, minCount int) []*Pattern {
-	var pool []*Pattern
-	seen := make(map[string]bool)
-	for e := 0; e < d.numEvents; e++ {
-		if d.eventTIDs[e].Count() >= minCount {
-			p := Sequence{e}
-			pool = append(pool, &Pattern{Seq: p, TIDs: d.TIDSet(p)})
-			seen[p.Key()] = true
-		}
-	}
-	for tid := 0; tid < d.Size(); tid++ {
-		s := d.seqs[tid]
-		for i := 0; i+1 < len(s); i++ {
-			bi := Sequence{s[i], s[i+1]}
-			if seen[bi.Key()] {
-				continue
-			}
-			seen[bi.Key()] = true
-			tids := d.TIDSet(bi)
-			if tids.Count() >= minCount {
-				pool = append(pool, &Pattern{Seq: bi, TIDs: tids})
-			}
-		}
-	}
-	return pool
-}
-
-func fusionStep(d *Dataset, pool []*Pattern, cfg Config, radius float64, r *rng.RNG) []*Pattern {
-	next := make(map[string]*Pattern)
-	add := func(p *Pattern) {
-		if len(p.Seq) == 0 {
-			return
-		}
-		next[p.Seq.Key()] = p
-	}
-	for _, si := range r.SampleInts(len(pool), cfg.K) {
-		seed := pool[si]
-		// Seed closure: the longest subsequence common to the seed's
-		// support set (the exact analogue of itemset closure).
-		if c := d.FoldClosure(seed.TIDs); len(c) > 0 {
-			add(&Pattern{Seq: c, TIDs: seed.TIDs.Clone()})
-		}
-		// Ball fusion: intersect support sets of in-ball members while the
-		// result stays frequent and every member stays a τ-core of it, then
-		// close the fused support set.
-		var ball []*Pattern
-		for _, p := range pool {
-			if p != seed && seed.TIDs.Distance(p.TIDs) <= radius {
-				ball = append(ball, p)
-			}
-		}
-		if cfg.MaxBallSize > 0 && len(ball) > cfg.MaxBallSize {
-			sampled := make([]*Pattern, 0, cfg.MaxBallSize)
-			for _, i := range r.SampleInts(len(ball), cfg.MaxBallSize) {
-				sampled = append(sampled, ball[i])
-			}
-			ball = sampled
-		}
-		order := r.Perm(len(ball))
-		tids := seed.TIDs.Clone()
-		maxSup := tids.Count()
-		for _, bi := range order {
-			b := ball[bi]
-			nsup := tids.AndCount(b.TIDs)
-			if nsup < cfg.MinCount {
-				continue
-			}
-			limit := maxSup
-			if s := b.Support(); s > limit {
-				limit = s
-			}
-			if float64(nsup) < cfg.Tau*float64(limit) {
-				continue
-			}
-			tids.InPlaceAnd(b.TIDs)
-			if s := b.Support(); s > maxSup {
-				maxSup = s
-			}
-		}
-		if c := d.FoldClosure(tids); len(c) > 0 {
-			add(&Pattern{Seq: c, TIDs: d.TIDSet(c)})
-		}
-	}
-	out := make([]*Pattern, 0, len(next))
-	for _, p := range next {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq.Key() < out[j].Seq.Key() })
-	return out
-}
-
-func poolKey(pool []*Pattern) string {
-	keys := make([]string, len(pool))
-	for i, p := range pool {
-		keys[i] = p.Seq.Key()
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, ";")
-}

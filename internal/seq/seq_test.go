@@ -129,113 +129,3 @@ func TestFoldClosure(t *testing.T) {
 		t.Fatalf("closure = %v, want <1 2 3>", c)
 	}
 }
-
-// plantedDataset builds numSeqs sequences; frac of them embed the colossal
-// subsequence (with random noise events interleaved), the rest are noise.
-func plantedDataset(r *rng.RNG, numSeqs int, colossal Sequence, frac float64, alphabet int) *Dataset {
-	seqs := make([]Sequence, numSeqs)
-	for i := range seqs {
-		var s Sequence
-		if r.Float64() < frac {
-			for _, e := range colossal {
-				// Interleave 0-2 noise events before each colossal event.
-				for k := r.Intn(3); k > 0; k-- {
-					s = append(s, colossal[len(colossal)-1]+1+r.Intn(alphabet))
-				}
-				s = append(s, e)
-			}
-		} else {
-			l := 3 + r.Intn(10)
-			for j := 0; j < l; j++ {
-				s = append(s, colossal[len(colossal)-1]+1+r.Intn(alphabet))
-			}
-		}
-		seqs[i] = s
-	}
-	return MustNewDataset(seqs)
-}
-
-func TestMineRecoversPlantedColossalSequence(t *testing.T) {
-	r := rng.New(5)
-	colossal := Sequence{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
-	d := plantedDataset(r, 120, colossal, 0.4, 30)
-	cfg := DefaultConfig(10, 30)
-	res, err := Mine(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, p := range res.Patterns {
-		if p.Seq.Equal(colossal) {
-			found = true
-			if p.Support() < 30 {
-				t.Fatalf("colossal support %d below threshold", p.Support())
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("colossal subsequence not recovered; got %v", res.Patterns)
-	}
-	if len(res.Patterns) > cfg.K {
-		t.Fatalf("result exceeds K: %d", len(res.Patterns))
-	}
-}
-
-func TestMineResultsAreFrequentSubsequences(t *testing.T) {
-	r := rng.New(6)
-	colossal := Sequence{0, 1, 2, 3, 4, 5, 6, 7}
-	d := plantedDataset(r, 80, colossal, 0.5, 20)
-	res, err := Mine(d, DefaultConfig(8, 20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range res.Patterns {
-		tids := d.TIDSet(p.Seq)
-		if !tids.Equal(p.TIDs) {
-			t.Fatalf("pattern %v carries wrong support set", p.Seq)
-		}
-		if tids.Count() < 20 {
-			t.Fatalf("infrequent pattern %v (support %d)", p.Seq, tids.Count())
-		}
-	}
-}
-
-func TestMineValidation(t *testing.T) {
-	d := MustNewDataset([]Sequence{{1, 2}})
-	if _, err := Mine(d, Config{K: 0, Tau: 0.5, MinCount: 1}); err == nil {
-		t.Error("K=0 accepted")
-	}
-	if _, err := Mine(d, Config{K: 1, Tau: 0, MinCount: 1}); err == nil {
-		t.Error("Tau=0 accepted")
-	}
-}
-
-func TestMineEmptyDataset(t *testing.T) {
-	d := MustNewDataset(nil)
-	res, err := Mine(d, DefaultConfig(5, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Patterns) != 0 {
-		t.Fatalf("empty dataset yielded %d patterns", len(res.Patterns))
-	}
-}
-
-func TestMineDeterministic(t *testing.T) {
-	r := rng.New(7)
-	d := plantedDataset(r, 60, Sequence{0, 1, 2, 3, 4}, 0.5, 15)
-	run := func() string {
-		res, err := Mine(d, DefaultConfig(5, 15))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := ""
-		for _, p := range res.Patterns {
-			out += p.Seq.Key() + ";"
-		}
-		return out
-	}
-	if run() != run() {
-		t.Fatal("mining not deterministic for a fixed seed")
-	}
-}

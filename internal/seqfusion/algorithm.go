@@ -31,10 +31,7 @@ var uses = engine.Uses{K: true, Tau: true, Seed: true, MinSize: true}
 // PhaseStart event precedes the init-pool work.
 func (algorithm) Mine(ctx context.Context, d *dataset.Dataset, opts engine.Options) (*engine.Report, error) {
 	return engine.Run(Name, opts, uses, func() (*engine.Report, error) {
-		cfg, err := resolve(d, opts)
-		if err != nil {
-			return nil, err
-		}
+		cfg := resolve(d, opts)
 		part := mineShardRaw(ctx, d, opts, cfg, 0, cfg.k)
 		return mergeRaw(d, cfg, []*engine.Report{part}), nil
 	})
@@ -43,21 +40,14 @@ func (algorithm) Mine(ctx context.Context, d *dataset.Dataset, opts engine.Optio
 // ShardUnits implements engine.Sharder: one task unit per seed slot, so
 // the unit count is the resolved K — a pure function of Options alone.
 func (algorithm) ShardUnits(d *dataset.Dataset, opts engine.Options) int {
-	cfg, err := resolve(d, opts)
-	if err != nil {
-		return 0
-	}
-	return cfg.k
+	return resolve(d, opts).k
 }
 
 // MineShard implements engine.Sharder: mine seed slots [lo, hi) and
 // return the raw partial report (patterns in slot order, unsorted, no
 // warnings), with the pool build attributed to the lo == 0 shard.
 func (algorithm) MineShard(ctx context.Context, d *dataset.Dataset, opts engine.Options, lo, hi int) (*engine.Report, error) {
-	cfg, err := resolve(d, opts)
-	if err != nil {
-		return nil, err
-	}
+	cfg := resolve(d, opts)
 	if err := engine.ValidateShard(Name, opts, lo, hi, cfg.k); err != nil {
 		return nil, err
 	}
@@ -72,11 +62,7 @@ func (algorithm) MergeShards(d *dataset.Dataset, opts engine.Options, parts []*e
 		return nil, fmt.Errorf("engine: MergeShards(%s) needs at least one part", Name)
 	}
 	return engine.Run(Name, opts, uses, func() (*engine.Report, error) {
-		cfg, err := resolve(d, opts)
-		if err != nil {
-			return nil, err
-		}
-		return mergeRaw(d, cfg, parts), nil
+		return mergeRaw(d, resolve(d, opts), parts), nil
 	})
 }
 

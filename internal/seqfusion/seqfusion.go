@@ -4,9 +4,9 @@
 // algorithm in the registry, and the paper's Section 8 direction made
 // reachable from pfmine, pfserve and the distributed coordinator.
 //
-// The engine contract forces one structural change against seq.Mine's
-// iterative global pool shrinkage: reports must be byte-identical for
-// any Parallelism and for any shard cut, so the search is decomposed
+// The engine contract forces one structural change against the itemset
+// miner's iterative global pool shrinkage: reports must be byte-identical
+// for any Parallelism and for any shard cut, so the search is decomposed
 // into K independent *seed-slot trajectories* over a static initial
 // pool. Slot s derives its own rng.Stream(seed, s), picks a seed from
 // the pool of frequent 1- and 2-grams, and iterates ball fusion around
@@ -28,7 +28,6 @@ package seqfusion
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/bitset"
 	"repro/internal/dataset"
@@ -55,9 +54,10 @@ type config struct {
 	maxBall  int     // per-step ball size bound
 }
 
-// resolve maps engine options onto a validated config, with the same
+// resolve maps engine options (already range-checked by
+// engine.Options.Validate) onto a config, with the same
 // zero-means-default reading the fusion adapter uses.
-func resolve(d *dataset.Dataset, opts engine.Options) (config, error) {
+func resolve(d *dataset.Dataset, opts engine.Options) config {
 	cfg := config{
 		k:        opts.K,
 		tau:      opts.Tau,
@@ -76,17 +76,8 @@ func resolve(d *dataset.Dataset, opts engine.Options) (config, error) {
 	if cfg.seed == 0 {
 		cfg.seed = 1
 	}
-	if cfg.k < 1 {
-		return config{}, fmt.Errorf("seqfusion: K must be >= 1, got %d", cfg.k)
-	}
-	if cfg.tau <= 0 || cfg.tau > 1 {
-		return config{}, fmt.Errorf("seqfusion: Tau must be in (0,1], got %v", cfg.tau)
-	}
-	if cfg.minSize < 0 {
-		return config{}, fmt.Errorf("seqfusion: MinSize must be >= 0, got %d", cfg.minSize)
-	}
 	cfg.radius = 1 - 1/(2/cfg.tau-1)
-	return cfg, nil
+	return cfg
 }
 
 // sequenceView materializes the ordered view the sequence algebra needs:
@@ -112,8 +103,9 @@ func sequenceView(d *dataset.Dataset) *seq.Dataset {
 
 // initPool mines the static candidate pool: every frequent unigram in
 // event order, then every frequent contiguous bigram in first-occurrence
-// order — the same decomposition seq.Mine seeds its balls with, made
-// cancellable. On cancellation it returns the partial pool and true.
+// order — every colossal subsequence contains many frequent bigrams, so
+// they suffice to seed the balls. On cancellation it returns the partial
+// pool and true.
 func initPool(ctx context.Context, sd *seq.Dataset, minCount int) ([]*seq.Pattern, bool) {
 	var pool []*seq.Pattern
 	for e := 0; e < sd.NumEvents(); e++ {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/engine"
+	"repro/internal/rng"
 	"repro/internal/seq"
 	_ "repro/internal/seqfusion"
 )
@@ -134,4 +135,90 @@ func TestRepeatedEventsSurvive(t *testing.T) {
 		}
 	}
 	t.Fatalf("pattern <1 2 1> not mined; got %v", rep.Patterns)
+}
+
+// plantedDataset builds numSeqs sequences; frac of them embed the colossal
+// subsequence (with 0-2 random noise events interleaved before each of
+// its events), the rest are pure noise. Noise events are drawn above the
+// colossal alphabet.
+func plantedDataset(t *testing.T, r *rng.RNG, numSeqs int, colossal seq.Sequence, frac float64, alphabet int) *dataset.Dataset {
+	t.Helper()
+	noise := func() int { return colossal[len(colossal)-1] + 1 + r.Intn(alphabet) }
+	rows := make([][]int, numSeqs)
+	for i := range rows {
+		var s []int
+		if r.Float64() < frac {
+			for _, e := range colossal {
+				for k := r.Intn(3); k > 0; k-- {
+					s = append(s, noise())
+				}
+				s = append(s, e)
+			}
+		} else {
+			for j := 3 + r.Intn(10); j > 0; j-- {
+				s = append(s, noise())
+			}
+		}
+		rows[i] = s
+	}
+	return seqDataset(t, rows)
+}
+
+// TestRecoversPlantedColossalSequence is the recovery regression: a
+// 12-event subsequence planted in 40% of 120 noisy sequences must come
+// back exactly, with its full support, within K patterns.
+func TestRecoversPlantedColossalSequence(t *testing.T) {
+	colossal := seq.Sequence{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
+	d := plantedDataset(t, rng.New(5), 120, colossal, 0.4, 30)
+	rep := mineSeqfusion(t, d, engine.Options{K: 10, MinCount: 30})
+	if len(rep.Patterns) > 10 {
+		t.Fatalf("result exceeds K: %d", len(rep.Patterns))
+	}
+	want := seqDatasetView(d).SupportCount(colossal)
+	for _, p := range rep.Patterns {
+		if colossal.Equal(seq.Sequence(p.Items)) {
+			if p.Support() != want {
+				t.Fatalf("colossal support %d, want %d", p.Support(), want)
+			}
+			return
+		}
+	}
+	t.Fatalf("colossal subsequence not recovered; got %v", rep.Patterns)
+}
+
+// TestResultsAreFrequentSubsequences pins that every reported pattern is
+// a frequent subsequence carrying its exact support count.
+func TestResultsAreFrequentSubsequences(t *testing.T) {
+	d := plantedDataset(t, rng.New(6), 80, seq.Sequence{0, 1, 2, 3, 4, 5, 6, 7}, 0.5, 20)
+	rep := mineSeqfusion(t, d, engine.Options{K: 8, MinCount: 20})
+	sd := seqDatasetView(d)
+	for _, p := range rep.Patterns {
+		got := sd.SupportCount(seq.Sequence(p.Items))
+		if got != p.Support() {
+			t.Fatalf("pattern %v reports support %d, true support %d", p.Items, p.Support(), got)
+		}
+		if got < 20 {
+			t.Fatalf("infrequent pattern %v (support %d)", p.Items, got)
+		}
+	}
+}
+
+// TestEmptyDataset pins the degenerate input: no sequences, no patterns,
+// no error.
+func TestEmptyDataset(t *testing.T) {
+	rep := mineSeqfusion(t, seqDataset(t, nil), engine.Options{K: 5, MinCount: 1})
+	if len(rep.Patterns) != 0 {
+		t.Fatalf("empty dataset yielded %d patterns", len(rep.Patterns))
+	}
+}
+
+// seqDatasetView is the sequence algebra's view of d's attached rows, for
+// computing true subsequence supports.
+func seqDatasetView(d *dataset.Dataset) *seq.Dataset {
+	rows := d.Sequences()
+	seqs := make([]seq.Sequence, len(rows))
+	for i, row := range rows {
+		seqs[i] = seq.Sequence(row)
+	}
+	return seq.MustNewDataset(seqs)
 }

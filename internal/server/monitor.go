@@ -50,8 +50,8 @@ func (ms *MonitorSpec) validate() error {
 	if ms.Window < 0 {
 		return fmt.Errorf("server: monitor window must be >= 0, got %d", ms.Window)
 	}
-	if ms.Options.Parallelism < 0 {
-		return fmt.Errorf("server: monitor parallelism must be >= 0, got %d", ms.Options.Parallelism)
+	if err := ms.Options.engineOptions().Validate(); err != nil {
+		return err
 	}
 	if ms.Incremental && ms.Algorithm != "fusion" {
 		return fmt.Errorf("server: incremental monitors require the fusion algorithm, got %q", ms.Algorithm)

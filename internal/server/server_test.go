@@ -285,6 +285,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"diagplus rows overflow", `{"algorithm": "apriori", "dataset": {"generator": "diagplus", "n": 2, "extra_rows": 9223372036854775805, "extra_cols": 1}}`},
 		{"negative timeout", `{"algorithm": "fusion", "dataset": {"generator": "diag", "n": 10}, "timeout_ms": -1}`},
 		{"unknown field", `{"algorithm": "fusion", "dataset": {"generator": "diag", "n": 10}, "bogus": 1}`},
+		{"negative min_count", `{"algorithm": "eclat", "dataset": {"generator": "diag", "n": 10}, "options": {"min_count": -5}}`},
+		{"tau out of range", `{"algorithm": "fusion", "dataset": {"generator": "diag", "n": 10}, "options": {"tau": 1.5}}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

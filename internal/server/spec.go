@@ -87,8 +87,8 @@ func (s JobSpec) validate(cfg Config, cat *Catalog) error {
 	if s.TimeoutMS < 0 {
 		return fmt.Errorf("server: timeout_ms must be >= 0, got %d", s.TimeoutMS)
 	}
-	if s.Options.Parallelism < 0 {
-		return fmt.Errorf("server: parallelism must be >= 0, got %d", s.Options.Parallelism)
+	if err := s.Options.engineOptions().Validate(); err != nil {
+		return err
 	}
 	if s.Shard != nil {
 		if err := s.Shard.validate(s.Algorithm); err != nil {
@@ -412,7 +412,7 @@ func (ds DatasetSpec) build(cfg Config, cat *Catalog) (*dataset.Dataset, error) 
 // OptionsSpec is the JSON shape of engine.Options. Pool and KeepPool
 // expose the incremental warm start: "keep_pool": true returns a fusion
 // run's phase-1 pool in the job result's warm_seeds, and "pool" re-seeds
-// a later run from it (or from any itemset list) via MineFromPool — with
+// a later run from it (or from any itemset list), skipping phase 1 — with
 // an unchanged dataset the warm report is byte-identical to the cold run
 // that produced the pool. Warm pools are never persisted by the job
 // store; a restarted server re-mines cold.

@@ -3,7 +3,6 @@ package topk
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
@@ -24,36 +23,31 @@ func (algorithm) Name() string { return Name }
 // optional support floor.
 func (algorithm) Mine(ctx context.Context, d *dataset.Dataset, opts engine.Options) (*engine.Report, error) {
 	return engine.Run(Name, opts, engine.Uses{K: true, MinSize: true}, func() (*engine.Report, error) {
-		res := MineOpts(ctx, d, minerOptions(d, opts))
-		return &engine.Report{Patterns: res.Patterns, Visited: res.Visited, Stopped: res.Stopped}, nil
+		k, floor := resolve(d, opts)
+		return mineRange(ctx, d, k, floor, opts, 0, -1), nil
 	})
 }
 
-// minerOptions maps engine options onto this package's option set,
-// resolving the k default and the optional support floor.
-func minerOptions(d *dataset.Dataset, opts engine.Options) Options {
-	k := opts.K
+// resolve maps engine options onto TFP's k (default 100) and its optional
+// support floor (1 unless a support threshold is set).
+func resolve(d *dataset.Dataset, opts engine.Options) (k, floor int) {
+	k = opts.K
 	if k == 0 {
 		k = 100
 	}
-	floor := 1
+	floor = 1
 	if opts.MinCount > 0 || opts.MinSupport > 0 {
 		floor = opts.ResolveMinCount(d)
 	}
-	return Options{
-		K:           k,
-		MinLength:   opts.MinSize,
-		FloorMin:    floor,
-		Parallelism: opts.Parallelism,
-		Observer:    opts.Observer,
-	}
+	return k, floor
 }
 
 // ShardUnits implements engine.Sharder: one task unit per root-closure
 // candidate extension (computed by replaying the deterministic root
 // node), or 0 for runs the root handles outright.
 func (algorithm) ShardUnits(d *dataset.Dataset, opts engine.Options) int {
-	return rootUnits(d, minerOptions(d, opts))
+	k, floor := resolve(d, opts)
+	return rootUnits(d, k, floor, opts.MinSize)
 }
 
 // MineShard implements engine.Sharder: mines the subtrees of root
@@ -65,8 +59,10 @@ func (a algorithm) MineShard(ctx context.Context, d *dataset.Dataset, opts engin
 	if err := engine.ValidateShard(Name, opts, lo, hi, a.ShardUnits(d, opts)); err != nil {
 		return nil, err
 	}
-	res := mineRange(ctx, d, minerOptions(d, opts), lo, hi)
-	return &engine.Report{Algorithm: Name, Patterns: res.Patterns, Visited: res.Visited, Stopped: res.Stopped}, nil
+	k, floor := resolve(d, opts)
+	rep := mineRange(ctx, d, k, floor, opts, lo, hi)
+	rep.Algorithm = Name
+	return rep, nil
 }
 
 // MergeShards implements engine.Sharder: pool the per-shard top-Ks —
@@ -76,7 +72,7 @@ func (algorithm) MergeShards(d *dataset.Dataset, opts engine.Options, parts []*e
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("topk: MergeShards needs at least one part")
 	}
-	k := minerOptions(d, opts).K
+	k, _ := resolve(d, opts)
 	return engine.Run(Name, opts, engine.Uses{K: true, MinSize: true}, func() (*engine.Report, error) {
 		res := &engine.Report{}
 		var merged []*dataset.Pattern
@@ -85,11 +81,7 @@ func (algorithm) MergeShards(d *dataset.Dataset, opts engine.Options, parts []*e
 			res.Visited += p.Visited
 			res.Stopped = res.Stopped || p.Stopped
 		}
-		sort.Slice(merged, func(i, j int) bool { return better(merged[i], merged[j]) })
-		if len(merged) > k {
-			merged = merged[:k]
-		}
-		res.Patterns = merged
+		res.Patterns = topK(merged, k)
 		return res, nil
 	})
 }

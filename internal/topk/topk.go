@@ -3,7 +3,7 @@
 // 2005), the third baseline of the paper's Figure 10.
 //
 // TFP starts with no (or a floor) support threshold and raises it
-// dynamically: once k closed patterns of length ≥ MinLength are in hand, the
+// dynamically: once k closed patterns of length ≥ MinSize are in hand, the
 // internal threshold becomes the k-th best support, pruning everything that
 // can no longer enter the answer. The closed enumeration reuses the
 // prefix-preserving closure extension of package charm, but visits
@@ -18,9 +18,9 @@
 // threshold from its own discoveries (sound: a task's k-th best support
 // never exceeds the global one), and the ≤ k survivors per task merge
 // under the same total order. Both the merged answer and the per-task
-// visit counts are pure functions of (dataset, Options), so the result is
-// bit-identical for every worker count. The price is that sibling
-// subtrees do not share their raised thresholds within one run.
+// visit counts are pure functions of (dataset, engine.Options), so the
+// result is bit-identical for every worker count. The price is that
+// sibling subtrees do not share their raised thresholds within one run.
 package topk
 
 import (
@@ -35,55 +35,27 @@ import (
 	"repro/internal/tidset"
 )
 
-// Options configures a mining run.
-type Options struct {
-	K           int             // number of patterns to report (> 0)
-	MinLength   int             // only patterns with at least this many items qualify
-	FloorMin    int             // optional support floor; the threshold never goes below it (≥ 1)
-	Parallelism int             // worker goroutines; 0 = all CPUs; results identical for any value
-	Observer    engine.Observer // optional progress events, every engine.ProgressStride nodes
-}
-
-// Result is the outcome of a mining run.
-type Result struct {
-	Patterns []*dataset.Pattern // at most K closed patterns, by descending support
-	MinCount int                // final (raised) internal support threshold
-	Visited  int                // search nodes explored
-	Stopped  bool
-}
-
-// Mine returns the top-k closed patterns of d with at least minLength items.
-func Mine(d *dataset.Dataset, k, minLength int) *Result {
-	return MineOpts(context.Background(), d, Options{K: k, MinLength: minLength})
-}
-
-// MineOpts runs TFP under the given options. Cancellation is polled on ctx
-// at every search node; a canceled run returns the best patterns found so
-// far with Stopped=true.
-func MineOpts(ctx context.Context, d *dataset.Dataset, opts Options) *Result {
-	return mineRange(ctx, d, opts, 0, -1)
-}
-
-// mineRange mines the root-closure candidate extensions [lo, hi); hi < 0
-// selects all of them. It backs both MineOpts and the engine.Sharder
-// adapter. Every range runs the root node identically — the candidate
-// order and the post-root threshold are pure functions of (d, opts) — but
-// the root's visit count and its heap contribution belong to the lo == 0
-// range only. The returned Patterns are the range's top-K under the
-// better() total order; because that order is strict on distinct closed
-// patterns, the global top-K equals the top-K of the per-range top-Ks.
-func mineRange(ctx context.Context, d *dataset.Dataset, opts Options, lo, hi int) *Result {
-	if opts.K < 1 {
-		opts.K = 1
-	}
-	if opts.FloorMin < 1 {
-		opts.FloorMin = 1
-	}
-	res := &Result{MinCount: opts.FloorMin}
-	if d.Size() < opts.FloorMin {
-		return res
+// mineRange mines the root-closure candidate extensions [lo, hi) for the
+// top k closed patterns of at least opts.MinSize items, never descending
+// below the support floor (≥ 1); hi < 0 selects all of them. It backs
+// both the registered Mine and the engine.Sharder adapter. Every range
+// runs the root node identically — the candidate order and the post-root
+// threshold are pure functions of (d, opts) — but the root's visit count
+// and its heap contribution belong to the lo == 0 range only. The
+// returned Patterns are the range's top-k in better() order (descending
+// support first); because that order is strict on distinct closed
+// patterns, the global top-k equals the top-k of the per-range top-ks.
+// Cancellation is polled on ctx at every search node; a canceled run
+// returns the best patterns found so far with Stopped=true.
+func mineRange(ctx context.Context, d *dataset.Dataset, k, floor int, opts engine.Options, lo, hi int) *engine.Report {
+	rep := &engine.Report{}
+	if d.Size() < floor {
+		return rep
 	}
 	meter := engine.NewMeter(ctx, Name, opts.Observer)
+	newMiner := func(minCount int, sc *scratch) *miner {
+		return &miner{meter: meter, d: d, k: k, minSize: opts.MinSize, minCount: minCount, sc: sc}
+	}
 
 	all := tidset.Full(d.Size())
 	c0 := charm.ClosureOf(d, all)
@@ -94,7 +66,7 @@ func mineRange(ctx context.Context, d *dataset.Dataset, opts Options, lo, hi int
 	// task order. The root's candidate tidsets come from the root scratch
 	// pool and are deliberately never recycled — the tasks keep reading
 	// them for the whole run.
-	root := &miner{meter: meter, d: d, opts: opts, minCount: opts.FloorMin, sc: newScratch(d)}
+	root := newMiner(floor, newScratch(d))
 	root.offer(c0, all)
 	cands := root.candidates(c0, all, -1)
 	if hi < 0 {
@@ -109,17 +81,17 @@ func mineRange(ctx context.Context, d *dataset.Dataset, opts Options, lo, hi int
 	stopped := engine.TasksWithScratch(ctx, engine.Workers(opts.Parallelism), hi-lo,
 		func() *scratch { return newScratch(d) },
 		func(sc *scratch, task int) {
-			m := &miner{meter: meter, d: d, opts: opts, minCount: base, sc: sc}
+			m := newMiner(base, sc)
 			m.extendFrom(c0, cands[lo+task])
 			perTask[task] = m
 		})
 
 	// Merge: ppc-ext generates each closed pattern exactly once across the
 	// whole tree, so the union of the per-task heaps has no duplicates;
-	// the top K under the total order are the answer.
+	// the top k under the total order are the answer.
 	var merged []*dataset.Pattern
 	if lo == 0 {
-		res.Visited++
+		rep.Visited++
 		merged = append(merged, root.heap...)
 	}
 	for _, m := range perTask {
@@ -128,49 +100,36 @@ func mineRange(ctx context.Context, d *dataset.Dataset, opts Options, lo, hi int
 			continue
 		}
 		merged = append(merged, m.heap...)
-		res.Visited += m.visited
+		rep.Visited += m.visited
 		stopped = stopped || m.stopped
 	}
-	sort.Slice(merged, func(i, j int) bool { return better(merged[i], merged[j]) })
-	if len(merged) > opts.K {
-		merged = merged[:opts.K]
-	}
-	// Presentation order: descending support, ties by (size, lex).
-	sort.Slice(merged, func(i, j int) bool {
-		si, sj := merged[i].Support(), merged[j].Support()
-		if si != sj {
-			return si > sj
-		}
-		return itemset.Compare(merged[i].Items, merged[j].Items) < 0
-	})
-	res.Patterns = merged
-	if len(merged) == opts.K {
-		if t := merged[len(merged)-1].Support(); t > res.MinCount {
-			res.MinCount = t
-		}
-	}
-	res.Stopped = stopped
-	return res
+	rep.Patterns = topK(merged, k)
+	rep.Stopped = stopped
+	return rep
 }
 
 // rootUnits runs the root node alone — exactly as mineRange does — and
 // returns its candidate-extension count, the shardable task-unit count.
-func rootUnits(d *dataset.Dataset, opts Options) int {
-	if opts.K < 1 {
-		opts.K = 1
-	}
-	if opts.FloorMin < 1 {
-		opts.FloorMin = 1
-	}
-	if d.Size() < opts.FloorMin {
+func rootUnits(d *dataset.Dataset, k, floor, minSize int) int {
+	if d.Size() < floor {
 		return 0
 	}
 	all := tidset.Full(d.Size())
 	c0 := charm.ClosureOf(d, all)
 	root := &miner{meter: engine.NewMeter(context.Background(), Name, nil),
-		d: d, opts: opts, minCount: opts.FloorMin, sc: newScratch(d)}
+		d: d, k: k, minSize: minSize, minCount: floor, sc: newScratch(d)}
 	root.offer(c0, all)
 	return len(root.candidates(c0, all, -1))
+}
+
+// topK sorts distinct closed patterns into better() order and keeps the
+// best k.
+func topK(ps []*dataset.Pattern, k int) []*dataset.Pattern {
+	sort.Slice(ps, func(i, j int) bool { return better(ps[i], ps[j]) })
+	if len(ps) > k {
+		ps = ps[:k]
+	}
+	return ps
 }
 
 // better is the strict total order defining the answer set: higher
@@ -197,8 +156,9 @@ func betterThan(sup int, items itemset.Itemset, b *dataset.Pattern) bool {
 type miner struct {
 	meter    *engine.Meter
 	d        *dataset.Dataset
-	opts     Options
-	minCount int
+	k        int
+	minSize  int
+	minCount int // the internal threshold, raised as the heap fills
 	visited  int
 	stopped  bool
 	sc       *scratch
@@ -231,19 +191,19 @@ func (m *miner) visit() bool {
 // (cloned out of any reusable closure buffer); tids may be pooled scratch
 // — the heap entry keeps a compact clone.
 func (m *miner) offer(c itemset.Itemset, tids *tidset.Set) {
-	if len(c) < m.opts.MinLength || len(c) == 0 {
+	if len(c) < m.minSize || len(c) == 0 {
 		return
 	}
 	sup := tids.Count()
-	if len(m.heap) == m.opts.K && !betterThan(sup, c, m.heap[0]) {
+	if len(m.heap) == m.k && !betterThan(sup, c, m.heap[0]) {
 		return
 	}
 	m.meter.Emitted(1)
 	heap.Push(&m.heap, dataset.NewPatternCounted(c, tids.CompactClone(), sup))
-	if len(m.heap) > m.opts.K {
+	if len(m.heap) > m.k {
 		heap.Pop(&m.heap)
 	}
-	if len(m.heap) == m.opts.K {
+	if len(m.heap) == m.k {
 		if t := m.heap[0].Support(); t > m.minCount {
 			m.minCount = t
 		}

@@ -1,21 +1,41 @@
 package topk
 
 import (
+	"context"
 	"sort"
 	"testing"
 
 	"repro/internal/charm"
 	"repro/internal/datagen"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/minertest"
 	"repro/internal/rng"
 )
 
+// mine runs TFP through the engine for the top k closed patterns of at
+// least minLen items.
+func mine(t *testing.T, d *dataset.Dataset, k, minLen int) *engine.Report {
+	t.Helper()
+	return minertest.Mine(t, context.Background(), Name, d, engine.Options{K: k, MinSize: minLen})
+}
+
+// bySupport returns the supports of ps in descending order.
+func bySupport(ps []*dataset.Pattern) []int {
+	sups := make([]int, len(ps))
+	for i, p := range ps {
+		sups[i] = p.Support()
+	}
+	sort.Sort(sort.Reverse(sort.IntSlice(sups)))
+	return sups
+}
+
 // oracleTopK computes the reference answer from the complete closed set:
 // supports of the top k closed patterns with ≥ minLen items.
-func oracleTopK(d *dataset.Dataset, k, minLen int) []int {
+func oracleTopK(t *testing.T, d *dataset.Dataset, k, minLen int) []int {
 	var sups []int
-	for _, p := range charm.Mine(d, 1).Patterns {
+	closed := minertest.Mine(t, context.Background(), charm.Name, d, engine.Options{MinCount: 1})
+	for _, p := range closed.Patterns {
 		if len(p.Items) >= minLen {
 			sups = append(sups, p.Support())
 		}
@@ -33,8 +53,7 @@ func TestTopKMatchesOracleRandom(t *testing.T) {
 		d := datagen.Random(r.Split(), 10+r.Intn(25), 4+r.Intn(7), 0.35+r.Float64()*0.3)
 		k := 1 + r.Intn(8)
 		minLen := 1 + r.Intn(3)
-		res := Mine(d, k, minLen)
-		var got []int
+		res := mine(t, d, k, minLen)
 		for _, p := range res.Patterns {
 			if len(p.Items) < minLen {
 				t.Fatalf("trial %d: pattern %v below min length", trial, p.Items)
@@ -42,9 +61,9 @@ func TestTopKMatchesOracleRandom(t *testing.T) {
 			if !charm.IsClosed(d, p.Items) {
 				t.Fatalf("trial %d: pattern %v not closed", trial, p.Items)
 			}
-			got = append(got, p.Support())
 		}
-		want := oracleTopK(d, k, minLen)
+		got := bySupport(res.Patterns)
+		want := oracleTopK(t, d, k, minLen)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: got %d patterns, want %d", trial, len(got), len(want))
 		}
@@ -56,26 +75,27 @@ func TestTopKMatchesOracleRandom(t *testing.T) {
 	}
 }
 
+// TestThresholdRaising pins TFP's dynamic threshold: once k answers are
+// in hand the internal support bound rises and prunes, so the top-k
+// search visits fewer nodes than the complete closed enumeration it
+// replaces.
 func TestThresholdRaising(t *testing.T) {
-	// On a dataset with many distinct supports, the final internal
-	// threshold must equal the k-th best support.
 	r := rng.New(910)
 	d := datagen.Random(r, 50, 8, 0.4)
-	res := Mine(d, 5, 1)
-	if len(res.Patterns) == 5 {
-		if res.MinCount != res.Patterns[4].Support() {
-			t.Fatalf("final threshold %d != 5th best support %d",
-				res.MinCount, res.Patterns[4].Support())
-		}
-	}
+	res := mine(t, d, 5, 1)
 	if res.Visited == 0 {
 		t.Fatal("no nodes visited")
+	}
+	closed := minertest.Mine(t, context.Background(), charm.Name, d, engine.Options{MinCount: 1})
+	if len(closed.Patterns) > 5 && res.Visited >= closed.Visited {
+		t.Fatalf("top-5 search visited %d nodes, the complete closed enumeration %d",
+			res.Visited, closed.Visited)
 	}
 }
 
 func TestFewerThanKExist(t *testing.T) {
 	d := dataset.MustNew([][]int{{0, 1}, {0, 1}})
-	res := Mine(d, 10, 1)
+	res := mine(t, d, 10, 1)
 	if len(res.Patterns) != 1 { // only closed set is (0 1)
 		t.Fatalf("got %d patterns, want 1", len(res.Patterns))
 	}
@@ -83,16 +103,28 @@ func TestFewerThanKExist(t *testing.T) {
 
 func TestMinLengthExcludesEverything(t *testing.T) {
 	d := dataset.MustNew([][]int{{0}, {1}})
-	res := Mine(d, 3, 5)
+	res := mine(t, d, 3, 5)
 	if len(res.Patterns) != 0 {
 		t.Fatalf("impossible min length yielded %v", res.Patterns)
 	}
 }
 
+// TestResultsSortedBySupport pins the raw shard order: a shard's top-k
+// comes back best first — descending support — so a coordinator can merge
+// per-shard answers by the same total order.
 func TestResultsSortedBySupport(t *testing.T) {
 	r := rng.New(911)
 	d := datagen.Random(r, 60, 9, 0.4)
-	res := Mine(d, 10, 1)
+	alg, err := engine.Get(Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, _ := engine.AsSharder(alg)
+	opts := engine.Options{K: 10, MinSize: 1}
+	res, err := sh.MineShard(context.Background(), d, opts, 0, sh.ShardUnits(d, opts))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 1; i < len(res.Patterns); i++ {
 		if res.Patterns[i].Support() > res.Patterns[i-1].Support() {
 			t.Fatal("results not sorted by descending support")
@@ -101,14 +133,14 @@ func TestResultsSortedBySupport(t *testing.T) {
 }
 
 func TestDegenerate(t *testing.T) {
-	if got := Mine(dataset.MustNew(nil), 3, 1).Patterns; len(got) != 0 {
+	if got := mine(t, dataset.MustNew(nil), 3, 1).Patterns; len(got) != 0 {
 		t.Fatalf("empty dataset: %v", got)
 	}
 }
 
 func TestCancellation(t *testing.T) {
 	d := datagen.Diag(18)
-	res := MineOpts(minertest.CancelAfter(5), d, Options{K: 1000, MinLength: 1})
+	res := minertest.Mine(t, minertest.CancelAfter(5), Name, d, engine.Options{K: 1000, MinSize: 1})
 	if !res.Stopped {
 		t.Fatal("cancellation not honored")
 	}

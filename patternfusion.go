@@ -4,20 +4,17 @@ import (
 	"context"
 	"io"
 
-	"repro/internal/apriori"
-	"repro/internal/carpenter"
 	"repro/internal/charm"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/dataset"
-	"repro/internal/eclat"
 	"repro/internal/engine"
-	"repro/internal/fpgrowth"
+	_ "repro/internal/engine/all"
+	"repro/internal/ingest"
 	"repro/internal/itemset"
 	"repro/internal/maximal"
 	"repro/internal/quality"
 	"repro/internal/rng"
-	"repro/internal/topk"
 )
 
 // Dataset is an immutable transaction database over non-negative integer
@@ -39,11 +36,27 @@ type Stats = dataset.Stats
 func New(transactions [][]int) (*Dataset, error) { return dataset.New(transactions) }
 
 // Load reads a FIMI-format transaction database (one transaction per line,
-// whitespace-separated item IDs) from the named file.
-func Load(path string) (*Dataset, error) { return dataset.Load(path) }
+// whitespace-separated item IDs; gzip is detected) from the named file.
+func Load(path string) (*Dataset, error) {
+	res, err := ingest.Load(path, ingest.Options{Format: ingest.FIMI()})
+	if err != nil {
+		return nil, err
+	}
+	return res.Dataset, nil
+}
 
 // Read parses a FIMI-format transaction database from r.
-func Read(r io.Reader) (*Dataset, error) { return dataset.Read(r) }
+func Read(r io.Reader) (*Dataset, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	res, err := ingest.FromBytes("input", data, ingest.Options{Format: ingest.FIMI()})
+	if err != nil {
+		return nil, err
+	}
+	return res.Dataset, nil
+}
 
 // Canonical returns the sorted, duplicate-free itemset of raw.
 func Canonical(raw []int) Itemset { return itemset.Canonical(raw) }
@@ -53,41 +66,13 @@ func Canonical(raw []int) Itemset { return itemset.Canonical(raw) }
 func EditDistance(a, b Itemset) int { return itemset.EditDistance(a, b) }
 
 // ---------------------------------------------------------------------------
-// Pattern-Fusion (the paper's contribution).
-
-// Config parameterizes a Pattern-Fusion run; see DefaultConfig.
-type Config = core.Config
-
-// Result is the outcome of a Pattern-Fusion run.
-type Result = core.Result
-
-// DefaultConfig returns a Pattern-Fusion configuration mining at most k
-// patterns at relative minimum support sigma, with the defaults used
-// throughout the paper's experiments (τ = 0.5, initial pool of patterns up
-// to size 3).
-func DefaultConfig(k int, sigma float64) Config { return core.DefaultConfig(k, sigma) }
-
-// Mine runs Pattern-Fusion on d: phase 1 mines the complete set of small
-// frequent patterns (the initial pool), phase 2 iteratively fuses the balls
-// around K random seeds until at most K patterns remain. The result
-// approximates the colossal frequent patterns of d. Cancellation and
-// deadlines are context-first: a canceled run returns promptly with a
-// partial Result whose Stopped field is true.
-func Mine(ctx context.Context, d *Dataset, cfg Config) (*Result, error) {
-	return core.Mine(ctx, d, cfg)
-}
-
-// MineFromPool runs Pattern-Fusion phase 2 from a caller-supplied pool.
-func MineFromPool(ctx context.Context, d *Dataset, pool []*Pattern, cfg Config) (*Result, error) {
-	return core.MineFromPool(ctx, d, pool, cfg)
-}
-
-// ---------------------------------------------------------------------------
-// The unified mining engine: every algorithm in the repository behind one
-// context-first, observable interface, addressable by name.
+// The unified mining engine: every algorithm in the repository — the
+// paper's Pattern-Fusion ("fusion") among them — behind one context-first,
+// observable interface, addressable by name. MineWith is the library's
+// only mining entry point.
 
 // Engine is the uniform algorithm interface: Name plus
-// Mine(ctx, dataset, options). All eight miners implement it and register
+// Mine(ctx, dataset, options). All nine miners implement it and register
 // themselves; see Algorithms for the names.
 type Engine = engine.Algorithm
 
@@ -111,7 +96,7 @@ type Observer = engine.Observer
 
 // Algorithms returns the names of all registered algorithms: "apriori",
 // "closed", "closedrows", "eclat", "fpgrowth", "fusion", "maximal",
-// "topk".
+// "seqfusion", "topk".
 func Algorithms() []string { return engine.Names() }
 
 // GetAlgorithm returns the registered algorithm with the given name.
@@ -119,6 +104,9 @@ func GetAlgorithm(name string) (Engine, error) { return engine.Get(name) }
 
 // MineWith runs the named registered algorithm on d under opts: the
 // library-level equivalent of `pfmine -algo name` and of a pfserve job.
+// Pattern-Fusion is MineWith(ctx, "fusion", d, Options{K: k, MinSupport:
+// σ}); cancellation and deadlines are context-first, and a canceled run
+// returns a partial Report with Stopped=true.
 func MineWith(ctx context.Context, name string, d *Dataset, opts Options) (*Report, error) {
 	a, err := engine.Get(name)
 	if err != nil {
@@ -146,54 +134,7 @@ func Robustness(d *Dataset, alpha Itemset, tau float64) int {
 }
 
 // ---------------------------------------------------------------------------
-// Exact miners (baselines and ground-truth builders).
-
-// MineFrequent returns the complete set of frequent patterns of d at the
-// given absolute support count, mined with Apriori.
-func MineFrequent(d *Dataset, minCount int) []*Pattern {
-	return apriori.Mine(d, minCount).Patterns
-}
-
-// MineFrequentUpTo returns the complete set of frequent patterns of size at
-// most maxSize — Pattern-Fusion's initial pool.
-func MineFrequentUpTo(d *Dataset, minCount, maxSize int) []*Pattern {
-	return apriori.MineUpTo(d, minCount, maxSize).Patterns
-}
-
-// MineFrequentFP returns the complete frequent itemsets with their support
-// counts, mined with FP-growth.
-func MineFrequentFP(d *Dataset, minCount int) []fpgrowth.ItemsetCount {
-	return fpgrowth.Mine(d, minCount).Itemsets
-}
-
-// MineFrequentEclat returns the complete frequent patterns mined with the
-// vertical Eclat algorithm.
-func MineFrequentEclat(d *Dataset, minCount int) []*Pattern {
-	return eclat.Mine(d, minCount).Patterns
-}
-
-// MineClosed returns the complete set of closed frequent patterns of d.
-func MineClosed(d *Dataset, minCount int) []*Pattern {
-	return charm.Mine(d, minCount).Patterns
-}
-
-// MineClosedRows returns the closed frequent patterns of size at least
-// minSize using CARPENTER-style row enumeration — the method of choice for
-// datasets with few transactions and very many items (e.g. microarrays).
-func MineClosedRows(d *Dataset, minCount, minSize int) []*Pattern {
-	return carpenter.Mine(d, minCount, minSize).Patterns
-}
-
-// MineMaximal returns the complete set of maximal frequent patterns of d.
-func MineMaximal(d *Dataset, minCount int) []*Pattern {
-	return maximal.Mine(d, minCount).Patterns
-}
-
-// MineTopK returns the top-k most frequent closed patterns with at least
-// minLength items (the TFP algorithm).
-func MineTopK(d *Dataset, k, minLength int) []*Pattern {
-	return topk.Mine(d, k, minLength).Patterns
-}
+// Pattern predicates (for checking the exact miners' answer sets).
 
 // IsClosed reports whether alpha is a closed pattern of d.
 func IsClosed(d *Dataset, alpha Itemset) bool { return charm.IsClosed(d, alpha) }

@@ -2,11 +2,23 @@ package patternfusion_test
 
 import (
 	"context"
+	"sort"
 	"strings"
 	"testing"
 
 	patternfusion "repro"
 )
+
+// mine runs the named algorithm through the facade's MineWith, failing
+// tb on an error.
+func mine(tb testing.TB, name string, db *patternfusion.Dataset, opts patternfusion.Options) *patternfusion.Report {
+	tb.Helper()
+	rep, err := patternfusion.MineWith(context.Background(), name, db, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rep
+}
 
 func TestPublicAPIRoundTrip(t *testing.T) {
 	db, err := patternfusion.New([][]int{
@@ -22,16 +34,12 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 	if db.Size() != 5 || db.NumItems() != 6 {
 		t.Fatalf("db shape wrong: %v", db.ComputeStats())
 	}
-	cfg := patternfusion.DefaultConfig(2, 0.4)
-	res, err := patternfusion.Mine(context.Background(), db, cfg)
-	if err != nil {
-		t.Fatal(err)
+	res := mine(t, "fusion", db, patternfusion.Options{K: 2, MinSupport: 0.4}).Patterns
+	if len(res) == 0 || len(res) > 2 {
+		t.Fatalf("K=2 mining returned %d patterns", len(res))
 	}
-	if len(res.Patterns) == 0 || len(res.Patterns) > 2 {
-		t.Fatalf("K=2 mining returned %d patterns", len(res.Patterns))
-	}
-	if !res.Patterns[0].Items.Equal(patternfusion.Canonical([]int{3, 2, 1, 0})) {
-		t.Fatalf("largest pattern = %v, want (0 1 2 3)", res.Patterns[0].Items)
+	if !res[0].Items.Equal(patternfusion.Canonical([]int{3, 2, 1, 0})) {
+		t.Fatalf("largest pattern = %v, want (0 1 2 3)", res[0].Items)
 	}
 }
 
@@ -47,14 +55,15 @@ func TestPublicReadWrite(t *testing.T) {
 
 func TestExactMinersAgreeThroughPublicAPI(t *testing.T) {
 	db := patternfusion.RandomDB(5, 30, 8, 0.4)
-	ap := patternfusion.MineFrequent(db, 3)
-	ec := patternfusion.MineFrequentEclat(db, 3)
-	fp := patternfusion.MineFrequentFP(db, 3)
+	opts := patternfusion.Options{MinCount: 3}
+	ap := mine(t, "apriori", db, opts).Patterns
+	ec := mine(t, "eclat", db, opts).Patterns
+	fp := mine(t, "fpgrowth", db, opts).Patterns
 	if len(ap) != len(ec) || len(ap) != len(fp) {
 		t.Fatalf("miner cardinalities differ: apriori=%d eclat=%d fp=%d", len(ap), len(ec), len(fp))
 	}
-	closed := patternfusion.MineClosed(db, 3)
-	rows := patternfusion.MineClosedRows(db, 3, 0)
+	closed := mine(t, "closed", db, opts).Patterns
+	rows := mine(t, "closedrows", db, opts).Patterns
 	if len(closed) != len(rows) {
 		t.Fatalf("closed miners differ: charm=%d carpenter=%d", len(closed), len(rows))
 	}
@@ -63,7 +72,7 @@ func TestExactMinersAgreeThroughPublicAPI(t *testing.T) {
 			t.Fatalf("%v not closed", p.Items)
 		}
 	}
-	for _, p := range patternfusion.MineMaximal(db, 3) {
+	for _, p := range mine(t, "maximal", db, opts).Patterns {
 		if !patternfusion.IsMaximal(db, p.Items, 3) {
 			t.Fatalf("%v not maximal", p.Items)
 		}
@@ -72,13 +81,24 @@ func TestExactMinersAgreeThroughPublicAPI(t *testing.T) {
 
 func TestTopKThroughPublicAPI(t *testing.T) {
 	db := patternfusion.RandomDB(6, 40, 8, 0.4)
-	top := patternfusion.MineTopK(db, 5, 2)
+	top := mine(t, "topk", db, patternfusion.Options{K: 5, MinSize: 2}).Patterns
 	if len(top) == 0 || len(top) > 5 {
 		t.Fatalf("topk returned %d", len(top))
 	}
-	for i := 1; i < len(top); i++ {
-		if top[i].Support() > top[i-1].Support() {
-			t.Fatal("topk not sorted by support")
+	// The answer is the 5 best-supported closed patterns of ≥ 2 items.
+	var want []int
+	for _, p := range mine(t, "closed", db, patternfusion.Options{MinCount: 1, MinSize: 2}).Patterns {
+		want = append(want, p.Support())
+	}
+	var got []int
+	for _, p := range top {
+		got = append(got, p.Support())
+	}
+	sort.Sort(sort.Reverse(sort.IntSlice(want)))
+	sort.Sort(sort.Reverse(sort.IntSlice(got)))
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("topk supports %v, want the top of %v", got, want)
 		}
 	}
 }
@@ -131,14 +151,18 @@ func TestCoreConceptsThroughPublicAPI(t *testing.T) {
 }
 
 func TestMineFromPoolThroughPublicAPI(t *testing.T) {
+	// A warm start: fusion from a caller-supplied pool (here the frequent
+	// patterns of at most two items) instead of its own phase 1.
 	db := patternfusion.DiagPlus(10, 5, 8)
-	pool := patternfusion.MineFrequentUpTo(db, 5, 2)
+	var pool [][]int
+	for _, p := range mine(t, "apriori", db, patternfusion.Options{MinCount: 5, MaxSize: 2}).Patterns {
+		pool = append(pool, p.Items)
+	}
 	if len(pool) == 0 {
 		t.Fatal("empty initial pool")
 	}
-	cfg := patternfusion.DefaultConfig(5, 0)
-	cfg.MinCount = 5
-	res, err := patternfusion.MineFromPool(context.Background(), db, pool, cfg)
+	res, err := patternfusion.MineWith(context.Background(), "fusion", db,
+		patternfusion.Options{K: 5, MinCount: 5, Pool: pool})
 	if err != nil {
 		t.Fatal(err)
 	}

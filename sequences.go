@@ -8,10 +8,10 @@ import (
 // The sequence extension (the paper's Section 8 future-work direction):
 // Pattern-Fusion over subsequence patterns, with support-set closures
 // computed by weighted-LCS folding. See internal/seq for the full design
-// discussion. The engine-integrated form is the "seqfusion" registry
-// algorithm (MineWith(ctx, SeqFusion, d, opts)), which mines a dataset's
-// attached ordered view — or its canonical transactions read as
-// ascending sequences — and reports the Δ quality estimate.
+// discussion. The miner is the "seqfusion" registry algorithm
+// (MineWith(ctx, SeqFusion, d, opts)), which mines a dataset's attached
+// ordered view (Dataset.SetSequences) — or its canonical transactions
+// read as ascending sequences — and reports the Δ quality estimate.
 
 // SeqFusion is the registry name of the engine-integrated sequence miner.
 const SeqFusion = seqfusion.Name
@@ -22,23 +22,10 @@ type Sequence = seq.Sequence
 // SeqDataset is an immutable collection of sequences.
 type SeqDataset = seq.Dataset
 
-// SeqPattern is a subsequence pattern with its support set.
-type SeqPattern = seq.Pattern
-
-// SeqConfig parameterizes a sequence Pattern-Fusion run.
-type SeqConfig = seq.Config
-
-// SeqResult is the outcome of a sequence Pattern-Fusion run.
-type SeqResult = seq.Result
-
-// NewSeqDataset builds a sequence dataset; event IDs must be non-negative.
+// NewSeqDataset builds a sequence dataset — the subsequence algebra
+// (support counts, containment) for checking mined sequences; event IDs
+// must be non-negative.
 func NewSeqDataset(seqs []Sequence) (*SeqDataset, error) { return seq.NewDataset(seqs) }
-
-// DefaultSeqConfig mirrors the itemset defaults for sequence mining.
-func DefaultSeqConfig(k, minCount int) SeqConfig { return seq.DefaultConfig(k, minCount) }
-
-// MineSequences runs Pattern-Fusion for colossal subsequence patterns.
-func MineSequences(d *SeqDataset, cfg SeqConfig) (*SeqResult, error) { return seq.Mine(d, cfg) }
 
 // LCS returns a longest common subsequence of a and b.
 func LCS(a, b Sequence) Sequence { return seq.LCS(a, b) }
