@@ -67,8 +67,12 @@
 // count-algebra pruning with an early-exit intersection bound (most
 // candidate pairs never touch a bitset word), dedup maps are keyed by
 // 128-bit itemset fingerprints instead of strings, and each fusion worker
-// reuses scratch buffers plus a counting-based closure computer, so a draw
-// allocates only when it discovers a new super-pattern. All of it is
+// reuses scratch buffers, so a draw allocates only when it discovers a new
+// super-pattern. Closures are computed vertically: an item of the first
+// supporting transaction is kept iff the support set is a subset of the
+// item's TID-set column, an early-exit word test instead of a rescan of
+// every supporting row. A ball member that adds no items is skipped by an
+// item-stamp lookup instead of a sorted merge against the growing union. All of it is
 // differential-tested against the naive forms and pinned to bit-identical
 // golden results; see README.md ("Performance") for recorded numbers and
 // profiling instructions (scripts/bench.sh, pfmine -cpuprofile).

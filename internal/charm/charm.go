@@ -23,10 +23,11 @@
 //
 // Allocation discipline: every branch TID-set is a pooled scratch set
 // (computed in place with AndOf, returned to the worker's pool when the
-// branch closes), closures come out of a counting dataset.Closer instead
-// of an Intersect chain, and the itemsets and TID-sets a pattern retains
-// are carved from per-worker arenas. The per-node cost is O(1) amortized
-// allocations instead of one tidset + one itemset chain per node.
+// branch closes), closures come out of the vertical dataset.Closer (column
+// containment tests) instead of an Intersect chain over the rows, and the
+// itemsets and TID-sets a pattern retains are carved from per-worker
+// arenas. The per-node cost is O(1) amortized allocations instead of one
+// tidset + one itemset chain per node.
 package charm
 
 import (
@@ -56,7 +57,7 @@ func mineRange(ctx context.Context, d *dataset.Dataset, minCount int, opts engin
 	}
 
 	all := tidset.Full(d.Size())
-	c0 := ClosureOf(d, all)
+	c0 := d.Closure(nil)
 	if hi < 0 {
 		hi = d.NumItems()
 	}
@@ -103,7 +104,7 @@ type miner struct {
 }
 
 // scratch is the per-worker allocation state: a pool of branch TID-sets, a
-// counting closure computer, and arenas for the itemsets and TID-sets that
+// vertical closure computer, and arenas for the itemsets and TID-sets that
 // emitted patterns retain.
 type scratch struct {
 	pool   *tidset.Pool
@@ -198,28 +199,12 @@ func prefixPreserved(c, cc itemset.Itemset, i int) bool {
 	return true
 }
 
-// ClosureOf computes the intersection of the transactions in tids — the
-// unique closed itemset with that support set. tids must be non-empty.
-// It allocates per transaction; hot paths should use dataset.Closer.
-func ClosureOf(d *dataset.Dataset, tids *tidset.Set) itemset.Itemset {
-	first := tids.NextSet(0)
-	if first < 0 {
-		return nil
-	}
-	closed := d.Transaction(first).Clone()
-	for tid := tids.NextSet(first + 1); tid >= 0 && len(closed) > 0; tid = tids.NextSet(tid + 1) {
-		closed = closed.Intersect(d.Transaction(tid))
-	}
-	return closed
-}
-
 // IsClosed reports whether alpha is closed in d: no single-item extension
 // preserves its support set. (Utility for tests and the quality harness.)
 func IsClosed(d *dataset.Dataset, alpha itemset.Itemset) bool {
 	tids := d.TIDSet(alpha)
-	sup := tids.Count()
-	if sup == 0 {
+	if tids.Empty() {
 		return false
 	}
-	return ClosureOf(d, tids).Equal(alpha)
+	return dataset.NewCloser(d).Closure(tids).Equal(alpha)
 }

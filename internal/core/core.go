@@ -43,11 +43,16 @@
 // tidset.AndCountAtLeast with two-sided early exit — derived from the exact
 // float64 predicate, so results never differ from the naive Distance scan.
 // Each worker owns a fuseScratch (reused ball, shuffle order, working TID
-// set, double-buffered itemset union, counting-based dataset.Closer), and
-// all dedup maps are keyed by 128-bit itemset.Fingerprint, so a fusion draw
-// allocates only when it discovers a new super-pattern. Bit-identity with
-// the naive implementation is pinned by differential tests and by golden
-// result hashes (TestResultGoldenBitIdentical).
+// set, double-buffered itemset union, vertical dataset.Closer), and all
+// dedup maps are keyed by 128-bit itemset.Fingerprint, so a fusion draw
+// allocates only when it discovers a new super-pattern. The two steps that
+// dominated a draw are answered from lookups: closing a fused pattern tests
+// each item of its first supporting transaction for column containment
+// (dataset.Closer), and skipping a ball member that adds no items reads an
+// item-stamp array mirroring the growing union, O(|member|) instead of a
+// sorted merge against the union. Bit-identity with the naive
+// implementation is pinned by differential tests and by golden result
+// hashes (TestResultGoldenBitIdentical).
 //
 // The package's mining entry point is the registered engine algorithm
 // "fusion" (engine.Get(Name).Mine); WithKnobs builds the unregistered
@@ -350,8 +355,9 @@ func ballThreshold(sa, sb int, radius float64) int {
 
 // fuseScratch holds the per-worker reusable buffers that make a fusion draw
 // allocation-free: the ball and its sample, the shuffle order, the working
-// TID set, the double-buffered itemset union, the counting closure, and the
-// per-seed supers map. One scratch is owned by exactly one worker goroutine.
+// TID set, the double-buffered itemset union with its item-stamp mirror,
+// the vertical closure, and the per-seed supers map. One scratch is owned
+// by exactly one worker goroutine.
 type fuseScratch struct {
 	ball   []*dataset.Pattern
 	sample []*dataset.Pattern
@@ -359,6 +365,11 @@ type fuseScratch struct {
 	tids   *tidset.Set
 	itemsA itemset.Itemset
 	itemsB itemset.Itemset
+	// stamp mirrors the draw's growing union for O(|b|) containment tests:
+	// item it is in the union iff stamp[it] == gen. A new draw bumps gen
+	// instead of clearing the array.
+	stamp  []uint32
+	gen    uint32
 	closer *dataset.Closer
 	supers map[itemset.Fingerprint]super
 	// Arenas back the retained copies behind newly discovered
@@ -380,9 +391,39 @@ type super struct {
 func newFuseScratch(d *dataset.Dataset) *fuseScratch {
 	return &fuseScratch{
 		tids:   tidset.New(d.Size()),
+		stamp:  make([]uint32, d.NumItems()),
 		closer: dataset.NewCloser(d),
 		supers: make(map[itemset.Fingerprint]super),
 	}
+}
+
+// newUnion starts an empty item-stamp union for the next draw. When the
+// generation counter wraps, every stale stamp is cleared so none can
+// collide with the restarted generations.
+func (sc *fuseScratch) newUnion() {
+	sc.gen++
+	if sc.gen == 0 {
+		clear(sc.stamp)
+		sc.gen = 1
+	}
+}
+
+// addToUnion stamps items into the current draw's union.
+func (sc *fuseScratch) addToUnion(items itemset.Itemset) {
+	for _, it := range items {
+		sc.stamp[it] = sc.gen
+	}
+}
+
+// inUnion reports whether every item of items is in the current draw's
+// union — Itemset.SubsetOf against the sorted union, in O(|items|).
+func (sc *fuseScratch) inUnion(items itemset.Itemset) bool {
+	for _, it := range items {
+		if sc.stamp[it] != sc.gen {
+			return false
+		}
+	}
+	return true
 }
 
 // unionInto writes a ∪ b into dst (reused, must not alias a or b) and
@@ -472,6 +513,8 @@ func fuse(d *dataset.Dataset, seed *dataset.Pattern, ball []*dataset.Pattern, p 
 		budget := 1 << uint(r.Intn(maxExp+1))
 		items := append(sc.itemsA[:0], seed.Items...)
 		spare := sc.itemsB
+		sc.newUnion()
+		sc.addToUnion(seed.Items)
 		tids := sc.tids
 		tids.CopyFrom(seed.TIDs)
 		sup := seed.Support()
@@ -482,7 +525,7 @@ func fuse(d *dataset.Dataset, seed *dataset.Pattern, ball []*dataset.Pattern, p 
 				break
 			}
 			b := ball[bi]
-			if b.Items.SubsetOf(items) {
+			if sc.inUnion(b.Items) {
 				continue // no growth; D would not change for the union's sake
 			}
 			nsup := tids.AndCount(b.TIDs)
@@ -501,6 +544,7 @@ func fuse(d *dataset.Dataset, seed *dataset.Pattern, ball []*dataset.Pattern, p 
 				continue
 			}
 			items, spare = unionInto(spare, items, b.Items), items
+			sc.addToUnion(b.Items)
 			tids.InPlaceAnd(b.TIDs)
 			sup = nsup
 			if bSup > maxMemberSup {

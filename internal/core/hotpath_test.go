@@ -4,12 +4,14 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/apriori"
 	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/engine"
+	"repro/internal/itemset"
 	"repro/internal/rng"
 )
 
@@ -205,6 +207,63 @@ func TestFuseScratchIsolation(t *testing.T) {
 	for i := range fresh {
 		if fresh[i] != reused[i] {
 			t.Fatalf("scratch reuse diverged at %d: %s vs %s", i, fresh[i], reused[i])
+		}
+	}
+}
+
+// TestUnionStampMatchesSubsetOf is the differential test for fuse's
+// item-stamp containment: over random draws — a seed and fused members
+// stamped into the union, the sorted union built by unionInto alongside —
+// inUnion must agree with Itemset.SubsetOf against that union for random
+// probe members. The first draw starts at generation math.MaxUint32 over
+// a stamp array full of stale marks, so the wrap branch that clears it
+// runs and must not let a stale stamp read as membership.
+func TestUnionStampMatchesSubsetOf(t *testing.T) {
+	r := rng.New(17)
+	const nItems = 60
+	txns := [][]int{make([]int, nItems)}
+	for i := range txns[0] {
+		txns[0][i] = i
+	}
+	sc := newFuseScratch(dataset.MustNew(txns))
+	randItems := func(maxLen int) itemset.Itemset {
+		raw := make([]int, r.Intn(maxLen+1))
+		for i := range raw {
+			raw[i] = r.Intn(nItems)
+		}
+		return itemset.Canonical(raw)
+	}
+	for i := range sc.stamp {
+		sc.stamp[i] = 1 // what generation 1 would read as "in the union"
+	}
+	sc.gen = math.MaxUint32
+	for draw := 0; draw < 300; draw++ {
+		sc.newUnion()
+		if draw == 0 && sc.gen != 1 {
+			t.Fatalf("generation after wrap = %d, want 1", sc.gen)
+		}
+		union := randItems(6)
+		sc.addToUnion(union)
+		var spare itemset.Itemset
+		for m := r.Intn(5); m > 0; m-- {
+			member := randItems(6)
+			union, spare = unionInto(spare, union, member), union
+			sc.addToUnion(member)
+		}
+		for probe := 0; probe < 20; probe++ {
+			b := randItems(4)
+			if r.Intn(2) == 0 && len(union) > 0 {
+				// Draw half the probes from the union itself so containment
+				// holds often, not only for the empty probe.
+				raw := make([]int, 1+r.Intn(len(union)))
+				for i := range raw {
+					raw[i] = union[r.Intn(len(union))]
+				}
+				b = itemset.Canonical(raw)
+			}
+			if got, want := sc.inUnion(b), b.SubsetOf(union); got != want {
+				t.Fatalf("draw %d (gen %d): inUnion(%v) = %v, SubsetOf(%v) = %v", draw, sc.gen, b, got, union, want)
+			}
 		}
 	}
 }

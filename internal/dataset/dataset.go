@@ -13,15 +13,16 @@
 // memoize |Dα|, so the sort comparators and frequency checks sprinkled over
 // every miner read a cached integer instead of recounting the TID-set.
 //
-// The package also provides Closer, a reusable-buffer closure computer that
-// tallies item occurrences over the transactions of a support set — the
-// allocation-free replacement for the Intersect-chain Closure used by the
-// fusion engine's per-worker scratch state.
+// The package also provides Closer, the closure computer of the closed
+// miners and the fusion engine's per-worker scratch state. It answers
+// closure membership from the vertical columns: an item of the first
+// supporting transaction belongs to the closure iff the support set is a
+// subset of the item's column. Dataset.Closure, the Intersect chain over
+// the supporting rows, stays as the naive reference it is tested against.
 package dataset
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 
 	"repro/internal/itemset"
@@ -193,88 +194,37 @@ func (d *Dataset) Closure(alpha itemset.Itemset) itemset.Itemset {
 	return closed
 }
 
-// Closer computes transaction-set closures by occurrence counting with
-// reusable buffers: instead of chaining |D_α|−1 allocating Intersect calls
-// like Closure, it tallies, over the transactions of D_α, how often each
-// item of the first transaction occurs, and keeps the items seen in all of
-// them. One Closer serves many closure calls with zero steady-state
-// allocation; it is not safe for concurrent use (the fusion engine keeps
+// Closer computes transaction-set closures vertically, with a reusable
+// output buffer: the candidates are the items of the first supporting
+// transaction, and an item is kept iff the support set is a subset of the
+// item's column (tidset.SubsetOf). That costs |first transaction| column
+// tests of at most |D|/64 words each, with early exit on the first
+// uncovered transaction, instead of a rescan of every supporting row like
+// Closure. One Closer serves many closure calls with zero allocation in
+// steady state; it is not safe for concurrent use (the fusion engine keeps
 // one per worker).
 type Closer struct {
-	d     *Dataset
-	count []int32
-	stamp []int32
-	gen   int32
-	buf   itemset.Itemset
+	d   *Dataset
+	buf itemset.Itemset
 }
 
 // NewCloser returns a Closer for d.
-func NewCloser(d *Dataset) *Closer {
-	return &Closer{
-		d:     d,
-		count: make([]int32, d.NumItems()),
-		stamp: make([]int32, d.NumItems()),
-	}
-}
+func NewCloser(d *Dataset) *Closer { return &Closer{d: d} }
 
 // Closure returns the closure of the support set tids: the intersection of
-// its transactions, identical to Dataset.Closure on a non-empty tids. The
-// returned itemset is a reusable internal buffer — callers must clone it
-// before retaining it or calling Closure again. An empty tids yields nil.
-//
-// The transaction walk reads the TID-set's representation directly —
-// sorted-array elements for sparse sets, a trailing-zeros word scan for
-// dense ones — instead of a NextSet loop, because this probe is the single
-// hottest loop in the closed miners.
+// its transactions, identical to Dataset.Closure on a non-empty tids (the
+// same items, in the same order, drawn from the same first transaction).
+// The returned itemset is a reusable internal buffer — callers must clone
+// it before retaining it or calling Closure again. An empty tids yields
+// nil.
 func (c *Closer) Closure(tids *tidset.Set) itemset.Itemset {
 	first := tids.NextSet(0)
 	if first < 0 {
 		return nil
 	}
-	cand := c.d.transactions[first]
-	c.gen++
-	if c.gen == 0 { // int32 wrap: invalidate all stamps explicitly
-		for i := range c.stamp {
-			c.stamp[i] = -1
-		}
-		c.gen = 1
-	}
-	for _, it := range cand {
-		c.stamp[it] = c.gen
-		c.count[it] = 0
-	}
-	var rest int32
-	if elems, ok := tids.Elems(); ok {
-		for _, e := range elems[1:] { // elems[0] == first
-			rest++
-			for _, it := range c.d.transactions[e] {
-				if c.stamp[it] == c.gen {
-					c.count[it]++
-				}
-			}
-		}
-	} else {
-		words, _ := tids.Words()
-		for wi, w := range words {
-			base := wi * 64
-			for w != 0 {
-				tid := base + bits.TrailingZeros64(w)
-				w &= w - 1
-				if tid == first {
-					continue
-				}
-				rest++
-				for _, it := range c.d.transactions[tid] {
-					if c.stamp[it] == c.gen {
-						c.count[it]++
-					}
-				}
-			}
-		}
-	}
 	out := c.buf[:0]
-	for _, it := range cand {
-		if c.count[it] == rest {
+	for _, it := range c.d.transactions[first] {
+		if tids.SubsetOf(c.d.tidsets[it]) {
 			out = append(out, it)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/itemset"
 	"repro/internal/rng"
+	"repro/internal/tidset"
 )
 
 // paperDB is the transaction database of Figure 3: four distinct
@@ -221,10 +222,54 @@ func TestTIDSetMatchesNaiveScan(t *testing.T) {
 	}
 }
 
-// TestCloserMatchesClosure is the differential test for the counting-based
+// forceRepr returns a copy of tids in the requested representation, built
+// through tidset.Builder with a declared count on the chosen side of the
+// sparse threshold.
+func forceRepr(tids *tidset.Set, dense bool) *tidset.Set {
+	declared := 0 // sparse
+	if dense {
+		declared = tids.Cap() + 1 // above SparseThreshold for any universe
+	}
+	b := tidset.NewBuilder(tids.Cap(), []int{declared})
+	tids.ForEach(func(tid int) { b.Add(0, tid) })
+	return b.Sets()[0]
+}
+
+// checkCloser compares Closer.Closure with the naive intersection-chain
+// Dataset.Closure on each probe's support set, with the set forced dense
+// and forced sparse so every SubsetOf pairing against the columns runs.
+func checkCloser(t *testing.T, d *Dataset, probes []itemset.Itemset) {
+	t.Helper()
+	closer := NewCloser(d)
+	for _, alpha := range probes {
+		want := d.Closure(alpha)
+		for _, dense := range []bool{false, true} {
+			tids := forceRepr(d.TIDSet(alpha), dense)
+			if tids.IsDense() != dense {
+				t.Fatalf("forceRepr(dense=%v) gave dense=%v", dense, tids.IsDense())
+			}
+			got := closer.Closure(tids)
+			if tids.Count() == 0 {
+				// Closure returns alpha itself on empty support; Closer
+				// (which only sees the TID set) returns nil. Both mean
+				// "no supporting transactions".
+				if got != nil {
+					t.Fatalf("Closure of empty support = %v, want nil", got)
+				}
+				continue
+			}
+			if !got.Equal(want) {
+				t.Fatalf("vertical closure (dense=%v) of %v = %v, want %v", dense, alpha, got, want)
+			}
+		}
+	}
+}
+
+// TestCloserMatchesClosure is the differential test for the vertical
 // closure: on randomized datasets, Closer.Closure must equal the naive
 // intersection-chain Dataset.Closure for every frequent itemset's support
-// set (and for single-transaction and empty supports).
+// set (and for single-transaction and empty supports), whichever
+// representation the support set is in.
 func TestCloserMatchesClosure(t *testing.T) {
 	r := rng.New(11)
 	for trial := 0; trial < 30; trial++ {
@@ -240,7 +285,6 @@ func TestCloserMatchesClosure(t *testing.T) {
 			txns[i] = row
 		}
 		d := MustNew(txns)
-		closer := NewCloser(d)
 		// Probe with every single item, random pairs, and random triples.
 		var probes []itemset.Itemset
 		for it := 0; it < d.NumItems(); it++ {
@@ -249,24 +293,44 @@ func TestCloserMatchesClosure(t *testing.T) {
 		for k := 0; k < 20; k++ {
 			probes = append(probes, itemset.Canonical([]int{r.Intn(nItems), r.Intn(nItems), r.Intn(nItems)}))
 		}
-		for _, alpha := range probes {
-			tids := d.TIDSet(alpha)
-			want := d.Closure(alpha)
-			got := closer.Closure(tids)
-			if tids.Count() == 0 {
-				// Closure returns alpha itself on empty support; Closer
-				// (which only sees the TID set) returns nil. Both mean
-				// "no supporting transactions".
-				if got != nil {
-					t.Fatalf("trial %d: Closure of empty support = %v, want nil", trial, got)
-				}
-				continue
-			}
-			if !got.Equal(want) {
-				t.Fatalf("trial %d: counting closure of %v = %v, want %v", trial, alpha, got, want)
+		checkCloser(t, d, probes)
+	}
+}
+
+// TestCloserWideTransactions runs the differential check on a
+// Microarray-shaped fixture: a few rows of thousands of items each, where
+// a closure keeps most of the first row and every column test is one or
+// two words.
+func TestCloserWideTransactions(t *testing.T) {
+	r := rng.New(5)
+	const rows, items = 12, 4000
+	txns := make([][]int, rows)
+	for i := range txns {
+		for it := 0; it < items; it++ {
+			if r.Intn(10) < 7 {
+				txns[i] = append(txns[i], it)
 			}
 		}
 	}
+	d := MustNew(txns)
+	probes := []itemset.Itemset{nil}
+	for k := 0; k < 40; k++ {
+		probes = append(probes, itemset.Canonical([]int{r.Intn(items), r.Intn(items)}))
+	}
+	checkCloser(t, d, probes)
+}
+
+// TestCloserEmptyFirstRow covers a support set whose first transaction is
+// empty: the closure is empty, not the union of the other rows' items.
+func TestCloserEmptyFirstRow(t *testing.T) {
+	d := MustNew([][]int{{}, {0, 1}, {0, 1, 2}})
+	all := tidset.Full(d.Size())
+	for _, dense := range []bool{false, true} {
+		if got := NewCloser(d).Closure(forceRepr(all, dense)); len(got) != 0 {
+			t.Fatalf("dense=%v: closure of all rows = %v, want empty", dense, got)
+		}
+	}
+	checkCloser(t, d, []itemset.Itemset{nil, {0}, {2}})
 }
 
 // TestCloserReusesBuffer documents the aliasing contract: the returned

@@ -11,14 +11,19 @@ import (
 // against the dense internal/bitset reference: on arbitrary column
 // profiles (universe size, two member bitmaps, a threshold, a forced
 // representation pairing) the hybrid Set must agree with the Bitset on
-// And membership, counts, AndCountAtLeast, Jaccard/Distance, iteration
-// and NextSet — the contract that keeps the miners' golden outputs
-// representation-independent.
+// And membership, counts, AndCountAtLeast, SubsetOf (in both directions),
+// Jaccard/Distance, iteration and NextSet — the contract that keeps the
+// miners' golden outputs representation-independent.
 func FuzzTIDSet(f *testing.F) {
 	f.Add(uint16(70), []byte{0xff, 0x0f, 0x00, 0x01}, []byte{0x01, 0x02, 0x03, 0x04}, 3, byte(0))
 	f.Add(uint16(64), []byte{0x00}, []byte{0xff}, 0, byte(1))
 	f.Add(uint16(300), []byte{0xaa, 0xaa, 0xaa}, []byte{0x55}, 17, byte(2))
 	f.Add(uint16(1), []byte{}, []byte{0x01}, 1, byte(3))
+	// a ⊆ b under every representation pairing, so SubsetOf's accepting
+	// paths run from the seed corpus alone.
+	for repr := byte(0); repr < 4; repr++ {
+		f.Add(uint16(200), []byte{0x01, 0x10, 0, 0, 0, 0, 0, 0, 0x80}, []byte{0x11, 0x11, 0, 0, 0, 0, 0, 0, 0x80}, 2, repr)
+	}
 	f.Fuzz(func(t *testing.T, un uint16, abits, bbits []byte, threshold int, repr byte) {
 		n := int(un)%1024 + 1
 		idx := func(raw []byte) []int {
@@ -45,6 +50,12 @@ func FuzzTIDSet(f *testing.F) {
 		}
 		if got, want := sa.AndCountAtLeast(sb, threshold), ba.AndCountAtLeast(bb, threshold); got != want {
 			t.Fatalf("AndCountAtLeast(%d): %v vs %v", threshold, got, want)
+		}
+		if got, want := sa.SubsetOf(sb), ba.AndCount(bb) == ba.Count(); got != want {
+			t.Fatalf("SubsetOf: %v vs %v", got, want)
+		}
+		if got, want := sb.SubsetOf(sa), bb.AndCount(ba) == bb.Count(); got != want {
+			t.Fatalf("reverse SubsetOf: %v vs %v", got, want)
 		}
 		if got, want := sa.OrCount(sb), ba.OrCount(bb); got != want {
 			t.Fatalf("OrCount: %d vs %d", got, want)

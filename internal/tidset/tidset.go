@@ -12,12 +12,11 @@
 // derived sets pick it per operation (an intersection with a sparse
 // operand is itself sparse, since |a∩b| ≤ min(|a|,|b|)).
 //
-// Every kernel — AndOf, AndCount, the early-exit AndCountAtLeast, the
-// Closure probes via Words/Elems — produces counts and members identical
-// to the dense bitset computation (pinned by the differential FuzzTIDSet
-// test), so the miners' golden sha256 outputs are unchanged by the
-// representation. Cardinality is maintained eagerly on every mutation,
-// making Count O(1).
+// Every kernel — AndOf, AndCount, the early-exit AndCountAtLeast and
+// SubsetOf — produces counts, members and verdicts identical to the dense
+// bitset computation (pinned by the differential FuzzTIDSet test), so the
+// miners' golden sha256 outputs are unchanged by the representation.
+// Cardinality is maintained eagerly on every mutation, making Count O(1).
 //
 // The package also provides the two allocation-discipline helpers the DFS
 // miners thread through engine.TasksWithScratch: Pool recycles scratch
@@ -139,27 +138,6 @@ func (s *Set) Empty() bool { return s.card == 0 }
 
 // IsDense reports whether the dense (word) representation is active.
 func (s *Set) IsDense() bool { return s.dense }
-
-// Words returns the dense word payload and true when s is dense, or
-// (nil, false) when it is sparse. The slice is the live payload — callers
-// must treat it as read-only. It is the fast path for word-level probes
-// (dataset.Closer iterates it directly).
-func (s *Set) Words() ([]uint64, bool) {
-	if s.dense {
-		return s.words, true
-	}
-	return nil, false
-}
-
-// Elems returns the sorted element payload and true when s is sparse, or
-// (nil, false) when it is dense. The slice is the live payload — callers
-// must treat it as read-only.
-func (s *Set) Elems() ([]uint32, bool) {
-	if !s.dense {
-		return s.elems, true
-	}
-	return nil, false
-}
 
 // Test reports whether i is a member. It panics if i is out of range.
 func (s *Set) Test(i int) bool {
@@ -545,6 +523,51 @@ func atLeastSparseSparse(ae, be []uint32, threshold int) bool {
 		}
 	}
 	return c >= threshold
+}
+
+// SubsetOf reports whether every member of s is a member of o, with early
+// exit on the first member o lacks. A larger s is rejected from the
+// maintained cardinalities alone; dense∧dense stops at the first word
+// with a bit outside o, a sparse s probes o's words per element or merges
+// with a sparse o, and a dense s is checked by counting the sparse o's
+// elements it holds. It is the column-containment test behind
+// dataset.Closer: an item belongs to the closure of a support set iff the
+// set is a subset of the item's column.
+func (s *Set) SubsetOf(o *Set) bool {
+	s.mustMatch(o)
+	if s.card > o.card {
+		return false
+	}
+	switch {
+	case s.dense && o.dense:
+		for i, w := range s.words {
+			if w&^o.words[i] != 0 {
+				return false
+			}
+		}
+		return true
+	case o.dense: // s sparse
+		for _, e := range s.elems {
+			if o.words[e/wordBits]&(1<<(uint(e)%wordBits)) == 0 {
+				return false
+			}
+		}
+		return true
+	case s.dense: // o sparse, and s no larger: probe o's few elements
+		return countSparseDense(o.elems, s.words) == s.card
+	default:
+		j := 0
+		for _, e := range s.elems {
+			for j < len(o.elems) && o.elems[j] < e {
+				j++
+			}
+			if j == len(o.elems) || o.elems[j] != e {
+				return false
+			}
+			j++
+		}
+		return true
+	}
 }
 
 // OrCount returns |s ∪ o| without allocating, by inclusion–exclusion on

@@ -121,6 +121,45 @@ func TestBasicOpsMatchBitset(t *testing.T) {
 	}
 }
 
+// TestSubsetOfMatchesBitset pins SubsetOf against the bitset reference
+// (a ⊆ b iff |a∩b| = |a|) on sets built to straddle the answer: a random
+// subset of b, the same with one member outside b (so the cardinality
+// prefilter passes and the scan must find the miss), and the empty set,
+// under all four representation pairings.
+func TestSubsetOfMatchesBitset(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + r.Intn(400)
+		var ib, sub, outside []int
+		for i := 0; i < n; i++ {
+			if r.Intn(3) != 0 {
+				ib = append(ib, i)
+				if r.Intn(2) == 0 {
+					sub = append(sub, i)
+				}
+			} else {
+				outside = append(outside, i)
+			}
+		}
+		cases := [][]int{sub, nil}
+		if len(outside) > 0 {
+			cases = append(cases, append(append([]int(nil), sub...), outside[r.Intn(len(outside))]))
+		}
+		sb, bb := mkBoth(n, ib)
+		for _, ia := range cases {
+			sa, ba := mkBoth(n, ia)
+			want := ba.AndCount(bb) == ba.Count()
+			for _, da := range []bool{false, true} {
+				for _, db := range []bool{false, true} {
+					if got := force(sa, da).SubsetOf(force(sb, db)); got != want {
+						t.Fatalf("trial %d: SubsetOf(dense=%v/%v) of %v in %v = %v, want %v", trial, da, db, ia, ib, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestCopyFromFlipsRepresentation(t *testing.T) {
 	n := 256
 	s := New(n)

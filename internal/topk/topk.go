@@ -28,7 +28,6 @@ import (
 	"context"
 	"sort"
 
-	"repro/internal/charm"
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/itemset"
@@ -58,7 +57,7 @@ func mineRange(ctx context.Context, d *dataset.Dataset, k, floor int, opts engin
 	}
 
 	all := tidset.Full(d.Size())
-	c0 := charm.ClosureOf(d, all)
+	c0 := d.Closure(nil)
 
 	// The root node runs on the dispatcher: offer the root closure, gather
 	// its extension candidates, and order them by descending support — the
@@ -115,7 +114,7 @@ func rootUnits(d *dataset.Dataset, k, floor, minSize int) int {
 		return 0
 	}
 	all := tidset.Full(d.Size())
-	c0 := charm.ClosureOf(d, all)
+	c0 := d.Closure(nil)
 	root := &miner{meter: engine.NewMeter(context.Background(), Name, nil),
 		d: d, k: k, minSize: minSize, minCount: floor, sc: newScratch(d)}
 	root.offer(c0, all)
@@ -166,7 +165,7 @@ type miner struct {
 }
 
 // scratch is the per-worker allocation state: a pool recycling candidate
-// TID-sets of closed branches and a counting closure computer. Heap
+// TID-sets of closed branches and a vertical closure computer. Heap
 // entries use GC-owned compact clones, not an arena — evicted patterns
 // must be collectable, and the heap holds at most K survivors.
 type scratch struct {

@@ -9,7 +9,9 @@
 //
 //	go run ./scripts/benchdiff old.json new.json
 //
-// Benchmarks are matched by name; entries present in only one file are
+// Benchmarks are matched by name, less the "-N" GOMAXPROCS suffix go test
+// appends on multi-CPU machines, so a baseline recorded on one core count
+// still matches a run on another; entries present in only one file are
 // listed separately. Deltas beyond ±10% on bytes/op or allocs/op — the
 // metrics that are stable across runners, unlike wall time — are flagged
 // with a trailing marker and tallied in the summary line. The exit
@@ -21,6 +23,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strings"
 )
 
 // benchFile mirrors the JSON scripts/bench.sh assembles.
@@ -118,7 +121,24 @@ func load(path string) benchFile {
 		fmt.Fprintf(os.Stderr, "benchdiff: %s: no benchmarks\n", path)
 		os.Exit(2)
 	}
+	for i := range f.Benchmarks {
+		f.Benchmarks[i].Name = trimProcs(f.Benchmarks[i].Name)
+	}
 	return f
+}
+
+// trimProcs drops a trailing "-N" GOMAXPROCS suffix from a benchmark name.
+func trimProcs(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	for _, c := range name[i+1:] {
+		if c < '0' || c > '9' {
+			return name
+		}
+	}
+	return name[:i]
 }
 
 // delta returns the relative change from old to new (+0.25 = 25% more).
