@@ -14,7 +14,6 @@ import (
 
 	patternfusion "repro"
 
-	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/dataset"
@@ -507,13 +506,25 @@ func BenchmarkEngineCharmAndCountAtLeast(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Substrate micro-benchmarks.
 
-func BenchmarkBitsetAndCount(b *testing.B) {
+// denseTIDSetPair draws two dense TID-sets over 4096 rows, 2000 random
+// inserts each (seed 1): the dense∧dense shape the ball search and the
+// fusion draws intersect.
+func denseTIDSetPair(b *testing.B) (x, y *tidset.Set) {
 	r := rng.New(1)
-	x, y := bitset.New(4096), bitset.New(4096)
+	var xs, ys []int
 	for i := 0; i < 2000; i++ {
-		x.Set(r.Intn(4096))
-		y.Set(r.Intn(4096))
+		xs = append(xs, r.Intn(4096))
+		ys = append(ys, r.Intn(4096))
 	}
+	x, y = tidset.FromIndices(4096, xs), tidset.FromIndices(4096, ys)
+	if !x.IsDense() || !y.IsDense() {
+		b.Fatal("fixture sets are not dense")
+	}
+	return x, y
+}
+
+func BenchmarkTIDSetAndCount(b *testing.B) {
+	x, y := denseTIDSetPair(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if x.AndCount(y) < 0 {
@@ -522,16 +533,11 @@ func BenchmarkBitsetAndCount(b *testing.B) {
 	}
 }
 
-// BenchmarkBitsetAndCountAtLeast measures the early-exit intersection bound
+// BenchmarkTIDSetAndCountAtLeast measures the early-exit intersection bound
 // against the full AndCount above: the ball search runs it once per
 // (seed, candidate) pair, so its constant factor is the fusion inner loop's.
-func BenchmarkBitsetAndCountAtLeast(b *testing.B) {
-	r := rng.New(1)
-	x, y := bitset.New(4096), bitset.New(4096)
-	for i := 0; i < 2000; i++ {
-		x.Set(r.Intn(4096))
-		y.Set(r.Intn(4096))
-	}
+func BenchmarkTIDSetAndCountAtLeast(b *testing.B) {
+	x, y := denseTIDSetPair(b)
 	threshold := x.AndCount(y) + 1 // worst case: undecidable until the bound kicks in
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -58,13 +59,58 @@ func TestSingleMiningEntryPoint(t *testing.T) {
 	})
 }
 
+// TestRowSpaceSubstrate guards "one TID-set type for row-space sets":
+// support sets and every other set of transaction IDs are tidset.Sets.
+// It walks the non-test sources and fails if
+//
+//   - a package other than the item-space miners (internal/carpenter and
+//     internal/maximal, whose bitsets range over item IDs) imports
+//     internal/bitset;
+//   - internal/seq, the pure subsequence algebra, imports any package of
+//     this module.
+func TestRowSpaceSubstrate(t *testing.T) {
+	const module = "repro/"
+	itemSpace := map[string]bool{"internal/carpenter": true, "internal/maximal": true}
+	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
+		if err != nil || !e.IsDir() {
+			return err
+		}
+		if path != "." && (strings.HasPrefix(e.Name(), ".") || e.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		dir := filepath.ToSlash(path)
+		for _, f := range parseDir(t, dir) {
+			for _, imp := range f.Imports {
+				imported, err := strconv.Unquote(imp.Path.Value)
+				if err != nil {
+					return err
+				}
+				if imported == module+"internal/bitset" && !itemSpace[dir] {
+					t.Errorf("%s imports internal/bitset: row-space sets are tidset.Sets", dir)
+				}
+				if dir == "internal/seq" && strings.HasPrefix(imported, module) {
+					t.Errorf("internal/seq imports %s: it holds only the subsequence algebra", imported)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // exported calls fn for every exported package-level func ("func") and
 // type ("type") declared in the non-test Go files of dir. Methods are not
 // package-level funcs: an adapter's Mine method is the entry point the
 // rule asks for.
 func exported(t *testing.T, dir string, fn func(kind, name string)) {
 	t.Helper()
-	for _, f := range parseDir(t, dir) {
+	files := parseDir(t, dir)
+	if len(files) == 0 {
+		t.Fatalf("no Go files in %s", dir)
+	}
+	for _, f := range files {
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
@@ -83,7 +129,7 @@ func exported(t *testing.T, dir string, fn func(kind, name string)) {
 }
 
 // parseDir parses the non-test Go files of dir (relative to the module
-// root).
+// root); a directory without any yields none.
 func parseDir(t *testing.T, dir string) []*ast.File {
 	t.Helper()
 	matches, err := filepath.Glob(filepath.Join(dir, "*.go"))
@@ -101,9 +147,6 @@ func parseDir(t *testing.T, dir string) []*ast.File {
 			t.Fatal(err)
 		}
 		files = append(files, f)
-	}
-	if len(files) == 0 {
-		t.Fatalf("no Go files in %s", dir)
 	}
 	return files
 }

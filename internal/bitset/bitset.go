@@ -3,7 +3,6 @@ package bitset
 import (
 	"fmt"
 	"math/bits"
-	"strings"
 )
 
 const wordBits = 64
@@ -31,9 +30,6 @@ func FromIndices(n int, indices []int) *Bitset {
 	}
 	return b
 }
-
-// Cap returns the capacity (the exclusive upper bound on members).
-func (b *Bitset) Cap() int { return b.n }
 
 // Set adds i to the set. It panics if i is out of range.
 func (b *Bitset) Set(i int) {
@@ -85,12 +81,6 @@ func (b *Bitset) Clone() *Bitset {
 	return c
 }
 
-// CopyFrom overwrites b with the contents of src. The capacities must match.
-func (b *Bitset) CopyFrom(src *Bitset) {
-	b.mustMatch(src)
-	copy(b.words, src.words)
-}
-
 // SetAll sets every bit in [0, n).
 func (b *Bitset) SetAll() {
 	for i := range b.words {
@@ -127,22 +117,6 @@ func (b *Bitset) InPlaceAnd(o *Bitset) {
 	}
 }
 
-// InPlaceOr sets b = b ∪ o.
-func (b *Bitset) InPlaceOr(o *Bitset) {
-	b.mustMatch(o)
-	for i := range b.words {
-		b.words[i] |= o.words[i]
-	}
-}
-
-// InPlaceAndNot sets b = b \ o.
-func (b *Bitset) InPlaceAndNot(o *Bitset) {
-	b.mustMatch(o)
-	for i := range b.words {
-		b.words[i] &^= o.words[i]
-	}
-}
-
 // AndOf sets b = a ∩ o without allocating. All three capacities must
 // match; b may alias a or o. It is the scratch-buffer form of And for
 // recursion that reuses per-depth result bitsets.
@@ -158,20 +132,6 @@ func (b *Bitset) AndOf(a, o *Bitset) {
 func (b *Bitset) And(o *Bitset) *Bitset {
 	c := b.Clone()
 	c.InPlaceAnd(o)
-	return c
-}
-
-// Or returns a new bitset b ∪ o.
-func (b *Bitset) Or(o *Bitset) *Bitset {
-	c := b.Clone()
-	c.InPlaceOr(o)
-	return c
-}
-
-// AndNot returns a new bitset b \ o.
-func (b *Bitset) AndNot(o *Bitset) *Bitset {
-	c := b.Clone()
-	c.InPlaceAndNot(o)
 	return c
 }
 
@@ -238,19 +198,6 @@ func (b *Bitset) SubsetOf(o *Bitset) bool {
 	return !b.AndNotAny(o)
 }
 
-// Equal reports whether b and o have identical members and capacity.
-func (b *Bitset) Equal(o *Bitset) bool {
-	if b.n != o.n {
-		return false
-	}
-	for i, w := range b.words {
-		if w != o.words[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Jaccard returns the Jaccard similarity |b∩o| / |b∪o|.
 // By convention Jaccard of two empty sets is 1.
 func (b *Bitset) Jaccard(o *Bitset) float64 {
@@ -310,35 +257,4 @@ func (b *Bitset) NextSet(i int) int {
 		}
 	}
 	return -1
-}
-
-// Key returns a compact string usable as a map key identifying the set's
-// contents (capacity not included).
-func (b *Bitset) Key() string {
-	var sb strings.Builder
-	sb.Grow(len(b.words) * 8)
-	for _, w := range b.words {
-		var buf [8]byte
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(w >> (8 * i))
-		}
-		sb.Write(buf[:])
-	}
-	return sb.String()
-}
-
-// String renders the set as "{i1, i2, ...}".
-func (b *Bitset) String() string {
-	var sb strings.Builder
-	sb.WriteByte('{')
-	first := true
-	b.ForEach(func(i int) {
-		if !first {
-			sb.WriteString(", ")
-		}
-		first = false
-		fmt.Fprintf(&sb, "%d", i)
-	})
-	sb.WriteByte('}')
-	return sb.String()
 }

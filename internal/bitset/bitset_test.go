@@ -2,6 +2,7 @@ package bitset
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -78,14 +79,6 @@ func TestBooleanAlgebra(t *testing.T) {
 	if got := and.Indices(); len(got) != 2 || got[0] != 5 || got[1] != 64 {
 		t.Fatalf("And = %v", got)
 	}
-	or := a.Or(b)
-	if got := or.Count(); got != 5 {
-		t.Fatalf("|Or| = %d, want 5", got)
-	}
-	diff := a.AndNot(b)
-	if got := diff.Indices(); len(got) != 2 || got[0] != 1 || got[1] != 99 {
-		t.Fatalf("AndNot = %v", got)
-	}
 	if a.AndCount(b) != 2 || a.OrCount(b) != 5 {
 		t.Fatalf("AndCount/OrCount mismatch: %d, %d", a.AndCount(b), a.OrCount(b))
 	}
@@ -109,17 +102,8 @@ func TestSubsetEqual(t *testing.T) {
 	if b.SubsetOf(a) {
 		t.Fatal("b should not be subset of a")
 	}
-	if !a.SubsetOf(a.Clone()) {
-		t.Fatal("a should be subset of itself")
-	}
-	if !a.Equal(a.Clone()) {
+	if c := a.Clone(); !a.SubsetOf(c) || !c.SubsetOf(a) {
 		t.Fatal("clone not equal")
-	}
-	if a.Equal(b) {
-		t.Fatal("distinct sets equal")
-	}
-	if a.Equal(FromIndices(71, []int{1, 2, 65})) {
-		t.Fatal("different capacities compare equal")
 	}
 }
 
@@ -165,26 +149,6 @@ func TestForEachAndNextSet(t *testing.T) {
 	}
 }
 
-func TestKeyDistinguishesContents(t *testing.T) {
-	a := FromIndices(100, []int{1, 2})
-	b := FromIndices(100, []int{1, 3})
-	if a.Key() == b.Key() {
-		t.Fatal("different sets share a key")
-	}
-	if a.Key() != a.Clone().Key() {
-		t.Fatal("clone has different key")
-	}
-}
-
-func TestString(t *testing.T) {
-	if s := FromIndices(10, []int{1, 4}).String(); s != "{1, 4}" {
-		t.Fatalf("String = %q", s)
-	}
-	if s := New(10).String(); s != "{}" {
-		t.Fatalf("empty String = %q", s)
-	}
-}
-
 // randomSet builds a bitset of capacity n from a seed mask (property tests).
 func fromMask(n int, mask uint64) *Bitset {
 	b := New(n)
@@ -196,6 +160,8 @@ func fromMask(n int, mask uint64) *Bitset {
 	return b
 }
 
+func sameMembers(a, b *Bitset) bool { return slices.Equal(a.Indices(), b.Indices()) }
+
 func TestAlgebraLawsQuick(t *testing.T) {
 	const n = 60
 	// De Morgan-ish and counting laws on random sets.
@@ -205,19 +171,12 @@ func TestAlgebraLawsQuick(t *testing.T) {
 		if a.OrCount(b)+a.AndCount(b) != a.Count()+b.Count() {
 			return false
 		}
-		// a\b ∪ a∩b == a
-		if !a.AndNot(b).Or(a.And(b)).Equal(a) {
-			return false
-		}
 		// subset relation consistency
-		if a.And(b).SubsetOf(a) != true || a.SubsetOf(a.Or(b)) != true {
+		if !a.And(b).SubsetOf(a) || !a.And(b).SubsetOf(b) {
 			return false
 		}
 		// commutativity
-		if !a.And(b).Equal(b.And(a)) || !a.Or(b).Equal(b.Or(a)) {
-			return false
-		}
-		return true
+		return sameMembers(a.And(b), b.And(a)) && a.OrCount(b) == b.OrCount(a)
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -241,17 +200,9 @@ func TestInPlaceOpsMatchAllocating(t *testing.T) {
 		a, b := fromMask(64, ma), fromMask(64, mb)
 		x := a.Clone()
 		x.InPlaceAnd(b)
-		if !x.Equal(a.And(b)) {
-			return false
-		}
-		y := a.Clone()
-		y.InPlaceOr(b)
-		if !y.Equal(a.Or(b)) {
-			return false
-		}
-		z := a.Clone()
-		z.InPlaceAndNot(b)
-		return z.Equal(a.AndNot(b))
+		y := New(64)
+		y.AndOf(a, b)
+		return sameMembers(x, a.And(b)) && sameMembers(y, x)
 	}, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -1,20 +1,20 @@
-// Package bitset implements dense fixed-capacity bitsets.
+// Package bitset implements dense fixed-capacity bitsets over item IDs.
 //
-// Bitsets are the workhorse of the vertical miners and of Pattern-Fusion
-// itself: the support set D_α of a pattern α (Definition 1 of the paper) is
-// represented as a bitset over transaction IDs, so that support counting,
-// the pattern distance Dist(α,β) = 1 − |Dα∩Dβ|/|Dα∪Dβ| (Definition 6) and
-// support-set intersection during fusion are all word-parallel operations.
+// Row-space sets — the support set D_α of a pattern α (Definition 1 of
+// the paper), the dataset's vertical columns, and every intersection the
+// fusion engines compute — are internal/tidset sets. This package serves
+// the item-space side: CARPENTER's row-enumeration itemsets (the
+// intersection X of the rows chosen so far) and the maximal miner's
+// subsumption probes, where the universe is the item count and a dense
+// word array is always the right representation. It is also the plain
+// reference implementation that internal/tidset's differential tests
+// compare every hybrid kernel against.
 //
-// Besides the allocating set algebra (And, Or, AndNot) the package offers
+// Besides the set algebra (And, AndOf, SubsetOf) the package offers
 // allocation-free counting forms (AndCount, OrCount, Jaccard) and the
 // early-exit decision form AndCountAtLeast, which answers
-// |b∩o| ≥ threshold without necessarily finishing the word loop — the
-// primitive behind the fusion engine's count-algebra ball pruning.
+// |b∩o| ≥ threshold without necessarily finishing the word loop.
 //
 // A Bitset is not synchronized: concurrent readers are safe, but any
-// mutation needs external coordination. The parallel miners exploit the
-// read-only case — workers share item TID sets and ancestor support sets
-// freely, and every intersection they compute lands in a fresh
-// worker-owned bitset.
+// mutation needs external coordination.
 package bitset

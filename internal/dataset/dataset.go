@@ -1,7 +1,7 @@
 // Package dataset implements the transaction database abstraction of the
 // paper (Section 2.1): a collection D = {t1, …, tn} of itemsets over an item
 // universe I, with both a horizontal representation (the transactions
-// themselves) and a vertical representation (a TID bitset per item) that the
+// themselves) and a vertical representation (a TID-set per item) that the
 // vertical miners and Pattern-Fusion operate on.
 //
 // The central derived object is the Pattern: an itemset α together with its
@@ -239,10 +239,37 @@ func (c *Closer) Closure(tids *tidset.Set) itemset.Itemset {
 // otherwise-immutable Dataset allows — and read by the sequence miner.
 // The caller contract: len(rows) == Size(), and the distinct events of
 // rows[i] equal Transaction(i), so the itemset view (supports, TID-sets,
-// transforms) stays consistent with the ordered one.
+// transforms) stays consistent with the ordered one — the sequence miner
+// reads event e's support set from item column e. Both are checked, in
+// one pass over the rows; a violation is a builder bug and panics.
 func (d *Dataset) SetSequences(rows [][]int) {
 	if rows != nil && len(rows) != len(d.transactions) {
 		panic(fmt.Sprintf("dataset: %d sequence rows for %d transactions", len(rows), len(d.transactions)))
+	}
+	// mark[e] is 2i+1 while item e of transaction i is unseen in rows[i],
+	// and 2i+2 once seen.
+	var mark []int
+	if len(rows) > 0 {
+		mark = make([]int, d.numItems)
+	}
+	for i, row := range rows {
+		txn := d.transactions[i]
+		for _, e := range txn {
+			mark[e] = 2*i + 1
+		}
+		seen := 0
+		for _, e := range row {
+			if e < 0 || e >= d.numItems || mark[e] < 2*i+1 {
+				panic(fmt.Sprintf("dataset: sequence row %d has event %d outside transaction %v", i, e, txn))
+			}
+			if mark[e] == 2*i+1 {
+				mark[e]++
+				seen++
+			}
+		}
+		if seen != len(txn) {
+			panic(fmt.Sprintf("dataset: sequence row %d covers %d of the %d items of transaction %v", i, seen, len(txn), txn))
+		}
 	}
 	d.seqs = rows
 }
@@ -353,7 +380,7 @@ func NewPatternCounted(alpha itemset.Itemset, tids *tidset.Set, count int) *Patt
 }
 
 // Support returns |D_α|. Patterns built via the constructors serve the
-// memoized count; struct-literal patterns fall back to counting the bitset
+// memoized count; struct-literal patterns fall back to counting the TID-set
 // on every call (no caching, so concurrent readers never race).
 func (p *Pattern) Support() int {
 	if p.sup > 0 {
@@ -373,10 +400,6 @@ func (p *Pattern) EnsureSupport() {
 		p.sup = p.TIDs.Count() + 1
 	}
 }
-
-// InvalidateSupport drops the memoized count; call it after mutating TIDs
-// in place (e.g. InPlaceAnd).
-func (p *Pattern) InvalidateSupport() { p.sup = 0 }
 
 // Size returns |α|.
 func (p *Pattern) Size() int { return len(p.Items) }

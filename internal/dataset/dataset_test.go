@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -347,8 +348,8 @@ func TestCloserReusesBuffer(t *testing.T) {
 }
 
 // TestPatternSupportMemo pins the support cache semantics: constructors
-// memoize, struct literals fall back to counting, SetSupport/Invalidate
-// behave as documented.
+// memoize, struct literals fall back to counting, SetSupport behaves as
+// documented.
 func TestPatternSupportMemo(t *testing.T) {
 	d := paperDB(t)
 	p := NewPattern(d, itemset.Itemset{0, 1})
@@ -364,14 +365,10 @@ func TestPatternSupportMemo(t *testing.T) {
 	if lit.Support() != 199 {
 		t.Fatalf("literal Support after Clear = %d, want 199", lit.Support())
 	}
-	// A constructor-built pattern caches; invalidation re-counts.
+	// A constructor-built pattern caches.
 	p.TIDs.Remove(p.TIDs.NextSet(0))
 	if p.Support() != 200 {
-		t.Fatalf("cached Support changed without invalidation: %d", p.Support())
-	}
-	p.InvalidateSupport()
-	if p.Support() != 199 {
-		t.Fatalf("Support after invalidation = %d, want 199", p.Support())
+		t.Fatalf("cached Support recounted: %d", p.Support())
 	}
 	p.SetSupport(42)
 	if p.Support() != 42 {
@@ -424,4 +421,38 @@ func TestDedupPatternsMatchesStringKeys(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSetSequencesChecksContract pins that SetSequences rejects an
+// ordered view whose distinct events differ from the transactions — the
+// sequence miner reads event supports from the item columns, so a
+// mismatch would silently corrupt them — and names the offending row.
+func TestSetSequencesChecksContract(t *testing.T) {
+	d := MustNew([][]int{{1, 2}, {0, 3}, {}})
+	d.SetSequences([][]int{{2, 1, 2}, {3, 0}, {}}) // repeats and order are free
+	d.SetSequences(nil)
+	for name, rows := range map[string][][]int{
+		"row count":     {{1, 2}, {0, 3}},
+		"foreign event": {{1, 2}, {0, 3, 1}, {}},
+		"missing item":  {{1, 2}, {3}, {}},
+		"out of range":  {{1, 2}, {0, 3}, {4}},
+		"negative":      {{1, 2, -1}, {0, 3}, {}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: SetSequences(%v) did not panic", name, rows)
+				}
+			}()
+			d.SetSequences(rows)
+		}()
+	}
+	func() {
+		defer func() {
+			if msg := fmt.Sprint(recover()); !strings.Contains(msg, "row 1") {
+				t.Errorf("panic %q does not name row 1", msg)
+			}
+		}()
+		d.SetSequences([][]int{{1, 2}, {3}, {}})
+	}()
 }

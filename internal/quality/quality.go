@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"repro/internal/itemset"
-	"repro/internal/rng"
 )
 
 // Cluster is one cell of the approximation partition π_Q: the center
@@ -94,32 +93,6 @@ func FilterBySize(q []itemset.Itemset, minSize int) []itemset.Itemset {
 		}
 	}
 	return out
-}
-
-// UniformSample draws k patterns uniformly at random without replacement
-// from the complete set — the "uniform sampling" baseline of Figure 7. If
-// k ≥ len(q), a copy of q is returned.
-func UniformSample(r *rng.RNG, q []itemset.Itemset, k int) []itemset.Itemset {
-	if k >= len(q) {
-		out := make([]itemset.Itemset, len(q))
-		copy(out, q)
-		return out
-	}
-	idx := r.SampleInts(len(q), k)
-	out := make([]itemset.Itemset, 0, k)
-	for _, i := range idx {
-		out = append(out, q[i])
-	}
-	return out
-}
-
-// SizeHistogram counts patterns per size — the rows of Figure 9.
-func SizeHistogram(sets []itemset.Itemset) map[int]int {
-	h := make(map[int]int)
-	for _, s := range sets {
-		h[len(s)]++
-	}
-	return h
 }
 
 // Recall returns the fraction of q's patterns that appear exactly in p.

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/itemset"
-	"repro/internal/rng"
 )
 
 // TestExample1ApproximationError reproduces Example 1 / Figure 5 of the
@@ -95,32 +94,6 @@ func TestFilterBySize(t *testing.T) {
 	}
 	if got := FilterBySize(q, 4); len(got) != 0 {
 		t.Fatalf("FilterBySize(4) kept %d", len(got))
-	}
-}
-
-func TestUniformSample(t *testing.T) {
-	r := rng.New(1)
-	q := []itemset.Itemset{{1}, {2}, {3}, {4}, {5}}
-	s := UniformSample(r, q, 3)
-	if len(s) != 3 {
-		t.Fatalf("sample size %d", len(s))
-	}
-	seen := map[string]bool{}
-	for _, x := range s {
-		if seen[x.Key()] {
-			t.Fatal("duplicate in sample")
-		}
-		seen[x.Key()] = true
-	}
-	if got := UniformSample(r, q, 10); len(got) != 5 {
-		t.Fatalf("oversized sample returned %d", len(got))
-	}
-}
-
-func TestSizeHistogram(t *testing.T) {
-	h := SizeHistogram([]itemset.Itemset{{1}, {2}, {1, 2}, {1, 2, 3}})
-	if h[1] != 2 || h[2] != 1 || h[3] != 1 {
-		t.Fatalf("histogram = %v", h)
 	}
 }
 

@@ -19,16 +19,14 @@
 //     targets.
 //
 // The mining loop built on this algebra is the registered "seqfusion"
-// engine algorithm (internal/seqfusion); this package holds only the
-// algebra.
+// engine algorithm (internal/seqfusion), whose support sets are the
+// dataset's own item columns; this package holds only the algebra and
+// imports nothing else from the module.
 package seq
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
-
-	"repro/internal/bitset"
 )
 
 // Sequence is an ordered list of event IDs; repeats are allowed.
@@ -147,124 +145,3 @@ func WeightedLCS(a, b Sequence, weight func(event int) float64) Sequence {
 	}
 	return out
 }
-
-// Dataset is an immutable collection of sequences with a per-event inverted
-// index for fast support-set computation of short patterns.
-type Dataset struct {
-	seqs      []Sequence
-	numEvents int
-	eventTIDs []*bitset.Bitset // eventTIDs[e] = sequences containing event e
-}
-
-// NewDataset builds a sequence dataset. Event IDs must be non-negative.
-func NewDataset(seqs []Sequence) (*Dataset, error) {
-	d := &Dataset{seqs: make([]Sequence, len(seqs))}
-	maxEvent := -1
-	for i, s := range seqs {
-		for _, e := range s {
-			if e < 0 {
-				return nil, fmt.Errorf("seq: sequence %d has negative event %d", i, e)
-			}
-			if e > maxEvent {
-				maxEvent = e
-			}
-		}
-		d.seqs[i] = s.Clone()
-	}
-	d.numEvents = maxEvent + 1
-	d.eventTIDs = make([]*bitset.Bitset, d.numEvents)
-	for e := range d.eventTIDs {
-		d.eventTIDs[e] = bitset.New(len(seqs))
-	}
-	for tid, s := range d.seqs {
-		for _, e := range s {
-			d.eventTIDs[e].Set(tid)
-		}
-	}
-	return d, nil
-}
-
-// MustNewDataset is NewDataset but panics on error.
-func MustNewDataset(seqs []Sequence) *Dataset {
-	d, err := NewDataset(seqs)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
-// Size returns the number of sequences.
-func (d *Dataset) Size() int { return len(d.seqs) }
-
-// NumEvents returns the event universe size.
-func (d *Dataset) NumEvents() int { return d.numEvents }
-
-// Seq returns sequence tid.
-func (d *Dataset) Seq(tid int) Sequence { return d.seqs[tid] }
-
-// EventTIDs returns the support set of the single event e — the
-// inverted-index row, shared with the Dataset; callers must not modify
-// it. Events outside the universe have an empty support set.
-func (d *Dataset) EventTIDs(e int) *bitset.Bitset {
-	if e < 0 || e >= d.numEvents {
-		return bitset.New(len(d.seqs))
-	}
-	return d.eventTIDs[e]
-}
-
-// TIDSet returns the support set of pattern p: the sequences containing p
-// as a subsequence. The per-event index prunes the candidates; each
-// survivor is verified with the order-preserving containment test.
-func (d *Dataset) TIDSet(p Sequence) *bitset.Bitset {
-	out := bitset.New(len(d.seqs))
-	if len(p) == 0 {
-		out.SetAll()
-		return out
-	}
-	cand := bitset.New(len(d.seqs))
-	cand.SetAll()
-	for _, e := range p {
-		if e >= d.numEvents {
-			return out
-		}
-		cand.InPlaceAnd(d.eventTIDs[e])
-	}
-	cand.ForEach(func(tid int) {
-		if p.IsSubsequenceOf(d.seqs[tid]) {
-			out.Set(tid)
-		}
-	})
-	return out
-}
-
-// SupportCount returns |D_p|.
-func (d *Dataset) SupportCount(p Sequence) int { return d.TIDSet(p).Count() }
-
-// FoldClosure approximates the closure of a support set: the heaviest
-// sequence common to every sequence in tids, computed by folding the
-// weighted LCS left to right with each event weighted by its support
-// within tids. It returns nil for an empty tids.
-func (d *Dataset) FoldClosure(tids *bitset.Bitset) Sequence {
-	first := tids.NextSet(0)
-	if first < 0 {
-		return nil
-	}
-	weight := func(e int) float64 { return float64(d.eventTIDs[e].AndCount(tids)) }
-	acc := d.seqs[first].Clone()
-	for tid := tids.NextSet(first + 1); tid >= 0 && len(acc) > 0; tid = tids.NextSet(tid + 1) {
-		acc = WeightedLCS(acc, d.seqs[tid], weight)
-	}
-	return acc
-}
-
-// Pattern is a subsequence pattern with its support set.
-type Pattern struct {
-	Seq  Sequence
-	TIDs *bitset.Bitset
-}
-
-// Support returns |D_p|.
-func (p *Pattern) Support() int { return p.TIDs.Count() }
-
-// String renders the pattern as "<...>:support".
-func (p *Pattern) String() string { return fmt.Sprintf("%v:%d", p.Seq, p.Support()) }

@@ -82,50 +82,3 @@ func TestLCSPropertiesQuick(t *testing.T) {
 	}
 	_ = r
 }
-
-func TestDatasetSupport(t *testing.T) {
-	d := MustNewDataset([]Sequence{
-		{1, 2, 3, 4},
-		{1, 3, 4},
-		{2, 1, 4},
-		{4, 3, 2, 1},
-	})
-	cases := []struct {
-		p    Sequence
-		want int
-	}{
-		{Sequence{1}, 4},
-		{Sequence{1, 4}, 3}, // not in <4 3 2 1>
-		{Sequence{4, 1}, 1}, // only <4 3 2 1> has 4 before 1
-		{Sequence{1, 2, 3, 4}, 1},
-		{Sequence{9}, 0},
-		{nil, 4},
-	}
-	for _, c := range cases {
-		if got := d.SupportCount(c.p); got != c.want {
-			t.Errorf("support(%v) = %d, want %d", c.p, got, c.want)
-		}
-	}
-}
-
-func TestDatasetRejectsNegative(t *testing.T) {
-	if _, err := NewDataset([]Sequence{{1, -1}}); err == nil {
-		t.Fatal("negative event accepted")
-	}
-}
-
-func TestFoldClosure(t *testing.T) {
-	d := MustNewDataset([]Sequence{
-		{9, 1, 2, 3, 8},
-		{1, 7, 2, 3},
-		{0, 1, 2, 6, 3},
-	})
-	tids := d.TIDSet(Sequence{1, 2})
-	if tids.Count() != 3 {
-		t.Fatalf("support(1 2) = %d", tids.Count())
-	}
-	c := d.FoldClosure(tids)
-	if !c.Equal(Sequence{1, 2, 3}) {
-		t.Fatalf("closure = %v, want <1 2 3>", c)
-	}
-}

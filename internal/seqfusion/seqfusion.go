@@ -1,8 +1,16 @@
 // Package seqfusion promotes the sequence extension of Pattern-Fusion
-// (internal/seq: ball search over support-set distance, closures by
-// weighted-LCS folding) to a first-class engine miner — the ninth
-// algorithm in the registry, and the paper's Section 8 direction made
-// reachable from pfmine, pfserve and the distributed coordinator.
+// (ball search over support-set distance, closures by weighted-LCS
+// folding over the internal/seq algebra) to a first-class engine miner —
+// the ninth algorithm in the registry, and the paper's Section 8
+// direction made reachable from pfmine, pfserve and the distributed
+// coordinator.
+//
+// Support sets are the dataset's own: the sequence extension changes the
+// pattern algebra, not D_α. dataset.SetSequences checks that the
+// distinct events of an ordered row are its transaction, so the item
+// column of event e is exactly the set of rows containing e, and a
+// subsequence's support set is the intersection of its events' columns
+// filtered by the order-preserving containment test.
 //
 // The engine contract forces one structural change against the itemset
 // miner's iterative global pool shrinkage: reports must be byte-identical
@@ -29,13 +37,13 @@ package seqfusion
 import (
 	"context"
 
-	"repro/internal/bitset"
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/itemset"
 	"repro/internal/quality"
 	"repro/internal/rng"
 	"repro/internal/seq"
+	"repro/internal/tidset"
 )
 
 // Name is the engine registry name.
@@ -80,25 +88,69 @@ func resolve(d *dataset.Dataset, opts engine.Options) config {
 	return cfg
 }
 
-// sequenceView materializes the ordered view the sequence algebra needs:
-// the dataset's attached sequences when a sequence-format ingestion
-// provided them, else the canonical transactions read as ascending
-// sequences (the Replace reading: a planted itemset in sorted rows is a
-// planted subsequence). The conversion is deterministic, so the view —
-// and everything mined from it — remains a pure function of the dataset.
-func sequenceView(d *dataset.Dataset) *seq.Dataset {
-	rows := d.Sequences()
-	seqs := make([]seq.Sequence, d.Size())
-	for i := range seqs {
-		var row []int
-		if rows != nil {
-			row = rows[i]
-		} else {
-			row = d.Transaction(i)
-		}
-		seqs[i] = seq.Sequence(row)
+// view is the ordered reading of a dataset the sequence algebra runs on:
+// the attached sequences when a sequence-format ingestion provided them,
+// else the canonical transactions read as ascending sequences (the
+// Replace reading: a planted itemset in sorted rows is a planted
+// subsequence). Both are read in place, so everything mined from the
+// view remains a pure function of the dataset.
+type view struct {
+	d    *dataset.Dataset
+	seqs [][]int // d.Sequences(); nil means read the transactions
+}
+
+func newView(d *dataset.Dataset) view { return view{d: d, seqs: d.Sequences()} }
+
+// row returns row tid as a sequence (shared; callers must not modify it).
+func (v view) row(tid int) seq.Sequence {
+	if v.seqs != nil {
+		return v.seqs[tid]
 	}
-	return seq.MustNewDataset(seqs)
+	return seq.Sequence(v.d.Transaction(tid))
+}
+
+// tidSet returns the support set of pattern p: the rows containing p as
+// a subsequence. The item columns of p's events prune the candidates;
+// each survivor is verified with the order-preserving containment test.
+// Events outside the item universe have an empty support set, and the
+// empty pattern is contained in every row.
+func (v view) tidSet(p seq.Sequence) *tidset.Set {
+	tids := v.d.TIDSet(itemset.Canonical(p))
+	var miss []int
+	tids.ForEach(func(tid int) {
+		if !p.IsSubsequenceOf(v.row(tid)) {
+			miss = append(miss, tid)
+		}
+	})
+	for _, tid := range miss {
+		tids.Remove(tid)
+	}
+	return tids
+}
+
+// foldClosure approximates the closure of a support set: the heaviest
+// sequence common to every row in tids, computed by folding the weighted
+// LCS left to right with each event weighted by its support within tids.
+// It returns nil for an empty tids.
+func (v view) foldClosure(tids *tidset.Set) seq.Sequence {
+	first := tids.NextSet(0)
+	if first < 0 {
+		return nil
+	}
+	weight := func(e int) float64 { return float64(v.d.ItemTIDs(e).AndCount(tids)) }
+	acc := v.row(first).Clone()
+	for tid := tids.NextSet(first + 1); tid >= 0 && len(acc) > 0; tid = tids.NextSet(tid + 1) {
+		acc = seq.WeightedLCS(acc, v.row(tid), weight)
+	}
+	return acc
+}
+
+// candidate is one initial-pool pattern with its support set. Pool sets
+// are shared read-only by every slot (a unigram's is the item column
+// itself).
+type candidate struct {
+	seq  seq.Sequence
+	tids *tidset.Set
 }
 
 // initPool mines the static candidate pool: every frequent unigram in
@@ -106,33 +158,31 @@ func sequenceView(d *dataset.Dataset) *seq.Dataset {
 // order — every colossal subsequence contains many frequent bigrams, so
 // they suffice to seed the balls. On cancellation it returns the partial
 // pool and true.
-func initPool(ctx context.Context, sd *seq.Dataset, minCount int) ([]*seq.Pattern, bool) {
-	var pool []*seq.Pattern
-	for e := 0; e < sd.NumEvents(); e++ {
+func initPool(ctx context.Context, v view, minCount int) ([]candidate, bool) {
+	var pool []candidate
+	for e := 0; e < v.d.NumItems(); e++ {
 		if ctx.Err() != nil {
 			return pool, true
 		}
-		if sd.EventTIDs(e).Count() < minCount {
-			continue
+		if col := v.d.ItemTIDs(e); col.Count() >= minCount {
+			pool = append(pool, candidate{seq: seq.Sequence{e}, tids: col})
 		}
-		p := seq.Sequence{e}
-		pool = append(pool, &seq.Pattern{Seq: p, TIDs: sd.TIDSet(p)})
 	}
 	seen := make(map[string]bool)
-	for tid := 0; tid < sd.Size(); tid++ {
+	for tid := 0; tid < v.d.Size(); tid++ {
 		if ctx.Err() != nil {
 			return pool, true
 		}
-		s := sd.Seq(tid)
+		s := v.row(tid)
 		for i := 0; i+1 < len(s); i++ {
 			bi := seq.Sequence{s[i], s[i+1]}
 			if seen[bi.Key()] {
 				continue
 			}
 			seen[bi.Key()] = true
-			tids := sd.TIDSet(bi)
+			tids := v.tidSet(bi)
 			if tids.Count() >= minCount {
-				pool = append(pool, &seq.Pattern{Seq: bi, TIDs: tids})
+				pool = append(pool, candidate{seq: bi, tids: tids})
 			}
 		}
 	}
@@ -151,14 +201,14 @@ type slotResult struct {
 // mineSlot runs seed-slot trajectory s to its fixed point. Everything it
 // reads — the pool, its supports, the dataset — is shared read-only
 // state; its RNG is the slot's own pure stream, so the result depends
-// only on (sd, pool, cfg, s).
-func mineSlot(sd *seq.Dataset, pool []*seq.Pattern, sups []int, cfg config, s int, meter *engine.Meter) slotResult {
+// only on (v, pool, cfg, s).
+func mineSlot(v view, pool []candidate, sups []int, cfg config, s int, meter *engine.Meter) slotResult {
 	if len(pool) == 0 {
 		return slotResult{}
 	}
 	r := rng.Stream(cfg.seed, uint64(s))
 	si := r.Intn(len(pool))
-	tids := pool[si].TIDs
+	tids := pool[si].tids
 	var res slotResult
 	for res.iters < cfg.maxIters {
 		if meter.Canceled() {
@@ -171,11 +221,11 @@ func mineSlot(sd *seq.Dataset, pool []*seq.Pattern, sups []int, cfg config, s in
 		}
 		tids = fused
 	}
-	closure := sd.FoldClosure(tids)
+	closure := v.foldClosure(tids)
 	if len(closure) == 0 || len(closure) < cfg.minSize {
 		return res
 	}
-	ctids := sd.TIDSet(closure)
+	ctids := v.tidSet(closure)
 	if ctids.Count() < cfg.minCount {
 		// The fold heuristic can overshoot the true common subsequence on
 		// adversarial data; an infrequent closure is not a pattern.
@@ -190,13 +240,13 @@ func mineSlot(sd *seq.Dataset, pool []*seq.Pattern, sups []int, cfg config, s in
 // r(τ)-ball of pool members within radius (seed excluded, sampled down
 // to maxBall), intersected in the slot's random order under the τ-core
 // and MinCount gates. The result is always a subset of tids.
-func fuseBall(pool []*seq.Pattern, sups []int, seedIdx int, tids *bitset.Bitset, cfg config, r *rng.RNG) *bitset.Bitset {
+func fuseBall(pool []candidate, sups []int, seedIdx int, tids *tidset.Set, cfg config, r *rng.RNG) *tidset.Set {
 	var ball []int
 	for pi := range pool {
 		if pi == seedIdx {
 			continue
 		}
-		if tids.Distance(pool[pi].TIDs) <= cfg.radius {
+		if tids.Distance(pool[pi].tids) <= cfg.radius {
 			ball = append(ball, pi)
 		}
 	}
@@ -212,7 +262,7 @@ func fuseBall(pool []*seq.Pattern, sups []int, seedIdx int, tids *bitset.Bitset,
 	maxSup := fused.Count()
 	for _, oi := range order {
 		pi := ball[oi]
-		nsup := fused.AndCount(pool[pi].TIDs)
+		nsup := fused.AndCount(pool[pi].tids)
 		if nsup < cfg.minCount {
 			continue
 		}
@@ -223,7 +273,7 @@ func fuseBall(pool []*seq.Pattern, sups []int, seedIdx int, tids *bitset.Bitset,
 		if float64(nsup) < cfg.tau*float64(limit) {
 			continue
 		}
-		fused.InPlaceAnd(pool[pi].TIDs)
+		fused.InPlaceAnd(pool[pi].tids)
 		if sups[pi] > maxSup {
 			maxSup = sups[pi]
 		}
@@ -242,8 +292,8 @@ func mineShardRaw(ctx context.Context, d *dataset.Dataset, opts engine.Options, 
 		rep.Stopped = true
 		return rep
 	}
-	sd := sequenceView(d)
-	pool, stopped := initPool(ctx, sd, cfg.minCount)
+	v := newView(d)
+	pool, stopped := initPool(ctx, v, cfg.minCount)
 	if lo == 0 {
 		rep.InitPoolSize = len(pool)
 	}
@@ -255,11 +305,11 @@ func mineShardRaw(ctx context.Context, d *dataset.Dataset, opts engine.Options, 
 	opts.Observer.Emit(engine.Event{Algorithm: Name, Phase: engine.PhaseInitPool, PoolSize: len(pool)})
 	sups := make([]int, len(pool))
 	for i, p := range pool {
-		sups[i] = p.TIDs.Count()
+		sups[i] = p.tids.Count()
 	}
 	slots := make([]slotResult, hi-lo)
 	rep.Stopped = engine.Tasks(ctx, engine.Workers(opts.Parallelism), hi-lo, func(worker, task int) {
-		slots[task] = mineSlot(sd, pool, sups, cfg, lo+task, meter)
+		slots[task] = mineSlot(v, pool, sups, cfg, lo+task, meter)
 		emitted := 0
 		if slots[task].seq != nil {
 			emitted = 1
@@ -313,10 +363,10 @@ func mergeRaw(d *dataset.Dataset, cfg config, parts []*engine.Report) *engine.Re
 // is defined over. A run with no patterns against a non-empty pool has
 // no defined partition, so it carries no estimate.
 func estimateQuality(d *dataset.Dataset, cfg config, patterns []*dataset.Pattern) *engine.Quality {
-	pool, _ := initPool(context.Background(), sequenceView(d), cfg.minCount)
+	pool, _ := initPool(context.Background(), newView(d), cfg.minCount)
 	q := make([]itemset.Itemset, len(pool))
 	for i, p := range pool {
-		q[i] = itemset.Canonical(p.Seq)
+		q[i] = itemset.Canonical(p.seq)
 	}
 	p := make([]itemset.Itemset, len(patterns))
 	for i, pat := range patterns {

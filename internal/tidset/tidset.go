@@ -1,7 +1,7 @@
 // Package tidset provides the hybrid compressed TID-set that backs the
 // vertical representation of dataset.Dataset and the support sets of
 // dataset.Pattern: a fixed-universe set of transaction IDs stored either
-// as dense 64-bit words (like internal/bitset) or as a sorted uint32
+// as dense 64-bit words (a classic bitset) or as a sorted uint32
 // array, whichever is smaller for the set's cardinality.
 //
 // The representation rule is the equal-memory cutoff: a set of k elements

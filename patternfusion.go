@@ -19,7 +19,7 @@ import (
 
 // Dataset is an immutable transaction database over non-negative integer
 // item IDs, holding both horizontal (transactions) and vertical (per-item
-// TID bitset) representations.
+// TID-set) representations.
 type Dataset = dataset.Dataset
 
 // Pattern is a frequent itemset paired with its support set.

@@ -11,21 +11,15 @@ import (
 // discussion. The miner is the "seqfusion" registry algorithm
 // (MineWith(ctx, SeqFusion, d, opts)), which mines a dataset's attached
 // ordered view (Dataset.SetSequences) — or its canonical transactions
-// read as ascending sequences — and reports the Δ quality estimate.
+// read as ascending sequences — over the dataset's own item columns, and
+// reports the Δ quality estimate. Sequence carries the subsequence
+// algebra (IsSubsequenceOf) for checking mined sequences against rows.
 
 // SeqFusion is the registry name of the engine-integrated sequence miner.
 const SeqFusion = seqfusion.Name
 
 // Sequence is an ordered list of event IDs.
 type Sequence = seq.Sequence
-
-// SeqDataset is an immutable collection of sequences.
-type SeqDataset = seq.Dataset
-
-// NewSeqDataset builds a sequence dataset — the subsequence algebra
-// (support counts, containment) for checking mined sequences; event IDs
-// must be non-negative.
-func NewSeqDataset(seqs []Sequence) (*SeqDataset, error) { return seq.NewDataset(seqs) }
 
 // LCS returns a longest common subsequence of a and b.
 func LCS(a, b Sequence) Sequence { return seq.LCS(a, b) }
