@@ -2,6 +2,8 @@ package apriori
 
 import (
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"repro/internal/datagen"
@@ -27,6 +29,39 @@ func smallDB(t *testing.T) *dataset.Dataset {
 		{0, 2, 4},
 		{0, 1, 2, 3, 4},
 	})
+}
+
+// TestInitialPoolQuestGolden pins fusion's phase-1 pool on sparse
+// market-basket data — the itemsets and supports of InitialPool in their
+// level order — and checks that most of the pool's TID-sets are sparse, so
+// the fixture keeps covering the sparse join kernels.
+func TestInitialPoolQuestGolden(t *testing.T) {
+	d := datagen.Quest(rng.New(1), datagen.QuestConfig{Txns: 5000, Items: 200})
+	pool, stopped := InitialPool(context.Background(), d, d.MinCount(0.01), 3, 2)
+	if stopped {
+		t.Fatal("uncanceled pool reported stopped")
+	}
+	h := sha256.New()
+	sparse := 0
+	for _, p := range pool {
+		fmt.Fprintf(h, "%s|%d;", p.Items.Key(), p.Support())
+		if !p.TIDs.IsDense() {
+			sparse++
+		}
+	}
+	const (
+		wantSize = 2207
+		wantHash = "677827c808e6945bac6389b4e629f0de08ccb8ed28445fea3dc6390362b49de7"
+	)
+	if len(pool) != wantSize {
+		t.Fatalf("pool size %d, want %d", len(pool), wantSize)
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != wantHash {
+		t.Fatalf("pool hash %s, want %s", got, wantHash)
+	}
+	if 2*sparse < len(pool) {
+		t.Fatalf("only %d of %d pool TID-sets are sparse, want at least half", sparse, len(pool))
+	}
 }
 
 func TestMineCompleteSmall(t *testing.T) {

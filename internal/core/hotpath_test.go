@@ -162,6 +162,21 @@ func TestResultGoldenBitIdentical(t *testing.T) {
 		d, _ := datagen.Microarray(1)
 		check(t, d, engine.Options{K: 100, MinCount: 25, InitPoolMaxSize: 2}, golden{1, 7, 100, "7c927868695c1c9d6345791e3fe9bd58b910a991322b7f9b3310352ebef175b0"})
 	})
+
+	// Quest is the sparse market-basket shape: most of its initial pool
+	// holds sparse TID-sets (apriori's TestInitialPoolQuestGolden pins the
+	// share), so the ball search runs the sparse kernels the dense
+	// fixtures above never reach.
+	t.Run("Quest", func(t *testing.T) {
+		d := datagen.Quest(rng.New(1), datagen.QuestConfig{Txns: 5000, Items: 200})
+		opts := engine.Options{K: 100, MinSupport: 0.01}
+		for _, g := range []golden{
+			{1, 6, 100, "58c933f23c02f5094894ccc1efb5dc5432c50c73f13e774f3deeb3e4a29f7535"},
+			{7, 9, 100, "f553b415a0534b4be2c36e9ef539380a50525745df3946cb071652f6c5681d73"},
+		} {
+			check(t, d, opts, g)
+		}
+	})
 }
 
 // TestFuseScratchIsolation runs the same seed's fusion twice through one
