@@ -36,6 +36,9 @@ var (
 
 	seqReplaceOnce sync.Once
 	seqReplaceDB   *dataset.Dataset
+
+	questOnce sync.Once
+	questDB   *dataset.Dataset
 )
 
 func replaceFixture(b *testing.B) (*dataset.Dataset, []itemset.Itemset, []itemset.Itemset) {
@@ -58,6 +61,18 @@ func seqReplaceFixture(b *testing.B) *dataset.Dataset {
 		seqReplaceDB.SetSequences(rows)
 	})
 	return seqReplaceDB
+}
+
+// questFixture is sparse market-basket data in the fusion-quest
+// benchmark workload's shape: 50,000 Quest transactions over 1,000 items
+// (seed 1). At σ = 0.01 most of fusion's initial pool holds sparse
+// TID-sets, where the dense Replace and Microarray fixtures hold none.
+func questFixture(b *testing.B) *dataset.Dataset {
+	b.Helper()
+	questOnce.Do(func() {
+		questDB = datagen.Quest(rng.New(1), datagen.QuestConfig{Txns: 50000, Items: 1000})
+	})
+	return questDB
 }
 
 func microFixture(b *testing.B) (*dataset.Dataset, []*dataset.Pattern) {
@@ -344,6 +359,15 @@ func BenchmarkMineMicroarray(b *testing.B) {
 	benchMineParallelism(b, d, patternfusion.Options{K: 100, MinCount: 25, InitPoolMaxSize: 2, Seed: 1})
 }
 
+// BenchmarkMineQuest is fusion on sparse data: its ball search runs
+// mostly sparse∧sparse pairs, which the Replace and Microarray runs above
+// never reach.
+func BenchmarkMineQuest(b *testing.B) {
+	d := questFixture(b)
+	b.ResetTimer()
+	benchMineParallelism(b, d, patternfusion.Options{K: 100, MinSupport: 0.01, Seed: 1})
+}
+
 // BenchmarkIncrementalMine quantifies the streaming warm start on the
 // Replace fixture: "cold" is a full re-mine (Apriori phase 1 + fusion
 // from the complete ≤3-itemset pool), "warm" is the incremental policy a
@@ -547,6 +571,41 @@ func BenchmarkTIDSetAndCountAtLeast(b *testing.B) {
 	}
 }
 
+// BenchmarkTIDSetAndCountAtLeastSparse measures the two ways to decide a
+// sparse∧sparse ball test over a 50k-row universe (about 1,000 random
+// members each, threshold (sa+sb)/4, a miss): "merge" runs the sorted
+// merge of the two arrays, and "dense-probe" probes one set's elements
+// against a dense copy of the other, written once outside the loop as the
+// ball search writes a sparse seed once per scan.
+func BenchmarkTIDSetAndCountAtLeastSparse(b *testing.B) {
+	const n = 50000
+	r := rng.New(1)
+	var xs, ys []int
+	for i := 0; i < 1000; i++ {
+		xs = append(xs, r.Intn(n))
+		ys = append(ys, r.Intn(n))
+	}
+	x, y := tidset.FromIndices(n, xs), tidset.FromIndices(n, ys)
+	if x.IsDense() || y.IsDense() {
+		b.Fatal("fixture sets are not sparse")
+	}
+	threshold := (x.Count() + y.Count()) / 4
+	dense := tidset.New(n)
+	dense.DenseCopyFrom(x)
+	for _, c := range []struct {
+		name string
+		x    *tidset.Set
+	}{{"merge", x}, {"dense-probe", dense}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if c.x.AndCountAtLeast(y, threshold) {
+					b.Fatal("impossible")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkItemsetFingerprint measures the 128-bit hash that replaced
 // decimal string keys in every dedup map on the mining path.
 func BenchmarkItemsetFingerprint(b *testing.B) {
@@ -592,6 +651,17 @@ func BenchmarkAprioriInitPoolReplace(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mine(b, "apriori", d, patternfusion.Options{MinSupport: 0.03, MaxSize: 2})
+	}
+}
+
+// BenchmarkAprioriInitPoolQuest builds fusion's phase-1 pool on the
+// sparse Quest fixture, whose level joins intersect mostly sparse parents
+// with sparse columns.
+func BenchmarkAprioriInitPoolQuest(b *testing.B) {
+	d := questFixture(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mine(b, "apriori", d, patternfusion.Options{MinSupport: 0.01, MaxSize: 3})
 	}
 }
 

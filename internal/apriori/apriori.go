@@ -10,7 +10,7 @@
 //
 // Support counting uses the dataset's vertical representation: the tidset of
 // a (k)-candidate is the intersection of a (k−1)-parent's tidset with one
-// item tidset, so each level costs one bitset AND per candidate. Candidate
+// item tidset, so each level costs one intersection per candidate. Candidate
 // generation is allocation-lean: the prune index is keyed by 128-bit
 // itemset fingerprints, the subset-check buffer is reused across
 // candidates, and emitted patterns carry their support count memoized.
@@ -92,6 +92,12 @@ func search(ctx context.Context, d *dataset.Dataset, minCount, maxSize, parallel
 // reused across candidates, so a level's candidate generation allocates
 // only for the surviving patterns.
 //
+// A candidate's TID-set is its parent a's intersected with one item column.
+// When both are sparse, the intersection probes the column's elements
+// against a dense copy of a, written once per parent on its first such
+// join, instead of merging two sorted arrays. The result is the same
+// sparse set, element for element.
+//
 // The level is cut into contiguous candidate-range chunks dealt to the
 // engine.Tasks scheduler (the level slice and the fingerprint index are
 // read-only); per-chunk survivors concatenate in chunk order, which is the
@@ -120,10 +126,12 @@ func nextLevel(ctx context.Context, d *dataset.Dataset, level []*dataset.Pattern
 			items     itemset.Arena
 			tids      tidset.Arena
 			scratch   = tidset.New(d.Size())
+			mirror    = tidset.New(d.Size())
 		)
 		for i := lo; i < hi; i++ {
 			a := level[i]
 			k := len(a.Items)
+			mirrored := false
 			for j := i + 1; j < len(level); j++ {
 				b := level[j]
 				// Join step: a and b must share the first k−1 items; because
@@ -141,7 +149,15 @@ func nextLevel(ctx context.Context, d *dataset.Dataset, level []*dataset.Pattern
 				if !allSubsetsFrequent(cand, freq, &buf) {
 					continue
 				}
-				scratch.AndOf(a.TIDs, d.ItemTIDs(b.Items[k-1]))
+				col, parent := d.ItemTIDs(b.Items[k-1]), a.TIDs
+				if !parent.IsDense() && !col.IsDense() {
+					if !mirrored {
+						mirror.DenseCopyFrom(parent)
+						mirrored = true
+					}
+					parent = mirror
+				}
+				scratch.AndOf(parent, col)
 				if c := scratch.Count(); c >= minCount {
 					out = append(out, dataset.NewPatternCounted(
 						items.Copy(cand), tids.CompactClone(scratch), c))

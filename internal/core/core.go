@@ -42,17 +42,21 @@
 // far apart are rejected without touching the TID-sets at all, the rest by
 // tidset.AndCountAtLeast with two-sided early exit — derived from the exact
 // float64 predicate, so results never differ from the naive Distance scan.
-// Each worker owns a fuseScratch (reused ball, shuffle order, working TID
-// set, double-buffered itemset union, vertical dataset.Closer), and all
-// dedup maps are keyed by 128-bit itemset.Fingerprint, so a fusion draw
-// allocates only when it discovers a new super-pattern. The two steps that
-// dominated a draw are answered from lookups: closing a fused pattern tests
-// each item of its first supporting transaction for column containment
-// (dataset.Closer), and skipping a ball member that adds no items reads an
+// A sparse seed is written densely once per ball scan (ballOf), so its
+// sparse candidates — most pairs on market-basket data — probe their
+// elements against the seed's words instead of running a sorted merge.
+// Each worker owns a fuseScratch (reused ball, the seed's dense copy,
+// shuffle order, working TID set, double-buffered itemset union, vertical
+// dataset.Closer), and all dedup maps are keyed by 128-bit
+// itemset.Fingerprint, so a fusion draw allocates only when it discovers
+// a new super-pattern. The two steps that dominated a draw are answered
+// from lookups: closing a fused pattern tests each item of its first
+// supporting transaction for column containment (dataset.Closer), and
+// skipping a ball member that adds no items reads an
 // item-stamp array mirroring the growing union, O(|member|) instead of a
 // sorted merge against the union. Bit-identity with the naive
 // implementation is pinned by differential tests and by golden result
-// hashes (TestResultGoldenBitIdentical).
+// hashes (TestResultGoldenBitIdentical, dense and sparse fixtures).
 //
 // The package's mining entry point is the registered engine algorithm
 // "fusion" (engine.Get(Name).Mine); WithKnobs builds the unregistered
@@ -258,29 +262,7 @@ func fusionStep(ctx context.Context, d *dataset.Dataset, pool []*dataset.Pattern
 	fuseSlot := func(slot int, sc *fuseScratch) {
 		r := rng.Stream(p.seed, uint64(iteration), uint64(slot))
 		seed := pool[seedIdx[slot]]
-		// The ball: all pool patterns within distance r(τ) of the seed (the
-		// seed's CoreList in the paper's terms). Membership is decided by
-		// count algebra instead of a full word-by-word Jaccard per pair:
-		// Dist(α,β) ≤ r iff |Dα∩Dβ| ≥ i*, where i* depends only on the two
-		// support counts (ballThreshold). Pairs whose supports are too far
-		// apart (1 − min/max > r) are rejected without touching a single
-		// word, and the rest run AndCountAtLeast, which stops as soon as the
-		// bound is decided either way.
-		sa := seed.Support()
-		ball := sc.ball[:0]
-		for _, cand := range pool {
-			if cand == seed {
-				continue
-			}
-			t := ballThreshold(sa, cand.Support(), radius)
-			if t < 0 {
-				continue
-			}
-			if seed.TIDs.AndCountAtLeast(cand.TIDs, t) {
-				ball = append(ball, cand)
-			}
-		}
-		sc.ball = ball
+		ball := sc.ballOf(seed, pool, radius)
 		if p.MaxBallSize > 0 && len(ball) > p.MaxBallSize {
 			sampled := sc.sample[:0]
 			for _, i := range r.SampleIntsScratch(len(ball), p.MaxBallSize, &sc.draw) {
@@ -315,9 +297,51 @@ func fusionStep(ctx context.Context, d *dataset.Dataset, pool []*dataset.Pattern
 	return dataset.DedupPatterns(next), false
 }
 
+// ballOf returns the ball of seed in pool: every other pool pattern within
+// pattern distance radius of it — the seed's CoreList in the paper's terms
+// — in pool order, in sc.ball. Membership is decided by count algebra
+// instead of a full Jaccard per pair: Dist(α,β) ≤ r iff |Dα∩Dβ| ≥ i*, where
+// i* depends only on the two support counts (ballThreshold). Pairs whose
+// supports are too far apart (1 − min/max > r) are rejected without
+// touching a TID, and the rest run AndCountAtLeast, which stops as soon as
+// the bound is decided either way.
+//
+// A sparse seed is written densely once into sc.seedDense, and every sparse
+// candidate probes its elements against those words instead of merging
+// with the seed's sorted array; a dense candidate keeps the seed's own
+// pairing. The verdicts do not depend on the representation, so the ball
+// is the naive Distance scan's.
+func (sc *fuseScratch) ballOf(seed *dataset.Pattern, pool []*dataset.Pattern, radius float64) []*dataset.Pattern {
+	sa := seed.Support()
+	dense := seed.TIDs
+	if !dense.IsDense() {
+		sc.seedDense.DenseCopyFrom(dense)
+		dense = sc.seedDense
+	}
+	ball := sc.ball[:0]
+	for _, cand := range pool {
+		if cand == seed {
+			continue
+		}
+		t := ballThreshold(sa, cand.Support(), radius)
+		if t < 0 {
+			continue
+		}
+		probe := seed.TIDs
+		if !cand.TIDs.IsDense() {
+			probe = dense
+		}
+		if probe.AndCountAtLeast(cand.TIDs, t) {
+			ball = append(ball, cand)
+		}
+	}
+	sc.ball = ball
+	return ball
+}
+
 // ballThreshold returns the minimal intersection count i* such that
 // 1 − i/(sa+sb−i) ≤ radius — evaluated with the exact float64 arithmetic of
-// Bitset.Distance, so AndCountAtLeast(…, i*) reproduces the naive
+// tidset.Set.Distance, so AndCountAtLeast(…, i*) reproduces the naive
 // Distance ≤ radius test bit for bit — or −1 when no i ≤ min(sa,sb)
 // satisfies it (the pair cannot be within the ball no matter how the
 // support sets overlap; this is the 1 − min/max > r prefilter).
@@ -354,17 +378,18 @@ func ballThreshold(sa, sb int, radius float64) int {
 }
 
 // fuseScratch holds the per-worker reusable buffers that make a fusion draw
-// allocation-free: the ball and its sample, the shuffle order, the working
-// TID set, the double-buffered itemset union with its item-stamp mirror,
-// the vertical closure, and the per-seed supers map. One scratch is owned
-// by exactly one worker goroutine.
+// allocation-free: the ball and its sample, the seed's dense copy, the
+// shuffle order, the working TID set, the double-buffered itemset union
+// with its item-stamp mirror, the vertical closure, and the per-seed
+// supers map. One scratch is owned by exactly one worker goroutine.
 type fuseScratch struct {
-	ball   []*dataset.Pattern
-	sample []*dataset.Pattern
-	order  []int
-	tids   *tidset.Set
-	itemsA itemset.Itemset
-	itemsB itemset.Itemset
+	ball      []*dataset.Pattern
+	sample    []*dataset.Pattern
+	seedDense *tidset.Set // a sparse seed's TID-set in dense form, for ballOf
+	order     []int
+	tids      *tidset.Set
+	itemsA    itemset.Itemset
+	itemsB    itemset.Itemset
 	// stamp mirrors the draw's growing union for O(|b|) containment tests:
 	// item it is in the union iff stamp[it] == gen. A new draw bumps gen
 	// instead of clearing the array.
@@ -390,10 +415,11 @@ type super struct {
 
 func newFuseScratch(d *dataset.Dataset) *fuseScratch {
 	return &fuseScratch{
-		tids:   tidset.New(d.Size()),
-		stamp:  make([]uint32, d.NumItems()),
-		closer: dataset.NewCloser(d),
-		supers: make(map[itemset.Fingerprint]super),
+		seedDense: tidset.New(d.Size()),
+		tids:      tidset.New(d.Size()),
+		stamp:     make([]uint32, d.NumItems()),
+		closer:    dataset.NewCloser(d),
+		supers:    make(map[itemset.Fingerprint]super),
 	}
 }
 

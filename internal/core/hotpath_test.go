@@ -23,12 +23,56 @@ func initialPool(d *dataset.Dataset, minCount, maxSize int) []*dataset.Pattern {
 }
 
 // TestBallPruningMatchesNaiveDistance is the differential test for the
-// count-algebra ball search: for randomized pools and every τ, membership
-// decided by ballThreshold + AndCountAtLeast must equal the naive
+// count-algebra ball search: for randomized pools and every τ, the ball
+// fuseScratch.ballOf returns — ballThreshold + AndCountAtLeast, sparse
+// seeds probed through their dense copy — must equal the naive
 // Distance(seed, p) ≤ r(τ) scan, bit for bit (the threshold is derived from
-// the exact float64 predicate, so there is no tolerance here).
+// the exact float64 predicate, so there is no tolerance here). The small
+// dense trials are joined by sparse ones of at least 320 rows, so that
+// sparse∧sparse and sparse∧dense pairs reach the kernels, and one scratch
+// serves every seed of a trial, so a dense copy left by a seed of another
+// support must not leak into the next seed's ball.
 func TestBallPruningMatchesNaiveDistance(t *testing.T) {
 	r := rng.New(31)
+	var sparseSparse, sparseDense int
+	check := func(trial int, d *dataset.Dataset, pool []*dataset.Pattern) {
+		t.Helper()
+		sc := newFuseScratch(d)
+		for _, tau := range []float64{0.1, 0.3, 0.5, 0.7, 0.9, 1.0} {
+			radius := Radius(tau)
+			for _, seed := range pool {
+				var naive []*dataset.Pattern
+				for _, p := range pool {
+					if p == seed {
+						continue
+					}
+					if seed.Distance(p) <= radius {
+						naive = append(naive, p)
+					}
+					if ballThreshold(seed.Support(), p.Support(), radius) < 0 {
+						continue
+					}
+					switch {
+					case !seed.TIDs.IsDense() && !p.TIDs.IsDense():
+						sparseSparse++
+					case seed.TIDs.IsDense() != p.TIDs.IsDense():
+						sparseDense++
+					}
+				}
+				ball := sc.ballOf(seed, pool, radius)
+				if len(ball) != len(naive) {
+					t.Fatalf("trial %d τ=%v seed %v (support %d): ball of %d, naive %d",
+						trial, tau, seed.Items, seed.Support(), len(ball), len(naive))
+				}
+				for i := range ball {
+					if ball[i] != naive[i] {
+						t.Fatalf("trial %d τ=%v seed %v: member %d is %v, naive %v (dist %v, r %v)",
+							trial, tau, seed.Items, i, ball[i].Items, naive[i].Items, seed.Distance(naive[i]), radius)
+					}
+				}
+			}
+		}
+	}
 	for trial := 0; trial < 20; trial++ {
 		nTxn := 10 + r.Intn(60)
 		nItems := 4 + r.Intn(12)
@@ -46,26 +90,30 @@ func TestBallPruningMatchesNaiveDistance(t *testing.T) {
 		if len(pool) < 2 {
 			continue
 		}
-		for _, tau := range []float64{0.1, 0.3, 0.5, 0.7, 0.9, 1.0} {
-			radius := Radius(tau)
-			for _, seed := range pool {
-				sa := seed.Support()
-				for _, p := range pool {
-					if p == seed {
-						continue
-					}
-					naive := seed.Distance(p) <= radius
-					var pruned bool
-					if th := ballThreshold(sa, p.Support(), radius); th >= 0 {
-						pruned = seed.TIDs.AndCountAtLeast(p.TIDs, th)
-					}
-					if naive != pruned {
-						t.Fatalf("trial %d τ=%v: seed %v vs %v: naive %v, pruned %v (dist %v, r %v)",
-							trial, tau, seed.Items, p.Items, naive, pruned, seed.Distance(p), radius)
-					}
+		check(trial, d, pool)
+	}
+	// Sparse trials: each item occurs in 0.5–12% of the rows, so columns
+	// fall on both sides of SparseThreshold (n/32) and item pairs are sparse.
+	for trial := 20; trial < 26; trial++ {
+		nTxn := 320 + r.Intn(320)
+		nItems := 12 + r.Intn(12)
+		freq := make([]float64, nItems)
+		for it := range freq {
+			freq[it] = 0.005 + 0.115*r.Float64()
+		}
+		txns := make([][]int, nTxn)
+		for i := range txns {
+			for it, f := range freq {
+				if r.Float64() < f {
+					txns[i] = append(txns[i], it)
 				}
 			}
 		}
+		d := dataset.MustNew(txns)
+		check(trial, d, initialPool(d, 1+r.Intn(2), 2))
+	}
+	if sparseSparse == 0 || sparseDense == 0 {
+		t.Fatalf("kernel coverage: %d sparse∧sparse and %d sparse∧dense pairs tested, want both > 0", sparseSparse, sparseDense)
 	}
 }
 
@@ -193,17 +241,7 @@ func TestFuseScratchIsolation(t *testing.T) {
 
 	runSeed := func(sc *fuseScratch, seedPat *dataset.Pattern) []string {
 		r := rng.New(99)
-		sa := seedPat.Support()
-		ball := sc.ball[:0]
-		for _, cand := range pool {
-			if cand == seedPat {
-				continue
-			}
-			if th := ballThreshold(sa, cand.Support(), radius); th >= 0 && seedPat.TIDs.AndCountAtLeast(cand.TIDs, th) {
-				ball = append(ball, cand)
-			}
-		}
-		sc.ball = ball
+		ball := sc.ballOf(seedPat, pool, radius)
 		out := fuse(d, seedPat, ball, &p, r, sc)
 		keys := make([]string, len(out))
 		for i, pat := range out {

@@ -12,7 +12,8 @@ import (
 // profiles (universe size, two member bitmaps, a threshold, a forced
 // representation pairing) the hybrid Set must agree with the Bitset on
 // And membership, counts, AndCountAtLeast, SubsetOf (in both directions),
-// Jaccard/Distance, iteration and NextSet — the contract that keeps the
+// Jaccard/Distance, iteration and NextSet, and so must a DenseCopyFrom
+// mirror written over a dirty scratch — the contract that keeps the
 // miners' golden outputs representation-independent.
 func FuzzTIDSet(f *testing.F) {
 	f.Add(uint16(70), []byte{0xff, 0x0f, 0x00, 0x01}, []byte{0x01, 0x02, 0x03, 0x04}, 3, byte(0))
@@ -81,6 +82,25 @@ func FuzzTIDSet(f *testing.F) {
 		}
 		if got, want := sa.Indices(), ba.Indices(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("iteration: %v vs %v", got, want)
+		}
+		// A dense copy of sa written over one of sb, so stale words are
+		// present, must read as sa under every kernel it feeds.
+		mirror := New(n)
+		mirror.DenseCopyFrom(sb)
+		mirror.DenseCopyFrom(sa)
+		if !mirror.IsDense() || mirror.Count() != ba.Count() {
+			t.Fatalf("DenseCopyFrom: dense %v, count %d, want dense, %d", mirror.IsDense(), mirror.Count(), ba.Count())
+		}
+		if got, want := mirror.Indices(), ba.Indices(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("DenseCopyFrom members: %v vs %v", got, want)
+		}
+		if got, want := mirror.AndCountAtLeast(sb, threshold), ba.AndCountAtLeast(bb, threshold); got != want {
+			t.Fatalf("DenseCopyFrom AndCountAtLeast(%d): %v vs %v", threshold, got, want)
+		}
+		probed := New(n)
+		probed.AndOf(mirror, sb)
+		if got, want := probed.Indices(), ba.And(bb).Indices(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("DenseCopyFrom AndOf members: %v vs %v", got, want)
 		}
 		probe := threshold % (n + 1)
 		if probe < 0 {

@@ -15,7 +15,12 @@
 // Every kernel — AndOf, AndCount, the early-exit AndCountAtLeast and
 // SubsetOf — produces counts, members and verdicts identical to the dense
 // bitset computation (pinned by the differential FuzzTIDSet test), so the
-// miners' golden sha256 outputs are unchanged by the representation.
+// miners' golden sha256 outputs are unchanged by the representation. Each
+// kernel dispatches on the pairing: dense∧dense runs word by word,
+// sparse∧dense probes the sparse elements into the dense words, and
+// sparse∧sparse is a plain sorted merge. DenseCopyFrom lets a caller that
+// intersects one set with many sparse partners trade those merges for
+// probes, by writing the one set densely once.
 // Cardinality is maintained eagerly on every mutation, making Count O(1).
 //
 // The package also provides the two allocation-discipline helpers the DFS
@@ -229,17 +234,21 @@ func (c *Set) fillCompactFrom(src *Set, a *Arena) {
 	} else {
 		buf = make([]uint64, nw)
 	}
-	if src.dense {
-		copy(buf, src.words)
-	} else {
-		for i := range buf {
-			buf[i] = 0
-		}
-		for _, e := range src.elems {
-			buf[e/wordBits] |= 1 << (uint(e) % wordBits)
-		}
-	}
+	src.writeWords(buf)
 	c.words = buf
+}
+
+// writeWords writes the members of s into w, a word buffer sized for s's
+// universe, overwriting every word.
+func (s *Set) writeWords(w []uint64) {
+	if s.dense {
+		copy(w, s.words)
+		return
+	}
+	clear(w)
+	for _, e := range s.elems {
+		w[e/wordBits] |= 1 << (uint(e) % wordBits)
+	}
 }
 
 // ExtendClone returns an independent copy of s over the grown universe
@@ -309,6 +318,20 @@ func (s *Set) CopyFrom(src *Set) {
 		s.elems = append(s.elems[:0], src.elems...)
 		s.dense = false
 	}
+}
+
+// DenseCopyFrom overwrites s with the members of src in dense form,
+// whatever src's representation. The capacities must match. Words left
+// over from an earlier copy are cleared, and the word payload is retained
+// across calls. It is the one-to-many intersection primitive: a set tested
+// against many sparse partners is written densely once, so each partner
+// runs the sparse∧dense probe — one word load per element — instead of a
+// sorted merge whose branches mispredict on almost every step.
+func (s *Set) DenseCopyFrom(src *Set) {
+	s.mustMatch(src)
+	src.writeWords(s.grabWords())
+	s.dense = true
+	s.card = src.card
 }
 
 // grabWords returns s's word payload resized to the universe, reusing the

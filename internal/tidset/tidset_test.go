@@ -17,19 +17,12 @@ func mkBoth(n int, idx []int) (*Set, *bitset.Bitset) {
 // force returns s converted to the requested representation (fresh copy).
 func force(s *Set, dense bool) *Set {
 	c := New(s.n)
-	c.card = s.card
 	if dense {
-		c.dense = true
-		w := c.grabWords()
-		for i := range w {
-			w[i] = 0
-		}
-		s.ForEach(func(i int) { w[i/wordBits] |= 1 << (uint(i) % wordBits) })
-	} else {
-		c.dense = false
-		c.elems = c.elems[:0]
-		s.ForEach(func(i int) { c.elems = append(c.elems, uint32(i)) })
+		c.DenseCopyFrom(s)
+		return c
 	}
+	c.card = s.card
+	s.ForEach(func(i int) { c.elems = append(c.elems, uint32(i)) })
 	return c
 }
 

@@ -7,9 +7,9 @@
 #   BENCH_FILTER='BenchmarkMine' scripts/bench.sh   # widen/narrow the set
 #
 # The recorded benchmarks are BenchmarkMineReplace / BenchmarkMineMicroarray
-# (the end-to-end fusion hot path), the BenchmarkEngine* family (every
-# registry miner at p=1 vs p=8 on the Replace and Microarray workloads) and
-# BenchmarkIngest (streaming ingestion of a ~100k-row Quest file: FIMI vs
+# / BenchmarkMineQuest (the end-to-end fusion hot path on dense and sparse
+# data), the BenchmarkEngine* family (every registry miner at p=1 vs p=8 on
+# the Replace and Microarray workloads) and BenchmarkIngest (streaming ingestion of a ~100k-row Quest file: FIMI vs
 # gzip vs CSV) — the perf trajectory (BENCH_*.json, one file per PR that
 # moves the needle) is tracked against them. ns/op, B/op and allocs/op come
 # from -benchmem.
@@ -18,7 +18,7 @@ cd "$(dirname "$0")/.."
 
 out="${1:-BENCH_1.json}"
 benchtime="${BENCHTIME:-3x}"
-filter="${BENCH_FILTER:-BenchmarkMineReplace|BenchmarkMineMicroarray|BenchmarkEngine|BenchmarkIngest}"
+filter="${BENCH_FILTER:-BenchmarkMineReplace|BenchmarkMineMicroarray|BenchmarkMineQuest|BenchmarkEngine|BenchmarkIngest}"
 
 raw=$(go test -run '^$' -bench "$filter" -benchmem -benchtime "$benchtime" . ./internal/ingest)
 printf '%s\n' "$raw" >&2
