@@ -63,9 +63,10 @@
 // # Performance
 //
 // The fusion hot path is engineered for near-zero redundant work: support
-// counts are memoized per pattern, ball membership is decided by
-// count-algebra pruning with an early-exit intersection bound (most
-// candidate pairs never touch a bitset word), dedup maps are keyed by
+// counts are memoized per pattern, ball membership is decided once per
+// distinct support set of the pool (patterns sharing a TID-set share a
+// verdict) by count-algebra pruning with an early-exit intersection
+// bound, dedup maps are keyed by
 // 128-bit itemset fingerprints instead of strings, and each fusion worker
 // reuses scratch buffers, so a draw allocates only when it discovers a new
 // super-pattern. Closures are computed vertically: an item of the first

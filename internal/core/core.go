@@ -37,9 +37,14 @@
 // # Hot path
 //
 // A fusion iteration does near-zero redundant work. Support counts are
-// memoized on dataset.Pattern. Ball membership Dist(α,β) ≤ r(τ) is decided
-// by count algebra (see ballThreshold): pairs whose support counts are too
-// far apart are rejected without touching the TID-sets at all, the rest by
+// memoized on dataset.Pattern. Pattern distance depends only on the two
+// support sets, so each step groups its pool by support set once
+// (supportClasses, keyed by tidset.Set.Hash and confirmed by Equal), and
+// a ball scan tests each class once instead of each pattern: Replace's
+// ~21.6k-pattern initial pool holds only ~500–700 distinct TID-sets. Ball
+// membership Dist(α,β) ≤ r(τ) is decided by count algebra (see
+// ballThreshold): classes whose support counts are too far apart are
+// rejected without touching the TID-sets at all, the rest by
 // tidset.AndCountAtLeast with two-sided early exit — derived from the exact
 // float64 predicate, so results never differ from the naive Distance scan.
 // A sparse seed is written densely once per ball scan (ballOf), so its
@@ -66,6 +71,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/dataset"
@@ -205,11 +211,12 @@ func mineFromPool(ctx context.Context, d *dataset.Dataset, pool []*dataset.Patte
 	}
 	radius := Radius(p.tau)
 	prevKey := poolFingerprints(cur)
+	var classes supportClasses // each step's pool grouping, buffers reused
 	// Algorithm 1 is a do-while: Pattern_Fusion runs at least once even when
 	// the initial pool already holds at most K patterns (otherwise a pool of
 	// singletons smaller than K would be returned unfused).
 	for len(cur) > 0 && (rep.Iterations == 0 || len(cur) > p.k) && rep.Iterations < maxIterations {
-		next, stopped := fusionStep(ctx, d, cur, &p, radius, rep.Iterations)
+		next, stopped := fusionStep(ctx, d, cur, &classes, &p, radius, rep.Iterations)
 		if stopped {
 			rep.Stopped = true
 			break
@@ -256,13 +263,18 @@ func mineFromPool(ctx context.Context, d *dataset.Dataset, pool []*dataset.Patte
 // which polls ctx before each slot, so cancellation aborts the step
 // without waiting for the remaining seeds. A stopped step reports
 // stopped=true and its partial output is discarded.
-func fusionStep(ctx context.Context, d *dataset.Dataset, pool []*dataset.Pattern, p *params, radius float64, iteration int) (next []*dataset.Pattern, stopped bool) {
+//
+// Before the seeds are dealt, the pool is grouped by support set into
+// classes, whose buffers the caller reuses from step to step; the
+// workers only read the grouping.
+func fusionStep(ctx context.Context, d *dataset.Dataset, pool []*dataset.Pattern, classes *supportClasses, p *params, radius float64, iteration int) (next []*dataset.Pattern, stopped bool) {
 	seedIdx := rng.Stream(p.seed, uint64(iteration)).SampleInts(len(pool), p.k)
 	perSeed := make([][]*dataset.Pattern, len(seedIdx))
+	classes.group(pool)
 	fuseSlot := func(slot int, sc *fuseScratch) {
 		r := rng.Stream(p.seed, uint64(iteration), uint64(slot))
 		seed := pool[seedIdx[slot]]
-		ball := sc.ballOf(seed, pool, radius)
+		ball := sc.ballOf(seed, pool, classes, radius)
 		if p.MaxBallSize > 0 && len(ball) > p.MaxBallSize {
 			sampled := sc.sample[:0]
 			for _, i := range r.SampleIntsScratch(len(ball), p.MaxBallSize, &sc.draw) {
@@ -297,41 +309,90 @@ func fusionStep(ctx context.Context, d *dataset.Dataset, pool []*dataset.Pattern
 	return dataset.DedupPatterns(next), false
 }
 
-// ballOf returns the ball of seed in pool: every other pool pattern within
-// pattern distance radius of it — the seed's CoreList in the paper's terms
-// — in pool order, in sc.ball. Membership is decided by count algebra
-// instead of a full Jaccard per pair: Dist(α,β) ≤ r iff |Dα∩Dβ| ≥ i*, where
-// i* depends only on the two support counts (ballThreshold). Pairs whose
-// supports are too far apart (1 − min/max > r) are rejected without
-// touching a TID, and the rest run AndCountAtLeast, which stops as soon as
-// the bound is decided either way.
+// supportClasses is a pool grouped by support set. Pattern distance
+// depends only on the two support sets, so a ball scan decides membership
+// once per class instead of once per pattern: on Replace's initial pool,
+// ~21.6k patterns share ~500–700 distinct TID-sets. It holds pool
+// indices, never patterns, so the buffers one mine reuses from step to
+// step keep no earlier pool alive.
+type supportClasses struct {
+	of   []int32          // of[i] is the class of pool[i]
+	reps []int32          // reps[c] is the pool index of class c's first pattern
+	next []int32          // next[c] is the previous class with c's hash, or -1
+	head map[uint64]int32 // head[h] is the last class with hash h
+}
+
+// group groups pool by support set, numbering the classes in order of
+// first appearance in pool (never in map order). Patterns are bucketed by
+// tidset.Set.Hash, and a bucket's classes are chained through next and
+// told apart by Equal, so a hash collision costs a comparison, never a
+// wrong class.
+func (g *supportClasses) group(pool []*dataset.Pattern) {
+	if g.head == nil {
+		g.head = make(map[uint64]int32)
+	}
+	clear(g.head)
+	g.of = slices.Grow(g.of[:0], len(pool))[:len(pool)]
+	g.reps, g.next = g.reps[:0], g.next[:0]
+	for i, p := range pool {
+		h := p.TIDs.Hash()
+		last, ok := g.head[h]
+		if !ok {
+			last = -1
+		}
+		c := last
+		for c >= 0 && !pool[g.reps[c]].TIDs.Equal(p.TIDs) {
+			c = g.next[c]
+		}
+		if c < 0 {
+			c = int32(len(g.reps))
+			g.reps = append(g.reps, int32(i))
+			g.next = append(g.next, last)
+			g.head[h] = c
+		}
+		g.of[i] = c
+	}
+}
+
+// ballOf returns the ball of seed in the grouped pool: every other pool
+// pattern within pattern distance radius of it — the seed's CoreList in
+// the paper's terms — in pool order, in sc.ball. Each support class is
+// tested once, on its representative, into sc.verdict, and the ball is
+// every pattern of an accepted class except the seed itself (the seed's
+// own class is at distance 0, so its other patterns are in the ball).
+// A class is tested by count algebra instead of a full Jaccard:
+// Dist(α,β) ≤ r iff |Dα∩Dβ| ≥ i*, where i* depends only on the two
+// support counts (ballThreshold). Classes whose supports are too far
+// apart (1 − min/max > r) are rejected without touching a TID, and the
+// rest run AndCountAtLeast, which stops as soon as the bound is decided
+// either way.
 //
 // A sparse seed is written densely once into sc.seedDense, and every sparse
 // candidate probes its elements against those words instead of merging
 // with the seed's sorted array; a dense candidate keeps the seed's own
 // pairing. The verdicts do not depend on the representation, so the ball
 // is the naive Distance scan's.
-func (sc *fuseScratch) ballOf(seed *dataset.Pattern, pool []*dataset.Pattern, radius float64) []*dataset.Pattern {
+func (sc *fuseScratch) ballOf(seed *dataset.Pattern, pool []*dataset.Pattern, g *supportClasses, radius float64) []*dataset.Pattern {
 	sa := seed.Support()
 	dense := seed.TIDs
 	if !dense.IsDense() {
 		sc.seedDense.DenseCopyFrom(dense)
 		dense = sc.seedDense
 	}
-	ball := sc.ball[:0]
-	for _, cand := range pool {
-		if cand == seed {
-			continue
-		}
-		t := ballThreshold(sa, cand.Support(), radius)
-		if t < 0 {
-			continue
-		}
+	verdict := sc.verdict[:0]
+	for _, ri := range g.reps {
+		rep := pool[ri]
+		t := ballThreshold(sa, rep.Support(), radius)
 		probe := seed.TIDs
-		if !cand.TIDs.IsDense() {
+		if !rep.TIDs.IsDense() {
 			probe = dense
 		}
-		if probe.AndCountAtLeast(cand.TIDs, t) {
+		verdict = append(verdict, t >= 0 && probe.AndCountAtLeast(rep.TIDs, t))
+	}
+	sc.verdict = verdict
+	ball := sc.ball[:0]
+	for i, cand := range pool {
+		if cand != seed && verdict[g.of[i]] {
 			ball = append(ball, cand)
 		}
 	}
@@ -379,13 +440,14 @@ func ballThreshold(sa, sb int, radius float64) int {
 
 // fuseScratch holds the per-worker reusable buffers that make a fusion draw
 // allocation-free: the ball and its sample, the seed's dense copy, the
-// shuffle order, the working TID set, the double-buffered itemset union
+// per-class ball verdicts, the shuffle order, the working TID set, the double-buffered itemset union
 // with its item-stamp mirror, the vertical closure, and the per-seed
 // supers map. One scratch is owned by exactly one worker goroutine.
 type fuseScratch struct {
 	ball      []*dataset.Pattern
 	sample    []*dataset.Pattern
 	seedDense *tidset.Set // a sparse seed's TID-set in dense form, for ballOf
+	verdict   []bool      // verdict[c]: support class c is in the seed's ball
 	order     []int
 	tids      *tidset.Set
 	itemsA    itemset.Itemset

@@ -13,6 +13,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/itemset"
 	"repro/internal/rng"
+	"repro/internal/tidset"
 )
 
 // initialPool is fusion's phase-1 pool of d: the frequent patterns of at
@@ -31,13 +32,18 @@ func initialPool(d *dataset.Dataset, minCount, maxSize int) []*dataset.Pattern {
 // dense trials are joined by sparse ones of at least 320 rows, so that
 // sparse∧sparse and sparse∧dense pairs reach the kernels, and one scratch
 // serves every seed of a trial, so a dense copy left by a seed of another
-// support must not leak into the next seed's ball.
+// support must not leak into the next seed's ball. The last trials build
+// pools in which most patterns share a support set with another, so the
+// per-class verdicts — the seed's own class included — carry most of each
+// ball.
 func TestBallPruningMatchesNaiveDistance(t *testing.T) {
 	r := rng.New(31)
 	var sparseSparse, sparseDense int
-	check := func(trial int, d *dataset.Dataset, pool []*dataset.Pattern) {
+	check := func(trial int, d *dataset.Dataset, pool []*dataset.Pattern) int {
 		t.Helper()
 		sc := newFuseScratch(d)
+		var classes supportClasses
+		classes.group(pool)
 		for _, tau := range []float64{0.1, 0.3, 0.5, 0.7, 0.9, 1.0} {
 			radius := Radius(tau)
 			for _, seed := range pool {
@@ -59,7 +65,7 @@ func TestBallPruningMatchesNaiveDistance(t *testing.T) {
 						sparseDense++
 					}
 				}
-				ball := sc.ballOf(seed, pool, radius)
+				ball := sc.ballOf(seed, pool, &classes, radius)
 				if len(ball) != len(naive) {
 					t.Fatalf("trial %d τ=%v seed %v (support %d): ball of %d, naive %d",
 						trial, tau, seed.Items, seed.Support(), len(ball), len(naive))
@@ -72,6 +78,7 @@ func TestBallPruningMatchesNaiveDistance(t *testing.T) {
 				}
 			}
 		}
+		return len(classes.reps)
 	}
 	for trial := 0; trial < 20; trial++ {
 		nTxn := 10 + r.Intn(60)
@@ -112,8 +119,102 @@ func TestBallPruningMatchesNaiveDistance(t *testing.T) {
 		d := dataset.MustNew(txns)
 		check(trial, d, initialPool(d, 1+r.Intn(2), 2))
 	}
+	// Duplicated trials: each item is one of 2–4 copies of a random column,
+	// so every itemset within one copy group shares its support set, and
+	// the pool holds many patterns per class, including classes that share
+	// a support count but not a support set.
+	for trial := 26; trial < 32; trial++ {
+		nTxn := 40 + r.Intn(40)
+		nGroups := 4 + r.Intn(3)
+		var cols [][]int // cols[item]: the rows holding item
+		for g := 0; g < nGroups; g++ {
+			var rows []int
+			for row := 0; row < nTxn; row++ {
+				if r.Intn(2) == 0 {
+					rows = append(rows, row)
+				}
+			}
+			for c := 2 + r.Intn(3); c > 0; c-- {
+				cols = append(cols, rows)
+			}
+		}
+		txns := make([][]int, nTxn)
+		for it, rows := range cols {
+			for _, row := range rows {
+				txns[row] = append(txns[row], it)
+			}
+		}
+		d := dataset.MustNew(txns)
+		pool := initialPool(d, 1, 3)
+		if classes := check(trial, d, pool); 2*classes > len(pool) {
+			t.Fatalf("trial %d: %d support classes in a pool of %d, want at most half", trial, classes, len(pool))
+		}
+	}
 	if sparseSparse == 0 || sparseDense == 0 {
 		t.Fatalf("kernel coverage: %d sparse∧sparse and %d sparse∧dense pairs tested, want both > 0", sparseSparse, sparseDense)
+	}
+}
+
+// TestSupportClassesMatchEqual is the differential test for the pool
+// grouping behind ballOf: on random pools drawn from a small palette of
+// support sets, each member written dense or sparse at random, two
+// patterns share a class exactly when their TID-sets are Equal, every
+// representative is the first pattern of its class, and classes are
+// numbered by first appearance in pool order. One grouping serves every
+// trial, as one serves every step of a mine, so nothing may carry over
+// from an earlier pool.
+func TestSupportClassesMatchEqual(t *testing.T) {
+	r := rng.New(5)
+	var g supportClasses
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + r.Intn(300)
+		palette := make([]*tidset.Set, 1+r.Intn(12))
+		for k := range palette {
+			var members []int
+			for i := 0; i < n; i++ {
+				if r.Intn(1+k%4) == 0 {
+					members = append(members, i)
+				}
+			}
+			palette[k] = tidset.FromIndices(n, members)
+		}
+		pool := make([]*dataset.Pattern, r.Intn(80))
+		for i := range pool {
+			tids := palette[r.Intn(len(palette))]
+			if r.Intn(2) == 0 {
+				dense := tidset.New(n)
+				dense.DenseCopyFrom(tids)
+				tids = dense
+			} else {
+				tids = tids.CompactClone()
+			}
+			pool[i] = dataset.NewPatternTIDs(itemset.Itemset{i}, tids)
+		}
+		g.group(pool)
+		if len(g.of) != len(pool) {
+			t.Fatalf("trial %d: %d class ids for a pool of %d", trial, len(g.of), len(pool))
+		}
+		next := int32(0)
+		for i, p := range pool {
+			c := g.of[i]
+			if c > next || int(c) >= len(g.reps) {
+				t.Fatalf("trial %d: pattern %d has class %d, next new class is %d of %d", trial, i, c, next, len(g.reps))
+			}
+			if c == next {
+				if g.reps[c] != int32(i) {
+					t.Fatalf("trial %d: class %d's representative is not its first pattern %d", trial, c, i)
+				}
+				next++
+			}
+			for j := 0; j < i; j++ {
+				if same, equal := g.of[j] == c, pool[j].TIDs.Equal(p.TIDs); same != equal {
+					t.Fatalf("trial %d: patterns %d and %d share a class %v, Equal %v", trial, j, i, same, equal)
+				}
+			}
+		}
+		if int(next) != len(g.reps) {
+			t.Fatalf("trial %d: %d representatives, %d classes used", trial, len(g.reps), next)
+		}
 	}
 }
 
@@ -238,10 +339,12 @@ func TestFuseScratchIsolation(t *testing.T) {
 	}
 	p := algorithm{}.resolve(d, engine.Options{K: 10, MinCount: 10})
 	radius := Radius(p.tau)
+	var classes supportClasses
+	classes.group(pool)
 
 	runSeed := func(sc *fuseScratch, seedPat *dataset.Pattern) []string {
 		r := rng.New(99)
-		ball := sc.ballOf(seedPat, pool, radius)
+		ball := sc.ballOf(seedPat, pool, &classes, radius)
 		out := fuse(d, seedPat, ball, &p, r, sc)
 		keys := make([]string, len(out))
 		for i, pat := range out {

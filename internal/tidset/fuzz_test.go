@@ -14,7 +14,10 @@ import (
 // And membership, counts, AndCountAtLeast, SubsetOf (in both directions),
 // Jaccard/Distance, iteration and NextSet, and so must a DenseCopyFrom
 // mirror written over a dirty scratch — the contract that keeps the
-// miners' golden outputs representation-independent.
+// miners' golden outputs representation-independent. Hash must agree
+// across every representation of the same members and read no payload
+// left behind by an earlier, larger set, since fusion groups its pool by
+// it.
 func FuzzTIDSet(f *testing.F) {
 	f.Add(uint16(70), []byte{0xff, 0x0f, 0x00, 0x01}, []byte{0x01, 0x02, 0x03, 0x04}, 3, byte(0))
 	f.Add(uint16(64), []byte{0x00}, []byte{0xff}, 0, byte(1))
@@ -24,6 +27,11 @@ func FuzzTIDSet(f *testing.F) {
 	// paths run from the seed corpus alone.
 	for repr := byte(0); repr < 4; repr++ {
 		f.Add(uint16(200), []byte{0x01, 0x10, 0, 0, 0, 0, 0, 0, 0x80}, []byte{0x11, 0x11, 0, 0, 0, 0, 0, 0, 0x80}, 2, repr)
+	}
+	// a = b under every representation pairing, so Equal's accepting path
+	// meets Hash from the seed corpus alone.
+	for repr := byte(0); repr < 4; repr++ {
+		f.Add(uint16(300), []byte{0x03, 0, 0x40, 0, 0, 0, 0, 0, 0x01}, []byte{0x03, 0, 0x40, 0, 0, 0, 0, 0, 0x01}, 1, repr)
 	}
 	f.Fuzz(func(t *testing.T, un uint16, abits, bbits []byte, threshold int, repr byte) {
 		n := int(un)%1024 + 1
@@ -102,6 +110,42 @@ func FuzzTIDSet(f *testing.F) {
 		if got, want := probed.Indices(), ba.And(bb).Indices(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("DenseCopyFrom AndOf members: %v vs %v", got, want)
 		}
+		// Hash reads members, not payload: it agrees across sa's dense
+		// mirror (written over sb's words), its compact clone and both forced
+		// representations; an in-place intersection and a copy over a full
+		// set leave stale words or elements past the live ones.
+		ha := sa.Hash()
+		if mirror.Hash() != ha || sa.CompactClone().Hash() != ha {
+			t.Fatal("Hash differs between a set, its dense mirror and its compact clone")
+		}
+		for _, dense := range []bool{false, true} {
+			if force(sa, dense).Hash() != ha {
+				t.Fatalf("Hash differs for the forced dense=%v representation", dense)
+			}
+		}
+		for _, pa := range []bool{false, true} {
+			for _, pb := range []bool{false, true} {
+				a, b := force(sa, pa), force(sb, pb)
+				if a.Equal(b) && a.Hash() != b.Hash() {
+					t.Fatalf("equal sets (dense %v, %v) hash differently", pa, pb)
+				}
+			}
+		}
+		if ip.Hash() != and.Hash() {
+			t.Fatal("Hash of an in-place intersection reads stale payload")
+		}
+		all := make([]int, n)
+		for i := range all {
+			all[i] = i
+		}
+		for _, dense := range []bool{false, true} {
+			stale := force(FromIndices(n, all), dense)
+			stale.CopyFrom(sa)
+			if stale.Hash() != ha {
+				t.Fatalf("Hash of a copy over a full dense=%v set reads stale payload", dense)
+			}
+		}
+
 		probe := threshold % (n + 1)
 		if probe < 0 {
 			probe = -probe % (n + 1)

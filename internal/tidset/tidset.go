@@ -624,6 +624,44 @@ func (s *Set) Equal(o *Set) bool {
 	return s.AndCount(o) == s.card
 }
 
+// Hash returns a hash of the members and capacity of s that does not
+// depend on the representation: the dense words and the sparse elements
+// folded into words are both read as the sequence of nonzero (word index,
+// word) pairs. Equal sets therefore hash equal; unequal sets may collide,
+// so a caller grouping sets by Hash confirms each match with Equal.
+func (s *Set) Hash() uint64 {
+	h := mixWord(0, s.n, 0)
+	if s.dense {
+		for wi, w := range s.words {
+			if w != 0 {
+				h = mixWord(h, wi, w)
+			}
+		}
+		return h
+	}
+	wi, w := -1, uint64(0)
+	for _, e := range s.elems {
+		if i := int(e / wordBits); i != wi {
+			if w != 0 {
+				h = mixWord(h, wi, w)
+			}
+			wi, w = i, 0
+		}
+		w |= 1 << (e % wordBits)
+	}
+	if w != 0 {
+		h = mixWord(h, wi, w)
+	}
+	return h
+}
+
+// mixWord folds the pair (wi, w) into the running hash h.
+func mixWord(h uint64, wi int, w uint64) uint64 {
+	h = (h ^ uint64(wi)) * 0x9e3779b97f4a7c15
+	h = (h ^ w) * 0xff51afd7ed558ccd
+	return h ^ h>>32
+}
+
 // NextSet returns the smallest member >= i, or -1 if none exists.
 func (s *Set) NextSet(i int) int {
 	if i < 0 {

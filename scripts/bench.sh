@@ -8,7 +8,9 @@
 #
 # The recorded benchmarks are BenchmarkMineReplace / BenchmarkMineMicroarray
 # / BenchmarkMineQuest (the end-to-end fusion hot path on dense and sparse
-# data), the BenchmarkEngine* family (every registry miner at p=1 vs p=8 on
+# data), BenchmarkIncrementalMine (cold re-mine vs the warm start a pfserve
+# monitor runs between appends, where the pool is small and per-step set-up
+# weighs most), the BenchmarkEngine* family (every registry miner at p=1 vs p=8 on
 # the Replace and Microarray workloads) and BenchmarkIngest (streaming ingestion of a ~100k-row Quest file: FIMI vs
 # gzip vs CSV) — the perf trajectory (BENCH_*.json, one file per PR that
 # moves the needle) is tracked against them. ns/op, B/op and allocs/op come
@@ -18,7 +20,7 @@ cd "$(dirname "$0")/.."
 
 out="${1:-BENCH_1.json}"
 benchtime="${BENCHTIME:-3x}"
-filter="${BENCH_FILTER:-BenchmarkMineReplace|BenchmarkMineMicroarray|BenchmarkMineQuest|BenchmarkEngine|BenchmarkIngest}"
+filter="${BENCH_FILTER:-BenchmarkMineReplace|BenchmarkMineMicroarray|BenchmarkMineQuest|BenchmarkIncrementalMine|BenchmarkEngine|BenchmarkIngest}"
 
 raw=$(go test -run '^$' -bench "$filter" -benchmem -benchtime "$benchtime" . ./internal/ingest)
 printf '%s\n' "$raw" >&2
