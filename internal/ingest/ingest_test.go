@@ -191,17 +191,66 @@ func TestSniffFormat(t *testing.T) {
 	}
 }
 
+// TestDecodeErrorsCarryLineNumbers pins the exact text of every decode
+// error the streaming formats and the Appender report: the line or row
+// number, the quoted offending token, and the wrapped strconv cause.
+// Callers and pfserve's 400 bodies surface these strings verbatim.
 func TestDecodeErrorsCarryLineNumbers(t *testing.T) {
+	overlong := string(append(bytes.Repeat([]byte("1 "), MaxLineBytes/2+1), '\n'))
+	csv := func() Format { return NewCSV() }
 	for _, c := range []struct {
-		data string
-		want string
+		name, data string
+		format     func() Format
+		maxItem    int
+		want       string
 	}{
-		{"1 2\nx 3\n", "line 2"},
-		{"1 2\n-4\n", "line 2"},
+		{"bad.dat", "1 2\nx 3\n", FIMI, 0,
+			`ingest: bad.dat: line 2: bad item "x": strconv.Atoi: parsing "x": invalid syntax`},
+		{"bad.dat", "1 2\n3 1#\n", FIMI, 0,
+			`ingest: bad.dat: line 2: bad item "1#": strconv.Atoi: parsing "1#": invalid syntax`},
+		{"bad.dat", "1 2\n\n3 -4\n", FIMI, 0,
+			`ingest: bad.dat: line 3: negative item -4`},
+		{"bad.dat", "# c\n1 99999999999999999999\n", FIMI, 0,
+			`ingest: bad.dat: line 2: bad item "99999999999999999999": strconv.Atoi: parsing "99999999999999999999": value out of range`},
+		{"bad.dat", "1 x\n", FIMI, 0,
+			`ingest: bad.dat: line 1: bad item "x": strconv.Atoi: parsing "x": invalid syntax`},
+		{"bad.dat", "2\n1\u00a0x\n", FIMI, 0,
+			`ingest: bad.dat: line 2: bad item "x": strconv.Atoi: parsing "x": invalid syntax`},
+		{"bad.dat", "2\n1\xff\n", FIMI, 0,
+			`ingest: bad.dat: line 2: bad item "1\xff": strconv.Atoi: parsing "1\xff": invalid syntax`},
+		{"bad.dat", "1\n70000\n", FIMI, 1 << 16,
+			`ingest: bad.dat: row 1: item 70000 exceeds the 65536 item-ID cap`},
+		{"bad.dat", "0\n1\n" + overlong, FIMI, 0,
+			`ingest: bad.dat: line 3: line exceeds the 16777216-byte limit: bufio.Scanner: token too long`},
+		{"bad.seq", "2 1\n1 +x\n", Seq, 0,
+			`ingest: bad.seq: line 2: bad item "+x": strconv.Atoi: parsing "+x": invalid syntax`},
+		{"bad.mat", "011\n# c\n0 2\n", Matrix, 0,
+			`ingest: bad.mat: line 3: matrix cell "2" is not 0 or 1`},
+		{"bad.mat", "01\n1\xc3\n", Matrix, 0,
+			`ingest: bad.mat: line 2: matrix cell "Ã" is not 0 or 1`},
+		{"bad.csv", "a,b\n" + overlong, csv, 0,
+			`ingest: bad.csv: line 2: line exceeds the 16777216-byte limit: bufio.Scanner: token too long`},
 	} {
-		_, err := FromBytes("bad.dat", []byte(c.data), Options{Format: FIMI()})
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("FromBytes(%q) error = %v, want mention of %q", c.data, err, c.want)
+		_, err := FromBytes(c.name, []byte(c.data), Options{Format: c.format(), MaxItem: c.maxItem})
+		if err == nil || err.Error() != c.want {
+			label := c.data
+			if len(label) > 64 {
+				label = label[:64] + "..."
+			}
+			t.Errorf("FromBytes(%s, %q):\n got %v\nwant %s", c.name, label, err, c.want)
+		}
+	}
+
+	app, err := NewAppender(BytesSource("base.dat", []byte("1 2\n")), Options{Format: FIMI(), MaxItem: 1 << 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ chunk, want string }{
+		{"3\n4 x\n", `ingest: append base.dat: line 2: bad item "x": strconv.Atoi: parsing "x": invalid syntax`},
+		{"3\n4 70000\n", `ingest: append base.dat: row 2: item 70000 exceeds the 65536 item-ID cap`},
+	} {
+		if _, err := app.Append([]byte(c.chunk)); err == nil || err.Error() != c.want {
+			t.Errorf("Append(%q):\n got %v\nwant %s", c.chunk, err, c.want)
 		}
 	}
 }
