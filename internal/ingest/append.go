@@ -278,6 +278,7 @@ func (a *Appender) decodeChunk(data []byte, gz bool) ([]itemset.Itemset, [][]int
 	dec := a.format.NewDecoder(tail)
 	var txns []itemset.Itemset
 	var seqs [][]int
+	var arena, seqArena rowArena
 	ordered := sequential(a.format)
 	row := len(a.txns)
 	for {
@@ -294,12 +295,13 @@ func (a *Appender) decodeChunk(data []byte, gz bool) ([]itemset.Itemset, [][]int
 			}
 		}
 		if ordered {
-			seqs = append(seqs, append([]int(nil), items...))
+			seqs = append(seqs, seqArena.put(items))
 		}
-		txns = append(txns, itemset.Canonical(items))
+		txns = append(txns, arena.put(canonicalize(items)))
 		row++
 	}
-	return txns, seqs, tail.midLine(), nil
+	// The committed rows live as long as the Appender: pack them.
+	return packRows(txns), packRows(seqs), tail.midLine(), nil
 }
 
 // truncate rolls the table back to its first n symbols, undoing the

@@ -7,14 +7,18 @@
 //
 //  1. A Format decodes the byte stream row by row (gzip is detected by
 //     magic bytes and unwrapped transparently; the format itself is
-//     sniffed from the file extension or content when not forced).
+//     sniffed from the file extension or content when not forced). The
+//     decoders parse each line in place in the scanner's buffer, so a
+//     row costs no allocation.
 //  2. A chain of Transforms filters rows and items deterministically:
 //     row sampling driven by a pure rng.Stream, horizontal row-range and
 //     vertical item-range sharding, and minimum-item-support pruning.
 //  3. A two-pass builder assembles the dataset: pass one counts item
 //     frequencies over the kept rows, pass two emits canonical
-//     transactions and per-item column bitsets directly — the raw
-//     [][]int intermediate of dataset.New is never materialized.
+//     transactions and per-item tidset.Set columns directly — the raw
+//     [][]int intermediate of dataset.New is never materialized. The
+//     kept frequencies sum to the number of canonical items, so every
+//     transaction is a cap-clipped slice of one shared array.
 //
 // With Options.Remap the surviving items are renumbered in decreasing
 // frequency order (ties by source ID); Result.Mapping records the

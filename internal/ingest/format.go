@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -40,7 +41,8 @@ type Decoder interface {
 	// unsorted and with duplicates — or io.EOF after the last row.
 	// Comment lines are skipped and do not count as rows; blank lines
 	// are empty transactions and do. The returned slice is reused:
-	// it is only valid until the next call.
+	// it is only valid until the next call, and the caller may reorder
+	// it in place.
 	Next() ([]int, error)
 }
 
@@ -116,20 +118,21 @@ func newLineScanner(r io.Reader) *lineScanner {
 }
 
 // next returns the next line (1-based number in ls.line) or io.EOF.
+// The bytes are the scanner's buffer: valid only until the next call.
 // A token longer than MaxLineBytes is reported with the line it starts
 // on instead of as a bare bufio error.
-func (ls *lineScanner) next() (string, error) {
+func (ls *lineScanner) next() ([]byte, error) {
 	if !ls.sc.Scan() {
 		if err := ls.sc.Err(); err != nil {
 			if err == bufio.ErrTooLong {
-				return "", fmt.Errorf("line %d: line exceeds the %d-byte limit: %w", ls.line+1, MaxLineBytes, err)
+				return nil, fmt.Errorf("line %d: line exceeds the %d-byte limit: %w", ls.line+1, MaxLineBytes, err)
 			}
-			return "", err
+			return nil, err
 		}
-		return "", io.EOF
+		return nil, io.EOF
 	}
 	ls.line++
-	return ls.sc.Text(), nil
+	return ls.sc.Bytes(), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -164,26 +167,91 @@ func (dec *fimiDecoder) Next() ([]int, error) {
 		if err != nil {
 			return nil, err
 		}
-		line = strings.TrimSpace(line)
-		if strings.HasPrefix(line, "#") {
-			continue
+		row, err := dec.parse(line)
+		if err != nil {
+			return nil, err
 		}
-		dec.buf = dec.buf[:0]
-		if line == "" {
+		if row {
 			return dec.buf, nil
 		}
-		for _, f := range strings.Fields(line) {
-			v, err := strconv.Atoi(f)
-			if err != nil {
-				return nil, fmt.Errorf("line %d: bad item %q: %w", dec.ls.line, f, err)
-			}
-			if v < 0 {
-				return nil, fmt.Errorf("line %d: negative item %d", dec.ls.line, v)
-			}
-			dec.buf = append(dec.buf, v)
-		}
-		return dec.buf, nil
 	}
+}
+
+// parse decodes one line into dec.buf in place, reporting false for a
+// comment. A token of ASCII digits is parsed as it is scanned; any other
+// token goes through add. A byte >= 0x80 hands the whole line to
+// parseFields, since Unicode whitespace separates tokens too.
+func (dec *fimiDecoder) parse(line []byte) (bool, error) {
+	dec.buf = dec.buf[:0]
+	i := skipSpace(line, 0)
+	if i < len(line) && line[i] == '#' {
+		return false, nil
+	}
+	for i < len(line) {
+		v, j := 0, i
+		for j < len(line) && line[j]-'0' <= 9 {
+			v = v*10 + int(line[j]-'0')
+			j++
+		}
+		// 18 digits cannot overflow an int64.
+		if j-i <= 18 && (j == len(line) || asciiSpace[line[j]]) {
+			dec.buf = append(dec.buf, v)
+		} else {
+			for j < len(line) && !asciiSpace[line[j]] {
+				if line[j] >= 0x80 {
+					return dec.parseFields(string(line))
+				}
+				j++
+			}
+			if err := dec.add(string(line[i:j])); err != nil {
+				return false, err
+			}
+		}
+		i = skipSpace(line, j)
+	}
+	return true, nil
+}
+
+// parseFields decodes one line with dataset.Read's own grammar.
+func (dec *fimiDecoder) parseFields(line string) (bool, error) {
+	dec.buf = dec.buf[:0]
+	line = strings.TrimSpace(line)
+	if strings.HasPrefix(line, "#") {
+		return false, nil
+	}
+	for _, f := range strings.Fields(line) {
+		if err := dec.add(f); err != nil {
+			return false, err
+		}
+	}
+	return true, nil
+}
+
+// add parses one item token the way dataset.Read does, so signs, leading
+// zeros, overflow and the error text all match it.
+func (dec *fimiDecoder) add(f string) error {
+	v, err := strconv.Atoi(f)
+	if err != nil {
+		return fmt.Errorf("line %d: bad item %q: %w", dec.ls.line, f, err)
+	}
+	if v < 0 {
+		return fmt.Errorf("line %d: negative item %d", dec.ls.line, v)
+	}
+	dec.buf = append(dec.buf, v)
+	return nil
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts, the
+// separators strings.Fields splits an ASCII line on.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// skipSpace returns the index of the first non-space byte of b at or
+// after i.
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && asciiSpace[b[i]] {
+		i++
+	}
+	return i
 }
 
 // ---------------------------------------------------------------------------
@@ -212,6 +280,15 @@ func (t *SymbolTable) Intern(sym string) int {
 	t.ids[sym] = id
 	t.syms = append(t.syms, sym)
 	return id
+}
+
+// internBytes is Intern for a symbol held in a byte slice: the lookup
+// does not allocate, and only a new symbol is copied into a string.
+func (t *SymbolTable) internBytes(sym []byte) int {
+	if id, ok := t.ids[string(sym)]; ok {
+		return id
+	}
+	return t.Intern(string(sym))
 }
 
 // Symbol renders an item ID: the interned symbol when the table knows
@@ -289,18 +366,23 @@ func (dec *csvDecoder) Next() ([]int, error) {
 		if err != nil {
 			return nil, err
 		}
-		if strings.HasPrefix(line, "#") {
+		if len(line) > 0 && line[0] == '#' {
 			continue
 		}
 		dec.buf = dec.buf[:0]
-		for _, cell := range strings.Split(line, ",") {
-			cell = strings.TrimSpace(cell)
-			if cell == "" {
-				continue
+		for {
+			cell := line
+			i := bytes.IndexByte(line, ',')
+			if i >= 0 {
+				cell, line = line[:i], line[i+1:]
 			}
-			dec.buf = append(dec.buf, dec.table.Intern(cell))
+			if cell = bytes.TrimSpace(cell); len(cell) > 0 {
+				dec.buf = append(dec.buf, dec.table.internBytes(cell))
+			}
+			if i < 0 {
+				return dec.buf, nil
+			}
 		}
-		return dec.buf, nil
 	}
 }
 
@@ -352,13 +434,13 @@ func (dec *matrixDecoder) Next() ([]int, error) {
 		if err != nil {
 			return nil, err
 		}
-		line = strings.TrimSpace(line)
-		if strings.HasPrefix(line, "#") {
+		line = bytes.TrimSpace(line)
+		if len(line) > 0 && line[0] == '#' {
 			continue
 		}
 		dec.buf = dec.buf[:0]
 		col := 0
-		for _, c := range []byte(line) {
+		for _, c := range line {
 			switch c {
 			case '0':
 				col++

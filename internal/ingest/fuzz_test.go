@@ -2,7 +2,11 @@ package ingest
 
 import (
 	"bytes"
+	"strconv"
+	"strings"
 	"testing"
+
+	"repro/internal/dataset"
 )
 
 // fuzzRoundTrip asserts the parser contract on arbitrary input: decoding
@@ -98,5 +102,59 @@ func FuzzAppendChunk(f *testing.F) {
 			t.Fatalf("append accepted a chunk the re-ingest rejects: %v\nbase %q chunk %q", err, base, chunk)
 		}
 		requireIdentical(t, snap, want)
+	})
+}
+
+// FuzzFIMIMatchesRead differentially tests the streaming FIMI and seq
+// decoders against dataset.Read, the reference parser: on the same bytes
+// all three accept or reject together, rejections carry the same error
+// text, and accepted inputs give the same rows. The seeds cover the grammar corners the in-place tokenizer must
+// hand to, or mirror, strings.Fields and strconv.Atoi: Unicode
+// separators, signs and leading zeros, overflow, CRLF, \v and \f,
+// indented comments and a '#' inside a row.
+func FuzzFIMIMatchesRead(f *testing.F) {
+	for _, seed := range []string{
+		"1\u00a02\n", "3\u00855\n", "4\u30007 7\n",
+		"+3 -0 007\n",
+		"0000000000000000042\n", "12345678901234567890\n",
+		"1 2\r\n3\r\n",
+		"1\v2\f3\n",
+		"   # comment\n1\n", "\u00a0# comment\n1\n",
+		"1 #2\n",
+		"-1\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// dataset.Read sizes per-item state by the largest ID: keep the
+		// universe small so the reference parser cannot exhaust memory.
+		for _, tok := range strings.Fields(string(data)) {
+			if v, err := strconv.Atoi(tok); err == nil && v > 1<<16 {
+				t.Skip()
+			}
+		}
+		want, werr := dataset.Read(bytes.NewReader(data))
+		for _, format := range []func() Format{FIMI, Seq} {
+			res, err := FromBytes("fuzz-input", data, Options{Format: format()})
+			if (err == nil) != (werr == nil) {
+				t.Fatalf("%s: err = %v, dataset.Read err = %v\ninput %q", format().Name(), err, werr, data)
+			}
+			if err != nil {
+				got := strings.TrimPrefix(err.Error(), "ingest: fuzz-input: ")
+				if ref := strings.TrimPrefix(werr.Error(), "dataset: "); got != ref {
+					t.Fatalf("%s: error %q, dataset.Read %q\ninput %q", format().Name(), got, ref, data)
+				}
+				continue
+			}
+			if res.Dataset.Size() != want.Size() || res.Dataset.NumItems() != want.NumItems() {
+				t.Fatalf("%s: shape %dx%d, dataset.Read %dx%d\ninput %q", format().Name(),
+					res.Dataset.Size(), res.Dataset.NumItems(), want.Size(), want.NumItems(), data)
+			}
+			for tid := 0; tid < want.Size(); tid++ {
+				if g, w := res.Dataset.Transaction(tid), want.Transaction(tid); !g.Equal(w) {
+					t.Fatalf("%s: row %d = %v, dataset.Read %v\ninput %q", format().Name(), tid, g, w, data)
+				}
+			}
+		}
 	})
 }

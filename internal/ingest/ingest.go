@@ -10,7 +10,7 @@ import (
 	"hash"
 	"io"
 	"os"
-	"sort"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
@@ -113,8 +113,9 @@ func FromBytes(name string, data []byte, opts Options) (*Result, error) {
 // Ingest runs the two-pass streaming builder over src. Pass one decodes
 // every row, applies the row transforms, and accumulates per-item
 // support counts (plus the content hash); pass two re-decodes and emits
-// the canonical transactions and per-item column bitsets directly into
-// the final Dataset — the raw [][]int intermediate is never built.
+// the canonical transactions and per-item tidset.Set columns directly
+// into the final Dataset — the raw [][]int intermediate is never built.
+// The transactions share one array sized from the pass-one counts.
 func Ingest(src Source, opts Options) (*Result, error) {
 	res, _, err := ingestState(src, opts)
 	return res, err
@@ -141,7 +142,6 @@ func ingestState(src Source, opts Options) (*Result, *appendState, error) {
 	// Pass 1: frequencies, row counts, content hash, format resolution.
 	format := opts.Format
 	var freq []int
-	scratch := make([]int, 0, 64)
 	hasher := sha256.New()
 	tail := &tailReader{}
 	err := pass(src, hasher, func(rdr *bufio.Reader, gzipped bool) error {
@@ -171,14 +171,7 @@ func ingestState(src Source, opts Options) (*Result, *appendState, error) {
 			res.RowsKept++
 			// Count each item once per row: support is row membership,
 			// not occurrence count.
-			scratch = append(scratch[:0], items...)
-			sort.Ints(scratch)
-			prev := -1
-			for _, item := range scratch {
-				if item == prev {
-					continue
-				}
-				prev = item
+			for _, item := range canonicalize(items) {
 				if opts.MaxItem > 0 && item > opts.MaxItem {
 					return fmt.Errorf("row %d: item %d exceeds the %d item-ID cap", row, item, opts.MaxItem)
 				}
@@ -206,20 +199,27 @@ func ingestState(src Source, opts Options) (*Result, *appendState, error) {
 	// Pass 2: emit canonical transactions and compressed TID columns. The
 	// pass-1 frequencies size every column exactly and pick its
 	// representation (dense words vs sorted array) before any TID lands.
+	// They also sum to the number of canonical items, so every row is
+	// carved from one exact-sized array.
 	txns := make([]itemset.Itemset, 0, res.RowsKept)
 	// Sequence formats additionally keep each row's translated events in
 	// source order (repeats included) for the dataset's ordered view.
 	var seqRows [][]int
+	var seqArena rowArena
 	if sequential(format) {
 		seqRows = make([][]int, 0, res.RowsKept)
 	}
 	counts := make([]int, plan.universe)
+	total := 0
 	for src, nt := range plan.translate {
 		if nt >= 0 {
 			counts[nt] = freq[src]
+			total += freq[src]
 		}
 	}
+	arena := newRowArena(total)
 	builder := tidset.NewBuilder(res.RowsKept, counts)
+	scratch := make([]int, 0, 64)
 	row := 0
 	err = pass(src, nil, func(rdr *bufio.Reader, _ bool) error {
 		dec := format.NewDecoder(rdr)
@@ -246,13 +246,17 @@ func ingestState(src Source, opts Options) (*Result, *appendState, error) {
 				}
 			}
 			if seqRows != nil {
-				seqRows = append(seqRows, append([]int(nil), scratch...))
+				seqRows = append(seqRows, seqArena.put(scratch))
 			}
-			txn := itemset.Canonical(scratch)
 			tid := len(txns)
 			if tid >= res.RowsKept {
 				return fmt.Errorf("source changed between passes (extra row)")
 			}
+			canon := canonicalize(scratch)
+			if len(canon) > arena.room() {
+				return fmt.Errorf("source changed between passes (more items than counted)")
+			}
+			txn := itemset.Itemset(arena.put(canon))
 			txns = append(txns, txn)
 			for _, item := range txn {
 				builder.Add(item, tid)
@@ -267,8 +271,57 @@ func ingestState(src Source, opts Options) (*Result, *appendState, error) {
 		return nil, nil, fmt.Errorf("ingest: %s: source changed between passes (%d rows, then %d)", src.Name(), res.RowsKept, len(txns))
 	}
 	res.Dataset = dataset.FromParts(txns, builder.Sets())
-	res.Dataset.SetSequences(seqRows)
+	res.Dataset.SetSequences(packRows(seqRows))
 	return res, &appendState{format: format, hasher: hasher, freq: freq, midLine: tail.midLine()}, nil
+}
+
+// canonicalize sorts row in place and drops repeats, returning the
+// canonical prefix of row.
+func canonicalize(row []int) []int {
+	slices.Sort(row)
+	return slices.Compact(row)
+}
+
+// rowArena copies rows into shared backing arrays instead of one
+// allocation per row. Each row is a cap-clipped sub-slice (buf[i:j:j]),
+// so an append to one row reallocates rather than writing into its
+// neighbour.
+type rowArena struct{ buf []int }
+
+// newRowArena returns an arena whose first array holds exactly n items.
+func newRowArena(n int) rowArena { return rowArena{buf: make([]int, 0, n)} }
+
+// room is how many items fit before put must start a new array.
+func (a *rowArena) room() int { return cap(a.buf) - len(a.buf) }
+
+// put copies row into the arena and returns the copy; an empty row is
+// nil, as itemset.Canonical returns it. When row does not fit, put
+// starts a new array of twice the old capacity, or of row's length if
+// that is more.
+func (a *rowArena) put(row []int) []int {
+	if len(row) == 0 {
+		return nil
+	}
+	if len(row) > a.room() {
+		a.buf = make([]int, 0, max(len(row), 2*cap(a.buf)))
+	}
+	start := len(a.buf)
+	a.buf = append(a.buf, row...)
+	return a.buf[start:len(a.buf):len(a.buf)]
+}
+
+// packRows moves rows into one exact-sized array, dropping the slack
+// a growing arena leaves.
+func packRows[R ~[]int](rows []R) []R {
+	n := 0
+	for _, r := range rows {
+		n += len(r)
+	}
+	arena := newRowArena(n)
+	for i, r := range rows {
+		rows[i] = arena.put(r)
+	}
+	return rows
 }
 
 // tailReader passes reads through while remembering the last byte seen,
