@@ -9,7 +9,7 @@
 //     magic bytes and unwrapped transparently; the format itself is
 //     sniffed from the file extension or content when not forced). The
 //     decoders parse each line in place in the scanner's buffer, so a
-//     row costs no allocation.
+//     row of ASCII item IDs or already-seen symbols costs no allocation.
 //  2. A chain of Transforms filters rows and items deterministically:
 //     row sampling driven by a pure rng.Stream, horizontal row-range and
 //     vertical item-range sharding, and minimum-item-support pruning.

@@ -108,10 +108,11 @@ func FuzzAppendChunk(f *testing.F) {
 // FuzzFIMIMatchesRead differentially tests the streaming FIMI and seq
 // decoders against dataset.Read, the reference parser: on the same bytes
 // all three accept or reject together, rejections carry the same error
-// text, and accepted inputs give the same rows. The seeds cover the grammar corners the in-place tokenizer must
-// hand to, or mirror, strings.Fields and strconv.Atoi: Unicode
-// separators, signs and leading zeros, overflow, CRLF, \v and \f,
-// indented comments and a '#' inside a row.
+// text, and accepted inputs give the same rows. The seeds cover the
+// grammar corners the in-place tokenizer must hand to, or mirror,
+// strings.Fields and strconv.Atoi: Unicode separators, signs and leading
+// zeros, overflow, CRLF, \v and \f, indented comments and a '#' inside
+// a row.
 func FuzzFIMIMatchesRead(f *testing.F) {
 	for _, seed := range []string{
 		"1\u00a02\n", "3\u00855\n", "4\u30007 7\n",
