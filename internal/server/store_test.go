@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/datagen"
+	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/server"
 )
@@ -110,6 +111,48 @@ func TestStoreResultRoundTrip(t *testing.T) {
 
 	if _, ok, err := st.LoadResult("job-none"); ok || err != nil {
 		t.Fatalf("missing result: ok=%v err=%v", ok, err)
+	}
+}
+
+// legacyResultReport is the Report behind testdata/legacy.result.json:
+// Quality and Warnings set, Visited and Stopped zero.
+func legacyResultReport() *engine.Report {
+	return &engine.Report{
+		Algorithm: "seqfusion",
+		Patterns: []*dataset.Pattern{
+			dataset.NewPatternCounted([]int{0, 2, 5, 9}, nil, 7),
+			dataset.NewPatternCounted([]int{1, 3, 4}, nil, 11),
+			dataset.NewPatternCounted([]int{6}, nil, 30),
+		},
+		InitPoolSize: 42,
+		Iterations:   5,
+		Warnings:     []string{`option MaxSize is ignored by algorithm "seqfusion"`},
+		Quality:      &engine.Quality{Delta: 1.0 / 3},
+	}
+}
+
+// TestStoreLoadsLegacyResult pins backward compatibility of result
+// files: testdata/legacy.result.json was written by an earlier
+// SaveResult (indented JSON, zero fields omitted) and must never be
+// regenerated. Loading it must give back the source Report's hash.
+func TestStoreLoadsLegacyResult(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "legacy.result.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := server.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(st.Dir(), "jobs", "job-1.result.json"), data, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	got, ok, err := st.LoadResult("job-1")
+	if err != nil || !ok {
+		t.Fatalf("LoadResult: ok=%v err=%v", ok, err)
+	}
+	if g, w := engine.ReportHash(got), engine.ReportHash(legacyResultReport()); g != w {
+		t.Fatalf("legacy result hash %s, want %s", g, w)
 	}
 }
 
