@@ -227,7 +227,7 @@ func mineFromPool(ctx context.Context, d *dataset.Dataset, pool []*dataset.Patte
 			Iteration: rep.Iterations, PoolSize: len(next), Pool: next,
 		})
 		key := poolFingerprints(next)
-		if fingerprintsEqual(key, prevKey) {
+		if slices.Equal(key, prevKey) {
 			// Fixed point: no fusion is possible anymore (every seed's ball
 			// fuses to itself). Keep the K largest and stop.
 			cur = next
@@ -688,18 +688,6 @@ func poolFingerprints(ps []*dataset.Pattern) []itemset.Fingerprint {
 	}
 	sort.Slice(fps, func(i, j int) bool { return fps[i].Less(fps[j]) })
 	return fps
-}
-
-func fingerprintsEqual(a, b []itemset.Fingerprint) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // IsCore reports whether beta is a τ-core pattern of alpha in d

@@ -48,28 +48,32 @@ type Algorithm interface {
 // (and the pfmine / pfserve surfaces) can tell a mis-aimed option from an
 // applied one. Out-of-range values are errors for every algorithm; see
 // Validate.
+//
+// The json tags are the option names of pfserve's job and monitor
+// specs. Pool has no omitempty: an empty warm start encodes as [] and a
+// nil one as null, so both survive a persisted or leased spec.
 type Options struct {
 	// MinCount is the absolute minimum support count. If zero, MinSupport
 	// is used instead.
-	MinCount int
+	MinCount int `json:"min_count,omitempty"`
 	// MinSupport is the relative minimum support σ ∈ [0,1], used only when
 	// MinCount is zero.
-	MinSupport float64
+	MinSupport float64 `json:"min_support,omitempty"`
 	// K is the result-size budget: fusion's K and topk's k.
-	K int
+	K int `json:"k,omitempty"`
 	// Tau is fusion's core ratio τ ∈ (0,1]; zero selects the default 0.5.
-	Tau float64
+	Tau float64 `json:"tau,omitempty"`
 	// InitPoolMaxSize bounds fusion's phase-1 pattern size; zero selects 3.
-	InitPoolMaxSize int
+	InitPoolMaxSize int `json:"init_pool_max_size,omitempty"`
 	// MinSize is the minimum reported pattern size (closed, closedrows,
 	// topk).
-	MinSize int
+	MinSize int `json:"min_size,omitempty"`
 	// MaxSize is the maximum reported pattern size (apriori, eclat,
 	// fpgrowth); zero means unbounded.
-	MaxSize int
+	MaxSize int `json:"max_size,omitempty"`
 	// Seed seeds fusion's deterministic RNG; zero selects 1 so that the
 	// zero Options value is still a valid, reproducible configuration.
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty"`
 	// Pool, when non-nil, warm-starts fusion from these phase-1 pool
 	// itemsets instead of mining the initial pool: each itemset is
 	// re-materialized against the current dataset (supports recomputed),
@@ -80,23 +84,23 @@ type Options struct {
 	// it is the incremental approximation the pool-containment
 	// conformance test pins. An empty non-nil pool is a valid warm start
 	// that yields no patterns.
-	Pool [][]int
+	Pool [][]int `json:"pool"`
 	// KeepPool asks fusion to return its phase-1 pool itemsets (cold
 	// runs: the mined initial pool; warm runs: the re-seeded pool) in
 	// Report.Pool, in pool order, for a later incremental warm start.
-	KeepPool bool
+	KeepPool bool `json:"keep_pool,omitempty"`
 	// Parallelism is the worker-goroutine count every algorithm mines
 	// with; zero means all CPUs and negative values are rejected.
 	// Reports are bit-identical for every value: each miner decomposes
 	// its search into deterministic task
 	// units (see the Tasks scheduler) and merges per-task results in
 	// canonical task order, so scheduling never leaks into the result.
-	Parallelism int
+	Parallelism int `json:"parallelism,omitempty"`
 	// Observer, if non-nil, receives progress events. Calls are
 	// serialized — never concurrent — but for Parallelism != 1 they may
 	// come from worker goroutines (see Meter); the Observer must not
 	// block and must not assume a single calling goroutine identity.
-	Observer Observer
+	Observer Observer `json:"-"`
 }
 
 // Validate is the one range check of Options, shared by every algorithm:
@@ -176,15 +180,15 @@ type Report struct {
 	// candidate pool (seqfusion computes it against its initial pool).
 	// Like every other Report field it is a pure function of
 	// (algorithm, dataset, Options); algorithms that do not estimate
-	// quality leave it nil, which the wire encoding and the job store
-	// omit, so their report hashes are unchanged.
+	// quality leave it nil, which the canonical encoding omits, so
+	// their report hashes are unchanged.
 	Quality *Quality
 	// Pool is the run's phase-1 pool itemsets in pool order, present only
 	// when Options.KeepPool was set on a fusion run. It is the warm-start
 	// seed for Options.Pool. Like TID sets it is an acceleration artifact,
-	// not part of the observable answer: WireReport omits it, so
-	// EncodeReport/ReportHash are unaffected, and the durable job store
-	// does not persist it (a restarted server re-mines cold).
+	// not part of the observable answer: the canonical encoding omits
+	// it, so EncodeReport/ReportHash are unaffected, and the job server
+	// neither keeps nor persists it.
 	Pool [][]int `json:"-"`
 }
 

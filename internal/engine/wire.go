@@ -4,28 +4,29 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"math"
 
 	"repro/internal/dataset"
 )
 
-// WirePattern is one pattern in a Report's canonical wire encoding:
+// wirePattern is one pattern in a Report's canonical wire encoding:
 // items and memoized support, no TID payload. TID sets are a single-node
-// acceleration structure, not part of the observable answer — the job
-// store and the HTTP result endpoint already drop them — so the
+// acceleration structure, not part of the observable answer, so the
 // distributed layer's byte-identity guarantee is pinned at this
 // boundary.
-type WirePattern struct {
+type wirePattern struct {
 	Items   []int `json:"items"`
 	Support int   `json:"support"`
 }
 
-// WireReport is the canonical serializable form of a Report. It carries
+// wireReport is the canonical serializable form of a Report. It carries
 // every field the determinism conformance tests observe, in a fixed
-// order, so that Encode bytes (and their sha256) are a pure function of
-// the Report's observable content.
-type WireReport struct {
+// order, so that EncodeReport's bytes (and their sha256) are a pure
+// function of the Report's observable content.
+type wireReport struct {
 	Algorithm    string        `json:"algorithm"`
-	Patterns     []WirePattern `json:"patterns"`
+	Patterns     []wirePattern `json:"patterns"`
 	InitPoolSize int           `json:"init_pool_size"`
 	Iterations   int           `json:"iterations"`
 	Visited      int           `json:"visited"`
@@ -36,31 +37,42 @@ type WireReport struct {
 	Quality *Quality `json:"quality,omitempty"`
 }
 
-// ToWire converts a Report to its wire form.
-func ToWire(rep *Report) WireReport {
-	w := WireReport{
+// EncodeReport renders a Report to canonical JSON bytes. Two Reports
+// with the same observable content encode identically; this is the
+// byte-identity boundary the distributed merge is held to, and the
+// format of the job server's result files.
+func EncodeReport(rep *Report) []byte {
+	w := wireReport{
 		Algorithm:    rep.Algorithm,
-		Patterns:     make([]WirePattern, 0, len(rep.Patterns)),
+		Patterns:     make([]wirePattern, len(rep.Patterns)),
 		InitPoolSize: rep.InitPoolSize,
 		Iterations:   rep.Iterations,
 		Visited:      rep.Visited,
 		Stopped:      rep.Stopped,
 		Warnings:     rep.Warnings,
+		Quality:      rep.Quality,
 	}
-	if rep.Quality != nil {
-		q := *rep.Quality
-		w.Quality = &q
+	for i, p := range rep.Patterns {
+		w.Patterns[i] = wirePattern{Items: p.Items, Support: p.Support()}
 	}
-	for _, p := range rep.Patterns {
-		w.Patterns = append(w.Patterns, WirePattern{Items: append([]int{}, p.Items...), Support: p.Support()})
+	b, err := json.Marshal(w)
+	if err != nil {
+		// Only unmarshalable values can fail here; wireReport has none.
+		panic("engine: encoding report: " + err.Error())
 	}
-	return w
+	return b
 }
 
-// FromWire reconstructs a Report from its wire form. Patterns carry
-// memoized supports but nil TID sets, matching what horizontal miners
-// (fpgrowth) produce natively.
-func (w WireReport) FromWire() *Report {
+// DecodeReport parses a Report from its canonical encoding, or from any
+// JSON object with those fields (unknown keys are ignored, absent ones
+// are zero). Patterns carry memoized supports but nil TID sets,
+// matching what horizontal miners (fpgrowth) produce natively. A
+// negative support, or one too large to memoize, is an error.
+func DecodeReport(b []byte) (*Report, error) {
+	var w wireReport
+	if err := json.Unmarshal(b, &w); err != nil {
+		return nil, err
+	}
 	rep := &Report{
 		Algorithm:    w.Algorithm,
 		InitPoolSize: w.InitPoolSize,
@@ -68,39 +80,18 @@ func (w WireReport) FromWire() *Report {
 		Visited:      w.Visited,
 		Stopped:      w.Stopped,
 		Warnings:     w.Warnings,
-	}
-	if w.Quality != nil {
-		q := *w.Quality
-		rep.Quality = &q
+		Quality:      w.Quality,
 	}
 	if len(w.Patterns) > 0 {
-		rep.Patterns = make([]*dataset.Pattern, 0, len(w.Patterns))
-		for _, p := range w.Patterns {
-			rep.Patterns = append(rep.Patterns, dataset.NewPatternCounted(append([]int{}, p.Items...), nil, p.Support))
+		rep.Patterns = make([]*dataset.Pattern, len(w.Patterns))
+		for i, p := range w.Patterns {
+			if p.Support < 0 || p.Support == math.MaxInt {
+				return nil, fmt.Errorf("engine: decoding report: pattern %d has support %d", i, p.Support)
+			}
+			rep.Patterns[i] = dataset.NewPatternCounted(p.Items, nil, p.Support)
 		}
 	}
-	return rep
-}
-
-// EncodeReport renders a Report to canonical JSON bytes. Two Reports
-// with the same observable content encode identically; this is the
-// byte-identity boundary the distributed merge is held to.
-func EncodeReport(rep *Report) []byte {
-	b, err := json.Marshal(ToWire(rep))
-	if err != nil {
-		// Only unmarshalable values can fail here; WireReport has none.
-		panic("engine: encoding report: " + err.Error())
-	}
-	return b
-}
-
-// DecodeReport parses canonical Report bytes produced by EncodeReport.
-func DecodeReport(b []byte) (*Report, error) {
-	var w WireReport
-	if err := json.Unmarshal(b, &w); err != nil {
-		return nil, err
-	}
-	return w.FromWire(), nil
+	return rep, nil
 }
 
 // ReportHash returns the hex sha256 of a Report's canonical encoding.

@@ -111,18 +111,13 @@ func NewCatalog(maxCells int) *Catalog {
 	}
 }
 
-// Put parses data (format "" sniffs; gzip auto-detected) and stores it
-// under name, replacing any existing entry. The raw bytes are hashed
-// first and identical content already in the cache skips the parse
-// entirely. It returns the entry and whether an entry was replaced.
-func (c *Catalog) Put(name, format string, data []byte) (*DatasetEntry, bool, error) {
-	return c.PutOwned(name, format, data, "", 0)
-}
-
-// PutOwned is Put on behalf of a tenant: the entry is stamped with
-// owner, and when quota > 0 the owner's total raw catalog bytes
-// (replacements credited) may not exceed it — a *QuotaError (429)
-// otherwise.
+// PutOwned parses data (format "" sniffs; gzip auto-detected) and
+// stores it under name on behalf of owner ("" in open mode), replacing
+// any existing entry. The raw bytes are hashed first and identical
+// content already in the cache skips the parse entirely. When quota > 0
+// the owner's total raw catalog bytes (replacements credited) may not
+// exceed it — a *QuotaError (429) otherwise. It returns the entry and
+// whether an entry was replaced.
 func (c *Catalog) PutOwned(name, format string, data []byte, owner string, quota int64) (*DatasetEntry, bool, error) {
 	return c.put(name, format, data, owner, quota, time.Now(), true)
 }
@@ -177,23 +172,8 @@ func (c *Catalog) put(name, format string, data []byte, owner string, quota int6
 	if !exists && len(c.entries) >= maxCatalogEntries {
 		return nil, false, fmt.Errorf("server: catalog is full (%d entries); delete one first", maxCatalogEntries)
 	}
-	if quota > 0 {
-		used := int64(0)
-		for n, e := range c.entries {
-			if e.Tenant == owner && n != name {
-				used += e.Bytes
-			}
-		}
-		if used+int64(len(data)) > quota {
-			if c.metrics != nil {
-				c.metrics.AuthRejections.Inc("catalog_quota")
-			}
-			return nil, false, &QuotaError{
-				Msg: fmt.Sprintf("server: upload of %d bytes exceeds tenant %q's catalog quota (%d of %d bytes in use)",
-					len(data), owner, used, quota),
-				RetryAfter: 60,
-			}
-		}
+	if err := c.quotaLocked(owner, name, quota, 0, int64(len(data)), "upload of"); err != nil {
+		return nil, false, err
 	}
 	stats := parsed.ds.ComputeStats()
 	entry := &DatasetEntry{
@@ -249,6 +229,33 @@ func (c *Catalog) put(name, format string, data []byte, owner string, quota int6
 		c.metrics.CatalogBytes.Add(float64(entry.Bytes), tenantLabel(owner))
 	}
 	return entry, exists, nil
+}
+
+// quotaLocked enforces owner's catalog byte quota (0 = none) on an
+// operation that leaves the entry name holding kept+add bytes: kept is 0
+// for a replacing upload and the entry's current size for an append. op
+// names the operation in the *QuotaError. Caller holds mu.
+func (c *Catalog) quotaLocked(owner, name string, quota, kept, add int64, op string) error {
+	if quota <= 0 {
+		return nil
+	}
+	used := kept
+	for n, e := range c.entries {
+		if e.Tenant == owner && n != name {
+			used += e.Bytes
+		}
+	}
+	if used+add <= quota {
+		return nil
+	}
+	if c.metrics != nil {
+		c.metrics.AuthRejections.Inc("catalog_quota")
+	}
+	return &QuotaError{
+		Msg: fmt.Sprintf("server: %s %d bytes exceeds tenant %q's catalog quota (%d of %d bytes in use)",
+			op, add, owner, used, quota),
+		RetryAfter: 60,
+	}
 }
 
 // recordHitLocked bumps the parse-saved counters. Caller holds mu.
@@ -389,23 +396,8 @@ func (c *Catalog) append(name string, data []byte, owner string, quota int64, pe
 	if len(data) == 0 {
 		return e, 0, nil
 	}
-	if quota > 0 {
-		used := int64(0)
-		for n, o := range c.entries {
-			if o.Tenant == owner && n != name {
-				used += o.Bytes
-			}
-		}
-		if used+e.Bytes+int64(len(data)) > quota {
-			if c.metrics != nil {
-				c.metrics.AuthRejections.Inc("catalog_quota")
-			}
-			return nil, 0, &QuotaError{
-				Msg: fmt.Sprintf("server: appending %d bytes exceeds tenant %q's catalog quota (%d of %d bytes in use)",
-					len(data), owner, used+e.Bytes, quota),
-				RetryAfter: 60,
-			}
-		}
+	if err := c.quotaLocked(owner, name, quota, e.Bytes, int64(len(data)), "appending"); err != nil {
+		return nil, 0, err
 	}
 	if err := c.ensureAppenderLocked(e); err != nil {
 		return nil, 0, err

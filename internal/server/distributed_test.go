@@ -48,7 +48,7 @@ func distSpec(alg string) JobSpec {
 	return JobSpec{
 		Algorithm: alg,
 		Dataset:   DatasetSpec{Generator: "random", Txns: 60, Items: 24, Density: 0.4, Seed: 3},
-		Options:   OptionsSpec{MinCount: 4, K: 20, MinSize: 1, MaxSize: 4, Seed: 7},
+		Options:   engine.Options{MinCount: 4, K: 20, MinSize: 1, MaxSize: 4, Seed: 7},
 	}
 }
 

@@ -51,7 +51,7 @@ func FuzzAppendRows(f *testing.F) {
 		n := fuzzAppendEnv.seq.Add(1)
 		name := fmt.Sprintf("fz%d", n)
 		catalog := mgr.Catalog()
-		if _, _, err := catalog.Put(name, "fimi", base); err != nil {
+		if _, _, err := catalog.PutOwned(name, "fimi", base, "", 0); err != nil {
 			t.Fatalf("base upload: %v", err)
 		}
 		defer catalog.Delete(name)
@@ -71,7 +71,7 @@ func FuzzAppendRows(f *testing.F) {
 		if resp.StatusCode == http.StatusOK {
 			// Accepted: must equal one-shot ingestion of the concatenation.
 			refName := fmt.Sprintf("fzref%d", n)
-			ref, _, err := catalog.Put(refName, "fimi", concat)
+			ref, _, err := catalog.PutOwned(refName, "fimi", concat, "", 0)
 			if err != nil {
 				t.Fatalf("append accepted but re-ingest of the same bytes failed: %v", err)
 			}

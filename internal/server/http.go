@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"strconv"
 
-	"repro/internal/dataset"
 	"repro/internal/engine"
 )
 
@@ -425,7 +424,7 @@ func renderResult(rep *engine.Report, r *http.Request) map[string]any {
 	}
 	out := make([]resultPattern, len(patterns))
 	for i, p := range patterns {
-		out[i] = resultPattern{Items: itemsOf(p), Support: p.Support(), Size: len(p.Items)}
+		out[i] = resultPattern{Items: p.Items, Support: p.Support(), Size: len(p.Items)}
 	}
 	result := map[string]any{
 		"algorithm":      rep.Algorithm,
@@ -444,14 +443,6 @@ func renderResult(rep *engine.Report, r *http.Request) map[string]any {
 		result["quality"] = rep.Quality
 	}
 	return result
-}
-
-func itemsOf(p *dataset.Pattern) []int {
-	items := make([]int, len(p.Items))
-	for i, it := range p.Items {
-		items[i] = it
-	}
-	return items
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -165,19 +165,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Job is one mining job. All mutable state is guarded by its Manager's
-// mutex; events additionally signal the Manager's cond for streamers.
+// Job is one mining job: its durable record plus the run-time state
+// that is never persisted. All mutable state is guarded by its
+// Manager's mutex; events additionally signal the Manager's cond for
+// streamers.
 type Job struct {
-	ID      string  `json:"id"`
-	Spec    JobSpec `json:"spec"`
-	State   State   `json:"state"`
-	Error   string  `json:"error,omitempty"`
-	Tenant  string  `json:"tenant,omitempty"`
-	Created time.Time
-	Started time.Time
-	Ended   time.Time
+	JobRecord
 
-	seq        int // monotone submission sequence (the <n> of "job-<n>")
 	report     *engine.Report
 	events     []engine.Event
 	eventsBase int // sequence number of events[0]
@@ -251,8 +245,8 @@ func NewManager(cfg Config) *Manager {
 		for i := range recs {
 			j := m.recoverJob(recs[i])
 			m.jobs[j.ID] = j
-			if j.seq > m.next {
-				m.next = j.seq
+			if j.Seq > m.next {
+				m.next = j.Seq
 			}
 			if !j.State.Terminal() {
 				resume = append(resume, j)
@@ -286,17 +280,7 @@ func NewManager(cfg Config) *Manager {
 // whose result file is unreadable is demoted to queued so the job
 // re-runs instead of serving a 409 forever.
 func (m *Manager) recoverJob(rec JobRecord) *Job {
-	j := &Job{
-		ID:      rec.ID,
-		seq:     rec.Seq,
-		Tenant:  rec.Tenant,
-		Spec:    rec.Spec,
-		State:   rec.State,
-		Error:   rec.Error,
-		Created: rec.Created,
-		Started: rec.Started,
-		Ended:   rec.Ended,
-	}
+	j := &Job{JobRecord: rec}
 	if j.State.Terminal() {
 		rep, ok, err := m.store.LoadResult(j.ID)
 		if err != nil {
@@ -428,14 +412,14 @@ func (m *Manager) Submit(spec JobSpec, tenant *Tenant) (*Job, error) {
 		}
 	}
 	m.next++
-	j := &Job{
+	j := &Job{JobRecord: JobRecord{
 		ID:      fmt.Sprintf("job-%d", m.next),
-		seq:     m.next,
+		Seq:     m.next,
 		Tenant:  name,
 		Spec:    spec,
 		State:   StateQueued,
 		Created: time.Now(),
-	}
+	}}
 	// Write-ahead: the record must be durable before the job is visible
 	// anywhere else; a crash after this point re-enqueues it at startup.
 	if err := m.persistJobLocked(j); err != nil {
@@ -466,17 +450,7 @@ func (m *Manager) persistJobLocked(j *Job) error {
 	if m.store == nil {
 		return nil
 	}
-	return m.store.SaveJob(JobRecord{
-		ID:      j.ID,
-		Seq:     j.seq,
-		Tenant:  j.Tenant,
-		Spec:    j.Spec,
-		State:   j.State,
-		Error:   j.Error,
-		Created: j.Created,
-		Started: j.Started,
-		Ended:   j.Ended,
-	})
+	return m.store.SaveJob(j.JobRecord)
 }
 
 // Get returns the job with the given id.
@@ -541,7 +515,7 @@ func (m *Manager) Jobs() []*Job {
 	for _, j := range m.jobs {
 		out = append(out, j)
 	}
-	sort.Slice(out, func(i, k int) bool { return out[i].seq > out[k].seq })
+	sort.Slice(out, func(i, k int) bool { return out[i].Seq > out[k].Seq })
 	return out
 }
 
@@ -594,6 +568,9 @@ func (m *Manager) run(j *Job) {
 	started := time.Now()
 	rep, err := m.mine(ctx, j)
 	elapsed := time.Since(started)
+	if rep != nil {
+		rep.Pool = nil // nothing reads a served job's warm-start pool
+	}
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -662,7 +639,7 @@ func (m *Manager) mine(ctx context.Context, j *Job) (rep *engine.Report, err err
 	if err != nil {
 		return nil, err
 	}
-	opts := j.Spec.Options.engineOptions()
+	opts := j.Spec.Options
 	// Cap the job's worker count at the server's per-job CPU budget
 	// (0 = all CPUs would let one job claim the whole machine; negatives
 	// are rejected at submission, so <= 0 here is the defensive form).

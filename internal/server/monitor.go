@@ -16,7 +16,7 @@ type MonitorSpec struct {
 	// "fusion".
 	Algorithm string `json:"algorithm,omitempty"`
 	// Options are the engine options of each triggered job.
-	Options OptionsSpec `json:"options"`
+	Options engine.Options `json:"options"`
 	// ThresholdRows is the re-mine-on-threshold policy: a job fires once
 	// at least this many rows arrived since the last trigger. Zero means
 	// 1 — re-mine on every append.
@@ -50,7 +50,7 @@ func (ms *MonitorSpec) validate() error {
 	if ms.Window < 0 {
 		return fmt.Errorf("server: monitor window must be >= 0, got %d", ms.Window)
 	}
-	if err := ms.Options.engineOptions().Validate(); err != nil {
+	if err := ms.Options.Validate(); err != nil {
 		return err
 	}
 	if ms.Incremental && ms.Algorithm != "fusion" {
@@ -267,7 +267,7 @@ func (m *Manager) harvestMonitorLocked(j *Job) {
 		k := fmt.Sprint(p.Items)
 		seen[k] = true
 		if mon.runs > 0 && !mon.seen[k] {
-			fresh = append(fresh, resultPattern{Items: itemsOf(p), Support: p.Support(), Size: len(p.Items)})
+			fresh = append(fresh, resultPattern{Items: p.Items, Support: p.Support(), Size: len(p.Items)})
 		}
 	}
 	// An empty result keeps the previous seeds: re-seeding from nothing

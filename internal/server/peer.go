@@ -110,7 +110,7 @@ func (p *peerClient) ensureDataset(ctx context.Context, name string, data []byte
 // runJob submits spec to the peer, forwards its event stream through
 // onEvent until the job is terminal, fetches the result, and removes the
 // remote job. The result endpoint's JSON is a superset of the canonical
-// wire encoding, so it decodes straight into engine.WireReport.
+// encoding, so engine.DecodeReport reads it directly.
 func (p *peerClient) runJob(ctx context.Context, spec JobSpec, onEvent func(engine.Event)) (*engine.Report, error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -178,9 +178,13 @@ func (p *peerClient) runJob(ctx context.Context, spec JobSpec, onEvent func(engi
 	if resp.StatusCode != http.StatusOK {
 		return nil, httpError("fetching shard result from "+p.base, resp)
 	}
-	var w engine.WireReport
-	if err := json.NewDecoder(resp.Body).Decode(&w); err != nil {
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, fmt.Errorf("reading shard result from %s: %w", p.base, err)
+	}
+	rep, err := engine.DecodeReport(b)
+	if err != nil {
 		return nil, fmt.Errorf("decoding shard result from %s: %w", p.base, err)
 	}
-	return w.FromWire(), nil
+	return rep, nil
 }

@@ -21,9 +21,9 @@ type JobSpec struct {
 	Algorithm string `json:"algorithm"`
 	// Dataset names the transaction database to mine.
 	Dataset DatasetSpec `json:"dataset"`
-	// Options are the engine options; zero values pick algorithm
-	// defaults.
-	Options OptionsSpec `json:"options"`
+	// Options are the engine options under their json names; zero
+	// values pick algorithm defaults.
+	Options engine.Options `json:"options"`
 	// TimeoutMS optionally bounds the run; it is clamped to the server's
 	// default timeout.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
@@ -87,7 +87,7 @@ func (s JobSpec) validate(cfg Config, cat *Catalog) error {
 	if s.TimeoutMS < 0 {
 		return fmt.Errorf("server: timeout_ms must be >= 0, got %d", s.TimeoutMS)
 	}
-	if err := s.Options.engineOptions().Validate(); err != nil {
+	if err := s.Options.Validate(); err != nil {
 		return err
 	}
 	if s.Shard != nil {
@@ -407,41 +407,4 @@ func (ds DatasetSpec) build(cfg Config, cat *Catalog) (*dataset.Dataset, error) 
 		return nil, fmt.Errorf("server: dataset of %d×%d exceeds the %d-cell cap", d.Size(), d.NumItems(), cfg.MaxCells)
 	}
 	return d, nil
-}
-
-// OptionsSpec is the JSON shape of engine.Options. Pool and KeepPool
-// expose the incremental warm start: "keep_pool": true returns a fusion
-// run's phase-1 pool in the job result's warm_seeds, and "pool" re-seeds
-// a later run from it (or from any itemset list), skipping phase 1 — with
-// an unchanged dataset the warm report is byte-identical to the cold run
-// that produced the pool. Warm pools are never persisted by the job
-// store; a restarted server re-mines cold.
-type OptionsSpec struct {
-	MinCount        int     `json:"min_count,omitempty"`
-	MinSupport      float64 `json:"min_support,omitempty"`
-	K               int     `json:"k,omitempty"`
-	Tau             float64 `json:"tau,omitempty"`
-	InitPoolMaxSize int     `json:"init_pool_max_size,omitempty"`
-	MinSize         int     `json:"min_size,omitempty"`
-	MaxSize         int     `json:"max_size,omitempty"`
-	Seed            uint64  `json:"seed,omitempty"`
-	Parallelism     int     `json:"parallelism,omitempty"`
-	Pool            [][]int `json:"pool,omitempty"`
-	KeepPool        bool    `json:"keep_pool,omitempty"`
-}
-
-func (o OptionsSpec) engineOptions() engine.Options {
-	return engine.Options{
-		MinCount:        o.MinCount,
-		MinSupport:      o.MinSupport,
-		K:               o.K,
-		Tau:             o.Tau,
-		InitPoolMaxSize: o.InitPoolMaxSize,
-		MinSize:         o.MinSize,
-		MaxSize:         o.MaxSize,
-		Seed:            o.Seed,
-		Parallelism:     o.Parallelism,
-		Pool:            o.Pool,
-		KeepPool:        o.KeepPool,
-	}
 }

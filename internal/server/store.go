@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
-	"repro/internal/itemset"
 )
 
 // Store is pfserve's durable state, rooted at one directory (the
@@ -23,7 +22,8 @@ import (
 //	jobs/<id>.json         one JobRecord per job — the write-ahead log:
 //	                       written before a submission is acknowledged,
 //	                       rewritten on every state transition
-//	jobs/<id>.result.json  the mined Report of a terminal job, written
+//	jobs/<id>.result.json  the mined Report of a terminal job, in its
+//	                       canonical engine.EncodeReport bytes; written
 //	                       before the terminal record (so a record that
 //	                       says "done" always has its result on disk)
 //	catalog/manifest.json  the dataset-catalog manifest
@@ -145,46 +145,15 @@ func (s *Store) LoadJobs() (recs []JobRecord, warns []string, err error) {
 	return recs, warns, nil
 }
 
-// storedReport is the durable form of an engine.Report. Patterns keep
-// their canonical order, items and memoized support; TID bitsets are
-// intentionally not persisted — no result consumer reads them, and for
-// large datasets they dwarf the itemsets.
-type storedReport struct {
-	Algorithm    string          `json:"algorithm"`
-	Patterns     []storedPattern `json:"patterns"`
-	InitPoolSize int             `json:"init_pool_size,omitempty"`
-	Iterations   int             `json:"iterations,omitempty"`
-	Visited      int             `json:"visited,omitempty"`
-	Stopped      bool            `json:"stopped,omitempty"`
-	Warnings     []string        `json:"warnings,omitempty"`
-	Quality      *engine.Quality `json:"quality,omitempty"`
-}
-
-// storedPattern is one persisted pattern: itemset plus support count.
-type storedPattern struct {
-	Items   []int `json:"items"`
-	Support int   `json:"support"`
-}
-
-// SaveResult atomically writes a job's report.
+// SaveResult atomically writes a job's report in its canonical
+// encoding (engine.EncodeReport): the bytes ReportHash covers, without
+// TID sets — no result consumer reads them, and for large datasets they
+// dwarf the itemsets.
 func (s *Store) SaveResult(id string, rep *engine.Report) error {
-	sr := storedReport{
-		Algorithm:    rep.Algorithm,
-		Patterns:     make([]storedPattern, len(rep.Patterns)),
-		InitPoolSize: rep.InitPoolSize,
-		Iterations:   rep.Iterations,
-		Visited:      rep.Visited,
-		Stopped:      rep.Stopped,
-		Warnings:     rep.Warnings,
-	}
-	if rep.Quality != nil {
-		q := *rep.Quality
-		sr.Quality = &q
-	}
-	for i, p := range rep.Patterns {
-		sr.Patterns[i] = storedPattern{Items: p.Items, Support: p.Support()}
-	}
-	return writeJSONAtomic(s.resultPath(id), sr)
+	return dataset.WriteFileAtomic(s.resultPath(id), func(w io.Writer) error {
+		_, err := w.Write(engine.EncodeReport(rep))
+		return err
+	})
 }
 
 // LoadResult reads a job's persisted report; ok is false when none was
@@ -192,30 +161,15 @@ func (s *Store) SaveResult(id string, rep *engine.Report) error {
 // and memoized supports but nil TID sets, exactly like the horizontal
 // miners' in-memory reports.
 func (s *Store) LoadResult(id string) (rep *engine.Report, ok bool, err error) {
-	var sr storedReport
-	if err := readJSON(s.resultPath(id), &sr); err != nil {
-		if os.IsNotExist(err) {
-			return nil, false, nil
-		}
+	data, err := os.ReadFile(s.resultPath(id))
+	if os.IsNotExist(err) {
+		return nil, false, nil
+	}
+	if err == nil {
+		rep, err = engine.DecodeReport(data)
+	}
+	if err != nil {
 		return nil, false, err
-	}
-	rep = &engine.Report{
-		Algorithm:    sr.Algorithm,
-		Patterns:     make([]*dataset.Pattern, len(sr.Patterns)),
-		InitPoolSize: sr.InitPoolSize,
-		Iterations:   sr.Iterations,
-		Visited:      sr.Visited,
-		Stopped:      sr.Stopped,
-		Warnings:     sr.Warnings,
-	}
-	if sr.Quality != nil {
-		q := *sr.Quality
-		rep.Quality = &q
-	}
-	for i, sp := range sr.Patterns {
-		p := &dataset.Pattern{Items: itemset.Itemset(sp.Items)}
-		p.SetSupport(sp.Support)
-		rep.Patterns[i] = p
 	}
 	return rep, true, nil
 }

@@ -17,7 +17,8 @@ import (
 
 // TestStoreJobRoundTrip checks the write-ahead job log: records survive a
 // save/load cycle verbatim, load in submission order, and one corrupt
-// file is reported without blocking the rest.
+// file is reported without blocking the rest. An empty warm-start pool
+// stays an empty pool, not a cold start.
 func TestStoreJobRoundTrip(t *testing.T) {
 	st, err := server.OpenStore(t.TempDir())
 	if err != nil {
@@ -27,7 +28,7 @@ func TestStoreJobRoundTrip(t *testing.T) {
 	created := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	recs := []server.JobRecord{
 		{ID: "job-2", Seq: 2, Tenant: "alice", State: server.StateRunning, Created: created,
-			Spec: mustSpec(t, `{"algorithm": "fusion", "dataset": {"generator": "diag", "n": 10}, "options": {"min_count": 5}}`)},
+			Spec: mustSpec(t, `{"algorithm": "fusion", "dataset": {"generator": "diag", "n": 10}, "options": {"min_count": 5, "pool": []}}`)},
 		{ID: "job-1", Seq: 1, State: server.StateDone, Created: created,
 			Spec: mustSpec(t, `{"algorithm": "apriori", "dataset": {"generator": "diag", "n": 8}, "options": {"min_count": 4}}`)},
 	}
@@ -56,6 +57,12 @@ func TestStoreJobRoundTrip(t *testing.T) {
 	}
 	if got[1].Tenant != "alice" || got[1].State != server.StateRunning || !got[1].Created.Equal(created) {
 		t.Fatalf("job-2 fields did not round-trip: %+v", got[1])
+	}
+	if pool := got[1].Spec.Options.Pool; pool == nil || len(pool) != 0 {
+		t.Fatalf("job-2's empty warm-start pool came back as %#v", pool)
+	}
+	if pool := got[0].Spec.Options.Pool; pool != nil {
+		t.Fatalf("job-1 has no pool but came back with %#v", pool)
 	}
 
 	if err := st.DeleteJob("job-1"); err != nil {
