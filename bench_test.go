@@ -402,7 +402,7 @@ func BenchmarkIncrementalMine(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // Registry-wide parallel mining: every miner honors Options.Parallelism
-// through the engine's work-stealing scheduler, with bit-identical reports
+// through the engine's shared Tasks scheduler, with bit-identical reports
 // for any worker count. Each benchmark runs the identical deterministic
 // job at p=1 and p=8, so the ns/op ratio of the sub-benchmarks is the
 // miner's multi-core scaling on this machine (≈1 on a single-core runner;

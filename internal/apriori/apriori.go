@@ -17,9 +17,9 @@
 //
 // Each level's candidate generation runs on Options.Parallelism workers:
 // the sorted k-level is cut into contiguous candidate-range chunks, one
-// task unit each on the shared engine.Tasks work-stealing scheduler
-// (chunks read the level and the fingerprint prune index read-only), and
-// per-chunk survivor slices are concatenated in chunk order — exactly the
+// task unit each on the shared engine.Tasks scheduler (chunks read the
+// level and the fingerprint prune index read-only), and per-chunk
+// survivor slices are concatenated in chunk order — exactly the
 // sequential generation order, so the result is bit-identical for every
 // worker count. Cancellation keeps its level cadence: a run canceled
 // mid-level reports the completed levels only.

@@ -25,10 +25,10 @@
 // row-enumeration tree to a fixed depth (spawnDepth) and every frontier
 // subtree — a pending row-set extension with its snapshot of the
 // intersection and row-membership state — is one task unit on the shared
-// engine.Tasks work-stealing scheduler. Depth two yields hundreds of tasks
-// even on a 38-row microarray, which is what lets stealing balance the
-// heavily skewed first-row subtrees. Patterns emitted above the frontier
-// merge before the per-task outputs in task order; every stage is
+// engine.Tasks scheduler. Depth two yields hundreds of tasks even on a
+// 38-row microarray, which is what lets the workers balance the heavily
+// skewed first-row subtrees. Patterns emitted above the frontier merge
+// before the per-task outputs in task order; every stage is
 // deterministic, so the result is bit-identical for every worker count.
 package carpenter
 
@@ -50,26 +50,21 @@ import (
 const spawnDepth = 2
 
 // mineRange mines the dispatcher's frontier tasks [lo, hi) for the closed
-// patterns of at least opts.MinSize items at the resolved threshold
-// minCount (≥ 1); hi < 0 selects all of them. It backs both the registered Mine
-// and the engine.Sharder adapter. Every range replays the deterministic
-// dispatcher expansion to rebuild the task list, but the dispatcher's own
-// output — the above-frontier patterns and visit counts — belongs to the
-// lo == 0 range only, so shard results sum to the single-node run.
-// Cancellation is polled on ctx at every search node; a canceled run
-// returns the patterns found so far with Stopped=true.
-func mineRange(ctx context.Context, d *dataset.Dataset, minCount int, opts engine.Options, lo, hi int) *engine.Report {
-	minSize := opts.MinSize
-	res := &engine.Report{}
+// patterns of at least opts.MinSize items at the resolved support
+// threshold; hi < 0 selects all of them. Every range replays the
+// deterministic dispatcher expansion to rebuild the task list, but the
+// dispatcher's own output — the above-frontier patterns and visit counts
+// — belongs to the lo == 0 range only, so shard results sum to the
+// single-node run. Cancellation is polled on ctx at every search node; a
+// canceled run returns the patterns found so far with Stopped=true.
+func mineRange(ctx context.Context, d *dataset.Dataset, opts engine.Options, lo, hi int) *engine.Report {
+	minCount, minSize := opts.ResolveMinCount(d), opts.MinSize
 	n := d.Size()
 	if n < minCount {
-		return res
+		return &engine.Report{}
 	}
 	meter := engine.NewMeter(ctx, Name, opts.Observer)
-	rootRes := res
-	if lo != 0 {
-		rootRes = &engine.Report{}
-	}
+	rootRes := &engine.Report{}
 	root := newRoot(meter, d, minCount, minSize, rootRes)
 	full := bitset.New(d.NumItems())
 	full.SetAll()
@@ -98,25 +93,21 @@ func mineRange(ctx context.Context, d *dataset.Dataset, minCount int, opts engin
 		lo = hi
 	}
 
-	perTask := make([]*engine.Report, hi-lo)
-	stopped := engine.Tasks(ctx, engine.Workers(opts.Parallelism), hi-lo, func(_, task int) {
+	// parts[0] is the dispatcher's share: its patterns and visits for the
+	// lo == 0 range, its cancellation for every range.
+	parts := make([]*engine.Report, 1+hi-lo)
+	parts[0] = rootRes
+	if lo != 0 {
+		parts[0] = &engine.Report{Stopped: rootRes.Stopped}
+	}
+	engine.Tasks(ctx, engine.Workers(opts.Parallelism), hi-lo, func(_, task int) {
 		ft := tasks[lo+task]
 		sub := &miner{meter: meter, d: d, minCount: minCount, minSize: minSize, res: &engine.Report{},
 			n: n, rows: root.rows, inSet: ft.inSet}
 		sub.enumerate(ft.rsize, ft.x, ft.next, spawnDepth)
-		perTask[task] = sub.res
+		parts[1+task] = sub.res
 	})
-	for _, sub := range perTask {
-		if sub == nil {
-			stopped = true // abandoned after cancellation
-			continue
-		}
-		res.Patterns = append(res.Patterns, sub.Patterns...)
-		res.Visited += sub.Visited
-		stopped = stopped || sub.Stopped
-	}
-	res.Stopped = res.Stopped || rootRes.Stopped || stopped
-	return res
+	return engine.Concat(parts)
 }
 
 // newRoot builds the dispatcher miner with the shared read-only row

@@ -17,9 +17,9 @@
 // Mining runs on Options.Parallelism workers: ppc-ext carries no state
 // across sibling branches, so each single-item extension of the root
 // closure is an independent subtree and one task unit on the shared
-// engine.Tasks work-stealing scheduler. Per-task patterns and visit counts
-// merge in task order — the result is bit-identical for every worker
-// count.
+// engine.Tasks scheduler. Per-task patterns and visit counts merge in
+// task order (engine.Concat) — the result is bit-identical for every
+// worker count.
 //
 // Allocation discipline: every branch TID-set is a pooled scratch set
 // (computed in place with AndOf, returned to the worker's pool when the
@@ -40,16 +40,15 @@ import (
 )
 
 // mineRange mines the root-closure extension items [lo, hi) at the
-// resolved threshold minCount (≥ 1); hi < 0 selects all of them. It backs
-// both the registered Mine and the engine.Sharder adapter. The root
+// resolved support threshold; hi < 0 selects all of them. The root
 // extend node (its visit count and the root closure's emission) belongs
 // to the lo == 0 range only, so shard counters and patterns sum to the
 // single-node run. Cancellation is polled on ctx at every search node; a
 // canceled run returns the patterns found so far with Stopped=true.
-func mineRange(ctx context.Context, d *dataset.Dataset, minCount int, opts engine.Options, lo, hi int) *engine.Report {
-	rep := &engine.Report{}
+func mineRange(ctx context.Context, d *dataset.Dataset, opts engine.Options, lo, hi int) *engine.Report {
+	minCount := opts.ResolveMinCount(d)
 	if d.Size() < minCount {
-		return rep
+		return &engine.Report{}
 	}
 	meter := engine.NewMeter(ctx, Name, opts.Observer)
 	newMiner := func(res *engine.Report, sc *scratch) *miner {
@@ -61,37 +60,27 @@ func mineRange(ctx context.Context, d *dataset.Dataset, minCount int, opts engin
 	if hi < 0 {
 		hi = d.NumItems()
 	}
+	// parts[0] is the root extend node, processed here on the dispatcher;
+	// parts[1+task] is the ppc-ext subtree of candidate extension item
+	// lo+task, explored independently (all and the item TID sets are
+	// read-only). Pools, closer and arenas live per worker, not per task:
+	// scratch reuse changes allocation, never values, so determinism is
+	// preserved.
+	parts := make([]*engine.Report, 1+hi-lo)
+	parts[0] = &engine.Report{}
 	if lo == 0 {
-		// The root extend node, processed here on the dispatcher.
-		root := newMiner(rep, newScratch(d))
+		root := newMiner(parts[0], newScratch(d))
 		root.res.Visited++
 		root.emit(c0, all, d.Size())
 	}
-
-	// One task per candidate extension item of the root closure; each is
-	// the body of extend's loop for that item and explores its ppc-ext
-	// subtree independently (all and the item TID sets are read-only).
-	// Pools, closer and arenas live per worker, not per task: scratch reuse
-	// changes allocation, never values, so determinism is preserved.
-	perTask := make([]*engine.Report, hi-lo)
-	stopped := engine.TasksWithScratch(ctx, engine.Workers(opts.Parallelism), hi-lo,
+	engine.TasksWithScratch(ctx, engine.Workers(opts.Parallelism), hi-lo,
 		func() *scratch { return newScratch(d) },
 		func(sc *scratch, task int) {
 			sub := &engine.Report{}
 			newMiner(sub, sc).extendFrom(c0, all, lo+task)
-			perTask[task] = sub
+			parts[1+task] = sub
 		})
-	for _, sub := range perTask {
-		if sub == nil {
-			stopped = true // abandoned after cancellation
-			continue
-		}
-		rep.Patterns = append(rep.Patterns, sub.Patterns...)
-		rep.Visited += sub.Visited
-		stopped = stopped || sub.Stopped
-	}
-	rep.Stopped = stopped
-	return rep
+	return engine.Concat(parts)
 }
 
 type miner struct {

@@ -26,9 +26,9 @@
 // # Parallel fusion
 //
 // Each iteration deals its K seed balls to the shared engine.Tasks
-// work-stealing scheduler on engine.Options.Parallelism workers (default:
-// all CPUs); phase 1 mines the initial pool on the same worker count
-// through apriori's level chunking. Every seed slot draws only from a
+// scheduler on engine.Options.Parallelism workers (default: all CPUs);
+// phase 1 mines the initial pool on the same worker count through
+// apriori's level chunking. Every seed slot draws only from a
 // private RNG stream derived from (Options.Seed, iteration, slot) via
 // rng.Stream, and per-slot results are merged in slot order, so a run's
 // Report is bit-identical for every Parallelism value — reproducibility
@@ -210,7 +210,6 @@ func mineFromPool(ctx context.Context, d *dataset.Dataset, pool []*dataset.Patte
 		pat.EnsureSupport()
 	}
 	radius := Radius(p.tau)
-	prevKey := poolFingerprints(cur)
 	var classes supportClasses // each step's pool grouping, buffers reused
 	// Algorithm 1 is a do-while: Pattern_Fusion runs at least once even when
 	// the initial pool already holds at most K patterns (otherwise a pool of
@@ -226,14 +225,14 @@ func mineFromPool(ctx context.Context, d *dataset.Dataset, pool []*dataset.Patte
 			Algorithm: Name, Phase: engine.PhaseIteration,
 			Iteration: rep.Iterations, PoolSize: len(next), Pool: next,
 		})
-		key := poolFingerprints(next)
-		if slices.Equal(key, prevKey) {
+		if len(next) == len(cur) && slices.Equal(poolFingerprints(next), poolFingerprints(cur)) {
 			// Fixed point: no fusion is possible anymore (every seed's ball
-			// fuses to itself). Keep the K largest and stop.
+			// fuses to itself). Keep the K largest and stop. Fingerprint
+			// lists of different lengths never compare equal, so only
+			// pools of equal size are fingerprinted.
 			cur = next
 			break
 		}
-		prevKey = key
 		cur = next
 	}
 	dataset.SortPatterns(cur)
@@ -258,11 +257,11 @@ func mineFromPool(ctx context.Context, d *dataset.Dataset, pool []*dataset.Patte
 // change which goroutine fuses which seed, but never what any seed
 // produces or where its output lands.
 //
-// The seed slots are dealt to the shared engine.Tasks work-stealing
-// scheduler — the same scheduler every registry miner parallelizes on —
-// which polls ctx before each slot, so cancellation aborts the step
-// without waiting for the remaining seeds. A stopped step reports
-// stopped=true and its partial output is discarded.
+// The seed slots are dealt to the shared engine.Tasks scheduler — the
+// same scheduler every registry miner parallelizes on — which polls ctx
+// before each slot, so cancellation aborts the step without waiting for
+// the remaining seeds. A stopped step reports stopped=true and its
+// partial output is discarded.
 //
 // Before the seeds are dealt, the pool is grouped by support set into
 // classes, whose buffers the caller reuses from step to step; the

@@ -389,9 +389,6 @@ func (p *Pattern) Support() int {
 	return p.TIDs.Count()
 }
 
-// SetSupport memoizes a known support count (must equal TIDs.Count()).
-func (p *Pattern) SetSupport(count int) { p.sup = count + 1 }
-
 // EnsureSupport memoizes the support count if it is not already cached.
 // Not safe to call concurrently on a shared pattern; the miners call it
 // while pools are still single-threaded.

@@ -348,8 +348,7 @@ func TestCloserReusesBuffer(t *testing.T) {
 }
 
 // TestPatternSupportMemo pins the support cache semantics: constructors
-// memoize, struct literals fall back to counting, SetSupport behaves as
-// documented.
+// memoize, struct literals fall back to counting.
 func TestPatternSupportMemo(t *testing.T) {
 	d := paperDB(t)
 	p := NewPattern(d, itemset.Itemset{0, 1})
@@ -369,10 +368,6 @@ func TestPatternSupportMemo(t *testing.T) {
 	p.TIDs.Remove(p.TIDs.NextSet(0))
 	if p.Support() != 200 {
 		t.Fatalf("cached Support recounted: %d", p.Support())
-	}
-	p.SetSupport(42)
-	if p.Support() != 42 {
-		t.Fatalf("SetSupport not honored: %d", p.Support())
 	}
 	q := NewPatternCounted(itemset.Itemset{7}, d.TIDSet(itemset.Itemset{0}), 100)
 	if q.Support() != 100 {

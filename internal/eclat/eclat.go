@@ -10,8 +10,8 @@
 // Mining runs on Options.Parallelism workers: the members of the
 // first-level equivalence class (the frequent single items) are
 // independent subtree roots, so each is one task unit on the shared
-// engine.Tasks work-stealing scheduler, and per-task outputs are merged in
-// task order — the result is bit-identical for every worker count.
+// engine.Tasks scheduler, and per-task outputs are merged in task order
+// (engine.Concat) — the result is bit-identical for every worker count.
 package eclat
 
 import (
@@ -23,15 +23,14 @@ import (
 	"repro/internal/tidset"
 )
 
-// mineRange mines the first-level class members [lo, hi) at the resolved
-// threshold minCount (≥ 1); hi < 0 selects the full class. It backs both
-// the registered Mine and the engine.Sharder adapter: patterns are
+// mineRange mines the first-level class members [lo, hi) at the
+// resolved support threshold; hi < 0 selects the full class. Patterns are
 // emitted in task order, so concatenating consecutive ranges reproduces
 // the full run byte for byte. Cancellation is polled on ctx at every
 // search node; a canceled run returns the patterns found so far with
 // Stopped=true.
-func mineRange(ctx context.Context, d *dataset.Dataset, minCount int, opts engine.Options, lo, hi int) *engine.Report {
-	rep := &engine.Report{}
+func mineRange(ctx context.Context, d *dataset.Dataset, opts engine.Options, lo, hi int) *engine.Report {
+	minCount := opts.ResolveMinCount(d)
 	meter := engine.NewMeter(ctx, Name, opts.Observer)
 
 	var class []extension
@@ -45,10 +44,9 @@ func mineRange(ctx context.Context, d *dataset.Dataset, minCount int, opts engin
 
 	// One task per first-level class member; the shared class slice is
 	// read-only across workers (its tidsets are dataset-owned and never
-	// pooled). Merging the per-task results in task order reproduces the
-	// sequential depth-first emission order exactly.
+	// pooled).
 	perTask := make([]*engine.Report, hi-lo)
-	stopped := engine.TasksWithScratch(ctx, engine.Workers(opts.Parallelism), hi-lo,
+	engine.TasksWithScratch(ctx, engine.Workers(opts.Parallelism), hi-lo,
 		func() *scratch { return &scratch{pool: tidset.NewPool(d.Size())} },
 		func(sc *scratch, task int) {
 			sub := &engine.Report{}
@@ -56,16 +54,7 @@ func mineRange(ctx context.Context, d *dataset.Dataset, minCount int, opts engin
 			m.searchFrom(nil, class, lo+task)
 			perTask[task] = sub
 		})
-	for _, sub := range perTask {
-		if sub == nil {
-			stopped = true // abandoned after cancellation
-			continue
-		}
-		rep.Patterns = append(rep.Patterns, sub.Patterns...)
-		stopped = stopped || sub.Stopped
-	}
-	rep.Stopped = stopped
-	return rep
+	return engine.Concat(perTask)
 }
 
 type extension struct {

@@ -245,8 +245,8 @@ func TestDeterminismConformance(t *testing.T) {
 }
 
 // TestParallelismConformance is the registry-wide version of the fusion
-// engine's founding guarantee, extended to every miner by this
-// repository's work-stealing schedulers: for each registered algorithm,
+// engine's founding guarantee, extended to every miner by the shared
+// Tasks scheduler: for each registered algorithm,
 // the Report must be byte-identical for Parallelism ∈ {1, 2, 8} — same
 // patterns in the same order, same supports, same iteration and
 // visited-node counts — on both a diagonal and a randomized workload.

@@ -38,21 +38,24 @@
 // # Options
 //
 // Options is the one parameter set of every algorithm, and
-// Options.Validate its one range check: Run, ValidateShard and the job
+// Options.Validate its one range check: Run, every MineShard and the job
 // server all apply it, so an out-of-range value is rejected the same way
 // on every surface before any mining starts.
 //
 // # Parallelism
 //
 // Every registered algorithm honors Options.Parallelism (0 = all CPUs)
-// via the package's shared work-stealing scheduler, Tasks: a miner
-// decomposes its search into independent task units — first-level
-// equivalence classes (eclat, closed, maximal, topk), conditional-tree
-// roots (fpgrowth), per-level candidate-range chunks (apriori),
-// row-enumeration subtrees (closedrows), seed slots (fusion, seqfusion)
-// — seeds one bounded deque per worker, and lets idle workers steal the
-// back half of a victim's range. Cross-worker progress aggregates through a Meter, so
-// Observer events stay serialized.
+// with one recipe: a miner decomposes its search into static,
+// independent task units — first-level equivalence classes (eclat,
+// closed, maximal, topk), conditional-tree roots (fpgrowth), per-level
+// candidate-range chunks (apriori), row-enumeration subtrees
+// (closedrows), seed slots (fusion, seqfusion) — runs them on Tasks,
+// whose workers claim the next unit from one shared counter, and merges
+// the per-task reports in task order with Concat. Ranged packages the
+// recipe as a miner's registered Algorithm and Sharder, so the same
+// units and the same merge serve the distributed coordinator's shards.
+// Cross-worker progress aggregates through a Meter, so Observer events
+// stay serialized.
 //
 // # Determinism
 //

@@ -104,7 +104,7 @@ type Options struct {
 }
 
 // Validate is the one range check of Options, shared by every algorithm:
-// Run, ValidateShard and the job server's spec validation all call it, so
+// Run, every MineShard and the job server's spec validation call it, so
 // a bad value fails the same way on every surface. It rejects a negative
 // MinCount, K, InitPoolMaxSize, MinSize, MaxSize or Parallelism, a
 // MinSupport that is NaN or outside [0,1], and a Tau that is NaN or

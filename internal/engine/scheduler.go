@@ -19,8 +19,8 @@ func Workers(parallelism int) int {
 }
 
 // Tasks runs the n independent task units 0..n-1 on up to workers
-// goroutines scheduled by per-worker bounded work-stealing deques, and
-// reports whether cancellation preempted any of them.
+// goroutines that claim tasks from one shared counter, and reports
+// whether cancellation preempted any of them.
 //
 // Tasks is the shared scheduler behind every miner's Parallelism support.
 // The contract that makes it safe for bit-identical mining:
@@ -30,16 +30,17 @@ func Workers(parallelism int) int {
 //     executing goroutine so callers can reuse per-worker scratch state.
 //   - Which worker runs which task is scheduling-dependent and must not
 //     influence the result: callers write each task's output into a
-//     task-indexed slot and merge the slots in task order afterwards.
-//   - ctx is polled before every task; once it is canceled, every worker
+//     task-indexed slot and merge the slots in task order afterwards
+//     (Concat).
+//   - ctx is polled before every claim; once it is canceled, every worker
 //     stops claiming tasks and Tasks returns true. Tasks that already
 //     started still run to completion (they poll ctx themselves at the
 //     miner's natural cadence).
 //
-// The task set is static — tasks must not spawn further tasks — so each
-// deque's backing array is allocated once at seeding and never grows:
-// owners pop from the front of their own deque, and an idle worker steals
-// the back half of a victim's remaining range. With workers <= 1 (or
+// The task set is static — tasks never spawn further tasks — so one
+// atomic next-task counter balances the load: an idle worker claims the
+// lowest unclaimed task, and tasks start in ascending order, which puts
+// the heavy low-numbered DFS subtrees first. With workers <= 1 (or
 // n <= 1) the tasks run inline on the calling goroutine in task order,
 // which is also the degenerate case of the merge rule above.
 func Tasks(ctx context.Context, workers, n int, run func(worker, task int)) (stopped bool) {
@@ -59,18 +60,7 @@ func Tasks(ctx context.Context, workers, n int, run func(worker, task int)) (sto
 		return false
 	}
 
-	// Seed one bounded deque per worker with a contiguous block of the
-	// task range, all views into a single backing array.
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
-	deques := make([]taskDeque, workers)
-	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		deques[w].tasks = all[lo:hi]
-	}
-
+	var next atomic.Int64
 	var preempted atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -78,18 +68,12 @@ func Tasks(ctx context.Context, workers, n int, run func(worker, task int)) (sto
 		go func(self int) {
 			defer wg.Done()
 			for {
-				if preempted.Load() {
-					return
-				}
 				if ctx.Err() != nil {
 					preempted.Store(true)
 					return
 				}
-				task, ok := deques[self].popFront()
-				if !ok {
-					task, ok = stealInto(deques, self)
-				}
-				if !ok {
+				task := int(next.Add(1) - 1)
+				if task >= n {
 					return
 				}
 				run(self, task)
@@ -98,61 +82,6 @@ func Tasks(ctx context.Context, workers, n int, run func(worker, task int)) (sto
 	}
 	wg.Wait()
 	return preempted.Load()
-}
-
-// taskDeque is one worker's bounded task queue. The owner pops from the
-// front; thieves remove the back half of the remaining range. The backing
-// array is fixed at seeding (or aliased from a victim at steal time) and
-// never written, so moving a sub-range between deques is a pair of slice
-// re-headers under the two deques' locks — no copying, no growth.
-type taskDeque struct {
-	mu    sync.Mutex
-	tasks []int // remaining tasks, front at [0]
-}
-
-// popFront removes and returns the deque's front task.
-func (d *taskDeque) popFront() (int, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.tasks) == 0 {
-		return 0, false
-	}
-	t := d.tasks[0]
-	d.tasks = d.tasks[1:]
-	return t, true
-}
-
-// stealHalf removes and returns the back half (rounded up) of the deque.
-func (d *taskDeque) stealHalf() []int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.tasks) == 0 {
-		return nil
-	}
-	take := (len(d.tasks) + 1) / 2
-	stolen := d.tasks[len(d.tasks)-take:]
-	d.tasks = d.tasks[:len(d.tasks)-take]
-	return stolen
-}
-
-// stealInto scans the other workers' deques (starting after self, so
-// thieves spread across victims) and moves half of the first non-empty
-// victim's tasks into self's deque, returning the first of them to run.
-// A full unsuccessful scan means every remaining task is already claimed
-// or owned by a live worker, so self can retire: tasks never spawn tasks,
-// and a deque only ever gains work while its owner is still running.
-func stealInto(deques []taskDeque, self int) (int, bool) {
-	for i := 1; i < len(deques); i++ {
-		victim := (self + i) % len(deques)
-		if stolen := deques[victim].stealHalf(); len(stolen) > 0 {
-			d := &deques[self]
-			d.mu.Lock()
-			d.tasks = stolen[1:]
-			d.mu.Unlock()
-			return stolen[0], true
-		}
-	}
-	return 0, false
 }
 
 // A Meter is the per-run aggregation point the workers of one parallel

@@ -27,9 +27,9 @@ func TestTasksRunsEveryTaskOnce(t *testing.T) {
 	}
 }
 
-// TestTasksSkewedLoad drives the steal path: worker 0's seeded block holds
-// almost all the work (simulated by heavy spinning on low task IDs), and
-// the run must still complete every task exactly once.
+// TestTasksSkewedLoad: the low task IDs hold almost all the work
+// (simulated by heavy spinning), and the run must still complete every
+// task exactly once.
 func TestTasksSkewedLoad(t *testing.T) {
 	const n = 64
 	var ran [n]atomic.Int32
@@ -112,30 +112,6 @@ func TestTasksEmpty(t *testing.T) {
 	})
 	if ran.Load() != 1 {
 		t.Fatal("single task did not run exactly once")
-	}
-}
-
-// TestDequeStealHalf pins the deque mechanics directly: owners pop from
-// the front in order; a thief takes the back half rounded up.
-func TestDequeStealHalf(t *testing.T) {
-	var d taskDeque
-	d.tasks = []int{1, 2, 3, 4, 5}
-	if got, ok := d.popFront(); !ok || got != 1 {
-		t.Fatalf("popFront = %d,%v, want 1,true", got, ok)
-	}
-	stolen := d.stealHalf()
-	if len(stolen) != 2 || stolen[0] != 4 || stolen[1] != 5 {
-		t.Fatalf("stealHalf = %v, want [4 5]", stolen)
-	}
-	if got, ok := d.popFront(); !ok || got != 2 {
-		t.Fatalf("popFront after steal = %d,%v, want 2,true", got, ok)
-	}
-	d.tasks = nil
-	if stolen := d.stealHalf(); stolen != nil {
-		t.Fatalf("stealHalf of empty deque = %v, want nil", stolen)
-	}
-	if _, ok := d.popFront(); ok {
-		t.Fatal("popFront of empty deque succeeded")
 	}
 }
 

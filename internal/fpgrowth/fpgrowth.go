@@ -9,15 +9,14 @@
 //
 // Mining runs on Options.Parallelism workers: each header item of the
 // root FP-tree seeds an independent conditional tree, so the root items
-// are the task units on the shared engine.Tasks work-stealing scheduler —
-// the same decomposition parallel FP-growth implementations use. Per-task
-// itemsets merge in task order before the canonical sort, so the result
-// is bit-identical for every worker count.
+// are the task units on the shared engine.Tasks scheduler — the same
+// decomposition parallel FP-growth implementations use. Per-task itemsets
+// merge in task order (engine.Concat) before the canonical sort, so the
+// result is bit-identical for every worker count.
 package fpgrowth
 
 import (
 	"context"
-	"sort"
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
@@ -25,16 +24,15 @@ import (
 	"repro/internal/itemset"
 )
 
-// mineRange mines the root header items [lo, hi) at the resolved
-// threshold minCount (≥ 1); hi < 0 selects all of them. It backs both the
-// registered Mine and the engine.Sharder adapter. A single-path root is
-// one task unit: the only valid shard is [0, 1) and it runs the whole
-// combination enumeration. FP-growth is a horizontal miner, so the
-// patterns carry memoized support counts but nil TID sets. Cancellation
-// is polled on ctx at every conditional-tree node; a canceled run returns
-// the itemsets found so far with Stopped=true.
-func mineRange(ctx context.Context, d *dataset.Dataset, minCount int, opts engine.Options, lo, hi int) *engine.Report {
-	rep := &engine.Report{}
+// mineRange mines the root header items [lo, hi) at the resolved support
+// threshold; hi < 0 selects all of them. A single-path root is one task
+// unit: the only valid shard is [0, 1) and it runs the whole combination
+// enumeration. Patterns come out in task order; their presentation order
+// is engine.Run's canonical sort. Cancellation is polled on ctx at every
+// conditional-tree node; a canceled run returns the itemsets found so far
+// with Stopped=true.
+func mineRange(ctx context.Context, d *dataset.Dataset, opts engine.Options, lo, hi int) *engine.Report {
+	minCount := opts.ResolveMinCount(d)
 	tree := fptree.Build(d, minCount)
 	meter := engine.NewMeter(ctx, Name, opts.Observer)
 	newMiner := func(res *engine.Report) *miner {
@@ -43,38 +41,26 @@ func mineRange(ctx context.Context, d *dataset.Dataset, minCount int, opts engin
 
 	if path := tree.SinglePath(); path != nil {
 		// Degenerate root: all patterns are sub-combinations of one chain.
+		rep := &engine.Report{}
 		m := newMiner(rep)
 		if !m.visit(0) {
 			m.combinations(path, nil)
 		}
-	} else {
-		// One task per root header item — the roots of the conditional
-		// trees; the shared parent tree is read-only across workers.
-		items := tree.Items()
-		if hi < 0 {
-			hi = len(items)
-		}
-		perTask := make([]*engine.Report, hi-lo)
-		stopped := engine.Tasks(ctx, engine.Workers(opts.Parallelism), hi-lo, func(_, task int) {
-			sub := &engine.Report{}
-			newMiner(sub).growFrom(tree, nil, items[lo+task])
-			perTask[task] = sub
-		})
-		for _, sub := range perTask {
-			if sub == nil {
-				stopped = true // abandoned after cancellation
-				continue
-			}
-			rep.Patterns = append(rep.Patterns, sub.Patterns...)
-			stopped = stopped || sub.Stopped
-		}
-		rep.Stopped = stopped
+		return rep
 	}
-	// Deterministic presentation order.
-	sort.Slice(rep.Patterns, func(i, j int) bool {
-		return itemset.Compare(rep.Patterns[i].Items, rep.Patterns[j].Items) < 0
+	// One task per root header item — the roots of the conditional trees;
+	// the shared parent tree is read-only across workers.
+	items := tree.Items()
+	if hi < 0 {
+		hi = len(items)
+	}
+	perTask := make([]*engine.Report, hi-lo)
+	engine.Tasks(ctx, engine.Workers(opts.Parallelism), hi-lo, func(_, task int) {
+		sub := &engine.Report{}
+		newMiner(sub).growFrom(tree, nil, items[lo+task])
+		perTask[task] = sub
 	})
-	return rep
+	return engine.Concat(perTask)
 }
 
 type miner struct {

@@ -55,7 +55,6 @@ type Appender struct {
 	seqs    [][]int // ordered rows; non-nil iff the format is sequential
 	sets    []*tidset.Set
 	res     *Result
-	appends int
 	undo    *undoState
 }
 
@@ -69,7 +68,6 @@ type undoState struct {
 	hasher  []byte
 	syms    int
 	res     *Result
-	appends int
 }
 
 // NewAppender ingests src as the appendable base. opts.Transforms and
@@ -113,9 +111,6 @@ func (a *Appender) Result() *Result { return a.res }
 // Rows returns the number of committed transactions.
 func (a *Appender) Rows() int { return len(a.txns) }
 
-// Appends returns the number of successful Append calls.
-func (a *Appender) Appends() int { return a.appends }
-
 // Append decodes data as one chunk of additional rows and commits them,
 // returning the new snapshot. A zero-length chunk is a no-op. On error
 // nothing is committed.
@@ -156,7 +151,6 @@ func (a *Appender) Append(data []byte) (*Result, error) {
 		midLine: a.midLine,
 		syms:    symBase,
 		res:     a.res,
-		appends: a.appends,
 	}
 	if m, ok := a.hasher.(encoding.BinaryMarshaler); ok {
 		st.hasher, _ = m.MarshalBinary()
@@ -201,7 +195,6 @@ func (a *Appender) Append(data []byte) (*Result, error) {
 	a.sets = sets
 	a.hasher.Write(data)
 	a.midLine = tail
-	a.appends++
 
 	ds := dataset.FromParts(a.txns[:newRows:newRows], sets)
 	if a.seqs != nil {
@@ -246,7 +239,6 @@ func (a *Appender) Undo() error {
 	a.sets = st.sets
 	a.midLine = st.midLine
 	a.res = st.res
-	a.appends = st.appends
 	if c, ok := a.format.(*CSV); ok {
 		c.Table.truncate(st.syms)
 	}

@@ -32,16 +32,6 @@ func Canonical(raw []int) Itemset {
 	return Itemset(out)
 }
 
-// IsCanonical reports whether s is strictly increasing.
-func IsCanonical(s []int) bool {
-	for i := 1; i < len(s); i++ {
-		if s[i] <= s[i-1] {
-			return false
-		}
-	}
-	return true
-}
-
 // Clone returns an independent copy of s.
 func (s Itemset) Clone() Itemset {
 	if s == nil {
@@ -134,25 +124,6 @@ func (s Itemset) Intersect(t Itemset) Itemset {
 			j++
 		default:
 			out = append(out, s[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// Minus returns s \ t as a new canonical itemset.
-func (s Itemset) Minus(t Itemset) Itemset {
-	var out Itemset
-	i, j := 0, 0
-	for i < len(s) {
-		switch {
-		case j >= len(t) || s[i] < t[j]:
-			out = append(out, s[i])
-			i++
-		case s[i] > t[j]:
-			j++
-		default:
 			i++
 			j++
 		}
@@ -299,10 +270,10 @@ func ParseKey(key string) (Itemset, error) {
 		if err != nil {
 			return nil, fmt.Errorf("itemset: bad key element %q: %w", p, err)
 		}
+		if len(out) > 0 && v <= out[len(out)-1] {
+			return nil, fmt.Errorf("itemset: key %q is not canonical", key)
+		}
 		out = append(out, v)
-	}
-	if !IsCanonical(out) {
-		return nil, fmt.Errorf("itemset: key %q is not canonical", key)
 	}
 	return out, nil
 }
@@ -367,22 +338,6 @@ func CompareLex(a, b Itemset) int {
 // SortSet sorts a slice of itemsets by Compare (size, then lexicographic).
 func SortSet(sets []Itemset) {
 	sort.Slice(sets, func(i, j int) bool { return Compare(sets[i], sets[j]) < 0 })
-}
-
-// Dedup sorts and removes duplicate itemsets, returning the deduplicated
-// slice (which reuses the input's backing array).
-func Dedup(sets []Itemset) []Itemset {
-	if len(sets) <= 1 {
-		return sets
-	}
-	SortSet(sets)
-	out := sets[:1]
-	for _, s := range sets[1:] {
-		if !s.Equal(out[len(out)-1]) {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // Subsets enumerates all subsets of s (including the empty set and s

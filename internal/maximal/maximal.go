@@ -23,9 +23,9 @@
 //
 // Mining runs on Options.Parallelism workers. The subtrees under the
 // root's (reordered) extensions are the task units on the shared
-// engine.Tasks work-stealing scheduler; each task keeps a task-local MFI,
-// so its pruning — and therefore its visit count and candidate output —
-// is a pure function of the task alone. Task candidates are concatenated
+// engine.Tasks scheduler; each task keeps a task-local MFI, so its
+// pruning — and therefore its visit count and candidate output — is a
+// pure function of the task alone. Task candidates are concatenated
 // in task order and passed through a sequential subsumption filter, which
 // restores exactly the answer a globally shared MFI produces (a candidate
 // survives a task-local MFI iff it is not subsumed by an earlier candidate
@@ -46,23 +46,24 @@ import (
 )
 
 // mineRange runs the root node and the task subtrees of root extensions
-// [lo, hi) at the resolved threshold minCount (≥ 1); hi < 0 selects all
-// of them. Cancellation is polled on ctx at every search node; a canceled
-// run returns the patterns found so far with Stopped=true. A degenerate run — no frequent
-// items, or a root handled without recursion — returns the completed
-// result with handled=true. Otherwise the result carries counters only
-// and the raw task-order candidate stream comes back separately, NOT yet
-// subsumption-filtered: shard callers concatenate the streams of
-// consecutive ranges before one global filterSubsumed, which restores
-// the shared-MFI answer exactly. The root node's visit count belongs to
-// the lo == 0 range only.
-func mineRange(ctx context.Context, d *dataset.Dataset, minCount int, opts engine.Options, lo, hi int) (*engine.Report, []*dataset.Pattern, bool) {
+// [lo, hi) at the resolved support threshold; hi < 0 selects all of them.
+// It returns one Report whose Patterns are the raw task-order candidate
+// stream, NOT yet subsumption-filtered: the merge concatenates the
+// streams of consecutive ranges before one global filterSubsumed, which
+// restores the shared-MFI answer exactly. A degenerate run — no frequent
+// items, or a root handled without recursion — returns the root's own
+// result, at most one pattern, which the filter keeps. The root node's
+// visit count belongs to the lo == 0 range only. Cancellation is polled
+// on ctx at every search node; a canceled run returns the candidates
+// found so far with Stopped=true.
+func mineRange(ctx context.Context, d *dataset.Dataset, opts engine.Options, lo, hi int) *engine.Report {
+	minCount := opts.ResolveMinCount(d)
 	meter := engine.NewMeter(ctx, Name, opts.Observer)
 	root := &miner{meter: meter, d: d, minCount: minCount, res: &engine.Report{}, sc: newScratch(d)}
 
 	tail := frequentTail(d, minCount)
 	if len(tail) == 0 {
-		return root.res, nil, true
+		return root.res
 	}
 	all := tidset.Full(d.Size())
 
@@ -74,36 +75,26 @@ func mineRange(ctx context.Context, d *dataset.Dataset, minCount int, opts engin
 	root.res.Visited++
 	head, exts, handled := root.node(nil, all, tail)
 	if handled {
-		return root.res, nil, true
+		return root.res
 	}
 	if hi < 0 {
 		hi = len(exts)
 	}
-	res := &engine.Report{}
+	// parts[0] carries the root's visit for the lo == 0 range.
+	parts := make([]*engine.Report, 1+hi-lo)
+	parts[0] = &engine.Report{}
 	if lo == 0 {
-		res.Visited = root.res.Visited
+		parts[0] = root.res
 	}
-	perTask := make([]*engine.Report, hi-lo)
-	stopped := engine.TasksWithScratch(ctx, engine.Workers(opts.Parallelism), hi-lo,
+	engine.TasksWithScratch(ctx, engine.Workers(opts.Parallelism), hi-lo,
 		func() *scratch { return newScratch(d) },
 		func(sc *scratch, task int) {
 			t := lo + task
 			sub := &miner{meter: meter, d: d, minCount: minCount, res: &engine.Report{}, sc: sc}
 			sub.search(head.Add(exts[t].item), exts[t].tids, exts[t+1:])
-			perTask[task] = sub.res
+			parts[1+task] = sub.res
 		})
-	var candidates []*dataset.Pattern
-	for _, sub := range perTask {
-		if sub == nil {
-			stopped = true // abandoned after cancellation
-			continue
-		}
-		candidates = append(candidates, sub.Patterns...)
-		res.Visited += sub.Visited
-		stopped = stopped || sub.Stopped
-	}
-	res.Stopped = stopped
-	return res, candidates, false
+	return engine.Concat(parts)
 }
 
 // rootUnits runs the root node alone and returns its surviving extension

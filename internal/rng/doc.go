@@ -21,6 +21,6 @@
 // collide). Callers address work items hierarchically, e.g.
 // Stream(seed, iteration, workItem), and get scheduling-independent
 // determinism for free — this is what lets the fusion engine hand seed
-// slots to a work-stealing scheduler and still promise bit-identical
-// results for every worker count.
+// slots to a parallel scheduler and still promise bit-identical results
+// for every worker count.
 package rng

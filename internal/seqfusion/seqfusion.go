@@ -50,7 +50,8 @@ import (
 const Name = "seqfusion"
 
 // config is the resolved parameter set of one run; a pure function of
-// (dataset, engine.Options), shared by Mine, MineShard and MergeShards.
+// (dataset, engine.Options), shared by the unit count, mineRange and
+// mergeRaw.
 type config struct {
 	k        int     // seed slots = task units = max patterns
 	tau      float64 // core ratio τ
@@ -281,13 +282,17 @@ func fuseBall(pool []candidate, sups []int, seedIdx int, tids *tidset.Set, cfg c
 	return fused
 }
 
-// mineShardRaw mines seed slots [lo, hi): the raw partial report of the
-// Sharder contract — patterns in slot order, unsorted, no warnings, with
-// the pool build (the root work) attributed to the lo == 0 shard's
-// counters. Cancellation yields the partial slots mined so far with
-// Stopped set.
-func mineShardRaw(ctx context.Context, d *dataset.Dataset, opts engine.Options, cfg config, lo, hi int) *engine.Report {
-	rep := &engine.Report{Algorithm: Name}
+// mineRange mines seed slots [lo, hi) — hi < 0 meaning all K — and
+// returns the raw partial report: patterns in slot order, unsorted, no
+// warnings, with the pool build (the root work) attributed to the lo == 0
+// range's counters. Cancellation yields the partial slots mined so far
+// with Stopped set.
+func mineRange(ctx context.Context, d *dataset.Dataset, opts engine.Options, lo, hi int) *engine.Report {
+	cfg := resolve(d, opts)
+	if hi < 0 {
+		hi = cfg.k
+	}
+	rep := &engine.Report{}
 	if ctx.Err() != nil {
 		rep.Stopped = true
 		return rep
@@ -327,13 +332,14 @@ func mineShardRaw(ctx context.Context, d *dataset.Dataset, opts engine.Options, 
 	return rep
 }
 
-// mergeRaw combines raw shard parts (in shard order) into the final
+// mergeRaw combines raw partial reports (in slot order) into the final
 // unbracketed report: patterns concatenated in slot order with
 // duplicates removed (first slot wins), counters summed, and — for
 // completed runs — the Δ quality estimate of the surviving patterns
-// against the initial pool. It is a pure function of (d, cfg, parts),
+// against the initial pool. It is a pure function of (d, opts, parts),
 // which is what makes the merge independent of the shard cut.
-func mergeRaw(d *dataset.Dataset, cfg config, parts []*engine.Report) *engine.Report {
+func mergeRaw(d *dataset.Dataset, opts engine.Options, parts []*engine.Report) *engine.Report {
+	cfg := resolve(d, opts)
 	res := &engine.Report{}
 	seen := make(map[string]bool)
 	for _, part := range parts {

@@ -36,7 +36,6 @@ type Tenant struct {
 type Auth struct {
 	tenants []*Tenant
 	byKey   map[string]*Tenant
-	byName  map[string]*Tenant
 }
 
 // authFile is the on-disk shape of the -auth-config file.
@@ -66,7 +65,8 @@ func NewAuth(tenants []*Tenant) (*Auth, error) {
 	if len(tenants) == 0 {
 		return nil, fmt.Errorf("server: auth config has no tenants")
 	}
-	a := &Auth{byKey: make(map[string]*Tenant), byName: make(map[string]*Tenant)}
+	a := &Auth{byKey: make(map[string]*Tenant)}
+	names := make(map[string]bool)
 	for i, t := range tenants {
 		switch {
 		case t == nil:
@@ -77,14 +77,14 @@ func NewAuth(tenants []*Tenant) (*Auth, error) {
 			return nil, fmt.Errorf("server: tenant name %q is reserved", AnonymousTenant)
 		case t.MaxActiveJobs < 0 || t.MaxCatalogBytes < 0:
 			return nil, fmt.Errorf("server: tenant %q quotas must be >= 0", t.Name)
-		case a.byName[t.Name] != nil:
+		case names[t.Name]:
 			return nil, fmt.Errorf("server: duplicate tenant name %q", t.Name)
 		case a.byKey[t.Key] != nil:
 			return nil, fmt.Errorf("server: duplicate tenant key (tenant %q)", t.Name)
 		}
 		a.tenants = append(a.tenants, t)
 		a.byKey[t.Key] = t
-		a.byName[t.Name] = t
+		names[t.Name] = true
 	}
 	return a, nil
 }
@@ -92,15 +92,6 @@ func NewAuth(tenants []*Tenant) (*Auth, error) {
 // Lookup resolves an API key to its tenant.
 func (a *Auth) Lookup(key string) (*Tenant, bool) {
 	t, ok := a.byKey[key]
-	return t, ok
-}
-
-// Tenant resolves a tenant name (for quota lookups on recovered state).
-func (a *Auth) Tenant(name string) (*Tenant, bool) {
-	if a == nil {
-		return nil, false
-	}
-	t, ok := a.byName[name]
 	return t, ok
 }
 

@@ -23,10 +23,10 @@ import (
 	"repro/internal/engine"
 )
 
-// shardPlan cuts units task units into at most slots contiguous shards
-// with the same static block formula the engine.Tasks scheduler uses, so
-// a shard boundary is always a task-unit boundary — the invariant that
-// makes the merged result byte-identical to the single-node run.
+// shardPlan cuts units task units into at most slots contiguous shards of
+// near-equal size, so a shard boundary is always a task-unit boundary —
+// the invariant that makes the merged result byte-identical to the
+// single-node run.
 func shardPlan(units, slots int) []ShardSpec {
 	n := slots
 	if n > units {
@@ -117,8 +117,8 @@ func (m *Manager) mineDistributed(ctx context.Context, j *Job, alg engine.Algori
 	}
 
 	// One goroutine per lease slot (ShardsPerPeer slots per peer), each
-	// pulling shards off the shared queue — work-stealing across peers,
-	// mirroring what engine.Tasks does across goroutines.
+	// pulling shards off the one shared queue — engine.Tasks' shared
+	// counter, across peers.
 	var wg sync.WaitGroup
 	for _, pc := range peers {
 		for s := 0; s < m.cfg.ShardsPerPeer; s++ {

@@ -14,7 +14,7 @@
 // patterns are "best" never depends on discovery order. That makes the
 // search parallelizable without changing the answer: each first-level
 // extension of the root closure is one task unit on the shared
-// engine.Tasks work-stealing scheduler, every task raises a task-local
+// engine.Tasks scheduler, every task raises a task-local
 // threshold from its own discoveries (sound: a task's k-th best support
 // never exceeds the global one), and the ≤ k survivors per task merge
 // under the same total order. Both the merged answer and the per-task
@@ -36,8 +36,7 @@ import (
 
 // mineRange mines the root-closure candidate extensions [lo, hi) for the
 // top k closed patterns of at least opts.MinSize items, never descending
-// below the support floor (≥ 1); hi < 0 selects all of them. It backs
-// both the registered Mine and the engine.Sharder adapter. Every range
+// below the support floor (≥ 1); hi < 0 selects all of them. Every range
 // runs the root node identically — the candidate order and the post-root
 // threshold are pure functions of (d, opts) — but the root's visit count
 // and its heap contribution belong to the lo == 0 range only. The
@@ -46,10 +45,10 @@ import (
 // patterns, the global top-k equals the top-k of the per-range top-ks.
 // Cancellation is polled on ctx at every search node; a canceled run
 // returns the best patterns found so far with Stopped=true.
-func mineRange(ctx context.Context, d *dataset.Dataset, k, floor int, opts engine.Options, lo, hi int) *engine.Report {
-	rep := &engine.Report{}
+func mineRange(ctx context.Context, d *dataset.Dataset, opts engine.Options, lo, hi int) *engine.Report {
+	k, floor := resolve(d, opts)
 	if d.Size() < floor {
-		return rep
+		return &engine.Report{}
 	}
 	meter := engine.NewMeter(ctx, Name, opts.Observer)
 	newMiner := func(minCount int, sc *scratch) *miner {
@@ -75,35 +74,25 @@ func mineRange(ctx context.Context, d *dataset.Dataset, k, floor int, opts engin
 	// Every task seeds its threshold with the dispatcher's (deterministic)
 	// post-root value and raises it only from its own subtree, so its
 	// pruning — and visit count — is a pure function of the task alone.
+	// ppc-ext generates each closed pattern exactly once across the whole
+	// tree, so the union of the root's and the per-task heaps (parts[0]
+	// and parts[1+task]) has no duplicates; the top k under the total
+	// order are the answer.
 	base := root.minCount
-	perTask := make([]*miner, hi-lo)
-	stopped := engine.TasksWithScratch(ctx, engine.Workers(opts.Parallelism), hi-lo,
+	parts := make([]*engine.Report, 1+hi-lo)
+	parts[0] = &engine.Report{}
+	if lo == 0 {
+		parts[0] = &engine.Report{Patterns: root.heap, Visited: 1}
+	}
+	engine.TasksWithScratch(ctx, engine.Workers(opts.Parallelism), hi-lo,
 		func() *scratch { return newScratch(d) },
 		func(sc *scratch, task int) {
 			m := newMiner(base, sc)
 			m.extendFrom(c0, cands[lo+task])
-			perTask[task] = m
+			parts[1+task] = &engine.Report{Patterns: m.heap, Visited: m.visited, Stopped: m.stopped}
 		})
-
-	// Merge: ppc-ext generates each closed pattern exactly once across the
-	// whole tree, so the union of the per-task heaps has no duplicates;
-	// the top k under the total order are the answer.
-	var merged []*dataset.Pattern
-	if lo == 0 {
-		rep.Visited++
-		merged = append(merged, root.heap...)
-	}
-	for _, m := range perTask {
-		if m == nil {
-			stopped = true // abandoned after cancellation
-			continue
-		}
-		merged = append(merged, m.heap...)
-		rep.Visited += m.visited
-		stopped = stopped || m.stopped
-	}
-	rep.Patterns = topK(merged, k)
-	rep.Stopped = stopped
+	rep := engine.Concat(parts)
+	rep.Patterns = topK(rep.Patterns, k)
 	return rep
 }
 
