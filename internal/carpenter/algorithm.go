@@ -1,9 +1,6 @@
 package carpenter
 
-import (
-	"repro/internal/dataset"
-	"repro/internal/engine"
-)
+import "repro/internal/engine"
 
 // Name is this algorithm's engine registry name ("closedrows": closed
 // frequent sets by CARPENTER-style row enumeration).
@@ -18,11 +15,8 @@ const Name = "closedrows"
 // concatenation.
 func init() {
 	engine.Register(engine.Ranged{
-		Algo: Name,
-		Uses: engine.Uses{MinSize: true},
-		Units: func(d *dataset.Dataset, opts engine.Options) int {
-			return rootUnits(d, opts.ResolveMinCount(d), opts.MinSize)
-		},
-		Range: mineRange,
+		Algo:  Name,
+		Uses:  engine.Uses{MinSize: true},
+		Split: split,
 	})
 }

@@ -49,29 +49,37 @@ import (
 // Parallelism value.
 const spawnDepth = 2
 
-// mineRange mines the dispatcher's frontier tasks [lo, hi) for the closed
-// patterns of at least opts.MinSize items at the resolved support
-// threshold; hi < 0 selects all of them. Every range replays the
-// deterministic dispatcher expansion to rebuild the task list, but the
-// dispatcher's own output — the above-frontier patterns and visit counts
-// — belongs to the lo == 0 range only, so shard results sum to the
-// single-node run. Cancellation is polled on ctx at every search node; a
-// canceled run returns the patterns found so far with Stopped=true.
-func mineRange(ctx context.Context, d *dataset.Dataset, opts engine.Options, lo, hi int) *engine.Report {
+// split plans a run for the closed patterns of at least opts.MinSize
+// items at the resolved support threshold. The root work is the
+// deterministic dispatcher expansion: its own output — the
+// above-frontier patterns and visit counts — is the plan's Root, and its
+// frontier subtrees are the task units, none for the degenerate empty
+// run. Cancellation is polled on ctx at every search node; a canceled
+// run returns the patterns found so far with Stopped=true.
+func split(ctx context.Context, d *dataset.Dataset, opts engine.Options) *engine.Plan {
 	minCount, minSize := opts.ResolveMinCount(d), opts.MinSize
 	n := d.Size()
 	if n < minCount {
-		return &engine.Report{}
+		return &engine.Plan{Root: &engine.Report{}}
 	}
 	meter := engine.NewMeter(ctx, Name, opts.Observer)
-	rootRes := &engine.Report{}
-	root := newRoot(meter, d, minCount, minSize, rootRes)
+	// The dispatcher miner holds the row item-bitsets every task reads.
+	root := &miner{meter: meter, d: d, minCount: minCount, minSize: minSize, res: &engine.Report{},
+		n: n, rows: make([]*bitset.Bitset, n), inSet: make([]bool, n)}
+	for i := range root.rows {
+		root.rows[i] = bitset.New(d.NumItems())
+		for _, item := range d.Transaction(i) {
+			root.rows[i].Set(item)
+		}
+	}
 	full := bitset.New(d.NumItems())
 	full.SetAll()
 
 	// The dispatcher expands the tree down to spawnDepth, collecting every
 	// frontier subtree as a task (each with its own intersection bitset
 	// and row-membership snapshot), then the scheduler runs the subtrees.
+	// A dispatcher canceled mid-expansion leaves a truncated task list
+	// and a Stopped root.
 	var tasks []frontierTask
 	root.spawn = func(rsize int, x *bitset.Bitset, next int) {
 		tasks = append(tasks, frontierTask{
@@ -82,65 +90,14 @@ func mineRange(ctx context.Context, d *dataset.Dataset, opts engine.Options, lo,
 		})
 	}
 	root.enumerate(0, full, 0, 0)
-	root.spawn = nil
-	// A dispatcher canceled mid-expansion leaves a truncated task list;
-	// clamp the range so a shard call cannot index past it (the latched
-	// Stopped flag already marks the result partial).
-	if hi < 0 || hi > len(tasks) {
-		hi = len(tasks)
-	}
-	if lo > hi {
-		lo = hi
-	}
 
-	// parts[0] is the dispatcher's share: its patterns and visits for the
-	// lo == 0 range, its cancellation for every range.
-	parts := make([]*engine.Report, 1+hi-lo)
-	parts[0] = rootRes
-	if lo != 0 {
-		parts[0] = &engine.Report{Stopped: rootRes.Stopped}
-	}
-	engine.Tasks(ctx, engine.Workers(opts.Parallelism), hi-lo, func(_, task int) {
-		ft := tasks[lo+task]
+	return &engine.Plan{Root: root.res, Units: len(tasks), Task: func(_, unit int) *engine.Report {
+		ft := tasks[unit]
 		sub := &miner{meter: meter, d: d, minCount: minCount, minSize: minSize, res: &engine.Report{},
 			n: n, rows: root.rows, inSet: ft.inSet}
 		sub.enumerate(ft.rsize, ft.x, ft.next, spawnDepth)
-		parts[1+task] = sub.res
-	})
-	return engine.Concat(parts)
-}
-
-// newRoot builds the dispatcher miner with the shared read-only row
-// item-bitsets and row-membership state.
-func newRoot(meter *engine.Meter, d *dataset.Dataset, minCount, minSize int, res *engine.Report) *miner {
-	n := d.Size()
-	root := &miner{meter: meter, d: d, minCount: minCount, minSize: minSize, res: res, n: n}
-	root.rows = make([]*bitset.Bitset, n)
-	for i := 0; i < n; i++ {
-		b := bitset.New(d.NumItems())
-		for _, item := range d.Transaction(i) {
-			b.Set(item)
-		}
-		root.rows[i] = b
-	}
-	root.inSet = make([]bool, n)
-	return root
-}
-
-// rootUnits replays the dispatcher expansion alone and returns its
-// frontier-task count — the shardable task-unit count — or 0 for the
-// degenerate empty run.
-func rootUnits(d *dataset.Dataset, minCount, minSize int) int {
-	if d.Size() < minCount {
-		return 0
-	}
-	root := newRoot(engine.NewMeter(context.Background(), Name, nil), d, minCount, minSize, &engine.Report{})
-	full := bitset.New(d.NumItems())
-	full.SetAll()
-	units := 0
-	root.spawn = func(int, *bitset.Bitset, int) { units++ }
-	root.enumerate(0, full, 0, 0)
-	return units
+		return sub.res
+	}}
 }
 
 // frontierTask is one pending enumerate call at spawnDepth: the arguments

@@ -1,9 +1,6 @@
 package charm
 
-import (
-	"repro/internal/dataset"
-	"repro/internal/engine"
-)
+import "repro/internal/engine"
 
 // Name is this algorithm's engine registry name ("closed": the complete
 // closed frequent set, mined by item enumeration).
@@ -18,14 +15,8 @@ const Name = "closed"
 // concatenation.
 func init() {
 	engine.Register(engine.Ranged{
-		Algo: Name,
-		Uses: engine.Uses{MinSize: true},
-		Units: func(d *dataset.Dataset, opts engine.Options) int {
-			if d.Size() < opts.ResolveMinCount(d) {
-				return 0
-			}
-			return d.NumItems()
-		},
-		Range: mineRange,
+		Algo:  Name,
+		Uses:  engine.Uses{MinSize: true},
+		Split: split,
 	})
 }

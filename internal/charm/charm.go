@@ -39,16 +39,15 @@ import (
 	"repro/internal/tidset"
 )
 
-// mineRange mines the root-closure extension items [lo, hi) at the
-// resolved support threshold; hi < 0 selects all of them. The root
-// extend node (its visit count and the root closure's emission) belongs
-// to the lo == 0 range only, so shard counters and patterns sum to the
-// single-node run. Cancellation is polled on ctx at every search node; a
-// canceled run returns the patterns found so far with Stopped=true.
-func mineRange(ctx context.Context, d *dataset.Dataset, opts engine.Options, lo, hi int) *engine.Report {
+// split plans a run at the resolved support threshold: the root extend
+// node is the root work, and the task units are the root closure's
+// candidate extension items, none when the threshold exceeds the rows.
+// Cancellation is polled on ctx at every search node; a canceled run
+// returns the patterns found so far with Stopped=true.
+func split(ctx context.Context, d *dataset.Dataset, opts engine.Options) *engine.Plan {
 	minCount := opts.ResolveMinCount(d)
 	if d.Size() < minCount {
-		return &engine.Report{}
+		return &engine.Plan{Root: &engine.Report{}}
 	}
 	meter := engine.NewMeter(ctx, Name, opts.Observer)
 	newMiner := func(res *engine.Report, sc *scratch) *miner {
@@ -57,30 +56,20 @@ func mineRange(ctx context.Context, d *dataset.Dataset, opts engine.Options, lo,
 
 	all := tidset.Full(d.Size())
 	c0 := d.Closure(nil)
-	if hi < 0 {
-		hi = d.NumItems()
-	}
-	// parts[0] is the root extend node, processed here on the dispatcher;
-	// parts[1+task] is the ppc-ext subtree of candidate extension item
-	// lo+task, explored independently (all and the item TID sets are
-	// read-only). Pools, closer and arenas live per worker, not per task:
-	// scratch reuse changes allocation, never values, so determinism is
+	root := newMiner(&engine.Report{}, newScratch(d))
+	root.res.Visited++
+	root.emit(c0, all, d.Size())
+	// Task unit i is the ppc-ext subtree of candidate extension item i,
+	// explored independently (all and the item TID sets are read-only).
+	// Pools, closer and arenas live per worker, not per task: scratch
+	// reuse changes allocation, never values, so determinism is
 	// preserved.
-	parts := make([]*engine.Report, 1+hi-lo)
-	parts[0] = &engine.Report{}
-	if lo == 0 {
-		root := newMiner(parts[0], newScratch(d))
-		root.res.Visited++
-		root.emit(c0, all, d.Size())
-	}
-	engine.TasksWithScratch(ctx, engine.Workers(opts.Parallelism), hi-lo,
-		func() *scratch { return newScratch(d) },
-		func(sc *scratch, task int) {
-			sub := &engine.Report{}
-			newMiner(sub, sc).extendFrom(c0, all, lo+task)
-			parts[1+task] = sub
-		})
-	return engine.Concat(parts)
+	scratchOf := engine.PerWorker(opts.Parallelism, func() *scratch { return newScratch(d) })
+	return &engine.Plan{Root: root.res, Units: d.NumItems(), Task: func(worker, unit int) *engine.Report {
+		sub := &engine.Report{}
+		newMiner(sub, scratchOf(worker)).extendFrom(c0, all, unit)
+		return sub
+	}}
 }
 
 type miner struct {

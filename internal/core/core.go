@@ -285,11 +285,10 @@ func fusionStep(ctx context.Context, d *dataset.Dataset, pool []*dataset.Pattern
 		perSeed[slot] = fuse(d, seed, ball, p, r, sc)
 	}
 
-	// Per-worker scratch buffers, allocated lazily by the scheduler: a
-	// worker that never claims a slot never pays for a scratch.
-	if engine.TasksWithScratch(ctx, p.workers, len(seedIdx),
-		func() *fuseScratch { return newFuseScratch(d) },
-		func(sc *fuseScratch, slot int) { fuseSlot(slot, sc) }) {
+	// Per-worker scratch buffers, allocated lazily: a worker that never
+	// claims a slot never pays for a scratch.
+	scratchOf := engine.PerWorker(p.workers, func() *fuseScratch { return newFuseScratch(d) })
+	if engine.Tasks(ctx, p.workers, len(seedIdx), func(worker, slot int) { fuseSlot(slot, scratchOf(worker)) }) {
 		return nil, true
 	}
 

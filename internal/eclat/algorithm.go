@@ -1,9 +1,6 @@
 package eclat
 
-import (
-	"repro/internal/dataset"
-	"repro/internal/engine"
-)
+import "repro/internal/engine"
 
 // Name is this algorithm's engine registry name.
 const Name = "eclat"
@@ -16,11 +13,8 @@ const Name = "eclat"
 // merge is the task-order concatenation.
 func init() {
 	engine.Register(engine.Ranged{
-		Algo: Name,
-		Uses: engine.Uses{MaxSize: true},
-		Units: func(d *dataset.Dataset, opts engine.Options) int {
-			return len(d.FrequentItems(opts.ResolveMinCount(d)))
-		},
-		Range: mineRange,
+		Algo:  Name,
+		Uses:  engine.Uses{MaxSize: true},
+		Split: split,
 	})
 }

@@ -23,13 +23,12 @@ import (
 	"repro/internal/tidset"
 )
 
-// mineRange mines the first-level class members [lo, hi) at the
-// resolved support threshold; hi < 0 selects the full class. Patterns are
-// emitted in task order, so concatenating consecutive ranges reproduces
-// the full run byte for byte. Cancellation is polled on ctx at every
-// search node; a canceled run returns the patterns found so far with
-// Stopped=true.
-func mineRange(ctx context.Context, d *dataset.Dataset, opts engine.Options, lo, hi int) *engine.Report {
+// split plans a run at the resolved support threshold: the task units
+// are the first-level class members (the frequent single items), whose
+// task-order concatenation is the full run. Cancellation is polled on
+// ctx at every search node; a canceled run returns the patterns found so
+// far with Stopped=true.
+func split(ctx context.Context, d *dataset.Dataset, opts engine.Options) *engine.Plan {
 	minCount := opts.ResolveMinCount(d)
 	meter := engine.NewMeter(ctx, Name, opts.Observer)
 
@@ -38,23 +37,19 @@ func mineRange(ctx context.Context, d *dataset.Dataset, opts engine.Options, lo,
 		tids := d.ItemTIDs(item)
 		class = append(class, extension{item: item, sup: tids.Count(), tids: tids})
 	}
-	if hi < 0 {
-		hi = len(class)
-	}
 
 	// One task per first-level class member; the shared class slice is
 	// read-only across workers (its tidsets are dataset-owned and never
 	// pooled).
-	perTask := make([]*engine.Report, hi-lo)
-	engine.TasksWithScratch(ctx, engine.Workers(opts.Parallelism), hi-lo,
-		func() *scratch { return &scratch{pool: tidset.NewPool(d.Size())} },
-		func(sc *scratch, task int) {
-			sub := &engine.Report{}
-			m := &miner{meter: meter, minCount: minCount, maxSize: opts.MaxSize, res: sub, sc: sc}
-			m.searchFrom(nil, class, lo+task)
-			perTask[task] = sub
-		})
-	return engine.Concat(perTask)
+	scratchOf := engine.PerWorker(opts.Parallelism, func() *scratch {
+		return &scratch{pool: tidset.NewPool(d.Size())}
+	})
+	return &engine.Plan{Root: &engine.Report{}, Units: len(class), Task: func(worker, unit int) *engine.Report {
+		sub := &engine.Report{}
+		m := &miner{meter: meter, minCount: minCount, maxSize: opts.MaxSize, res: sub, sc: scratchOf(worker)}
+		m.searchFrom(nil, class, unit)
+		return sub
+	}}
 }
 
 type extension struct {

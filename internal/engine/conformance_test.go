@@ -89,7 +89,7 @@ func TestNegativeParallelismRejected(t *testing.T) {
 
 // TestOptionsValidation pins the single options range check on every
 // registered algorithm: each out-of-range value is an error from Mine and
-// from MineShard, never a silent rewrite (a negative MinCount used to
+// from Plan, never a silent rewrite (a negative MinCount used to
 // mine every itemset at support 1, and NaN slipped through everywhere).
 func TestOptionsValidation(t *testing.T) {
 	d := datagen.Diag(10)
@@ -115,7 +115,7 @@ func TestOptionsValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sh, sharded := engine.AsSharder(alg)
+		sh, sharded := alg.(engine.Sharder)
 		for _, tc := range bad {
 			if err := tc.opts.Validate(); err == nil {
 				t.Errorf("Validate accepted %s", tc.name)
@@ -124,8 +124,8 @@ func TestOptionsValidation(t *testing.T) {
 				t.Errorf("%s: Mine accepted %s", name, tc.name)
 			}
 			if sharded {
-				if _, err := sh.MineShard(context.Background(), d, tc.opts, 0, 1); err == nil {
-					t.Errorf("%s: MineShard accepted %s", name, tc.name)
+				if _, err := sh.Plan(context.Background(), d, tc.opts); err == nil {
+					t.Errorf("%s: Plan accepted %s", name, tc.name)
 				}
 			}
 		}

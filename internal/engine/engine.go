@@ -104,8 +104,8 @@ type Options struct {
 }
 
 // Validate is the one range check of Options, shared by every algorithm:
-// Run, every MineShard and the job server's spec validation call it, so
-// a bad value fails the same way on every surface. It rejects a negative
+// Run, every Sharder's Plan and the job server's spec validation call
+// it, so a bad value fails the same way on every surface. It rejects a negative
 // MinCount, K, InitPoolMaxSize, MinSize, MaxSize or Parallelism, a
 // MinSupport that is NaN or outside [0,1], and a Tau that is NaN or
 // outside {0} ∪ (0,1]. Zero always means "use the default"; no value is

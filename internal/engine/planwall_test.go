@@ -88,14 +88,17 @@ func TestShardPlanWall(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, _ := engine.AsSharder(alg)
+		s, _ := alg.(engine.Sharder)
 		for _, w := range hashWallWorkloads {
 			key := name + "/" + w.name
 			opts := conformanceOpts()
 			opts.MinCount = w.minCount
 			opts.Parallelism = 2
-			d := w.d()
-			units := s.ShardUnits(d, opts)
+			plan, err := s.Plan(ctx, w.d(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			units := plan.Units
 			want, ok := shardPlanWall[key]
 			if !ok {
 				t.Errorf("%s: no pinned unit count (got %d)", key, units)
@@ -110,13 +113,13 @@ func TestShardPlanWall(t *testing.T) {
 			for n := 1; n <= 3; n++ {
 				var parts []*engine.Report
 				for _, r := range splitRanges(units, n) {
-					part, err := s.MineShard(ctx, d, opts, r[0], r[1])
+					part, err := plan.MineShard(ctx, r[0], r[1])
 					if err != nil {
 						t.Fatalf("%s: MineShard[%d,%d): %v", key, r[0], r[1], err)
 					}
 					parts = append(parts, part)
 				}
-				merged, err := s.MergeShards(d, opts, parts)
+				merged, err := plan.MergeShards(parts)
 				if err != nil {
 					t.Fatalf("%s: MergeShards over %d parts: %v", key, n, err)
 				}

@@ -1,33 +1,26 @@
 package engine
 
-import "context"
-
-// TasksWithScratch is Tasks with per-worker scratch state: it lazily
-// builds one S per worker goroutine (a worker that never claims a task
-// never pays for a scratch) and passes the claiming worker's scratch to
-// every run call, replacing the worker-index bookkeeping each miner used
-// to hand-roll.
+// PerWorker returns a getter of per-worker scratch state for a Tasks run
+// on Workers(parallelism) workers: the first call for a worker builds
+// its S with newScratch (a worker that never claims a task never pays
+// for a scratch), later calls return the same S.
 //
-// The determinism contract is inherited from Tasks, with one addition the
-// callers must honor: scratch state may carry over between tasks on the
-// same worker, and which tasks share a worker is scheduling-dependent, so
-// run must leave nothing in the scratch that can influence a later task's
-// output — pools and arenas (whose reuse changes allocation, never
-// values) are fine; memoization caches keyed on prior tasks are not.
-func TasksWithScratch[S any](ctx context.Context, workers, n int, newScratch func() S, run func(sc S, task int)) (stopped bool) {
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	scratches := make([]S, workers)
-	ready := make([]bool, workers)
-	return Tasks(ctx, workers, n, func(worker, task int) {
+// Tasks never runs two tasks on one worker index at once, so the getter
+// needs no lock. The determinism contract is inherited from Tasks, with
+// one addition the callers must honor: scratch state may carry over
+// between tasks on the same worker, and which tasks share a worker is
+// scheduling-dependent, so a task must leave nothing in the scratch that
+// can influence a later task's output — pools and arenas (whose reuse
+// changes allocation, never values) are fine; memoization caches keyed
+// on prior tasks are not.
+func PerWorker[S any](parallelism int, newScratch func() S) func(worker int) S {
+	scratches := make([]S, Workers(parallelism))
+	ready := make([]bool, len(scratches))
+	return func(worker int) S {
 		if !ready[worker] {
 			scratches[worker] = newScratch()
 			ready[worker] = true
 		}
-		run(scratches[worker], task)
-	})
+		return scratches[worker]
+	}
 }

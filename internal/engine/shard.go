@@ -13,53 +13,98 @@ import (
 // contiguous range [lo, hi) of those task units; because the units and
 // their order are a pure function of (dataset, options), two processes
 // that agree on the dataset bytes agree on the decomposition, and a
-// coordinator can lease ranges to remote workers and merge the partial
-// reports back into the byte-identical single-node answer.
-//
-// The contract, which the distributed conformance tests pin:
-//
-//   - ShardUnits(d, opts) returns the task-unit count N. Zero means the
-//     run is degenerate (empty class, single-path tree, root-handled) and
-//     must be executed whole via Mine rather than sharded.
-//   - MineShard(ctx, d, opts, lo, hi) mines exactly the units in [lo, hi)
-//     and returns a RAW partial report: Patterns in the miner's internal
-//     task order (NOT SortPatterns order), no Warnings, Algorithm stamped.
-//     Any root/dispatcher work outside the task decomposition is
-//     attributed to the lo == 0 shard only, so that summing shard
-//     counters reproduces the single-node counters.
-//   - MergeShards(d, opts, parts) merges partial reports given in shard
-//     order (parts[i] covers an earlier range than parts[i+1]) into the
-//     final Report, applying the same Run bracketing (Warnings, sorting)
-//     a single-node Mine would. len(parts) ≥ 1; the concatenation of the
-//     parts' ranges must cover [0, N) exactly.
-//
-// Mine(ctx, d, opts) remains the single-node entry point and must equal
-// MergeShards(d, opts, [MineShard(0, N)]).
+// coordinator can lease ranges to remote workers (Plan.MineShard) and
+// merge their answers (Plan.MergeShards) into the byte-identical
+// single-node answer, which Mine equals MergeShards([MineShard(0, N)])
+// of one plan. The distributed conformance tests pin this.
 type Sharder interface {
 	Algorithm
-	// ShardUnits returns the number of deterministic task units the run
-	// decomposes into, or 0 if the run cannot be sharded (degenerate
-	// shapes handled entirely at the root).
-	ShardUnits(d *dataset.Dataset, opts Options) int
-	// MineShard mines task units [lo, hi) and returns the raw partial
-	// report (unsorted, unbracketed).
-	MineShard(ctx context.Context, d *dataset.Dataset, opts Options, lo, hi int) (*Report, error)
-	// MergeShards merges raw partial reports, given in shard order, into
-	// the final bracketed Report.
-	MergeShards(d *dataset.Dataset, opts Options, parts []*Report) (*Report, error)
+	// Plan validates opts, does the root work and returns the run's
+	// decomposition into task units. Units = 0 means the run is
+	// degenerate and must be mined whole via Mine; a plan whose Root is
+	// Stopped was canceled during the root work, and its Units is not
+	// the run's decomposition.
+	Plan(ctx context.Context, d *dataset.Dataset, opts Options) (*Plan, error)
 }
 
-// AsSharder returns the Sharder view of a if it implements one.
-func AsSharder(a Algorithm) (Sharder, bool) {
-	s, ok := a.(Sharder)
-	return s, ok
+// Plan is one run's decomposition into static task units, built by a
+// miner's split function after it has done the root work — the work
+// outside the units, such as a dispatcher expansion, a root closure or
+// an initial pool — exactly once. The engine owns the rest: it hands
+// the root's share to the range that starts at 0, runs the range's
+// tasks on the Tasks scheduler and merges the reports in task order.
+//
+// A plan may mine several ranges one after another (never concurrently:
+// its tasks share per-worker scratch state).
+type Plan struct {
+	// Root is the root work's own report: the patterns, counters and
+	// cancellation of the work done outside the task units. It belongs
+	// to the range that starts at 0. Never nil.
+	Root *Report
+	// Units is the task-unit count; 0 means the root handled the run.
+	Units int
+	// Task mines one unit on the given Tasks worker, in
+	// [0, Workers(Options.Parallelism)), and returns the unit's report.
+	// It may be nil when Units is 0.
+	Task func(worker, unit int) *Report
+	// Merge turns reports given in task order (the root's share first)
+	// into the unbracketed answer; nil means Concat. It must compose:
+	// merging the merges of consecutive runs of parts equals merging
+	// the parts, which is what lets a shard ship its own merged answer.
+	Merge func(parts []*Report) *Report
+
+	algo string
+	uses Uses
+	opts Options
+}
+
+// MineShard mines task units [lo, hi) — after checking that they are a
+// non-empty range inside the plan's unit count — and returns the range's
+// merged answer (in the merge's order, not SortPatterns order, and
+// without Warnings) stamped with the algorithm name.
+func (p *Plan) MineShard(ctx context.Context, lo, hi int) (*Report, error) {
+	if lo < 0 || hi > p.Units || lo >= hi {
+		return nil, fmt.Errorf("engine: %s shard [%d,%d) invalid for %d task units", p.algo, lo, hi, p.Units)
+	}
+	rep := p.mine(ctx, lo, hi)
+	rep.Algorithm = p.algo
+	return rep, nil
+}
+
+// MergeShards is Run over the merge of shard answers given in shard
+// order, whose ranges must cover [0, Units) exactly.
+func (p *Plan) MergeShards(parts []*Report) (*Report, error) {
+	if len(parts) == 0 {
+		return nil, fmt.Errorf("engine: MergeShards(%s) needs at least one part", p.algo)
+	}
+	return Run(p.algo, p.opts, p.uses, func() (*Report, error) {
+		return p.Merge(parts), nil
+	})
+}
+
+// mine runs units [lo, hi) and merges them behind the root's share: the
+// whole root report for lo == 0, only its cancellation otherwise. A
+// stopped root runs no task.
+func (p *Plan) mine(ctx context.Context, lo, hi int) *Report {
+	parts := make([]*Report, 1+hi-lo)
+	parts[0] = p.Root
+	if lo != 0 {
+		parts[0] = &Report{Stopped: p.Root.Stopped}
+	}
+	if !p.Root.Stopped {
+		Tasks(ctx, Workers(p.opts.Parallelism), hi-lo, func(worker, task int) {
+			parts[1+task] = p.Task(worker, lo+task)
+		})
+	}
+	return p.Merge(parts)
 }
 
 // Concat is the one task-order merge: it concatenates the parts'
-// Patterns in order, sums Visited and ORs Stopped. A nil part is a task
-// abandoned after cancellation, so it marks the result Stopped. The same
-// function merges a miner's per-task reports in process and its shard
-// reports on a coordinator; a single non-nil part comes back as is.
+// Patterns in order, sums Visited, Iterations and InitPoolSize, and ORs
+// Stopped. A nil part is a task abandoned after cancellation, so it
+// marks the result Stopped. The same function merges a miner's per-task
+// reports in process and its shard answers on a coordinator; a single
+// non-nil part comes back as is.
 func Concat(parts []*Report) *Report {
 	if len(parts) == 1 && parts[0] != nil {
 		return parts[0]
@@ -72,77 +117,55 @@ func Concat(parts []*Report) *Report {
 		}
 		res.Patterns = append(res.Patterns, p.Patterns...)
 		res.Visited += p.Visited
+		res.Iterations += p.Iterations
+		res.InitPoolSize += p.InitPoolSize
 		res.Stopped = res.Stopped || p.Stopped
 	}
 	return res
 }
 
 // Ranged is the Algorithm and Sharder of a miner whose search is a
-// static, ordered list of task units: the miner supplies the unit count,
-// a range miner and (optionally) a merge, and Ranged supplies the rest of
-// the engine contract. Mine is Run over Merge of the one range [0, N),
-// so it equals MergeShards over a single MineShard by construction.
+// static, ordered list of task units: the miner supplies a split
+// function that does the root work and returns the Plan, and Ranged
+// supplies the rest of the engine contract. Mine is Run over the plan's
+// full range, so it equals MergeShards over a single MineShard by
+// construction.
 type Ranged struct {
 	// Algo is the registry name.
 	Algo string
 	// Uses declares the algorithm-specific Options the miner reads.
 	Uses Uses
-	// Units returns the run's task-unit count, or 0 when the run is
-	// degenerate and handled whole by Range(ctx, d, opts, 0, -1).
-	Units func(d *dataset.Dataset, opts Options) int
-	// Range mines task units [lo, hi) — hi < 0 meaning through the last
-	// unit — and returns the raw partial report: patterns in task order,
-	// with any root work outside the units attributed to lo == 0.
-	Range func(ctx context.Context, d *dataset.Dataset, opts Options, lo, hi int) *Report
-	// Merge turns raw partial reports, given in task order, into the
-	// unbracketed final report. Nil means Concat.
-	Merge func(d *dataset.Dataset, opts Options, parts []*Report) *Report
+	// Split does the root work under ctx (the miner's Meter reads
+	// opts.Observer) and returns the decomposition; Ranged fills in the
+	// plan's bookkeeping.
+	Split func(ctx context.Context, d *dataset.Dataset, opts Options) *Plan
 }
 
 // Name implements Algorithm.
 func (r Ranged) Name() string { return r.Algo }
 
-// Mine implements Algorithm: Run over the merge of the whole range.
+// Mine implements Algorithm: Run over the plan's full range.
 func (r Ranged) Mine(ctx context.Context, d *dataset.Dataset, opts Options) (*Report, error) {
 	return Run(r.Algo, opts, r.Uses, func() (*Report, error) {
-		return r.merge(d, opts, []*Report{r.Range(ctx, d, opts, 0, -1)}), nil
+		p := r.split(ctx, d, opts)
+		return p.mine(ctx, 0, p.Units), nil
 	})
 }
 
-// ShardUnits implements Sharder.
-func (r Ranged) ShardUnits(d *dataset.Dataset, opts Options) int { return r.Units(d, opts) }
-
-// MineShard implements Sharder: it checks the options (Options.Validate,
-// as Run applies) and that [lo, hi) is a non-empty range inside the
-// recomputed unit count, then returns Range's raw report stamped with the
-// algorithm name. Recomputing the units means a worker whose rebuilt
-// dataset decomposes differently than the coordinator planned fails
-// loudly here instead of mining the wrong subtrees.
-func (r Ranged) MineShard(ctx context.Context, d *dataset.Dataset, opts Options, lo, hi int) (*Report, error) {
+// Plan implements Sharder: it checks the options (Options.Validate, as
+// Run applies) and then splits the run.
+func (r Ranged) Plan(ctx context.Context, d *dataset.Dataset, opts Options) (*Plan, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	if units := r.Units(d, opts); lo < 0 || hi > units || lo >= hi {
-		return nil, fmt.Errorf("engine: %s shard [%d,%d) invalid for %d task units", r.Algo, lo, hi, units)
-	}
-	rep := r.Range(ctx, d, opts, lo, hi)
-	rep.Algorithm = r.Algo
-	return rep, nil
+	return r.split(ctx, d, opts), nil
 }
 
-// MergeShards implements Sharder: Run over the merge of the parts.
-func (r Ranged) MergeShards(d *dataset.Dataset, opts Options, parts []*Report) (*Report, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("engine: MergeShards(%s) needs at least one part", r.Algo)
+func (r Ranged) split(ctx context.Context, d *dataset.Dataset, opts Options) *Plan {
+	p := r.Split(ctx, d, opts)
+	p.algo, p.uses, p.opts = r.Algo, r.Uses, opts
+	if p.Merge == nil {
+		p.Merge = Concat
 	}
-	return Run(r.Algo, opts, r.Uses, func() (*Report, error) {
-		return r.merge(d, opts, parts), nil
-	})
-}
-
-func (r Ranged) merge(d *dataset.Dataset, opts Options, parts []*Report) *Report {
-	if r.Merge == nil {
-		return Concat(parts)
-	}
-	return r.Merge(d, opts, parts)
+	return p
 }

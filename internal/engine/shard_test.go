@@ -28,7 +28,7 @@ func TestSharderCoverage(t *testing.T) {
 		want[name] = true
 	}
 	for _, alg := range engine.All() {
-		_, ok := engine.AsSharder(alg)
+		_, ok := alg.(engine.Sharder)
 		if ok != want[alg.Name()] {
 			t.Errorf("%s: implements Sharder = %v, want %v", alg.Name(), ok, want[alg.Name()])
 		}
@@ -53,7 +53,7 @@ func splitRanges(units, n int) [][2]int {
 
 // TestShardConformance pins the Sharder contract on the same workloads
 // the parallelism conformance test uses: for every Sharder and every
-// shard count, MergeShards over the MineShard parts must be
+// shard count, one plan's MergeShards over its MineShard parts must be
 // byte-identical to the single-node Mine.
 func TestShardConformance(t *testing.T) {
 	workloads := []struct {
@@ -69,7 +69,7 @@ func TestShardConformance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, ok := engine.AsSharder(alg)
+		s, ok := alg.(engine.Sharder)
 		if !ok {
 			t.Fatalf("%s does not implement Sharder", name)
 		}
@@ -82,21 +82,23 @@ func TestShardConformance(t *testing.T) {
 				}
 				want := string(engine.EncodeReport(single))
 
-				d := w.d()
-				units := s.ShardUnits(d, opts)
-				if units <= 0 {
-					t.Fatalf("ShardUnits = %d on a non-degenerate workload", units)
+				plan, err := s.Plan(ctx, w.d(), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if plan.Units <= 0 {
+					t.Fatalf("Units = %d on a non-degenerate workload", plan.Units)
 				}
 				for _, n := range []int{1, 2, 3, 7} {
 					var parts []*engine.Report
-					for _, r := range splitRanges(units, n) {
-						part, err := s.MineShard(ctx, d, opts, r[0], r[1])
+					for _, r := range splitRanges(plan.Units, n) {
+						part, err := plan.MineShard(ctx, r[0], r[1])
 						if err != nil {
 							t.Fatalf("MineShard[%d,%d): %v", r[0], r[1], err)
 						}
 						parts = append(parts, part)
 					}
-					merged, err := s.MergeShards(d, opts, parts)
+					merged, err := plan.MergeShards(parts)
 					if err != nil {
 						t.Fatalf("MergeShards over %d parts: %v", n, err)
 					}
@@ -109,23 +111,27 @@ func TestShardConformance(t *testing.T) {
 	}
 }
 
-// TestShardValidation pins the uniform MineShard precondition checks.
+// TestShardValidation pins the uniform Plan and MineShard precondition
+// checks.
 func TestShardValidation(t *testing.T) {
 	d := datagen.DiagPlus(12, 6, 11)
 	opts := conformanceOpts()
 	for _, name := range shardedMiners {
 		alg, _ := engine.Get(name)
-		s, _ := engine.AsSharder(alg)
-		units := s.ShardUnits(d, opts)
-		for _, r := range [][2]int{{-1, 1}, {0, units + 1}, {2, 2}, {3, 1}} {
-			if _, err := s.MineShard(context.Background(), d, opts, r[0], r[1]); err == nil {
-				t.Errorf("%s: MineShard[%d,%d) with %d units accepted", name, r[0], r[1], units)
+		s, _ := alg.(engine.Sharder)
+		plan, err := s.Plan(context.Background(), d, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range [][2]int{{-1, 1}, {0, plan.Units + 1}, {2, 2}, {3, 1}} {
+			if _, err := plan.MineShard(context.Background(), r[0], r[1]); err == nil {
+				t.Errorf("%s: MineShard[%d,%d) with %d units accepted", name, r[0], r[1], plan.Units)
 			}
 		}
 		neg := opts
 		neg.Parallelism = -1
-		if _, err := s.MineShard(context.Background(), d, neg, 0, 1); err == nil {
-			t.Errorf("%s: MineShard accepted negative Parallelism", name)
+		if _, err := s.Plan(context.Background(), d, neg); err == nil {
+			t.Errorf("%s: Plan accepted negative Parallelism", name)
 		}
 	}
 }

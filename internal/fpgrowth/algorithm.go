@@ -1,10 +1,6 @@
 package fpgrowth
 
-import (
-	"repro/internal/dataset"
-	"repro/internal/engine"
-	"repro/internal/fptree"
-)
+import "repro/internal/engine"
 
 // Name is this algorithm's engine registry name.
 const Name = "fpgrowth"
@@ -18,15 +14,8 @@ const Name = "fpgrowth"
 // the merge is the task-order concatenation.
 func init() {
 	engine.Register(engine.Ranged{
-		Algo: Name,
-		Uses: engine.Uses{MaxSize: true},
-		Units: func(d *dataset.Dataset, opts engine.Options) int {
-			tree := fptree.Build(d, opts.ResolveMinCount(d))
-			if tree.SinglePath() != nil {
-				return 1
-			}
-			return len(tree.Items())
-		},
-		Range: mineRange,
+		Algo:  Name,
+		Uses:  engine.Uses{MaxSize: true},
+		Split: split,
 	})
 }

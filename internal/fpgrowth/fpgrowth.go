@@ -24,14 +24,12 @@ import (
 	"repro/internal/itemset"
 )
 
-// mineRange mines the root header items [lo, hi) at the resolved support
-// threshold; hi < 0 selects all of them. A single-path root is one task
-// unit: the only valid shard is [0, 1) and it runs the whole combination
-// enumeration. Patterns come out in task order; their presentation order
-// is engine.Run's canonical sort. Cancellation is polled on ctx at every
-// conditional-tree node; a canceled run returns the itemsets found so far
-// with Stopped=true.
-func mineRange(ctx context.Context, d *dataset.Dataset, opts engine.Options, lo, hi int) *engine.Report {
+// split plans a run at the resolved support threshold: the root work is
+// building the FP-tree, and the task units are its header items — the
+// roots of the conditional trees — or one unit for a single-path root.
+// Cancellation is polled on ctx at every conditional-tree node; a
+// canceled run returns the itemsets found so far with Stopped=true.
+func split(ctx context.Context, d *dataset.Dataset, opts engine.Options) *engine.Plan {
 	minCount := opts.ResolveMinCount(d)
 	tree := fptree.Build(d, minCount)
 	meter := engine.NewMeter(ctx, Name, opts.Observer)
@@ -41,26 +39,23 @@ func mineRange(ctx context.Context, d *dataset.Dataset, opts engine.Options, lo,
 
 	if path := tree.SinglePath(); path != nil {
 		// Degenerate root: all patterns are sub-combinations of one chain.
-		rep := &engine.Report{}
-		m := newMiner(rep)
-		if !m.visit(0) {
-			m.combinations(path, nil)
-		}
-		return rep
+		return &engine.Plan{Root: &engine.Report{}, Units: 1, Task: func(_, _ int) *engine.Report {
+			rep := &engine.Report{}
+			m := newMiner(rep)
+			if !m.visit(0) {
+				m.combinations(path, nil)
+			}
+			return rep
+		}}
 	}
-	// One task per root header item — the roots of the conditional trees;
-	// the shared parent tree is read-only across workers.
+	// One task per root header item; the shared parent tree is read-only
+	// across workers.
 	items := tree.Items()
-	if hi < 0 {
-		hi = len(items)
-	}
-	perTask := make([]*engine.Report, hi-lo)
-	engine.Tasks(ctx, engine.Workers(opts.Parallelism), hi-lo, func(_, task int) {
+	return &engine.Plan{Root: &engine.Report{}, Units: len(items), Task: func(_, unit int) *engine.Report {
 		sub := &engine.Report{}
-		newMiner(sub).growFrom(tree, nil, items[lo+task])
-		perTask[task] = sub
-	})
-	return engine.Concat(perTask)
+		newMiner(sub).growFrom(tree, nil, items[unit])
+		return sub
+	}}
 }
 
 type miner struct {

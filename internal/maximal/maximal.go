@@ -45,89 +45,61 @@ import (
 	"repro/internal/tidset"
 )
 
-// mineRange runs the root node and the task subtrees of root extensions
-// [lo, hi) at the resolved support threshold; hi < 0 selects all of them.
-// It returns one Report whose Patterns are the raw task-order candidate
-// stream, NOT yet subsumption-filtered: the merge concatenates the
-// streams of consecutive ranges before one global filterSubsumed, which
-// restores the shared-MFI answer exactly. A degenerate run — no frequent
-// items, or a root handled without recursion — returns the root's own
-// result, at most one pattern, which the filter keeps. The root node's
-// visit count belongs to the lo == 0 range only. Cancellation is polled
-// on ctx at every search node; a canceled run returns the candidates
-// found so far with Stopped=true.
-func mineRange(ctx context.Context, d *dataset.Dataset, opts engine.Options, lo, hi int) *engine.Report {
+// split plans a run at the resolved support threshold. The root work is
+// the root node over the frequent single items; its surviving extensions
+// are the task units, none when the root handles the run outright (no
+// frequent items, or PEP, FHUT or HUTMFI closing the whole tree — then
+// the root's own result, at most one pattern, is the answer). Each task
+// returns its raw candidate stream; the plan's Merge concatenates the
+// streams in task order and applies filterSubsumed, which restores the
+// shared-MFI answer exactly. Cancellation is polled on ctx at every
+// search node; a canceled run returns the candidates found so far with
+// Stopped=true.
+func split(ctx context.Context, d *dataset.Dataset, opts engine.Options) *engine.Plan {
 	minCount := opts.ResolveMinCount(d)
 	meter := engine.NewMeter(ctx, Name, opts.Observer)
 	root := &miner{meter: meter, d: d, minCount: minCount, res: &engine.Report{}, sc: newScratch(d)}
+	plan := &engine.Plan{Root: root.res, Merge: func(parts []*engine.Report) *engine.Report {
+		rep := engine.Concat(parts)
+		rep.Patterns = filterSubsumed(d, rep.Patterns)
+		return rep
+	}}
 
-	tail := frequentTail(d, minCount)
-	if len(tail) == 0 {
-		return root.res
-	}
-	all := tidset.Full(d.Size())
-
-	// The root node runs on the dispatcher; its surviving extensions are
-	// the parallel task units (head, extension tidsets and the shared tail
-	// slices are read-only across workers). The root's extension tidsets
-	// come from the root scratch pool and are deliberately never recycled —
-	// the tasks keep reading them for the whole run.
-	root.res.Visited++
-	head, exts, handled := root.node(nil, all, tail)
-	if handled {
-		return root.res
-	}
-	if hi < 0 {
-		hi = len(exts)
-	}
-	// parts[0] carries the root's visit for the lo == 0 range.
-	parts := make([]*engine.Report, 1+hi-lo)
-	parts[0] = &engine.Report{}
-	if lo == 0 {
-		parts[0] = root.res
-	}
-	engine.TasksWithScratch(ctx, engine.Workers(opts.Parallelism), hi-lo,
-		func() *scratch { return newScratch(d) },
-		func(sc *scratch, task int) {
-			t := lo + task
-			sub := &miner{meter: meter, d: d, minCount: minCount, res: &engine.Report{}, sc: sc}
-			sub.search(head.Add(exts[t].item), exts[t].tids, exts[t+1:])
-			parts[1+task] = sub.res
-		})
-	return engine.Concat(parts)
-}
-
-// rootUnits runs the root node alone and returns its surviving extension
-// count — the shardable task-unit count — or 0 for runs the root handles
-// outright (no frequent items, PEP/FHUT/HUTMFI closing the whole tree).
-func rootUnits(d *dataset.Dataset, minCount int) int {
-	root := &miner{meter: engine.NewMeter(context.Background(), Name, nil),
-		d: d, minCount: minCount, res: &engine.Report{}, sc: newScratch(d)}
-	tail := frequentTail(d, minCount)
-	if len(tail) == 0 {
-		return 0
-	}
-	_, exts, handled := root.node(nil, tidset.Full(d.Size()), tail)
-	if handled {
-		return 0
-	}
-	return len(exts)
-}
-
-// frequentTail is the root's candidate extension list: the frequent
-// single items in item order, with their dataset-owned TID sets.
-func frequentTail(d *dataset.Dataset, minCount int) []extension {
 	var tail []extension
 	for _, item := range d.FrequentItems(minCount) {
 		tids := d.ItemTIDs(item)
 		tail = append(tail, extension{item: item, tids: tids, sup: tids.Count()})
 	}
-	return tail
+	if len(tail) == 0 {
+		return plan
+	}
+	// The root node runs here, once; its surviving extensions are the
+	// parallel task units (head, extension tidsets and the shared tail
+	// slices are read-only across workers). The root's extension tidsets
+	// come from the root scratch pool and are deliberately never recycled —
+	// the tasks keep reading them for the whole run.
+	root.res.Visited++
+	head, exts, handled := root.node(nil, tidset.Full(d.Size()), tail)
+	if handled {
+		return plan
+	}
+	scratchOf := engine.PerWorker(opts.Parallelism, func() *scratch { return newScratch(d) })
+	plan.Units = len(exts)
+	plan.Task = func(worker, unit int) *engine.Report {
+		sub := &miner{meter: meter, d: d, minCount: minCount, res: &engine.Report{}, sc: scratchOf(worker)}
+		sub.search(head.Add(exts[unit].item), exts[unit].tids, exts[unit+1:])
+		return sub.res
+	}
+	return plan
 }
 
 // filterSubsumed keeps, in order, every candidate not contained in an
 // already-kept candidate — the sequential replay of the shared-MFI
-// subsumption test over the task-order candidate stream.
+// subsumption test over the task-order candidate stream. Because ⊆ is
+// transitive, that keeps exactly the candidates contained in no earlier
+// candidate, so filtering consecutive runs of the stream first and their
+// concatenation after gives the same answer: a shard can ship its
+// filtered stream.
 func filterSubsumed(d *dataset.Dataset, candidates []*dataset.Pattern) []*dataset.Pattern {
 	kept := make([]itemBits, 0, len(candidates))
 	out := make([]*dataset.Pattern, 0, len(candidates))
@@ -269,7 +241,7 @@ func (m *miner) search(head itemset.Itemset, tids *tidset.Set, tail []extension)
 // gathering with PEP absorption, leaf recording, the HUTMFI subsumption
 // prune, the FHUT lookahead, and dynamic reordering — and returns the
 // (possibly PEP-grown) head with its reordered extensions. handled=true
-// means the node completed without needing to recurse; mineRange uses
+// means the node completed without needing to recurse; split uses
 // the root node's extensions as the parallel task units.
 func (m *miner) node(head itemset.Itemset, tids *tidset.Set, tail []extension) (itemset.Itemset, []extension, bool) {
 	// Compute frequent extensions relative to head; PEP-absorb equal-support

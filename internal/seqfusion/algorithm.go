@@ -1,25 +1,20 @@
 package seqfusion
 
-import (
-	"repro/internal/dataset"
-	"repro/internal/engine"
-)
+import "repro/internal/engine"
 
 // algorithm is the registered miner: K independent seed-slot trajectories
 // over the static 1-/2-gram pool, one task unit per seed slot (so the unit
 // count is the resolved K, a pure function of Options alone), merged in
-// slot order by mergeRaw. It reads K (seed-slot count = max patterns),
-// Tau (core ratio), Seed (RNG root) and MinSize (minimum reported
-// sequence length).
+// slot order with the first slot winning a duplicate. It reads K
+// (seed-slot count = max patterns), Tau (core ratio), Seed (RNG root) and
+// MinSize (minimum reported sequence length).
 type algorithm struct{ engine.Ranged }
 
 func init() {
 	engine.Register(algorithm{engine.Ranged{
 		Algo:  Name,
 		Uses:  engine.Uses{K: true, Tau: true, Seed: true, MinSize: true},
-		Units: func(d *dataset.Dataset, opts engine.Options) int { return resolve(d, opts).k },
-		Range: mineRange,
-		Merge: mergeRaw,
+		Split: split,
 	}})
 }
 

@@ -50,8 +50,8 @@ import (
 const Name = "seqfusion"
 
 // config is the resolved parameter set of one run; a pure function of
-// (dataset, engine.Options), shared by the unit count, mineRange and
-// mergeRaw.
+// (dataset, engine.Options), shared by a run's plan, its slots and its
+// merge.
 type config struct {
 	k        int     // seed slots = task units = max patterns
 	tau      float64 // core ratio τ
@@ -191,12 +191,13 @@ func initPool(ctx context.Context, v view, minCount int) ([]candidate, bool) {
 }
 
 // slotResult is one seed slot's contribution: the closure it converged
-// to (nil when the slot emitted nothing) and the fusion iterations it
-// spent, kept slot-indexed so merges are schedule-independent.
+// to (nil when the slot emitted nothing), the fusion iterations it spent
+// and whether cancellation cut its trajectory short.
 type slotResult struct {
-	seq   seq.Sequence
-	sup   int
-	iters int
+	seq     seq.Sequence
+	sup     int
+	iters   int
+	stopped bool
 }
 
 // mineSlot runs seed-slot trajectory s to its fixed point. Everything it
@@ -213,6 +214,7 @@ func mineSlot(v view, pool []candidate, sups []int, cfg config, s int, meter *en
 	var res slotResult
 	for res.iters < cfg.maxIters {
 		if meter.Canceled() {
+			res.stopped = true
 			return res
 		}
 		res.iters++
@@ -282,29 +284,42 @@ func fuseBall(pool []candidate, sups []int, seedIdx int, tids *tidset.Set, cfg c
 	return fused
 }
 
-// mineRange mines seed slots [lo, hi) — hi < 0 meaning all K — and
-// returns the raw partial report: patterns in slot order, unsorted, no
-// warnings, with the pool build (the root work) attributed to the lo == 0
-// range's counters. Cancellation yields the partial slots mined so far
-// with Stopped set.
-func mineRange(ctx context.Context, d *dataset.Dataset, opts engine.Options, lo, hi int) *engine.Report {
+// split plans a run: the root work is building the initial pool, and
+// the task units are the K seed slots. The plan's Merge concatenates
+// slot reports in slot order with duplicates removed (first slot wins)
+// and — for completed runs — attaches Δ against the plan's pool.
+// Cancellation yields the slots mined so far with Stopped set.
+func split(ctx context.Context, d *dataset.Dataset, opts engine.Options) *engine.Plan {
 	cfg := resolve(d, opts)
-	if hi < 0 {
-		hi = cfg.k
-	}
-	rep := &engine.Report{}
+	root := &engine.Report{}
+	plan := &engine.Plan{Root: root, Units: cfg.k}
 	if ctx.Err() != nil {
-		rep.Stopped = true
-		return rep
+		root.Stopped = true
+		return plan
 	}
 	v := newView(d)
 	pool, stopped := initPool(ctx, v, cfg.minCount)
-	if lo == 0 {
-		rep.InitPoolSize = len(pool)
+	root.InitPoolSize = len(pool)
+	root.Stopped = stopped
+	plan.Merge = func(parts []*engine.Report) *engine.Report {
+		rep := engine.Concat(parts)
+		seen := make(map[string]bool)
+		var kept []*dataset.Pattern
+		for _, p := range rep.Patterns {
+			key := seq.Sequence(p.Items).Key()
+			if !seen[key] {
+				seen[key] = true
+				kept = append(kept, p)
+			}
+		}
+		rep.Patterns = kept
+		if !rep.Stopped {
+			rep.Quality = estimateQuality(pool, kept)
+		}
+		return rep
 	}
 	if stopped {
-		rep.Stopped = true
-		return rep
+		return plan
 	}
 	meter := engine.NewMeter(ctx, Name, opts.Observer)
 	opts.Observer.Emit(engine.Event{Algorithm: Name, Phase: engine.PhaseInitPool, PoolSize: len(pool)})
@@ -312,64 +327,27 @@ func mineRange(ctx context.Context, d *dataset.Dataset, opts engine.Options, lo,
 	for i, p := range pool {
 		sups[i] = p.tids.Count()
 	}
-	slots := make([]slotResult, hi-lo)
-	rep.Stopped = engine.Tasks(ctx, engine.Workers(opts.Parallelism), hi-lo, func(worker, task int) {
-		slots[task] = mineSlot(v, pool, sups, cfg, lo+task, meter)
+	plan.Task = func(_, unit int) *engine.Report {
+		slot := mineSlot(v, pool, sups, cfg, unit, meter)
+		rep := &engine.Report{Iterations: slot.iters, Stopped: slot.stopped}
 		emitted := 0
-		if slots[task].seq != nil {
+		if slot.seq != nil {
 			emitted = 1
+			items := append([]int(nil), slot.seq...)
+			rep.Patterns = []*dataset.Pattern{dataset.NewPatternCounted(items, nil, slot.sup)}
 		}
 		meter.Visit(emitted)
-	})
-	for i := range slots {
-		rep.Iterations += slots[i].iters
-		if slots[i].seq == nil {
-			continue
-		}
-		items := append([]int(nil), slots[i].seq...)
-		rep.Patterns = append(rep.Patterns, dataset.NewPatternCounted(items, nil, slots[i].sup))
+		return rep
 	}
-	return rep
-}
-
-// mergeRaw combines raw partial reports (in slot order) into the final
-// unbracketed report: patterns concatenated in slot order with
-// duplicates removed (first slot wins), counters summed, and — for
-// completed runs — the Δ quality estimate of the surviving patterns
-// against the initial pool. It is a pure function of (d, opts, parts),
-// which is what makes the merge independent of the shard cut.
-func mergeRaw(d *dataset.Dataset, opts engine.Options, parts []*engine.Report) *engine.Report {
-	cfg := resolve(d, opts)
-	res := &engine.Report{}
-	seen := make(map[string]bool)
-	for _, part := range parts {
-		res.InitPoolSize += part.InitPoolSize
-		res.Iterations += part.Iterations
-		res.Visited += part.Visited
-		res.Stopped = res.Stopped || part.Stopped
-		for _, p := range part.Patterns {
-			key := seq.Sequence(p.Items).Key()
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			res.Patterns = append(res.Patterns, p)
-		}
-	}
-	if !res.Stopped {
-		res.Quality = estimateQuality(d, cfg, res.Patterns)
-	}
-	return res
+	return plan
 }
 
 // estimateQuality computes Δ of the mined patterns against the initial
-// pool (recomputed from the dataset, so the estimate needs no state
-// beyond what every merge site has). Patterns and pool entries are
-// compared as their distinct-event itemsets — the algebra quality.Delta
-// is defined over. A run with no patterns against a non-empty pool has
-// no defined partition, so it carries no estimate.
-func estimateQuality(d *dataset.Dataset, cfg config, patterns []*dataset.Pattern) *engine.Quality {
-	pool, _ := initPool(context.Background(), newView(d), cfg.minCount)
+// pool. Patterns and pool entries are compared as their distinct-event
+// itemsets — the algebra quality.Delta is defined over. A run with no
+// patterns against a non-empty pool has no defined partition, so it
+// carries no estimate.
+func estimateQuality(pool []candidate, patterns []*dataset.Pattern) *engine.Quality {
 	q := make([]itemset.Itemset, len(pool))
 	for i, p := range pool {
 		q[i] = itemset.Canonical(p.seq)

@@ -55,17 +55,28 @@ func shardLabel(idx, total int) string { return fmt.Sprintf("%d/%d", idx+1, tota
 func (m *Manager) mineDistributed(ctx context.Context, j *Job, alg engine.Algorithm, d *dataset.Dataset, opts engine.Options) (*engine.Report, error) {
 	obs := opts.Observer
 	obs.Emit(engine.Event{Algorithm: alg.Name(), Phase: engine.PhaseStart})
+	// The coordinator emits its own lifecycle events; the plan below and
+	// its merge, which brackets with engine.Run, run unobserved.
+	opts.Observer = nil
 
 	// Plan on the miner's static task-unit decomposition when it has
-	// one; otherwise lease the whole job to a single peer.
-	sharder, canShard := engine.AsSharder(alg)
-	units := 0
-	if canShard {
-		units = sharder.ShardUnits(d, opts)
+	// one; otherwise lease the whole job to a single peer. The one plan
+	// both cuts the shards and merges them.
+	var plan *engine.Plan
+	if sharder, ok := alg.(engine.Sharder); ok {
+		var err error
+		if plan, err = sharder.Plan(ctx, d, opts); err != nil {
+			return nil, err
+		}
+		if plan.Root.Stopped {
+			// Canceled while planning: the unit count is truncated, so
+			// there is nothing to shard or salvage.
+			return &engine.Report{Algorithm: alg.Name(), Stopped: true}, nil
+		}
 	}
 	var shards []ShardSpec
-	if canShard && units >= 1 {
-		shards = shardPlan(units, len(m.cfg.Peers)*m.cfg.ShardsPerPeer)
+	if plan != nil && plan.Units >= 1 {
+		shards = shardPlan(plan.Units, len(m.cfg.Peers)*m.cfg.ShardsPerPeer)
 	} else {
 		shards = []ShardSpec{{Whole: true}}
 	}
@@ -195,11 +206,6 @@ func (m *Manager) mineDistributed(ctx context.Context, j *Job, alg engine.Algori
 		return nil, ferr
 	}
 
-	// MergeShards brackets with engine.Run (warnings, sorting, stamping);
-	// the coordinator already emitted PhaseStart and emits PhaseDone
-	// itself, so the merge runs unobserved.
-	mergeOpts := opts
-	mergeOpts.Observer = nil
 	whole := shards[0].Whole
 
 	if ctx.Err() != nil {
@@ -218,7 +224,7 @@ func (m *Manager) mineDistributed(ctx context.Context, j *Job, alg engine.Algori
 		if whole || len(got) == 0 {
 			return &engine.Report{Algorithm: alg.Name(), Stopped: true}, nil
 		}
-		rep, err := sharder.MergeShards(d, mergeOpts, got)
+		rep, err := plan.MergeShards(got)
 		if err != nil {
 			return nil, err
 		}
@@ -231,7 +237,7 @@ func (m *Manager) mineDistributed(ctx context.Context, j *Job, alg engine.Algori
 		rep = parts[0]
 	} else {
 		var err error
-		rep, err = sharder.MergeShards(d, mergeOpts, parts)
+		rep, err = plan.MergeShards(parts)
 		if err != nil {
 			return nil, err
 		}

@@ -6,6 +6,8 @@
 package server
 
 import (
+	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,6 +17,7 @@ import (
 
 	"repro/internal/engine"
 	_ "repro/internal/engine/all"
+	"repro/internal/minertest"
 )
 
 // distAlgorithms are the nine real miners (the registry also holds
@@ -214,5 +217,139 @@ func TestDistributedWorkerFailure(t *testing.T) {
 	}
 	if retried == 0 {
 		t.Error("no shard-retry events: the failure was not exercised")
+	}
+}
+
+// lyingWorker fronts a real worker and rewrites the "algorithm" of the
+// first result it serves — a buggy or hostile peer answering for a job
+// it was not leased.
+type lyingWorker struct {
+	inner http.Handler
+	mu    sync.Mutex
+	lied  bool
+}
+
+func (l *lyingWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	l.mu.Lock()
+	lie := !l.lied && strings.HasSuffix(r.URL.Path, "/result")
+	l.lied = l.lied || lie
+	l.mu.Unlock()
+	if !lie {
+		l.inner.ServeHTTP(w, r)
+		return
+	}
+	rec := httptest.NewRecorder()
+	l.inner.ServeHTTP(rec, r)
+	var body map[string]any
+	dec := json.NewDecoder(rec.Body)
+	dec.UseNumber()
+	if err := dec.Decode(&body); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	body["algorithm"] = "closed"
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(rec.Code)
+	json.NewEncoder(w).Encode(body)
+}
+
+// TestDistributedRejectsWrongAlgorithm pins that a coordinator checks
+// whose answer a peer returned: a shard result naming another algorithm
+// fails its lease, the shard is re-leased, and the merged Report still
+// hashes identically to the single-node run.
+func TestDistributedRejectsWrongAlgorithm(t *testing.T) {
+	want := singleNodeHashes(t)["eclat"]
+
+	victim := NewManager(Config{Workers: 2})
+	lying := httptest.NewServer(&lyingWorker{inner: Handler(victim)})
+	t.Cleanup(func() {
+		lying.Close()
+		victim.Close()
+	})
+
+	coord := NewManager(Config{Workers: 2, Peers: []string{lying.URL}})
+	t.Cleanup(coord.Close)
+	j, err := coord.Submit(distSpec("eclat"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := awaitReport(t, coord, j.ID)
+	if got := engine.ReportHash(rep); got != want {
+		t.Errorf("report hash after a wrong-algorithm answer %s, want %s", got, want)
+	}
+	events, _, _ := coord.EventsSince(j, 0)
+	retried := 0
+	for _, e := range events {
+		if e.Phase == engine.PhaseShardRetry {
+			retried++
+		}
+	}
+	if retried == 0 {
+		t.Error("no shard-retry events: the wrong-algorithm answer was accepted")
+	}
+}
+
+// TestShardLeaseCanceledDuringRoot pins that cancellation during a
+// sharded miner's root work ends a lease or a coordinated job partial,
+// never failed. A plan canceled mid-root carries a truncated unit count
+// (closedrows' dispatcher and seqfusion's pool poll ctx): a lease
+// comparing it with the coordinator's count would report a spurious
+// drift, and a coordinator must not cut shards from it.
+func TestShardLeaseCanceledDuringRoot(t *testing.T) {
+	worker := NewManager(Config{Workers: 2})
+	t.Cleanup(worker.Close)
+	coord := NewManager(Config{Workers: 2, Peers: startWorkers(t, 1)})
+	t.Cleanup(coord.Close)
+	stoppedInRoot := map[string]bool{}
+	for _, alg := range distAlgorithms {
+		a, _ := engine.Get(alg)
+		s, ok := a.(engine.Sharder)
+		if !ok {
+			continue
+		}
+		spec := distSpec(alg)
+		d, err := spec.Dataset.build(worker.cfg, worker.catalog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := s.Plan(context.Background(), d, spec.Options)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{0, 2, 5} {
+			plan, err := s.Plan(minertest.CancelAfter(k), d, spec.Options)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !plan.Root.Stopped {
+				if plan.Units != full.Units {
+					t.Errorf("%s, cancel after %d polls: %d units without a stopped root, want %d", alg, k, plan.Units, full.Units)
+				}
+			} else {
+				stoppedInRoot[alg] = true
+				j := &Job{JobRecord: JobRecord{Spec: spec}}
+				rep, err := coord.mine(minertest.CancelAfter(k), j)
+				if err != nil || !rep.Stopped {
+					t.Errorf("%s, cancel after %d polls: coordinator returned %v, err %v; want a stopped report", alg, k, rep, err)
+				}
+				for _, e := range j.events {
+					if e.Phase == engine.PhaseShardLeased {
+						t.Errorf("%s, cancel after %d polls: coordinator leased a shard of a truncated plan", alg, k)
+						break
+					}
+				}
+			}
+			lease := spec
+			lease.Shard = &ShardSpec{Lo: 0, Hi: full.Units, Units: full.Units}
+			rep, err := worker.mine(minertest.CancelAfter(k), &Job{JobRecord: JobRecord{Spec: lease}})
+			if err != nil || !rep.Stopped {
+				t.Errorf("%s, cancel after %d polls: lease returned %v, err %v; want a stopped report", alg, k, rep, err)
+			}
+		}
+	}
+	for _, alg := range []string{"closedrows", "seqfusion"} {
+		if !stoppedInRoot[alg] {
+			t.Errorf("%s: no cancellation landed in the root work", alg)
+		}
 	}
 }

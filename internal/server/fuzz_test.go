@@ -2,9 +2,11 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -84,6 +86,77 @@ func FuzzAppendRows(f *testing.F) {
 			if after.SHA256 != before.SHA256 || after.Rows != before.Rows || after.Appends != before.Appends {
 				t.Fatalf("rejected append (status %d) mutated entry:\nbefore: %+v\nafter:  %+v", resp.StatusCode, before, after)
 			}
+		}
+	})
+}
+
+// fuzzSpecEnv lazily builds the one manager whose configuration and
+// catalog (holding the dataset "tiny") every FuzzJobSpec execution
+// validates against.
+var fuzzSpecEnv struct {
+	once sync.Once
+	mgr  *Manager
+}
+
+// decodeJobSpec decodes a POST /jobs body with the submit handler's
+// settings.
+func decodeJobSpec(b []byte) (JobSpec, error) {
+	var spec JobSpec
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&spec)
+	return spec, err
+}
+
+// FuzzJobSpec throws arbitrary bytes at the job-spec decoder and
+// validator. Neither may panic, and every accepted spec must survive
+// json.Marshal → decode → json.Marshal byte for byte, with its options
+// and shard unchanged: persisted job records and shard leases are
+// exactly that round trip, so a field that loses its value in it (an
+// empty warm-start pool did once) changes what a recovered job or a
+// leased shard mines.
+func FuzzJobSpec(f *testing.F) {
+	f.Add([]byte(`{"algorithm":"apriori","dataset":{"generator":"diag","n":10},"options":{"min_count":5,"max_size":2}}`))
+	f.Add([]byte(`{"algorithm":"fusion","dataset":{"catalog":"tiny"},"options":{"k":10,"pool":[]}}`))
+	f.Add([]byte(`{"algorithm":"fusion","dataset":{"catalog":"tiny"},"options":{"pool":[[0,1],[]],"keep_pool":true}}`))
+	f.Add([]byte(`{"algorithm":"eclat","dataset":{"transactions":[[0,1,2],[1,2]]},"options":{"min_support":0.5},"shard":{"lo":0,"hi":1,"units":3}}`))
+	f.Add([]byte(`{"algorithm":"apriori","dataset":{"generator":"quest","txns":100,"avg_txn_len":-0},"shard":{"whole":true},"timeout_ms":5}`))
+	f.Add([]byte(`{"algorithm":"seqfusion","dataset":{"generator":"random","txns":9,"items":4,"density":1e-300,"transform":{"sample":0.5,"row_hi":3}},"options":{"tau":-0}}`))
+	f.Add([]byte(`{"algorithm":"eclat","dataset":{"generator":"diag","n":4},"options":{"Observer":1}}`))
+	f.Add([]byte(`{"algorithm":"topk","monitor":"tiny","dataset":{"catalog":"tiny"},"options":{"k":0,"seed":18446744073709551615}}`))
+	f.Add([]byte(`{"algorithm":"closed","dataset":{"generator":"diagplus","n":3,"extra_rows":1,"extra_cols":1}} trailing`))
+	f.Add([]byte(`null`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		fuzzSpecEnv.once.Do(func() {
+			fuzzSpecEnv.mgr = NewManager(Config{Workers: 1})
+			if _, _, err := fuzzSpecEnv.mgr.Catalog().PutOwned("tiny", "fimi", []byte("1 2 3\n2 3\n"), "", 0); err != nil {
+				panic(err)
+			}
+		})
+		m := fuzzSpecEnv.mgr
+		spec, err := decodeJobSpec(b)
+		if err != nil || spec.validate(m.cfg, m.catalog) != nil {
+			return
+		}
+		first, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatalf("accepted spec does not marshal: %v", err)
+		}
+		back, err := decodeJobSpec(first)
+		if err != nil {
+			t.Fatalf("accepted spec does not decode from its own encoding %s: %v", first, err)
+		}
+		second, err := json.Marshal(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("spec changed across a round trip:\n%s\n%s", first, second)
+		}
+		// Bytes alone miss a value the encoding drops on both passes:
+		// what gets mined must come back too.
+		if !reflect.DeepEqual(spec.Options, back.Options) || !reflect.DeepEqual(spec.Shard, back.Shard) {
+			t.Fatalf("options or shard changed across a round trip of %s:\n%+v %+v\n%+v %+v", first, spec.Options, spec.Shard, back.Options, back.Shard)
 		}
 	})
 }

@@ -659,14 +659,23 @@ func (m *Manager) mine(ctx context.Context, j *Job) (rep *engine.Report, err err
 	// mis-wired peer ring cannot recurse. Otherwise, with Peers
 	// configured this server is a coordinator and fans the job out.
 	if sh := j.Spec.Shard; sh != nil && !sh.Whole {
-		s, ok := engine.AsSharder(alg)
+		s, ok := alg.(engine.Sharder)
 		if !ok { // validated at submission; defensive for recovered records
 			return nil, fmt.Errorf("server: algorithm %q does not support sharded execution", alg.Name())
 		}
-		if units := s.ShardUnits(d, opts); units != sh.Units {
-			return nil, fmt.Errorf("server: shard units mismatch: coordinator planned %d, this worker computed %d (dataset or version drift)", sh.Units, units)
+		plan, err := s.Plan(ctx, d, opts)
+		if err != nil {
+			return nil, err
 		}
-		return s.MineShard(ctx, d, opts, sh.Lo, sh.Hi)
+		if plan.Root.Stopped {
+			// Canceled during the root work: the unit count is truncated,
+			// so the lease ends partial, like any canceled run.
+			return &engine.Report{Algorithm: alg.Name(), Stopped: true}, nil
+		}
+		if plan.Units != sh.Units {
+			return nil, fmt.Errorf("server: shard units mismatch: coordinator planned %d, this worker computed %d (dataset or version drift)", sh.Units, plan.Units)
+		}
+		return plan.MineShard(ctx, sh.Lo, sh.Hi)
 	}
 	if j.Spec.Shard == nil && len(m.cfg.Peers) > 0 {
 		return m.mineDistributed(ctx, j, alg, d, opts)

@@ -110,7 +110,8 @@ func (p *peerClient) ensureDataset(ctx context.Context, name string, data []byte
 // runJob submits spec to the peer, forwards its event stream through
 // onEvent until the job is terminal, fetches the result, and removes the
 // remote job. The result endpoint's JSON is a superset of the canonical
-// encoding, so engine.DecodeReport reads it directly.
+// encoding, so engine.DecodeReport reads it directly; an answer for
+// another algorithm than the leased one fails the attempt.
 func (p *peerClient) runJob(ctx context.Context, spec JobSpec, onEvent func(engine.Event)) (*engine.Report, error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -185,6 +186,9 @@ func (p *peerClient) runJob(ctx context.Context, spec JobSpec, onEvent func(engi
 	rep, err := engine.DecodeReport(b)
 	if err != nil {
 		return nil, fmt.Errorf("decoding shard result from %s: %w", p.base, err)
+	}
+	if rep.Algorithm != spec.Algorithm {
+		return nil, fmt.Errorf("shard result from %s is for algorithm %q, leased %q", p.base, rep.Algorithm, spec.Algorithm)
 	}
 	return rep, nil
 }

@@ -30,8 +30,9 @@ type JobSpec struct {
 	// Shard, when set, marks this job as one task-block lease of a
 	// distributed run (see the coordinator in distributed.go). Shard jobs
 	// always execute locally — a worker never re-distributes leased work —
-	// and, unless Whole is set, return the RAW partial report of task
-	// units [Lo, Hi) (unsorted, unbracketed; the coordinator merges).
+	// and, unless Whole is set, return the merged answer of task units
+	// [Lo, Hi) (in the miner's merge order, unbracketed; the coordinator
+	// merges the shards' answers).
 	Shard *ShardSpec `json:"shard,omitempty"`
 	// Monitor, when set, names the catalog dataset whose append monitor
 	// submitted this job; on completion the manager folds the result back
@@ -67,7 +68,7 @@ func (sh *ShardSpec) validate(algorithm string) error {
 	if err != nil {
 		return err
 	}
-	if _, ok := engine.AsSharder(alg); !ok {
+	if _, ok := alg.(engine.Sharder); !ok {
 		return fmt.Errorf("server: algorithm %q does not support sharded execution", algorithm)
 	}
 	if sh.Units < 1 || sh.Lo < 0 || sh.Hi > sh.Units || sh.Lo >= sh.Hi {

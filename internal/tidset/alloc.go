@@ -5,7 +5,8 @@ package tidset
 // the node's subtree completes, so the steady-state allocation rate of an
 // extend/intersect loop is zero: each set's payload arrays grow to the
 // loop's high-water mark once and are reused thereafter. A Pool is not
-// safe for concurrent use; engine.TasksWithScratch keeps one per worker.
+// safe for concurrent use; the miners keep one per worker through
+// engine.PerWorker.
 type Pool struct {
 	n    int
 	free []*Set

@@ -24,7 +24,7 @@
 // Cardinality is maintained eagerly on every mutation, making Count O(1).
 //
 // The package also provides the two allocation-discipline helpers the DFS
-// miners thread through engine.TasksWithScratch: Pool recycles scratch
+// miners keep per worker through engine.PerWorker: Pool recycles scratch
 // sets for intersection results (the per-node And of every vertical
 // miner), and Arena carves long-lived compact copies (the support sets
 // retained by emitted patterns) out of shared blocks.

@@ -11,26 +11,16 @@ const Name = "topk"
 // The registered miner: the top Options.K most frequent closed patterns
 // of at least Options.MinSize items, mined on Options.Parallelism
 // workers. Options.MinCount / MinSupport act as TFP's optional support
-// floor. Its task units are the root-closure candidate extensions
-// (computed by replaying the deterministic root node) — none for runs
-// the root handles outright. The merge pools the per-range top-Ks —
+// floor. Its task units are the root-closure candidate extensions,
+// gathered once per plan by the root node — none for runs the root
+// handles outright. The merge pools the per-range top-Ks —
 // distinct closed patterns, so the better() order is strict across the
 // union — and re-selects the global top-K.
 func init() {
 	engine.Register(engine.Ranged{
-		Algo: Name,
-		Uses: engine.Uses{K: true, MinSize: true},
-		Units: func(d *dataset.Dataset, opts engine.Options) int {
-			k, floor := resolve(d, opts)
-			return rootUnits(d, k, floor, opts.MinSize)
-		},
-		Range: mineRange,
-		Merge: func(d *dataset.Dataset, opts engine.Options, parts []*engine.Report) *engine.Report {
-			k, _ := resolve(d, opts)
-			rep := engine.Concat(parts)
-			rep.Patterns = topK(rep.Patterns, k)
-			return rep
-		},
+		Algo:  Name,
+		Uses:  engine.Uses{K: true, MinSize: true},
+		Split: split,
 	})
 }
 

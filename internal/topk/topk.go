@@ -34,21 +34,18 @@ import (
 	"repro/internal/tidset"
 )
 
-// mineRange mines the root-closure candidate extensions [lo, hi) for the
-// top k closed patterns of at least opts.MinSize items, never descending
-// below the support floor (≥ 1); hi < 0 selects all of them. Every range
-// runs the root node identically — the candidate order and the post-root
-// threshold are pure functions of (d, opts) — but the root's visit count
-// and its heap contribution belong to the lo == 0 range only. The
-// returned Patterns are the range's top-k in better() order (descending
-// support first); because that order is strict on distinct closed
-// patterns, the global top-k equals the top-k of the per-range top-ks.
-// Cancellation is polled on ctx at every search node; a canceled run
-// returns the best patterns found so far with Stopped=true.
-func mineRange(ctx context.Context, d *dataset.Dataset, opts engine.Options, lo, hi int) *engine.Report {
+// split plans a run for the top k closed patterns of at least
+// opts.MinSize items, never descending below the support floor (≥ 1).
+// The root node is the root work and its candidate extensions are the
+// task units. The plan's Merge re-selects the top k in better() order,
+// which is strict on distinct closed patterns, so the top-k of per-range
+// top-ks is the global top-k. Cancellation is polled on ctx at every
+// search node; a canceled run returns the best patterns found so far
+// with Stopped=true.
+func split(ctx context.Context, d *dataset.Dataset, opts engine.Options) *engine.Plan {
 	k, floor := resolve(d, opts)
 	if d.Size() < floor {
-		return &engine.Report{}
+		return &engine.Plan{Root: &engine.Report{}}
 	}
 	meter := engine.NewMeter(ctx, Name, opts.Observer)
 	newMiner := func(minCount int, sc *scratch) *miner {
@@ -58,56 +55,38 @@ func mineRange(ctx context.Context, d *dataset.Dataset, opts engine.Options, lo,
 	all := tidset.Full(d.Size())
 	c0 := d.Closure(nil)
 
-	// The root node runs on the dispatcher: offer the root closure, gather
-	// its extension candidates, and order them by descending support — the
-	// candidate order is both the sequential visit order and the parallel
-	// task order. The root's candidate tidsets come from the root scratch
-	// pool and are deliberately never recycled — the tasks keep reading
-	// them for the whole run.
+	// The root node: offer the root closure, gather its extension
+	// candidates, and order them by descending support — the candidate
+	// order is both the sequential visit order and the parallel task
+	// order. The root's candidate tidsets come from the root scratch pool
+	// and are deliberately never recycled — the tasks keep reading them
+	// for the whole run.
 	root := newMiner(floor, newScratch(d))
 	root.offer(c0, all)
 	cands := root.candidates(c0, all, -1)
-	if hi < 0 {
-		hi = len(cands)
-	}
 
-	// Every task seeds its threshold with the dispatcher's (deterministic)
+	// Every task seeds its threshold with the root's (deterministic)
 	// post-root value and raises it only from its own subtree, so its
 	// pruning — and visit count — is a pure function of the task alone.
 	// ppc-ext generates each closed pattern exactly once across the whole
-	// tree, so the union of the root's and the per-task heaps (parts[0]
-	// and parts[1+task]) has no duplicates; the top k under the total
-	// order are the answer.
+	// tree, so the union of the root's and the per-task heaps has no
+	// duplicates; the top k under the total order are the answer.
 	base := root.minCount
-	parts := make([]*engine.Report, 1+hi-lo)
-	parts[0] = &engine.Report{}
-	if lo == 0 {
-		parts[0] = &engine.Report{Patterns: root.heap, Visited: 1}
+	scratchOf := engine.PerWorker(opts.Parallelism, func() *scratch { return newScratch(d) })
+	return &engine.Plan{
+		Root:  &engine.Report{Patterns: root.heap, Visited: 1},
+		Units: len(cands),
+		Task: func(worker, unit int) *engine.Report {
+			m := newMiner(base, scratchOf(worker))
+			m.extendFrom(c0, cands[unit])
+			return &engine.Report{Patterns: m.heap, Visited: m.visited, Stopped: m.stopped}
+		},
+		Merge: func(parts []*engine.Report) *engine.Report {
+			rep := engine.Concat(parts)
+			rep.Patterns = topK(rep.Patterns, k)
+			return rep
+		},
 	}
-	engine.TasksWithScratch(ctx, engine.Workers(opts.Parallelism), hi-lo,
-		func() *scratch { return newScratch(d) },
-		func(sc *scratch, task int) {
-			m := newMiner(base, sc)
-			m.extendFrom(c0, cands[lo+task])
-			parts[1+task] = &engine.Report{Patterns: m.heap, Visited: m.visited, Stopped: m.stopped}
-		})
-	rep := engine.Concat(parts)
-	rep.Patterns = topK(rep.Patterns, k)
-	return rep
-}
-
-// rootUnits runs the root node alone — exactly as mineRange does — and
-// returns its candidate-extension count, the shardable task-unit count.
-func rootUnits(d *dataset.Dataset, k, floor, minSize int) int {
-	if d.Size() < floor {
-		return 0
-	}
-	all := tidset.Full(d.Size())
-	c0 := d.Closure(nil)
-	root := &miner{meter: engine.NewMeter(context.Background(), Name, nil),
-		d: d, k: k, minSize: minSize, minCount: floor, sc: newScratch(d)}
-	root.offer(c0, all)
-	return len(root.candidates(c0, all, -1))
 }
 
 // topK sorts distinct closed patterns into better() order and keeps the

@@ -119,9 +119,13 @@ func TestResultsSortedBySupport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, _ := engine.AsSharder(alg)
+	sh, _ := alg.(engine.Sharder)
 	opts := engine.Options{K: 10, MinSize: 1}
-	res, err := sh.MineShard(context.Background(), d, opts, 0, sh.ShardUnits(d, opts))
+	plan, err := sh.Plan(context.Background(), d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := plan.MineShard(context.Background(), 0, plan.Units)
 	if err != nil {
 		t.Fatal(err)
 	}

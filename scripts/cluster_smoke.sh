@@ -5,10 +5,12 @@
 # the same job to the coordinator (sharded across both workers) and
 # directly to one worker (the single-node reference), and asserts the
 # two /result bodies are byte-identical — the distribution layer's core
-# guarantee, checked over real sockets. Runs the check twice: once for a
-# Sharder-backed miner (eclat, task-block shards) and once for fusion
-# (whole-job lease). Finally asserts the coordinator's /metrics recorded
-# completed shard leases.
+# guarantee, checked over real sockets. Runs the check for five
+# Sharder-backed miners (task-block shards: eclat with a plain
+# concatenation merge, closedrows and topk with root work, maximal and
+# seqfusion with their own merges) and for fusion (whole-job lease).
+# Finally asserts the coordinator's /metrics recorded completed shard
+# leases.
 #
 # Usage: scripts/cluster_smoke.sh [pfserve-binary]
 # (default: builds ./cmd/pfserve into a temp dir)
@@ -61,7 +63,7 @@ await() {
   return 1
 }
 
-for alg in eclat fusion; do
+for alg in eclat closedrows maximal topk seqfusion fusion; do
   cid=$(submit "$COORD" "$alg")
   rid=$(submit "$W1" "$alg")
   await "$COORD" "$cid"
