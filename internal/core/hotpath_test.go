@@ -337,7 +337,7 @@ func TestFuseScratchIsolation(t *testing.T) {
 	for _, p := range pool {
 		p.EnsureSupport()
 	}
-	p := algorithm{}.resolve(d, engine.Options{K: 10, MinCount: 10})
+	p := resolve(d, engine.Options{K: 10, MinCount: 10}, nil)
 	radius := Radius(p.tau)
 	var classes supportClasses
 	classes.group(pool)

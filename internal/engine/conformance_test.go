@@ -115,7 +115,6 @@ func TestOptionsValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sh, sharded := alg.(engine.Sharder)
 		for _, tc := range bad {
 			if err := tc.opts.Validate(); err == nil {
 				t.Errorf("Validate accepted %s", tc.name)
@@ -123,10 +122,8 @@ func TestOptionsValidation(t *testing.T) {
 			if _, err := alg.Mine(context.Background(), d, tc.opts); err == nil {
 				t.Errorf("%s: Mine accepted %s", name, tc.name)
 			}
-			if sharded {
-				if _, err := sh.Plan(context.Background(), d, tc.opts); err == nil {
-					t.Errorf("%s: Plan accepted %s", name, tc.name)
-				}
+			if _, err := alg.Plan(context.Background(), d, tc.opts); err == nil {
+				t.Errorf("%s: Plan accepted %s", name, tc.name)
 			}
 		}
 	}

@@ -12,6 +12,7 @@
 //	type Algorithm interface {
 //		Name() string
 //		Mine(ctx context.Context, d *dataset.Dataset, opts Options) (*Report, error)
+//		Plan(ctx context.Context, d *dataset.Dataset, opts Options) (*Plan, error)
 //	}
 //
 // Cancellation is context-first: every miner polls ctx at its natural
@@ -38,8 +39,8 @@
 // # Options
 //
 // Options is the one parameter set of every algorithm, and
-// Options.Validate its one range check: Run, every Sharder's Plan and the
-// job server all apply it, so an out-of-range value is rejected the same
+// Options.Validate its one range check: Run, every Algorithm's Plan and
+// the job server all apply it, so an out-of-range value is rejected the same
 // way on every surface before any mining starts.
 //
 // # Parallelism
@@ -52,10 +53,12 @@
 // (closedrows), seed slots (fusion, seqfusion) — runs them on Tasks,
 // whose workers claim the next unit from one shared counter, and merges
 // the per-task reports in task order with Concat. Ranged packages the
-// recipe as a miner's registered Algorithm and Sharder: the miner's split
-// function does the root work once and returns a Plan, whose ranges the
-// engine mines and merges, so the same units and the same merge serve
-// the distributed coordinator's shards.
+// recipe as a miner's registered Algorithm: the miner's split function
+// does the root work once and returns a Plan, whose ranges the engine
+// mines and merges, so the same units and the same merge serve the
+// distributed coordinator's shards. Fusion's iterations and apriori's
+// levels are globally coupled, so their plans are one unit — the whole
+// run — and they parallelize inside it.
 // Cross-worker progress aggregates through a Meter, so Observer events
 // stay serialized.
 //

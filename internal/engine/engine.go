@@ -9,11 +9,12 @@ import (
 )
 
 // Algorithm is the uniform interface every miner in this repository
-// implements: a name for registry lookup and a single context-first entry
-// point. Implementations must honor ctx cancellation promptly (at their
-// natural polling cadence — per fusion seed, per Apriori level, per DFS
-// node), must be deterministic given (d, opts), and must return a partial
-// Report with Stopped=true rather than an error when canceled mid-run.
+// implements: a name for registry lookup, a single context-first entry
+// point and the run's task-unit plan (see Ranged). Implementations must
+// honor ctx cancellation promptly (at their natural polling cadence — per
+// fusion seed, per Apriori level, per DFS node), must be deterministic
+// given (d, opts), and must return a partial Report with Stopped=true
+// rather than an error when canceled mid-run.
 type Algorithm interface {
 	// Name returns the registry name (e.g. "fusion", "apriori").
 	Name() string
@@ -21,6 +22,16 @@ type Algorithm interface {
 	// for invalid options; cancellation yields a partial Report with
 	// Stopped=true and a nil error.
 	Mine(ctx context.Context, d *dataset.Dataset, opts Options) (*Report, error)
+	// Plan validates opts, does the root work and returns the run's
+	// decomposition into static task units, whose ranges a distributed
+	// coordinator leases to workers (Plan.MineShard) and merges
+	// (Plan.MergeShards) into the byte-identical Mine answer. The units
+	// and their order are a pure function of (d, opts), so two processes
+	// that agree on the dataset bytes agree on the decomposition.
+	// Units = 0 means the root answered the run; a plan whose Root is
+	// Stopped was canceled during the root work, and its Units is not
+	// the run's decomposition.
+	Plan(ctx context.Context, d *dataset.Dataset, opts Options) (*Plan, error)
 }
 
 // Options is the shared parameter set of all registered algorithms. Each
@@ -104,7 +115,7 @@ type Options struct {
 }
 
 // Validate is the one range check of Options, shared by every algorithm:
-// Run, every Sharder's Plan and the job server's spec validation call
+// Run, every Algorithm's Plan and the job server's spec validation call
 // it, so a bad value fails the same way on every surface. It rejects a negative
 // MinCount, K, InitPoolMaxSize, MinSize, MaxSize or Parallelism, a
 // MinSupport that is NaN or outside [0,1], and a Tau that is NaN or

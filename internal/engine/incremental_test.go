@@ -157,14 +157,18 @@ func TestReseedDropsStaleSeeds(t *testing.T) {
 }
 
 // TestWarmStartEmptyPool pins that an empty non-nil pool is a valid warm
-// start producing an empty result, and that Pool/KeepPool warn on
-// non-fusion algorithms.
+// start producing an empty result, that KeepPool hands it back empty
+// but non-nil (still a warm start, not a cold one), and that
+// Pool/KeepPool warn on non-fusion algorithms.
 func TestWarmStartEmptyPool(t *testing.T) {
 	d := datagen.Diag(6)
-	opts := engine.Options{MinCount: 3, K: 4, Pool: [][]int{}}
+	opts := engine.Options{MinCount: 3, K: 4, Pool: [][]int{}, KeepPool: true}
 	rep := mineFusion(t, d, opts)
 	if len(rep.Patterns) != 0 || rep.InitPoolSize != 0 {
 		t.Fatalf("empty warm pool mined %d patterns (init pool %d)", len(rep.Patterns), rep.InitPoolSize)
+	}
+	if rep.Pool == nil || len(rep.Pool) != 0 {
+		t.Fatalf("empty warm pool kept as %v (nil %v), want empty non-nil", rep.Pool, rep.Pool == nil)
 	}
 
 	alg, err := engine.Get("eclat")

@@ -7,11 +7,21 @@ import (
 	"repro/internal/engine"
 )
 
-// shardPlanWall pins the task-unit count of every sharded miner on every
+// shardPlanWall pins the task-unit count of every miner on every
 // hashWallWorkloads entry at Parallelism 2, keyed like hashWall. A
 // coordinator and its workers must agree on this count, so a refactor of
-// the shard adapters must leave every entry unchanged.
+// the miners' split functions must leave every entry unchanged. fusion
+// and apriori are one unit everywhere: their runs are globally coupled.
 var shardPlanWall = map[string]int{
+	"apriori/empty":         1,
+	"apriori/onerow":        1,
+	"apriori/chain":         1,
+	"apriori/aboverows":     1,
+	"apriori/diagplus/4":    1,
+	"apriori/diagplus/7":    1,
+	"apriori/diag/5":        1,
+	"apriori/random/4":      1,
+	"apriori/random/9":      1,
 	"closed/empty":          0,
 	"closed/onerow":         6,
 	"closed/chain":          8,
@@ -48,6 +58,15 @@ var shardPlanWall = map[string]int{
 	"fpgrowth/diag/5":       10,
 	"fpgrowth/random/4":     24,
 	"fpgrowth/random/9":     24,
+	"fusion/empty":          1,
+	"fusion/onerow":         1,
+	"fusion/chain":          1,
+	"fusion/aboverows":      1,
+	"fusion/diagplus/4":     1,
+	"fusion/diagplus/7":     1,
+	"fusion/diag/5":         1,
+	"fusion/random/4":       1,
+	"fusion/random/9":       1,
 	"maximal/empty":         0,
 	"maximal/onerow":        0,
 	"maximal/chain":         0,
@@ -77,10 +96,11 @@ var shardPlanWall = map[string]int{
 	"topk/random/9":         24,
 }
 
-// TestShardPlanWall pins each sharded miner's decomposition on the hash
-// wall workloads: the unit count above, and — for runs of at least two
-// units — that merging the shards of a 1-, 2- and 3-way split
-// reproduces the miner's hashWall entry.
+// TestShardPlanWall pins each miner's decomposition on the hash wall
+// workloads: the unit count above, and that the coordinator's merge
+// reproduces the miner's hashWall entry — the root's own answer for a
+// plan of no units, and the shards of a 1-, 2- and 3-way split (as far
+// as the unit count allows) otherwise.
 func TestShardPlanWall(t *testing.T) {
 	ctx := context.Background()
 	for _, name := range shardedMiners {
@@ -88,13 +108,12 @@ func TestShardPlanWall(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, _ := alg.(engine.Sharder)
 		for _, w := range hashWallWorkloads {
 			key := name + "/" + w.name
 			opts := conformanceOpts()
 			opts.MinCount = w.minCount
 			opts.Parallelism = 2
-			plan, err := s.Plan(ctx, w.d(), opts)
+			plan, err := alg.Plan(ctx, w.d(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,7 +126,14 @@ func TestShardPlanWall(t *testing.T) {
 			if units != want {
 				t.Errorf("%s: %d task units, want %d", key, units, want)
 			}
-			if units < 2 {
+			if units == 0 {
+				merged, err := plan.MergeShards([]*engine.Report{plan.Root})
+				if err != nil {
+					t.Fatalf("%s: MergeShards of the root: %v", key, err)
+				}
+				if got := engine.ReportHash(merged); got != hashWall[key] {
+					t.Errorf("%s: root answer %s, want %s", key, got, hashWall[key])
+				}
 				continue
 			}
 			for n := 1; n <= 3; n++ {

@@ -20,7 +20,7 @@ func Workers(parallelism int) int {
 
 // Tasks runs the n independent task units 0..n-1 on up to workers
 // goroutines that claim tasks from one shared counter, and reports
-// whether cancellation preempted any of them.
+// whether cancellation left any of them unrun.
 //
 // Tasks is the shared scheduler behind every miner's Parallelism support.
 // The contract that makes it safe for bit-identical mining:
@@ -33,7 +33,9 @@ func Workers(parallelism int) int {
 //     task-indexed slot and merge the slots in task order afterwards
 //     (Concat).
 //   - ctx is polled before every claim; once it is canceled, every worker
-//     stops claiming tasks and Tasks returns true. Tasks that already
+//     stops claiming tasks, and Tasks returns true if some task in
+//     [0, n) never ran. A cancellation that lands after the last task
+//     was claimed returns false: every task ran. Tasks that already
 //     started still run to completion (they poll ctx themselves at the
 //     miner's natural cadence).
 //
@@ -45,7 +47,7 @@ func Workers(parallelism int) int {
 // which is also the degenerate case of the merge rule above.
 func Tasks(ctx context.Context, workers, n int, run func(worker, task int)) (stopped bool) {
 	if n <= 0 {
-		return ctx.Err() != nil
+		return false
 	}
 	if workers > n {
 		workers = n
@@ -61,7 +63,6 @@ func Tasks(ctx context.Context, workers, n int, run func(worker, task int)) (sto
 	}
 
 	var next atomic.Int64
-	var preempted atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -69,7 +70,6 @@ func Tasks(ctx context.Context, workers, n int, run func(worker, task int)) (sto
 			defer wg.Done()
 			for {
 				if ctx.Err() != nil {
-					preempted.Store(true)
 					return
 				}
 				task := int(next.Add(1) - 1)
@@ -81,7 +81,7 @@ func Tasks(ctx context.Context, workers, n int, run func(worker, task int)) (sto
 		}(w)
 	}
 	wg.Wait()
-	return preempted.Load()
+	return next.Load() < int64(n)
 }
 
 // A Meter is the per-run aggregation point the workers of one parallel

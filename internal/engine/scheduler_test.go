@@ -97,6 +97,32 @@ func TestTasksCancellation(t *testing.T) {
 	}
 }
 
+// TestTasksCancelAfterLastClaim pins that a cancellation landing after
+// every task was claimed does not report the run stopped: task 0 blocks
+// until task 1 has started, and task 1 cancels ctx, so the worker that
+// finishes task 1 sees the cancellation with nothing left to claim.
+func TestTasksCancelAfterLastClaim(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	started := make(chan struct{})
+	var ran atomic.Int32
+	stopped := Tasks(ctx, 2, 2, func(_, task int) {
+		ran.Add(1)
+		if task == 0 {
+			<-started
+			return
+		}
+		close(started)
+		cancel()
+	})
+	if stopped {
+		t.Error("cancellation after the last claim reported stopped")
+	}
+	if n := ran.Load(); n != 2 {
+		t.Errorf("%d tasks ran, want 2", n)
+	}
+}
+
 // TestTasksEmpty pins the degenerate shapes: no tasks, one task, more
 // workers than tasks.
 func TestTasksEmpty(t *testing.T) {

@@ -7,26 +7,6 @@ import (
 	"repro/internal/dataset"
 )
 
-// Sharder is the optional distribution interface a miner implements when
-// its search decomposes into the same static task units the Tasks
-// scheduler runs in process (Ranged implements it). A shard is a
-// contiguous range [lo, hi) of those task units; because the units and
-// their order are a pure function of (dataset, options), two processes
-// that agree on the dataset bytes agree on the decomposition, and a
-// coordinator can lease ranges to remote workers (Plan.MineShard) and
-// merge their answers (Plan.MergeShards) into the byte-identical
-// single-node answer, which Mine equals MergeShards([MineShard(0, N)])
-// of one plan. The distributed conformance tests pin this.
-type Sharder interface {
-	Algorithm
-	// Plan validates opts, does the root work and returns the run's
-	// decomposition into task units. Units = 0 means the run is
-	// degenerate and must be mined whole via Mine; a plan whose Root is
-	// Stopped was canceled during the root work, and its Units is not
-	// the run's decomposition.
-	Plan(ctx context.Context, d *dataset.Dataset, opts Options) (*Plan, error)
-}
-
 // Plan is one run's decomposition into static task units, built by a
 // miner's split function after it has done the root work — the work
 // outside the units, such as a dispatcher expansion, a root closure or
@@ -100,11 +80,11 @@ func (p *Plan) mine(ctx context.Context, lo, hi int) *Report {
 }
 
 // Concat is the one task-order merge: it concatenates the parts'
-// Patterns in order, sums Visited, Iterations and InitPoolSize, and ORs
-// Stopped. A nil part is a task abandoned after cancellation, so it
-// marks the result Stopped. The same function merges a miner's per-task
-// reports in process and its shard answers on a coordinator; a single
-// non-nil part comes back as is.
+// Patterns and Pool in order, sums Visited, Iterations and
+// InitPoolSize, and ORs Stopped. A nil part is a task abandoned after
+// cancellation, so it marks the result Stopped. The same function merges
+// a miner's per-task reports in process and its shard answers on a
+// coordinator; a single non-nil part comes back as is.
 func Concat(parts []*Report) *Report {
 	if len(parts) == 1 && parts[0] != nil {
 		return parts[0]
@@ -116,6 +96,10 @@ func Concat(parts []*Report) *Report {
 			continue
 		}
 		res.Patterns = append(res.Patterns, p.Patterns...)
+		if p.Pool != nil && res.Pool == nil {
+			res.Pool = [][]int{} // a kept empty pool stays a warm start
+		}
+		res.Pool = append(res.Pool, p.Pool...)
 		res.Visited += p.Visited
 		res.Iterations += p.Iterations
 		res.InitPoolSize += p.InitPoolSize
@@ -124,12 +108,13 @@ func Concat(parts []*Report) *Report {
 	return res
 }
 
-// Ranged is the Algorithm and Sharder of a miner whose search is a
-// static, ordered list of task units: the miner supplies a split
-// function that does the root work and returns the Plan, and Ranged
-// supplies the rest of the engine contract. Mine is Run over the plan's
-// full range, so it equals MergeShards over a single MineShard by
-// construction.
+// Ranged is the Algorithm of a miner whose search is a static, ordered
+// list of task units: the miner supplies a split function that does the
+// root work and returns the Plan, and Ranged supplies the rest of the
+// engine contract. Mine is Run over the plan's full range, so it equals
+// MergeShards over a single MineShard by construction. A run whose
+// search is globally coupled (fusion's iterations, apriori's levels) is
+// a plan of one unit that mines the whole run.
 type Ranged struct {
 	// Algo is the registry name.
 	Algo string
@@ -152,7 +137,7 @@ func (r Ranged) Mine(ctx context.Context, d *dataset.Dataset, opts Options) (*Re
 	})
 }
 
-// Plan implements Sharder: it checks the options (Options.Validate, as
+// Plan implements Algorithm: it checks the options (Options.Validate, as
 // Run applies) and then splits the run.
 func (r Ranged) Plan(ctx context.Context, d *dataset.Dataset, opts Options) (*Plan, error) {
 	if err := opts.Validate(); err != nil {

@@ -1,7 +1,7 @@
-// Shard conformance: for every algorithm that implements engine.Sharder,
-// splitting the run into task-range shards (mined independently, merged
-// in shard order) must reproduce the single-node Report byte for byte —
-// the invariant the distributed coordinator builds on.
+// Shard conformance: for every registered algorithm, splitting the run
+// into task-range shards (mined independently, merged in shard order)
+// must reproduce the single-node Report byte for byte — the invariant
+// the distributed coordinator builds on.
 package engine_test
 
 import (
@@ -15,25 +15,10 @@ import (
 	"repro/internal/rng"
 )
 
-// shardedMiners are the registry names expected to implement Sharder:
-// the six DFS miners whose searches decompose into static task blocks,
-// plus seqfusion (independent seed-slot trajectories). fusion (globally
-// coupled iterations) and apriori (level-synchronous candidate
-// generation) are deliberately absent.
-var shardedMiners = []string{"closed", "closedrows", "eclat", "fpgrowth", "maximal", "seqfusion", "topk"}
-
-func TestSharderCoverage(t *testing.T) {
-	want := map[string]bool{}
-	for _, name := range shardedMiners {
-		want[name] = true
-	}
-	for _, alg := range engine.All() {
-		_, ok := alg.(engine.Sharder)
-		if ok != want[alg.Name()] {
-			t.Errorf("%s: implements Sharder = %v, want %v", alg.Name(), ok, want[alg.Name()])
-		}
-	}
-}
+// shardedMiners are the nine registered miners (engine_test registers
+// no fakes). fusion and apriori split into one unit: their iterations
+// and levels are globally coupled.
+var shardedMiners = engine.Names()
 
 // splitRanges cuts [0, units) into n contiguous ranges with the same
 // formula the Tasks scheduler (and the coordinator's shard planner) uses.
@@ -51,8 +36,8 @@ func splitRanges(units, n int) [][2]int {
 	return out
 }
 
-// TestShardConformance pins the Sharder contract on the same workloads
-// the parallelism conformance test uses: for every Sharder and every
+// TestShardConformance pins the plan contract on the same workloads
+// the parallelism conformance test uses: for every miner and every
 // shard count, one plan's MergeShards over its MineShard parts must be
 // byte-identical to the single-node Mine.
 func TestShardConformance(t *testing.T) {
@@ -69,10 +54,6 @@ func TestShardConformance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, ok := alg.(engine.Sharder)
-		if !ok {
-			t.Fatalf("%s does not implement Sharder", name)
-		}
 		for _, w := range workloads {
 			t.Run(name+"/"+w.name, func(t *testing.T) {
 				opts := conformanceOpts()
@@ -82,7 +63,7 @@ func TestShardConformance(t *testing.T) {
 				}
 				want := string(engine.EncodeReport(single))
 
-				plan, err := s.Plan(ctx, w.d(), opts)
+				plan, err := alg.Plan(ctx, w.d(), opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -118,8 +99,7 @@ func TestShardValidation(t *testing.T) {
 	opts := conformanceOpts()
 	for _, name := range shardedMiners {
 		alg, _ := engine.Get(name)
-		s, _ := alg.(engine.Sharder)
-		plan, err := s.Plan(context.Background(), d, opts)
+		plan, err := alg.Plan(context.Background(), d, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +110,7 @@ func TestShardValidation(t *testing.T) {
 		}
 		neg := opts
 		neg.Parallelism = -1
-		if _, err := s.Plan(context.Background(), d, neg); err == nil {
+		if _, err := alg.Plan(context.Background(), d, neg); err == nil {
 			t.Errorf("%s: Plan accepted negative Parallelism", name)
 		}
 	}

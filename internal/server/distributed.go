@@ -1,12 +1,12 @@
 // Distributed execution: a pfserve started with peers is a coordinator.
 // It splits a job into task-block shards on the miner's own static
-// decomposition (engine.Sharder), leases each shard to a peer worker
-// over the standard job API, and merges the partial reports into a
-// Report byte-identical to the single-node answer. Failed leases are
+// decomposition (engine.Algorithm's Plan), leases each shard to a peer
+// worker over the standard job API, and merges the partial reports into
+// a Report byte-identical to the single-node answer. Failed leases are
 // retried on other peers; a peer that fails repeatedly is quarantined
-// for the rest of the job. Algorithms without a Sharder implementation
-// (fusion, apriori) and degenerate decompositions are leased whole to
-// one peer.
+// for the rest of the job. A globally coupled run (fusion, apriori) is
+// one unit, so it leases as one shard; a degenerate plan (no units) is
+// answered from the coordinator's own root work and leases nothing.
 
 package server
 
@@ -59,27 +59,34 @@ func (m *Manager) mineDistributed(ctx context.Context, j *Job, alg engine.Algori
 	// its merge, which brackets with engine.Run, run unobserved.
 	opts.Observer = nil
 
-	// Plan on the miner's static task-unit decomposition when it has
-	// one; otherwise lease the whole job to a single peer. The one plan
-	// both cuts the shards and merges them.
-	var plan *engine.Plan
-	if sharder, ok := alg.(engine.Sharder); ok {
-		var err error
-		if plan, err = sharder.Plan(ctx, d, opts); err != nil {
+	// The one plan both cuts the shards and merges them.
+	plan, err := alg.Plan(ctx, d, opts)
+	if err != nil {
+		return nil, err
+	}
+	if plan.Root.Stopped {
+		// Canceled while planning: the unit count is truncated, so
+		// there is nothing to shard or salvage.
+		return &engine.Report{Algorithm: alg.Name(), Stopped: true}, nil
+	}
+	answer := func(rep *engine.Report) (*engine.Report, error) {
+		ev := engine.Event{Algorithm: alg.Name(), Phase: engine.PhaseDone,
+			Iteration: rep.Iterations, PoolSize: len(rep.Patterns)}
+		if ev.Iteration == 0 {
+			ev.Iteration = rep.Visited
+		}
+		obs.Emit(ev)
+		return rep, nil
+	}
+	if plan.Units == 0 {
+		// The root answered the run: there is nothing to lease.
+		rep, err := plan.MergeShards([]*engine.Report{plan.Root})
+		if err != nil {
 			return nil, err
 		}
-		if plan.Root.Stopped {
-			// Canceled while planning: the unit count is truncated, so
-			// there is nothing to shard or salvage.
-			return &engine.Report{Algorithm: alg.Name(), Stopped: true}, nil
-		}
+		return answer(rep)
 	}
-	var shards []ShardSpec
-	if plan != nil && plan.Units >= 1 {
-		shards = shardPlan(plan.Units, len(m.cfg.Peers)*m.cfg.ShardsPerPeer)
-	} else {
-		shards = []ShardSpec{{Whole: true}}
-	}
+	shards := shardPlan(plan.Units, len(m.cfg.Peers)*m.cfg.ShardsPerPeer)
 
 	// Ship the materialized dataset (transforms already applied) by
 	// content hash: peers that already hold pf-<hash> skip the upload.
@@ -206,8 +213,6 @@ func (m *Manager) mineDistributed(ctx context.Context, j *Job, alg engine.Algori
 		return nil, ferr
 	}
 
-	whole := shards[0].Whole
-
 	if ctx.Err() != nil {
 		// Canceled or timed out: salvage the completed shards, in shard
 		// order, marked partial — same contract as a canceled local run.
@@ -217,11 +222,7 @@ func (m *Manager) mineDistributed(ctx context.Context, j *Job, alg engine.Algori
 				got = append(got, p)
 			}
 		}
-		if whole && len(got) == 1 {
-			got[0].Stopped = true
-			return got[0], nil
-		}
-		if whole || len(got) == 0 {
+		if len(got) == 0 {
 			return &engine.Report{Algorithm: alg.Name(), Stopped: true}, nil
 		}
 		rep, err := plan.MergeShards(got)
@@ -232,23 +233,11 @@ func (m *Manager) mineDistributed(ctx context.Context, j *Job, alg engine.Algori
 		return rep, nil
 	}
 
-	var rep *engine.Report
-	if whole {
-		rep = parts[0]
-	} else {
-		var err error
-		rep, err = plan.MergeShards(parts)
-		if err != nil {
-			return nil, err
-		}
+	rep, err := plan.MergeShards(parts)
+	if err != nil {
+		return nil, err
 	}
-	doneEv := engine.Event{Algorithm: alg.Name(), Phase: engine.PhaseDone,
-		Iteration: rep.Iterations, PoolSize: len(rep.Patterns)}
-	if doneEv.Iteration == 0 {
-		doneEv.Iteration = rep.Visited
-	}
-	obs.Emit(doneEv)
-	return rep, nil
+	return answer(rep)
 }
 
 // leaseShard runs one lease attempt: ship the dataset if the peer lacks

@@ -100,10 +100,10 @@ func singleNodeHashes(t *testing.T) map[string]string {
 	return want
 }
 
-// TestDistributedConformance pins the tentpole guarantee: 1 coordinator
-// with N workers ≡ single node, byte for byte, for every algorithm at
-// N ∈ {1, 2, 3} — the Sharder-backed miners via task-block shards,
-// fusion and apriori via whole-job leases.
+// TestDistributedConformance pins the distributed guarantee: 1
+// coordinator with N workers ≡ single node, byte for byte, for every
+// algorithm at N ∈ {1, 2, 3}, each leased as task-block shards of its
+// plan — fusion and apriori as one shard of one unit.
 func TestDistributedConformance(t *testing.T) {
 	want := singleNodeHashes(t)
 	for _, n := range []int{1, 2, 3} {
@@ -151,6 +151,50 @@ func TestDistributedShardEvents(t *testing.T) {
 	}
 	if tagged == 0 {
 		t.Error("no events carry shard/peer tags")
+	}
+}
+
+// TestDistributedDegeneratePlan pins that a coordinator answers a plan
+// of no task units from its own root work: on an 8-row nested chain
+// (closedrows and maximal plan 0 units there), the job hashes equal to
+// the single-node run and leases nothing.
+func TestDistributedDegeneratePlan(t *testing.T) {
+	var chain [][]int
+	for i := 1; i <= 8; i++ {
+		row := make([]int, i)
+		for j := range row {
+			row[j] = j
+		}
+		chain = append(chain, row)
+	}
+	single := NewManager(Config{Workers: 2})
+	t.Cleanup(single.Close)
+	coord := NewManager(Config{Workers: 2, Peers: startWorkers(t, 1)})
+	t.Cleanup(coord.Close)
+	for _, alg := range []string{"closedrows", "maximal"} {
+		spec := JobSpec{
+			Algorithm: alg,
+			Dataset:   DatasetSpec{Transactions: chain},
+			Options:   engine.Options{MinCount: 2, K: 20, MinSize: 1, MaxSize: 4, Seed: 7, Parallelism: 2},
+		}
+		sj, err := single.Submit(spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cj, err := coord.Submit(spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := engine.ReportHash(awaitReport(t, single, sj.ID))
+		if got := engine.ReportHash(awaitReport(t, coord, cj.ID)); got != want {
+			t.Errorf("%s: coordinator hash %s, want %s", alg, got, want)
+		}
+		events, _, _ := coord.EventsSince(cj, 0)
+		for _, e := range events {
+			if e.Phase == engine.PhaseShardLeased {
+				t.Errorf("%s: coordinator leased shard %s of a plan with no units", alg, e.Shard)
+			}
+		}
 	}
 }
 
@@ -290,7 +334,7 @@ func TestDistributedRejectsWrongAlgorithm(t *testing.T) {
 }
 
 // TestShardLeaseCanceledDuringRoot pins that cancellation during a
-// sharded miner's root work ends a lease or a coordinated job partial,
+// miner's root work ends a lease or a coordinated job partial,
 // never failed. A plan canceled mid-root carries a truncated unit count
 // (closedrows' dispatcher and seqfusion's pool poll ctx): a lease
 // comparing it with the coordinator's count would report a spurious
@@ -302,11 +346,7 @@ func TestShardLeaseCanceledDuringRoot(t *testing.T) {
 	t.Cleanup(coord.Close)
 	stoppedInRoot := map[string]bool{}
 	for _, alg := range distAlgorithms {
-		a, _ := engine.Get(alg)
-		s, ok := a.(engine.Sharder)
-		if !ok {
-			continue
-		}
+		s, _ := engine.Get(alg)
 		spec := distSpec(alg)
 		d, err := spec.Dataset.build(worker.cfg, worker.catalog)
 		if err != nil {

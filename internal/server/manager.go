@@ -654,16 +654,11 @@ func (m *Manager) mine(ctx context.Context, j *Job) (rep *engine.Report, err err
 		engine.CountEvents(m.metrics.EventsTotal),
 	)
 	// Three execution shapes. A shard lease (Spec.Shard != nil) always
-	// runs locally: either the whole job on behalf of a coordinator
-	// (Whole) or one raw task-block partial — never re-distributed, so a
-	// mis-wired peer ring cannot recurse. Otherwise, with Peers
+	// runs locally as one raw task-block partial — never re-distributed,
+	// so a mis-wired peer ring cannot recurse. Otherwise, with Peers
 	// configured this server is a coordinator and fans the job out.
-	if sh := j.Spec.Shard; sh != nil && !sh.Whole {
-		s, ok := alg.(engine.Sharder)
-		if !ok { // validated at submission; defensive for recovered records
-			return nil, fmt.Errorf("server: algorithm %q does not support sharded execution", alg.Name())
-		}
-		plan, err := s.Plan(ctx, d, opts)
+	if sh := j.Spec.Shard; sh != nil {
+		plan, err := alg.Plan(ctx, d, opts)
 		if err != nil {
 			return nil, err
 		}

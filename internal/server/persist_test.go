@@ -17,22 +17,19 @@ import (
 	"repro/internal/server"
 )
 
-// slowAlgorithm is registered only in this test binary: it signals that
-// it started, then blocks until its context is canceled and returns a
-// Stopped report per the engine's cancellation contract — so tests can
-// hold a job in the running state deterministically.
-type slowAlgorithm struct{}
-
+// testslow is registered only in this test binary: its root work
+// signals that it started, then blocks until its context is canceled and
+// answers with a Stopped report per the engine's cancellation contract —
+// so tests can hold a job in the running state deterministically.
 var slowStarted = make(chan struct{}, 16)
 
-func (slowAlgorithm) Name() string { return "testslow" }
-func (slowAlgorithm) Mine(ctx context.Context, _ *dataset.Dataset, _ engine.Options) (*engine.Report, error) {
-	slowStarted <- struct{}{}
-	<-ctx.Done()
-	return &engine.Report{Algorithm: "testslow", Stopped: true}, nil
+func init() {
+	engine.Register(engine.Ranged{Algo: "testslow", Split: func(ctx context.Context, _ *dataset.Dataset, _ engine.Options) *engine.Plan {
+		slowStarted <- struct{}{}
+		<-ctx.Done()
+		return &engine.Plan{Root: &engine.Report{Stopped: true}}
+	}})
 }
-
-func init() { engine.Register(slowAlgorithm{}) }
 
 // getBody fetches a URL and returns the raw response body, for
 // byte-identity comparisons.

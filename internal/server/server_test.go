@@ -298,17 +298,14 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// panicAlgorithm is registered only in this test binary: it panics
+// testpanic is registered only in this test binary: it panics
 // unconditionally, standing in for any future miner/generator edge case
 // that escapes as a panic on a worker goroutine.
-type panicAlgorithm struct{}
-
-func (panicAlgorithm) Name() string { return "testpanic" }
-func (panicAlgorithm) Mine(context.Context, *dataset.Dataset, engine.Options) (*engine.Report, error) {
-	panic("boom")
+func init() {
+	engine.Register(engine.Ranged{Algo: "testpanic", Split: func(context.Context, *dataset.Dataset, engine.Options) *engine.Plan {
+		panic("boom")
+	}})
 }
-
-func init() { engine.Register(panicAlgorithm{}) }
 
 // TestJobPanicIsConfined pins the worker-side recover: a panicking job
 // fails that job with the panic message instead of crashing the server.

@@ -30,9 +30,9 @@ type JobSpec struct {
 	// Shard, when set, marks this job as one task-block lease of a
 	// distributed run (see the coordinator in distributed.go). Shard jobs
 	// always execute locally — a worker never re-distributes leased work —
-	// and, unless Whole is set, return the merged answer of task units
-	// [Lo, Hi) (in the miner's merge order, unbracketed; the coordinator
-	// merges the shards' answers).
+	// and return the merged answer of task units [Lo, Hi) (in the miner's
+	// merge order, unbracketed; the coordinator merges the shards'
+	// answers).
 	Shard *ShardSpec `json:"shard,omitempty"`
 	// Monitor, when set, names the catalog dataset whose append monitor
 	// submitted this job; on completion the manager folds the result back
@@ -51,26 +51,9 @@ type ShardSpec struct {
 	// shard on a mismatch, so representation drift surfaces as a loud
 	// error instead of silently mining the wrong subtrees.
 	Units int `json:"units"`
-	// Whole marks a whole-job lease: the worker runs the plain algorithm
-	// and returns the full bracketed report. Used for algorithms without
-	// a Sharder implementation and for degenerate decompositions.
-	Whole bool `json:"whole,omitempty"`
 }
 
-func (sh *ShardSpec) validate(algorithm string) error {
-	if sh.Whole {
-		if sh.Lo != 0 || sh.Hi != 0 || sh.Units != 0 {
-			return fmt.Errorf("server: whole-job shard must not set lo/hi/units")
-		}
-		return nil
-	}
-	alg, err := engine.Get(algorithm)
-	if err != nil {
-		return err
-	}
-	if _, ok := alg.(engine.Sharder); !ok {
-		return fmt.Errorf("server: algorithm %q does not support sharded execution", algorithm)
-	}
+func (sh *ShardSpec) validate() error {
 	if sh.Units < 1 || sh.Lo < 0 || sh.Hi > sh.Units || sh.Lo >= sh.Hi {
 		return fmt.Errorf("server: invalid shard [%d,%d) of %d task units", sh.Lo, sh.Hi, sh.Units)
 	}
@@ -92,7 +75,7 @@ func (s JobSpec) validate(cfg Config, cat *Catalog) error {
 		return err
 	}
 	if s.Shard != nil {
-		if err := s.Shard.validate(s.Algorithm); err != nil {
+		if err := s.Shard.validate(); err != nil {
 			return err
 		}
 	}

@@ -119,9 +119,8 @@ func TestResultsSortedBySupport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, _ := alg.(engine.Sharder)
 	opts := engine.Options{K: 10, MinSize: 1}
-	plan, err := sh.Plan(context.Background(), d, opts)
+	plan, err := alg.Plan(context.Background(), d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,8 +71,9 @@ func EditDistance(a, b Itemset) int { return itemset.EditDistance(a, b) }
 // observable interface, addressable by name. MineWith is the library's
 // only mining entry point.
 
-// Engine is the uniform algorithm interface: Name plus
-// Mine(ctx, dataset, options). All nine miners implement it and register
+// Engine is the uniform algorithm interface: Name,
+// Mine(ctx, dataset, options) and Plan(ctx, dataset, options), the run's
+// task-unit decomposition. All nine miners implement it and register
 // themselves; see Algorithms for the names.
 type Engine = engine.Algorithm
 

@@ -5,10 +5,10 @@
 # the same job to the coordinator (sharded across both workers) and
 # directly to one worker (the single-node reference), and asserts the
 # two /result bodies are byte-identical — the distribution layer's core
-# guarantee, checked over real sockets. Runs the check for five
-# Sharder-backed miners (task-block shards: eclat with a plain
-# concatenation merge, closedrows and topk with root work, maximal and
-# seqfusion with their own merges) and for fusion (whole-job lease).
+# guarantee, checked over real sockets. Runs the check for five miners
+# leased as task-block shards (eclat with a plain concatenation merge,
+# closedrows and topk with root work, maximal and seqfusion with their
+# own merges) and for fusion and apriori (one shard of one unit each).
 # Finally asserts the coordinator's /metrics recorded completed shard
 # leases.
 #
@@ -63,7 +63,7 @@ await() {
   return 1
 }
 
-for alg in eclat closedrows maximal topk seqfusion fusion; do
+for alg in eclat closedrows maximal topk seqfusion fusion apriori; do
   cid=$(submit "$COORD" "$alg")
   rid=$(submit "$W1" "$alg")
   await "$COORD" "$cid"
