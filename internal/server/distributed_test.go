@@ -393,3 +393,128 @@ func TestShardLeaseCanceledDuringRoot(t *testing.T) {
 		}
 	}
 }
+
+// awaitTerminal polls the job until it is terminal and returns its
+// snapshot, whatever the end state.
+func awaitTerminal(t *testing.T, m *Manager, id string) Snapshot {
+	t.Helper()
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		j, ok := m.Get(id)
+		if !ok {
+			t.Fatalf("job %s disappeared", id)
+		}
+		if snap := m.Snapshot(j); snap.State.Terminal() {
+			return snap
+		} else if time.Now().After(deadline) {
+			t.Fatalf("job %s still %s after 60s", id, snap.State)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestDistributedAllPeersDown pins the coordinator's give-up rule: when
+// every peer fails until it is quarantined, the job fails with "all N
+// peers are unavailable" instead of hanging or exhausting a shard's
+// retries (which are set high enough here never to run out first).
+func TestDistributedAllPeersDown(t *testing.T) {
+	var peers []string
+	for i := 0; i < 2; i++ {
+		dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			http.Error(w, "worker is gone", http.StatusServiceUnavailable)
+		}))
+		t.Cleanup(dead.Close)
+		peers = append(peers, dead.URL)
+	}
+	coord := NewManager(Config{Workers: 2, Peers: peers, ShardRetries: 10})
+	t.Cleanup(coord.Close)
+	j, err := coord.Submit(distSpec("eclat"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := awaitTerminal(t, coord, j.ID)
+	if snap.State != StateFailed || !strings.Contains(snap.Error, "all 2 peers are unavailable") {
+		t.Errorf("job ended %s (%q), want failed with \"all 2 peers are unavailable\"", snap.State, snap.Error)
+	}
+}
+
+// countingWorker fronts a real worker and records how many leases it
+// holds at once: a lease is live from its accepted POST /jobs until the
+// coordinator's DELETE of that job. Its event streams start late, so
+// leases overlap, and it answers its first failSubmits submissions 503,
+// which makes the coordinator re-lease those shards elsewhere.
+type countingWorker struct {
+	inner       http.Handler
+	mu          sync.Mutex
+	failSubmits int
+	live, max   int
+}
+
+func (c *countingWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	switch {
+	case r.Method == http.MethodPost && r.URL.Path == "/jobs":
+		c.mu.Lock()
+		fail := c.failSubmits > 0
+		if fail {
+			c.failSubmits--
+		} else {
+			c.live++
+			c.max = max(c.max, c.live)
+		}
+		c.mu.Unlock()
+		if fail {
+			http.Error(w, "worker is busy", http.StatusServiceUnavailable)
+			return
+		}
+	case r.Method == http.MethodDelete && strings.HasPrefix(r.URL.Path, "/jobs/"):
+		c.mu.Lock()
+		c.live--
+		c.mu.Unlock()
+	case strings.HasSuffix(r.URL.Path, "/events"):
+		time.Sleep(30 * time.Millisecond)
+	}
+	c.inner.ServeHTTP(w, r)
+}
+
+// TestDistributedShardsPerPeerBound pins that ShardsPerPeer bounds the
+// leases one peer holds at once, also when a retry lands on a busy peer:
+// the second peer fails its first two submissions (and so is
+// quarantined), its shards move to the first, and neither ever holds
+// more than ShardsPerPeer leases. The answer still equals the
+// single-node run.
+func TestDistributedShardsPerPeerBound(t *testing.T) {
+	want := singleNodeHashes(t)["eclat"]
+	const perPeer = 2
+	var workers []*countingWorker
+	var peers []string
+	for _, fails := range []int{0, 2} {
+		inner := NewManager(Config{Workers: 4})
+		cw := &countingWorker{inner: Handler(inner), failSubmits: fails}
+		ts := httptest.NewServer(cw)
+		t.Cleanup(func() {
+			ts.Close()
+			inner.Close()
+		})
+		workers = append(workers, cw)
+		peers = append(peers, ts.URL)
+	}
+	coord := NewManager(Config{Workers: 2, Peers: peers, ShardsPerPeer: perPeer})
+	t.Cleanup(coord.Close)
+	j, err := coord.Submit(distSpec("eclat"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := engine.ReportHash(awaitReport(t, coord, j.ID)); got != want {
+		t.Errorf("report hash %s, want %s", got, want)
+	}
+	for i, cw := range workers {
+		cw.mu.Lock()
+		if cw.max > perPeer {
+			t.Errorf("peer %d held %d leases at once, want <= %d", i, cw.max, perPeer)
+		}
+		if i == 0 && cw.max == 0 {
+			t.Error("the healthy peer held no lease")
+		}
+		cw.mu.Unlock()
+	}
+}
