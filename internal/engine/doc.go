@@ -54,9 +54,9 @@
 // whose workers claim the next unit from one shared counter, and merges
 // the per-task reports in task order with Concat. Ranged packages the
 // recipe as a miner's registered Algorithm: the miner's split function
-// does the root work once and returns a Plan, whose ranges the engine
-// mines and merges, so the same units and the same merge serve the
-// distributed coordinator's shards. Fusion's iterations and apriori's
+// does the root work once and returns a Plan, and the engine's one range
+// loop mines and merges it, so the same units, loop and merge serve the
+// distributed coordinator's shards (Lease, MineShard). Fusion's iterations and apriori's
 // levels are globally coupled, so their plans are one unit — the whole
 // run — and they parallelize inside it.
 // Cross-worker progress aggregates through a Meter, so Observer events

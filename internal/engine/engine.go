@@ -23,9 +23,10 @@ type Algorithm interface {
 	// Stopped=true and a nil error.
 	Mine(ctx context.Context, d *dataset.Dataset, opts Options) (*Report, error)
 	// Plan validates opts, does the root work and returns the run's
-	// decomposition into static task units, whose ranges a distributed
-	// coordinator leases to workers (Plan.MineShard) and merges
-	// (Plan.MergeShards) into the byte-identical Mine answer. The units
+	// decomposition into static task units. A distributed coordinator
+	// runs the plan through Lease, Mine's own range loop, leasing
+	// contiguous shards of units to workers that mine them with
+	// Plan.MineShard, and gets the byte-identical Mine answer. The units
 	// and their order are a pure function of (d, opts), so two processes
 	// that agree on the dataset bytes agree on the decomposition.
 	// Units = 0 means the root answered the run; a plan whose Root is
@@ -258,8 +259,10 @@ const (
 	// PhaseIteration is a periodic progress tick: one fusion iteration,
 	// one Apriori level, or ProgressStride DFS nodes.
 	PhaseIteration Phase = "iteration"
-	// PhaseDone is emitted once after mining completes (also when
-	// canceled).
+	// PhaseDone is emitted once by Run after mining completes (also
+	// when canceled), so every Mine and every coordinated job (Lease)
+	// ends with exactly one; a shard lease (MineShard) emits neither
+	// start nor done.
 	PhaseDone Phase = "done"
 	// PhaseShardLeased is emitted by a distributed coordinator when a
 	// task-block shard is leased to a peer worker.

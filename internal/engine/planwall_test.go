@@ -97,10 +97,10 @@ var shardPlanWall = map[string]int{
 }
 
 // TestShardPlanWall pins each miner's decomposition on the hash wall
-// workloads: the unit count above, and that the coordinator's merge
-// reproduces the miner's hashWall entry — the root's own answer for a
-// plan of no units, and the shards of a 1-, 2- and 3-way split (as far
-// as the unit count allows) otherwise.
+// workloads: the unit count above, and that the coordinator's range loop
+// (engine.Lease, with every shard mined by a worker-side MineShard)
+// reproduces the miner's hashWall entry for 1, 2 and 3 shards — the
+// root's own answer, leasing nothing, for a plan of no units.
 func TestShardPlanWall(t *testing.T) {
 	ctx := context.Background()
 	for _, name := range shardedMiners {
@@ -126,31 +126,10 @@ func TestShardPlanWall(t *testing.T) {
 			if units != want {
 				t.Errorf("%s: %d task units, want %d", key, units, want)
 			}
-			if units == 0 {
-				merged, err := plan.MergeShards([]*engine.Report{plan.Root})
-				if err != nil {
-					t.Fatalf("%s: MergeShards of the root: %v", key, err)
-				}
-				if got := engine.ReportHash(merged); got != hashWall[key] {
-					t.Errorf("%s: root answer %s, want %s", key, got, hashWall[key])
-				}
-				continue
-			}
 			for n := 1; n <= 3; n++ {
-				var parts []*engine.Report
-				for _, r := range splitRanges(units, n) {
-					part, err := plan.MineShard(ctx, r[0], r[1])
-					if err != nil {
-						t.Fatalf("%s: MineShard[%d,%d): %v", key, r[0], r[1], err)
-					}
-					parts = append(parts, part)
-				}
-				merged, err := plan.MergeShards(parts)
-				if err != nil {
-					t.Fatalf("%s: MergeShards over %d parts: %v", key, n, err)
-				}
+				merged := leaseLocally(t, alg, w.d(), opts, n, units)
 				if got := engine.ReportHash(merged); got != hashWall[key] {
-					t.Errorf("%s: %d-way split merged to %s, want %s", key, n, got, hashWall[key])
+					t.Errorf("%s: %d-way lease merged to %s, want %s", key, n, got, hashWall[key])
 				}
 			}
 		}

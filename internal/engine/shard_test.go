@@ -6,6 +6,7 @@ package engine_test
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"repro/internal/datagen"
@@ -20,25 +21,48 @@ import (
 // and levels are globally coupled.
 var shardedMiners = engine.Names()
 
-// splitRanges cuts [0, units) into n contiguous ranges with the same
-// formula the Tasks scheduler (and the coordinator's shard planner) uses.
-func splitRanges(units, n int) [][2]int {
-	if n > units {
-		n = units
+// leaseLocally is a coordinator whose workers are in process: it runs
+// engine.Lease over n shards, each mined as a worker mines a lease — a
+// plan of its own, then MineShard — and returns the merged answer. It
+// fails the test unless the leased shards tile [0, units) in
+// contiguous blocks of near-equal size, min(n, units) of them.
+func leaseLocally(t *testing.T, alg engine.Algorithm, d *dataset.Dataset, opts engine.Options, n, units int) *engine.Report {
+	t.Helper()
+	var mu sync.Mutex
+	leased := map[int]engine.Shard{}
+	rep, err := engine.Lease(context.Background(), alg, d, opts, n, func(ctx context.Context, s engine.Shard) (*engine.Report, error) {
+		mu.Lock()
+		leased[s.Index] = s
+		mu.Unlock()
+		plan, err := alg.Plan(ctx, d, opts)
+		if err != nil {
+			return nil, err
+		}
+		return plan.MineShard(ctx, s.Lo, s.Hi, s.Units)
+	})
+	if err != nil {
+		t.Fatalf("%s: %d-way lease: %v", alg.Name(), n, err)
 	}
-	var out [][2]int
-	for i := 0; i < n; i++ {
-		lo, hi := i*units/n, (i+1)*units/n
-		if lo < hi {
-			out = append(out, [2]int{lo, hi})
+	if len(leased) != min(n, units) {
+		t.Fatalf("%s: %d-way lease of %d units leased %d shards", alg.Name(), n, units, len(leased))
+	}
+	for i, lo := 0, 0; i < len(leased); i++ {
+		s := leased[i]
+		size := s.Hi - s.Lo
+		if s.Lo != lo || s.Count != len(leased) || s.Units != units || size < units/len(leased) || size > units/len(leased)+1 {
+			t.Fatalf("%s: shard %d of a %d-way lease of %d units is %+v", alg.Name(), i, n, units, s)
+		}
+		lo = s.Hi
+		if i == len(leased)-1 && lo != units {
+			t.Fatalf("%s: %d-way lease of %d units ends at %d", alg.Name(), n, units, lo)
 		}
 	}
-	return out
+	return rep
 }
 
 // TestShardConformance pins the plan contract on the same workloads
 // the parallelism conformance test uses: for every miner and every
-// shard count, one plan's MergeShards over its MineShard parts must be
+// shard count, a Lease whose shards are mined by MineShard must be
 // byte-identical to the single-node Mine.
 func TestShardConformance(t *testing.T) {
 	workloads := []struct {
@@ -71,18 +95,7 @@ func TestShardConformance(t *testing.T) {
 					t.Fatalf("Units = %d on a non-degenerate workload", plan.Units)
 				}
 				for _, n := range []int{1, 2, 3, 7} {
-					var parts []*engine.Report
-					for _, r := range splitRanges(plan.Units, n) {
-						part, err := plan.MineShard(ctx, r[0], r[1])
-						if err != nil {
-							t.Fatalf("MineShard[%d,%d): %v", r[0], r[1], err)
-						}
-						parts = append(parts, part)
-					}
-					merged, err := plan.MergeShards(parts)
-					if err != nil {
-						t.Fatalf("MergeShards over %d parts: %v", n, err)
-					}
+					merged := leaseLocally(t, alg, w.d(), opts, n, plan.Units)
 					if got := string(engine.EncodeReport(merged)); got != want {
 						t.Fatalf("%d shards diverged from single-node:\n%s\n%s", n, got, want)
 					}
@@ -93,7 +106,8 @@ func TestShardConformance(t *testing.T) {
 }
 
 // TestShardValidation pins the uniform Plan and MineShard precondition
-// checks.
+// checks: a range outside the plan or a unit count other than the
+// plan's is refused.
 func TestShardValidation(t *testing.T) {
 	d := datagen.DiagPlus(12, 6, 11)
 	opts := conformanceOpts()
@@ -103,9 +117,10 @@ func TestShardValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range [][2]int{{-1, 1}, {0, plan.Units + 1}, {2, 2}, {3, 1}} {
-			if _, err := plan.MineShard(context.Background(), r[0], r[1]); err == nil {
-				t.Errorf("%s: MineShard[%d,%d) with %d units accepted", name, r[0], r[1], plan.Units)
+		u := plan.Units
+		for _, r := range [][3]int{{-1, 1, u}, {0, u + 1, u}, {2, 2, u}, {3, 1, u}, {0, 1, u + 1}} {
+			if _, err := plan.MineShard(context.Background(), r[0], r[1], r[2]); err == nil {
+				t.Errorf("%s: MineShard[%d,%d) of %d with %d units accepted", name, r[0], r[1], r[2], u)
 			}
 		}
 		neg := opts

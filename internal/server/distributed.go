@@ -1,12 +1,13 @@
 // Distributed execution: a pfserve started with peers is a coordinator.
-// It splits a job into task-block shards on the miner's own static
-// decomposition (engine.Algorithm's Plan), leases each shard to a peer
-// worker over the standard job API, and merges the partial reports into
-// a Report byte-identical to the single-node answer. Failed leases are
-// retried on other peers; a peer that fails repeatedly is quarantined
-// for the rest of the job. A globally coupled run (fusion, apriori) is
-// one unit, so it leases as one shard; a degenerate plan (no units) is
-// answered from the coordinator's own root work and leases nothing.
+// It runs a job through engine.Lease — Mine's own range loop, merge and
+// Run bracket — with each task-block shard of the miner's plan leased to
+// a peer worker over the standard job API instead of mined in process,
+// so the merged Report is byte-identical to the single-node answer. A
+// failed lease is retried on the next peer; a peer that fails
+// repeatedly is quarantined for the rest of the job. A globally coupled
+// run (fusion, apriori) is one unit, so it leases as one shard; a
+// degenerate plan (no units) or one canceled during its root work is
+// answered from the coordinator's own root and leases nothing.
 
 package server
 
@@ -16,78 +17,19 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
 )
 
-// shardPlan cuts units task units into at most slots contiguous shards of
-// near-equal size, so a shard boundary is always a task-unit boundary —
-// the invariant that makes the merged result byte-identical to the
-// single-node run.
-func shardPlan(units, slots int) []ShardSpec {
-	n := slots
-	if n > units {
-		n = units
-	}
-	if n < 1 {
-		n = 1
-	}
-	out := make([]ShardSpec, 0, n)
-	for i := 0; i < n; i++ {
-		lo, hi := i*units/n, (i+1)*units/n
-		if lo < hi {
-			out = append(out, ShardSpec{Lo: lo, Hi: hi, Units: units})
-		}
-	}
-	return out
-}
-
-func shardLabel(idx, total int) string { return fmt.Sprintf("%d/%d", idx+1, total) }
-
-// mineDistributed fans one job out across the configured peers and
-// merges the results. The observer receives the coordinator's own
-// lifecycle events (start, shard-leased/done/retry, done) interleaved
-// with the peers' forwarded event streams, each tagged with its shard
-// and peer.
+// mineDistributed runs one job on the configured peers: up to
+// ShardsPerPeer shards per peer, each leased by leaseShard. The observer
+// receives the coordinator's own events (start and done from the
+// engine's Run bracket, shard-leased/done/retry from the leases)
+// interleaved with the peers' forwarded event streams, each tagged with
+// its shard and peer.
 func (m *Manager) mineDistributed(ctx context.Context, j *Job, alg engine.Algorithm, d *dataset.Dataset, opts engine.Options) (*engine.Report, error) {
-	obs := opts.Observer
-	obs.Emit(engine.Event{Algorithm: alg.Name(), Phase: engine.PhaseStart})
-	// The coordinator emits its own lifecycle events; the plan below and
-	// its merge, which brackets with engine.Run, run unobserved.
-	opts.Observer = nil
-
-	// The one plan both cuts the shards and merges them.
-	plan, err := alg.Plan(ctx, d, opts)
-	if err != nil {
-		return nil, err
-	}
-	if plan.Root.Stopped {
-		// Canceled while planning: the unit count is truncated, so
-		// there is nothing to shard or salvage.
-		return &engine.Report{Algorithm: alg.Name(), Stopped: true}, nil
-	}
-	answer := func(rep *engine.Report) (*engine.Report, error) {
-		ev := engine.Event{Algorithm: alg.Name(), Phase: engine.PhaseDone,
-			Iteration: rep.Iterations, PoolSize: len(rep.Patterns)}
-		if ev.Iteration == 0 {
-			ev.Iteration = rep.Visited
-		}
-		obs.Emit(ev)
-		return rep, nil
-	}
-	if plan.Units == 0 {
-		// The root answered the run: there is nothing to lease.
-		rep, err := plan.MergeShards([]*engine.Report{plan.Root})
-		if err != nil {
-			return nil, err
-		}
-		return answer(rep)
-	}
-	shards := shardPlan(plan.Units, len(m.cfg.Peers)*m.cfg.ShardsPerPeer)
-
 	// Ship the materialized dataset (transforms already applied) by
 	// content hash: peers that already hold pf-<hash> skip the upload.
 	var buf bytes.Buffer
@@ -100,144 +42,61 @@ func (m *Manager) mineDistributed(ctx context.Context, j *Job, alg engine.Algori
 
 	peers := make([]*peerClient, len(m.cfg.Peers))
 	for i, u := range m.cfg.Peers {
-		peers[i] = newPeerClient(u, m.cfg.PeerAPIKey)
+		peers[i] = newPeerClient(u, m.cfg.PeerAPIKey, m.cfg.ShardsPerPeer)
 	}
-
-	runCtx, cancelRun := context.WithCancel(ctx)
-	defer cancelRun()
-
-	totalSlots := len(peers) * m.cfg.ShardsPerPeer
-	var (
-		mu        sync.Mutex
-		parts     = make([]*engine.Report, len(shards))
-		attempts  = make([]int, len(shards))
-		remaining = len(shards)
-		liveSlots = totalSlots
-		fatal     error
-	)
-	// Each shard is in flight or queued exactly once; capacity covers
-	// every retry requeue plus one hand-back per retiring slot.
-	pending := make(chan int, len(shards)*(m.cfg.ShardRetries+1)+totalSlots)
-	done := make(chan struct{})
-	var closeOnce sync.Once
-	finish := func() { closeOnce.Do(func() { close(done) }) }
-	fail := func(err error) {
-		mu.Lock()
-		if fatal == nil {
-			fatal = err
+	obs := opts.Observer
+	// Shard i is first offered to peer i mod N, and each retry to the
+	// next peer, so the shards spread evenly and a retry moves on.
+	return engine.Lease(ctx, alg, d, opts, len(peers)*m.cfg.ShardsPerPeer, func(ctx context.Context, s engine.Shard) (*engine.Report, error) {
+		for attempt := 1; ; attempt++ {
+			pc, err := acquirePeer(ctx, peers, s.Index+attempt-1)
+			if err != nil {
+				return nil, err
+			}
+			rep, err := m.leaseShard(ctx, pc, j, s, dsName, data, obs)
+			pc.release()
+			if err == nil {
+				pc.noteSuccess()
+				return rep, nil
+			}
+			pc.noteFailure()
+			if ctx.Err() != nil {
+				return nil, ctx.Err()
+			}
+			if attempt > m.cfg.ShardRetries {
+				return nil, fmt.Errorf("server: shard %s failed after %d attempts: %w", s, attempt, err)
+			}
+			m.metrics.ShardsTotal.Inc("retried")
+			obs.Emit(engine.Event{Algorithm: alg.Name(), Phase: engine.PhaseShardRetry,
+				Shard: s.String(), Peer: pc.base})
 		}
-		mu.Unlock()
-		cancelRun()
-		finish()
-	}
-	for i := range shards {
-		pending <- i
-	}
+	})
+}
 
-	// One goroutine per lease slot (ShardsPerPeer slots per peer), each
-	// pulling shards off the one shared queue — engine.Tasks' shared
-	// counter, across peers.
-	var wg sync.WaitGroup
-	for _, pc := range peers {
-		for s := 0; s < m.cfg.ShardsPerPeer; s++ {
-			wg.Add(1)
-			go func(pc *peerClient) {
-				defer wg.Done()
-				for {
-					select {
-					case <-done:
-						return
-					case <-runCtx.Done():
-						return
-					case idx := <-pending:
-						if pc.quarantined() {
-							// Hand the lease back and retire this slot; when
-							// no slots remain, no peer can make progress.
-							pending <- idx
-							mu.Lock()
-							liveSlots--
-							dead := liveSlots == 0
-							mu.Unlock()
-							if dead {
-								fail(fmt.Errorf("server: all %d peers are unavailable", len(peers)))
-							}
-							return
-						}
-						rep, err := m.leaseShard(runCtx, pc, j, shards[idx], idx, len(shards), dsName, data, obs)
-						if err != nil {
-							pc.noteFailure()
-							if runCtx.Err() != nil {
-								return
-							}
-							mu.Lock()
-							attempts[idx]++
-							a := attempts[idx]
-							mu.Unlock()
-							if a > m.cfg.ShardRetries {
-								fail(fmt.Errorf("server: shard %s failed after %d attempts: %w",
-									shardLabel(idx, len(shards)), a, err))
-								return
-							}
-							m.metrics.ShardsTotal.Inc("retried")
-							obs.Emit(engine.Event{Algorithm: alg.Name(), Phase: engine.PhaseShardRetry,
-								Shard: shardLabel(idx, len(shards)), Peer: pc.base})
-							pending <- idx
-							continue
-						}
-						pc.noteSuccess()
-						mu.Lock()
-						parts[idx] = rep
-						remaining--
-						last := remaining == 0
-						mu.Unlock()
-						if last {
-							finish()
-						}
-					}
-				}
-			}(pc)
-		}
-	}
-
-	select {
-	case <-done:
-	case <-ctx.Done():
-	}
-	cancelRun()
-	wg.Wait()
-
-	mu.Lock()
-	ferr := fatal
-	mu.Unlock()
-	if ferr != nil && ctx.Err() == nil {
-		return nil, ferr
-	}
-
-	if ctx.Err() != nil {
-		// Canceled or timed out: salvage the completed shards, in shard
-		// order, marked partial — same contract as a canceled local run.
-		var got []*engine.Report
-		for _, p := range parts {
-			if p != nil {
-				got = append(got, p)
+// acquirePeer takes a lease slot on the first peer, from peers[from mod
+// N] on, that is not quarantined, waiting until that peer has a free
+// slot; a peer quarantined during the wait is passed over. It fails
+// when every peer is quarantined.
+func acquirePeer(ctx context.Context, peers []*peerClient, from int) (*peerClient, error) {
+	for {
+		var pc *peerClient
+		for k := range peers {
+			if c := peers[(from+k)%len(peers)]; !c.quarantined() {
+				pc = c
+				break
 			}
 		}
-		if len(got) == 0 {
-			return &engine.Report{Algorithm: alg.Name(), Stopped: true}, nil
+		if pc == nil {
+			return nil, fmt.Errorf("server: all %d peers are unavailable", len(peers))
 		}
-		rep, err := plan.MergeShards(got)
-		if err != nil {
+		if err := pc.acquire(ctx); err != nil {
 			return nil, err
 		}
-		rep.Stopped = true
-		return rep, nil
+		if !pc.quarantined() {
+			return pc, nil
+		}
+		pc.release()
 	}
-
-	rep, err := plan.MergeShards(parts)
-	if err != nil {
-		return nil, err
-	}
-	return answer(rep)
 }
 
 // leaseShard runs one lease attempt: ship the dataset if the peer lacks
@@ -245,13 +104,13 @@ func (m *Manager) mineDistributed(ctx context.Context, j *Job, alg engine.Algori
 // fetch the partial report. A Stopped partial — the peer's deadline or
 // shutdown truncated the shard — is a lease failure: merging it would
 // silently break byte-identity with the single-node run.
-func (m *Manager) leaseShard(ctx context.Context, pc *peerClient, j *Job, sh ShardSpec, idx, total int, dsName string, data []byte, obs engine.Observer) (*engine.Report, error) {
+func (m *Manager) leaseShard(ctx context.Context, pc *peerClient, j *Job, s engine.Shard, dsName string, data []byte, obs engine.Observer) (*engine.Report, error) {
 	if m.cfg.ShardTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, m.cfg.ShardTimeout)
 		defer cancel()
 	}
-	label := shardLabel(idx, total)
+	label := s.String()
 	m.metrics.ShardsInFlight.Inc()
 	defer m.metrics.ShardsInFlight.Dec()
 	start := time.Now()
@@ -269,13 +128,12 @@ func (m *Manager) leaseShard(ctx context.Context, pc *peerClient, j *Job, sh Sha
 		m.metrics.ShardUploads.Inc("hit")
 	}
 
-	shard := sh
 	spec := JobSpec{
 		Algorithm: j.Spec.Algorithm,
 		Dataset:   DatasetSpec{Catalog: dsName},
 		Options:   j.Spec.Options,
 		TimeoutMS: j.Spec.TimeoutMS,
-		Shard:     &shard,
+		Shard:     &ShardSpec{Lo: s.Lo, Hi: s.Hi, Units: s.Units},
 	}
 	rep, err := pc.runJob(ctx, spec, func(e engine.Event) {
 		e.Shard, e.Peer = label, pc.base

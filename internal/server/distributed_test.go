@@ -8,6 +8,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -83,29 +84,79 @@ func awaitReport(t *testing.T, m *Manager, id string) *engine.Report {
 	}
 }
 
-// singleNodeHashes mines the conformance workload locally (no peers)
-// once per algorithm and returns the canonical report hashes.
-func singleNodeHashes(t *testing.T) map[string]string {
+// singleNodeReports mines the conformance workload locally (no peers)
+// once per algorithm and returns the reports and their event logs.
+func singleNodeReports(t *testing.T) (map[string]*engine.Report, map[string][]engine.Event) {
 	t.Helper()
 	single := NewManager(Config{Workers: 2})
 	t.Cleanup(single.Close)
-	want := make(map[string]string)
+	reps := make(map[string]*engine.Report)
+	events := make(map[string][]engine.Event)
 	for _, alg := range distAlgorithms {
 		j, err := single.Submit(distSpec(alg), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
-		want[alg] = engine.ReportHash(awaitReport(t, single, j.ID))
+		reps[alg] = awaitReport(t, single, j.ID)
+		events[alg], _, _ = single.EventsSince(j, 0)
+	}
+	return reps, events
+}
+
+// singleNodeHashes is singleNodeReports reduced to the report hashes.
+func singleNodeHashes(t *testing.T) map[string]string {
+	t.Helper()
+	reps, _ := singleNodeReports(t)
+	want := make(map[string]string)
+	for alg, rep := range reps {
+		want[alg] = engine.ReportHash(rep)
 	}
 	return want
 }
 
-// TestDistributedConformance pins the distributed guarantee: 1
-// coordinator with N workers ≡ single node, byte for byte, for every
-// algorithm at N ∈ {1, 2, 3}, each leased as task-block shards of its
-// plan — fusion and apriori as one shard of one unit.
+// eventShape checks that a job's event log has a local run's shape:
+// exactly one untagged start, first, and exactly one untagged done,
+// last. Forwarded peer events and the coordinator's lease events carry
+// shard and peer tags and do not count.
+func eventShape(events []engine.Event) error {
+	starts, dones := 0, 0
+	for _, e := range events {
+		if e.Shard != "" || e.Peer != "" {
+			continue
+		}
+		switch e.Phase {
+		case engine.PhaseStart:
+			starts++
+		case engine.PhaseDone:
+			dones++
+		}
+	}
+	switch first, last := events[0], events[len(events)-1]; {
+	case starts != 1 || dones != 1:
+		return fmt.Errorf("%d untagged start and %d untagged done events, want 1 and 1", starts, dones)
+	case first.Phase != engine.PhaseStart || first.Shard != "":
+		return fmt.Errorf("first event is %+v, want the untagged start", first)
+	case last.Phase != engine.PhaseDone || last.Shard != "":
+		return fmt.Errorf("last event is %+v, want the untagged done", last)
+	}
+	return nil
+}
+
+// TestDistributedConformance is the differential test of a coordinated
+// job against a local one: for every algorithm at N ∈ {1, 2, 3}
+// workers, each leased as task-block shards of its plan (fusion and
+// apriori as one shard of one unit), the Report hash and Quality equal
+// the single-node run's and the event log has the local shape. A
+// coordinated job canceled while its peer holds a shard (the peer
+// stalls the shard's event stream) ends canceled and partial with the
+// same shape: its one done comes last.
 func TestDistributedConformance(t *testing.T) {
-	want := singleNodeHashes(t)
+	local, localEvents := singleNodeReports(t)
+	for _, alg := range distAlgorithms {
+		if err := eventShape(localEvents[alg]); err != nil {
+			t.Fatalf("%s single-node: %v", alg, err)
+		}
+	}
 	for _, n := range []int{1, 2, 3} {
 		coord := NewManager(Config{Workers: 2, Peers: startWorkers(t, n)})
 		t.Cleanup(coord.Close)
@@ -115,9 +166,54 @@ func TestDistributedConformance(t *testing.T) {
 				t.Fatalf("%s: %v", alg, err)
 			}
 			rep := awaitReport(t, coord, j.ID)
-			if got := engine.ReportHash(rep); got != want[alg] {
-				t.Errorf("%s with %d workers: report hash %s, want %s", alg, n, got, want[alg])
+			if got, want := engine.ReportHash(rep), engine.ReportHash(local[alg]); got != want {
+				t.Errorf("%s with %d workers: report hash %s, want %s", alg, n, got, want)
 			}
+			if got, want := fmt.Sprint(rep.Quality), fmt.Sprint(local[alg].Quality); got != want {
+				t.Errorf("%s with %d workers: Quality %s, want %s", alg, n, got, want)
+			}
+			events, _, _ := coord.EventsSince(j, 0)
+			if err := eventShape(events); err != nil {
+				t.Errorf("%s with %d workers: %v", alg, n, err)
+			}
+		}
+	}
+
+	inner := NewManager(Config{Workers: 2})
+	stall := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/events") {
+			<-r.Context().Done() // hold the shard until the lease is abandoned
+			return
+		}
+		Handler(inner).ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		stall.Close()
+		inner.Close()
+	})
+	coord := NewManager(Config{Workers: 2, Peers: []string{stall.URL}})
+	t.Cleanup(coord.Close)
+	for _, alg := range distAlgorithms {
+		j, err := coord.Submit(distSpec(alg), nil)
+		if err != nil {
+			t.Fatalf("%s: %v", alg, err)
+		}
+		for leased := false; !leased; time.Sleep(time.Millisecond) {
+			events, _, _ := coord.EventsSince(j, 0)
+			for _, e := range events {
+				leased = leased || e.Phase == engine.PhaseShardLeased
+			}
+			if s := coord.Snapshot(j); s.State.Terminal() {
+				t.Fatalf("%s: job ended %s before any lease", alg, s.State)
+			}
+		}
+		coord.Cancel(j.ID)
+		if s := awaitTerminal(t, coord, j.ID); s.State != StateCanceled || !s.Stopped {
+			t.Errorf("%s canceled: job ended %s (stopped %v, error %q), want canceled and stopped", alg, s.State, s.Stopped, s.Error)
+		}
+		events, _, _ := coord.EventsSince(j, 0)
+		if err := eventShape(events); err != nil {
+			t.Errorf("%s canceled: %v", alg, err)
 		}
 	}
 }
@@ -338,7 +434,8 @@ func TestDistributedRejectsWrongAlgorithm(t *testing.T) {
 // never failed. A plan canceled mid-root carries a truncated unit count
 // (closedrows' dispatcher and seqfusion's pool poll ctx): a lease
 // comparing it with the coordinator's count would report a spurious
-// drift, and a coordinator must not cut shards from it.
+// drift, and a coordinator must not cut shards from it. The
+// coordinator's partial answer is the local run's: the root's own.
 func TestShardLeaseCanceledDuringRoot(t *testing.T) {
 	worker := NewManager(Config{Workers: 2})
 	t.Cleanup(worker.Close)
@@ -370,7 +467,14 @@ func TestShardLeaseCanceledDuringRoot(t *testing.T) {
 				j := &Job{JobRecord: JobRecord{Spec: spec}}
 				rep, err := coord.mine(minertest.CancelAfter(k), j)
 				if err != nil || !rep.Stopped {
-					t.Errorf("%s, cancel after %d polls: coordinator returned %v, err %v; want a stopped report", alg, k, rep, err)
+					t.Fatalf("%s, cancel after %d polls: coordinator returned %v, err %v; want a stopped report", alg, k, rep, err)
+				}
+				local, err := s.Mine(minertest.CancelAfter(k), d, spec.Options)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := engine.ReportHash(rep), engine.ReportHash(local); got != want {
+					t.Errorf("%s, cancel after %d polls: coordinator answered %s, the local run %s", alg, k, got, want)
 				}
 				for _, e := range j.events {
 					if e.Phase == engine.PhaseShardLeased {

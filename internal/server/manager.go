@@ -662,17 +662,9 @@ func (m *Manager) mine(ctx context.Context, j *Job) (rep *engine.Report, err err
 		if err != nil {
 			return nil, err
 		}
-		if plan.Root.Stopped {
-			// Canceled during the root work: the unit count is truncated,
-			// so the lease ends partial, like any canceled run.
-			return &engine.Report{Algorithm: alg.Name(), Stopped: true}, nil
-		}
-		if plan.Units != sh.Units {
-			return nil, fmt.Errorf("server: shard units mismatch: coordinator planned %d, this worker computed %d (dataset or version drift)", sh.Units, plan.Units)
-		}
-		return plan.MineShard(ctx, sh.Lo, sh.Hi)
+		return plan.MineShard(ctx, sh.Lo, sh.Hi, sh.Units)
 	}
-	if j.Spec.Shard == nil && len(m.cfg.Peers) > 0 {
+	if len(m.cfg.Peers) > 0 {
 		return m.mineDistributed(ctx, j, alg, d, opts)
 	}
 	return alg.Mine(ctx, d, opts)

@@ -26,13 +26,30 @@ type peerClient struct {
 	key  string
 	hc   *http.Client
 
+	slots chan struct{} // one token per lease held, at most ShardsPerPeer
+
 	mu    sync.Mutex
 	fails int // consecutive lease failures
 }
 
-func newPeerClient(base, key string) *peerClient {
-	return &peerClient{base: strings.TrimRight(base, "/"), key: key, hc: &http.Client{}}
+func newPeerClient(base, key string, slots int) *peerClient {
+	return &peerClient{base: strings.TrimRight(base, "/"), key: key, hc: &http.Client{},
+		slots: make(chan struct{}, slots)}
 }
+
+// acquire takes one of the peer's lease slots, waiting until one is free
+// or ctx ends.
+func (p *peerClient) acquire(ctx context.Context) error {
+	select {
+	case p.slots <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// release returns a slot taken by acquire.
+func (p *peerClient) release() { <-p.slots }
 
 func (p *peerClient) noteFailure() {
 	p.mu.Lock()

@@ -31,8 +31,8 @@ type JobSpec struct {
 	// distributed run (see the coordinator in distributed.go). Shard jobs
 	// always execute locally — a worker never re-distributes leased work —
 	// and return the merged answer of task units [Lo, Hi) (in the miner's
-	// merge order, unbracketed; the coordinator merges the shards'
-	// answers).
+	// merge order, unbracketed, without the root's patterns; the
+	// coordinator merges its own root's answer and the shards').
 	Shard *ShardSpec `json:"shard,omitempty"`
 	// Monitor, when set, names the catalog dataset whose append monitor
 	// submitted this job; on completion the manager folds the result back

@@ -124,7 +124,7 @@ func TestResultsSortedBySupport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := plan.MineShard(context.Background(), 0, plan.Units)
+	res, err := plan.MineShard(context.Background(), 0, plan.Units, plan.Units)
 	if err != nil {
 		t.Fatal(err)
 	}
