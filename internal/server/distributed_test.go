@@ -60,24 +60,30 @@ func distSpec(alg string) JobSpec {
 // failing the test on any terminal state but done.
 func awaitReport(t *testing.T, m *Manager, id string) *engine.Report {
 	t.Helper()
+	if snap := awaitTerminal(t, m, id); snap.State != StateDone {
+		t.Fatalf("job %s ended %s: %s", id, snap.State, snap.Error)
+	}
+	j, _ := m.Get(id)
+	rep, ok := m.Report(j)
+	if !ok {
+		t.Fatalf("job %s done without a report", id)
+	}
+	return rep
+}
+
+// awaitTerminal polls the job until it is terminal and returns its
+// snapshot, whatever the end state.
+func awaitTerminal(t *testing.T, m *Manager, id string) Snapshot {
+	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		j, ok := m.Get(id)
 		if !ok {
 			t.Fatalf("job %s disappeared", id)
 		}
-		snap := m.Snapshot(j)
-		if snap.State.Terminal() {
-			if snap.State != StateDone {
-				t.Fatalf("job %s ended %s: %s", id, snap.State, snap.Error)
-			}
-			rep, ok := m.Report(j)
-			if !ok {
-				t.Fatalf("job %s done without a report", id)
-			}
-			return rep
-		}
-		if time.Now().After(deadline) {
+		if snap := m.Snapshot(j); snap.State.Terminal() {
+			return snap
+		} else if time.Now().After(deadline) {
 			t.Fatalf("job %s still %s after 60s", id, snap.State)
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -180,12 +186,13 @@ func TestDistributedConformance(t *testing.T) {
 	}
 
 	inner := NewManager(Config{Workers: 2})
+	h := Handler(inner)
 	stall := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasSuffix(r.URL.Path, "/events") {
 			<-r.Context().Done() // hold the shard until the lease is abandoned
 			return
 		}
-		Handler(inner).ServeHTTP(w, r)
+		h.ServeHTTP(w, r)
 	}))
 	t.Cleanup(func() {
 		stall.Close()
@@ -495,25 +502,6 @@ func TestShardLeaseCanceledDuringRoot(t *testing.T) {
 		if !stoppedInRoot[alg] {
 			t.Errorf("%s: no cancellation landed in the root work", alg)
 		}
-	}
-}
-
-// awaitTerminal polls the job until it is terminal and returns its
-// snapshot, whatever the end state.
-func awaitTerminal(t *testing.T, m *Manager, id string) Snapshot {
-	t.Helper()
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		j, ok := m.Get(id)
-		if !ok {
-			t.Fatalf("job %s disappeared", id)
-		}
-		if snap := m.Snapshot(j); snap.State.Terminal() {
-			return snap
-		} else if time.Now().After(deadline) {
-			t.Fatalf("job %s still %s after 60s", id, snap.State)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 
