@@ -50,16 +50,21 @@
 // A sparse seed is written densely once per ball scan (ballOf), so its
 // sparse candidates — most pairs on market-basket data — probe their
 // elements against the seed's words instead of running a sorted merge.
-// Each worker owns a fuseScratch (reused ball, the seed's dense copy,
-// shuffle order, working TID set, double-buffered itemset union, vertical
-// dataset.Closer), and all dedup maps are keyed by 128-bit
-// itemset.Fingerprint, so a fusion draw allocates only when it discovers
-// a new super-pattern. The two steps that dominated a draw are answered
-// from lookups: closing a fused pattern tests each item of its first
-// supporting transaction for column containment (dataset.Closer), and
-// skipping a ball member that adds no items reads an
-// item-stamp array mirroring the growing union, O(|member|) instead of a
-// sorted merge against the union. Bit-identity with the naive
+// Each worker owns a fuseScratch for one step (reused ball, the seed's
+// dense copy, shuffle order, working TID set, double-buffered itemset
+// union, vertical dataset.Closer and its memo), and all dedup maps are
+// keyed by 128-bit itemset.Fingerprint, so a fusion draw allocates only
+// when it discovers a new super-pattern. The steps that dominated a draw
+// are answered from lookups. Closing a fused pattern is a pure function
+// of its support set, and most draws of a step land on a support set the
+// worker has already closed, so closedOf memoises the closed pattern and
+// its fingerprint per distinct support set (found by tidset.Set.Hash,
+// confirmed by Equal); a miss tests each item of the first supporting
+// transaction for column containment (dataset.Closer). Skipping a ball
+// member that adds no items reads an item-stamp array mirroring the
+// growing union, O(|member|) instead of a sorted merge against the
+// union. Elitism selects its largest patterns by bounded insertion
+// instead of sorting the pool. Bit-identity with the naive
 // implementation is pinned by differential tests and by golden result
 // hashes (TestResultGoldenBitIdentical, dense and sparse fixtures).
 //
@@ -94,6 +99,9 @@ const (
 	// defaultInitPoolMaxSize bounds phase-1 pattern size when
 	// Options.InitPoolMaxSize is zero: the paper's "small size, e.g., 3".
 	defaultInitPoolMaxSize = 3
+	// patternBlock is how many of the closure memo's patterns one block
+	// allocation holds.
+	patternBlock = 64
 )
 
 // Knobs are the fusion design choices the paper leaves to the
@@ -297,14 +305,78 @@ func fusionStep(ctx context.Context, d *dataset.Dataset, pool []*dataset.Pattern
 	}
 	if p.Elitism > 0 {
 		// Shield the largest patterns found so far from seed-lottery death.
-		elite := append([]*dataset.Pattern(nil), pool...)
-		dataset.SortPatterns(elite)
-		if len(elite) > p.Elitism {
-			elite = elite[:p.Elitism]
-		}
-		next = append(next, elite...)
+		next = append(next, elite(pool, p.Elitism)...)
 	}
 	return dataset.DedupPatterns(next), false
+}
+
+// elite returns the first n (≥ 1) patterns of pool in dataset.SortPatterns'
+// order without sorting the pool: a bounded insertion keeps the n first
+// patterns seen so far, so a pattern that does not precede the current
+// n-th costs one comparison. dataset.ComparePatterns is total on a pool of
+// distinct itemsets, so the result is SortPatterns' prefix, pattern for
+// pattern.
+func elite(pool []*dataset.Pattern, n int) []*dataset.Pattern {
+	top := make([]*dataset.Pattern, 0, min(n, len(pool)))
+	for _, p := range pool {
+		if len(top) == n {
+			if dataset.ComparePatterns(p, top[n-1]) >= 0 {
+				continue
+			}
+			top = top[:n-1]
+		}
+		i := len(top)
+		top = append(top, p)
+		for ; i > 0 && dataset.ComparePatterns(p, top[i-1]) < 0; i-- {
+			top[i] = top[i-1]
+		}
+		top[i] = p
+	}
+	return top
+}
+
+// hashChains numbers entries 0, 1, … in order of addition and finds them
+// by a 64-bit hash. The entries that share a hash are chained, newest
+// first, and a lookup confirms each one with the caller's match, so a
+// hash collision costs a comparison, never a wrong entry.
+type hashChains struct {
+	next []int32          // next[e] is the previous entry with e's hash, or -1
+	head map[uint64]int32 // head[h] is the last entry with hash h
+}
+
+// reset forgets every entry, keeping the buffers.
+func (c *hashChains) reset() {
+	clear(c.head)
+	c.next = c.next[:0]
+}
+
+// find returns the newest entry with hash h that match accepts, or -1.
+func (c *hashChains) find(h uint64, match func(e int32) bool) int32 {
+	e, ok := c.head[h]
+	if !ok {
+		return -1
+	}
+	for ; e >= 0; e = c.next[e] {
+		if match(e) {
+			return e
+		}
+	}
+	return -1
+}
+
+// add appends an entry with hash h and returns its number.
+func (c *hashChains) add(h uint64) int32 {
+	if c.head == nil {
+		c.head = make(map[uint64]int32)
+	}
+	last, ok := c.head[h]
+	if !ok {
+		last = -1
+	}
+	e := int32(len(c.next))
+	c.next = append(c.next, last)
+	c.head[h] = e
+	return e
 }
 
 // supportClasses is a pool grouped by support set. Pattern distance
@@ -314,39 +386,25 @@ func fusionStep(ctx context.Context, d *dataset.Dataset, pool []*dataset.Pattern
 // indices, never patterns, so the buffers one mine reuses from step to
 // step keep no earlier pool alive.
 type supportClasses struct {
-	of   []int32          // of[i] is the class of pool[i]
-	reps []int32          // reps[c] is the pool index of class c's first pattern
-	next []int32          // next[c] is the previous class with c's hash, or -1
-	head map[uint64]int32 // head[h] is the last class with hash h
+	of     []int32    // of[i] is the class of pool[i]
+	reps   []int32    // reps[c] is the pool index of class c's first pattern
+	chains hashChains // the classes by tidset.Set.Hash of their support set
 }
 
 // group groups pool by support set, numbering the classes in order of
-// first appearance in pool (never in map order). Patterns are bucketed by
-// tidset.Set.Hash, and a bucket's classes are chained through next and
-// told apart by Equal, so a hash collision costs a comparison, never a
-// wrong class.
+// first appearance in pool (never in map order). Classes are found by
+// tidset.Set.Hash and told apart by Equal, so a hash collision costs a
+// comparison, never a wrong class.
 func (g *supportClasses) group(pool []*dataset.Pattern) {
-	if g.head == nil {
-		g.head = make(map[uint64]int32)
-	}
-	clear(g.head)
+	g.chains.reset()
 	g.of = slices.Grow(g.of[:0], len(pool))[:len(pool)]
-	g.reps, g.next = g.reps[:0], g.next[:0]
+	g.reps = g.reps[:0]
 	for i, p := range pool {
 		h := p.TIDs.Hash()
-		last, ok := g.head[h]
-		if !ok {
-			last = -1
-		}
-		c := last
-		for c >= 0 && !pool[g.reps[c]].TIDs.Equal(p.TIDs) {
-			c = g.next[c]
-		}
+		c := g.chains.find(h, func(c int32) bool { return pool[g.reps[c]].TIDs.Equal(p.TIDs) })
 		if c < 0 {
-			c = int32(len(g.reps))
+			c = g.chains.add(h)
 			g.reps = append(g.reps, int32(i))
-			g.next = append(g.next, last)
-			g.head[h] = c
 		}
 		g.of[i] = c
 	}
@@ -438,9 +496,10 @@ func ballThreshold(sa, sb int, radius float64) int {
 
 // fuseScratch holds the per-worker reusable buffers that make a fusion draw
 // allocation-free: the ball and its sample, the seed's dense copy, the
-// per-class ball verdicts, the shuffle order, the working TID set, the double-buffered itemset union
-// with its item-stamp mirror, the vertical closure, and the per-seed
-// supers map. One scratch is owned by exactly one worker goroutine.
+// per-class ball verdicts, the shuffle order, the working TID set, the
+// double-buffered itemset union with its item-stamp mirror, the vertical
+// closure with its memo, and the per-seed supers map. One scratch is owned
+// by exactly one worker goroutine and lives for one fusion step.
 type fuseScratch struct {
 	ball      []*dataset.Pattern
 	sample    []*dataset.Pattern
@@ -456,7 +515,13 @@ type fuseScratch struct {
 	stamp  []uint32
 	gen    uint32
 	closer *dataset.Closer
-	supers map[itemset.Fingerprint]super
+	// closed memoises closedOf for the scratch's step: closed[e] is entry
+	// e of closedIdx, found by the tidset.Set.Hash of its support set.
+	// Its patterns are carved from blocks in pats.
+	closed    []closedPattern
+	closedIdx hashChains
+	pats      []dataset.Pattern
+	supers    map[itemset.Fingerprint]super
 	// Arenas back the retained copies behind newly discovered
 	// super-patterns: per-pattern itemset/TID-set/header allocations
 	// become amortized block carves, the same trick the exact miners use.
@@ -471,6 +536,38 @@ type fuseScratch struct {
 type super struct {
 	p     *dataset.Pattern
 	fused int // |t_βi|: how many ball members were fused in
+}
+
+// closedPattern is a closed pattern with the fingerprint of its itemset.
+type closedPattern struct {
+	p  *dataset.Pattern
+	fp itemset.Fingerprint
+}
+
+// closedOf returns the closed pattern whose support set is tids (which
+// must be the support set of an itemset, and non-empty): its itemset is
+// the closure of tids and its TID-set a compact copy of tids, carved
+// with the pattern itself from the scratch's blocks. Closure is a pure
+// function of the support set, so the answer is memoised for the
+// scratch's step, and a later query with an Equal set — from this seed or
+// any other seed the worker fuses — returns the same pattern for a hash
+// and a comparison instead of the closure, the fingerprint and the
+// copies. The memo's answers do not depend on which seeds filled it, so
+// it keeps fusion deterministic at any parallelism.
+func (sc *fuseScratch) closedOf(tids *tidset.Set) closedPattern {
+	h := tids.Hash()
+	if e := sc.closedIdx.find(h, func(e int32) bool { return sc.closed[e].p.TIDs.Equal(tids) }); e >= 0 {
+		return sc.closed[e]
+	}
+	items := sc.itemArena.Copy(sc.closer.Closure(tids))
+	if len(sc.pats) == cap(sc.pats) {
+		sc.pats = make([]dataset.Pattern, 0, patternBlock)
+	}
+	sc.pats = append(sc.pats, *dataset.NewPatternCounted(items, sc.tidArena.CompactClone(tids), tids.Count()))
+	c := closedPattern{p: &sc.pats[len(sc.pats)-1], fp: items.Fingerprint()}
+	sc.closedIdx.add(h)
+	sc.closed = append(sc.closed, c)
+	return c
 }
 
 func newFuseScratch(d *dataset.Dataset) *fuseScratch {
@@ -552,18 +649,17 @@ func fuse(d *dataset.Dataset, seed *dataset.Pattern, ball []*dataset.Pattern, p 
 	supers := sc.supers
 	clear(supers)
 
-	// emit records a super-pattern candidate, cloning the scratch-backed
-	// items and tids only when the candidate is new; repeated draws landing
-	// on the same super-pattern (the common case late in a run) cost one
-	// fingerprint and a map probe, no allocation. Replaying a draw with a
-	// larger fused count keeps the existing pattern — identical itemsets
-	// have identical support sets (Lemma 1), so only the weight changes.
-	emit := func(items itemset.Itemset, tids *tidset.Set, sup, fused int) {
-		fp := items.Fingerprint()
+	// emit records the super-pattern pat, whose itemset has fingerprint fp,
+	// as a candidate that fused `fused` ball members. Repeated draws landing
+	// on the same super-pattern (the common case late in a run) cost a map
+	// probe. Replaying a draw with a larger fused count keeps the existing
+	// pattern — identical itemsets have identical support sets (Lemma 1),
+	// so only the weight changes.
+	emit := func(fp itemset.Fingerprint, pat *dataset.Pattern, fused int) {
 		prev, ok := supers[fp]
 		switch {
 		case !ok:
-			supers[fp] = super{p: dataset.NewPatternCounted(sc.itemArena.Copy(items), sc.tidArena.CompactClone(tids), sup), fused: fused}
+			supers[fp] = super{p: pat, fused: fused}
 		case fused > prev.fused:
 			prev.fused = fused
 			supers[fp] = prev
@@ -575,7 +671,8 @@ func fuse(d *dataset.Dataset, seed *dataset.Pattern, ball []*dataset.Pattern, p 
 	// colossal patterns (whose supersets are still frequent, so saturating
 	// merges would always run past them) get generated.
 	if p.CloseFused && !seed.TIDs.Empty() {
-		emit(sc.closer.Closure(seed.TIDs), seed.TIDs, seed.Support(), 0)
+		c := sc.closedOf(seed.TIDs)
+		emit(c.fp, c.p, 0)
 	}
 
 	if cap(sc.order) < len(ball) {
@@ -644,9 +741,18 @@ func fuse(d *dataset.Dataset, seed *dataset.Pattern, ball []*dataset.Pattern, p 
 		sc.itemsA, sc.itemsB = items, spare
 		if p.CloseFused && !tids.Empty() {
 			// Canonicalize to the closed pattern with the same support set.
-			items = sc.closer.Closure(tids)
+			c := sc.closedOf(tids)
+			emit(c.fp, c.p, fused)
+			continue
 		}
-		emit(items, tids, sup, fused)
+		// Unclosed, the union itself is the candidate: it is copied out of
+		// the scratch only when it is new to this seed.
+		fp := items.Fingerprint()
+		var pat *dataset.Pattern
+		if _, ok := supers[fp]; !ok {
+			pat = dataset.NewPatternCounted(sc.itemArena.Copy(items), sc.tidArena.CompactClone(tids), sup)
+		}
+		emit(fp, pat, fused)
 	}
 	out := make([]super, 0, len(supers))
 	for _, s := range supers {

@@ -328,9 +328,175 @@ func TestResultGoldenBitIdentical(t *testing.T) {
 	})
 }
 
+// TestClosureMemoMatchesClosure is the differential test for fuse's
+// closure memo: over random dense and sparse datasets, closedOf on the
+// support set of a random itemset — queried again and again, dense or
+// sparse, through one scratch as one step's draws do — must return
+// Dataset.Closure's itemset with that itemset's fingerprint and support,
+// over a TID-set Equal to the query, and a repeated query must be answered
+// by the memo, not by a second closure. Two unequal sets forced into one
+// hash chain must each get their own closure, so a lookup that trusts the
+// hash alone fails here.
+func TestClosureMemoMatchesClosure(t *testing.T) {
+	r := rng.New(43)
+	var queries, hits int
+	check := func(trial int, d *dataset.Dataset) {
+		t.Helper()
+		sc := newFuseScratch(d)
+		seen := make(map[string]*dataset.Pattern) // closed pattern by support set
+		for q := 0; q < 200; q++ {
+			raw := make([]int, 1+r.Intn(3))
+			for i := range raw {
+				raw[i] = r.Intn(d.NumItems())
+			}
+			alpha := itemset.Canonical(raw)
+			tids := d.TIDSet(alpha)
+			if tids.Empty() {
+				continue
+			}
+			if r.Intn(2) == 0 {
+				dense := tidset.New(d.Size())
+				dense.DenseCopyFrom(tids)
+				tids = dense
+			}
+			c := sc.closedOf(tids)
+			queries++
+			want := d.Closure(alpha)
+			if !c.p.Items.Equal(want) || c.fp != want.Fingerprint() {
+				t.Fatalf("trial %d: closure of %v's support set is %v, want %v", trial, alpha, c.p.Items, want)
+			}
+			if !c.p.TIDs.Equal(tids) || c.p.Support() != tids.Count() {
+				t.Fatalf("trial %d: closure of %v carries %d TIDs (support %d), not the query's %d",
+					trial, alpha, c.p.TIDs.Count(), c.p.Support(), tids.Count())
+			}
+			key := fmt.Sprint(tids.Indices())
+			if prev, ok := seen[key]; ok {
+				if c.p != prev {
+					t.Fatalf("trial %d: a repeated query for %v's support set was closed again", trial, alpha)
+				}
+				hits++
+			}
+			seen[key] = c.p
+		}
+		if len(sc.closed) != len(seen) {
+			t.Fatalf("trial %d: memo holds %d entries for %d distinct support sets", trial, len(sc.closed), len(seen))
+		}
+
+		// Force a collision: b's chain starts at a's entry, which the
+		// lookup must pass over.
+		sc = newFuseScratch(d)
+		var a, b *tidset.Set
+		var wantA, wantB itemset.Itemset
+		for it := 0; it < d.NumItems() && b == nil; it++ {
+			alpha := itemset.Itemset{it}
+			tids := d.TIDSet(alpha)
+			switch {
+			case tids.Empty():
+			case a == nil:
+				a, wantA = tids, d.Closure(alpha)
+			case !tids.Equal(a):
+				b, wantB = tids, d.Closure(alpha)
+			}
+		}
+		if b == nil {
+			return
+		}
+		ca := sc.closedOf(a)
+		sc.closedIdx.head[b.Hash()] = sc.closedIdx.head[a.Hash()]
+		cb := sc.closedOf(b)
+		if !cb.p.Items.Equal(wantB) || !cb.p.TIDs.Equal(b) {
+			t.Fatalf("trial %d: colliding set closed to %v, want %v", trial, cb.p.Items, wantB)
+		}
+		// Now a's chain starts at b's entry, whose chain goes on to a's.
+		sc.closedIdx.head[a.Hash()] = sc.closedIdx.head[b.Hash()]
+		if got := sc.closedOf(a); got.p != ca.p || !got.p.Items.Equal(wantA) {
+			t.Fatalf("trial %d: first set of a chain closed to %v, want its memoised %v", trial, got.p.Items, wantA)
+		}
+		if got := sc.closedOf(b); got.p != cb.p {
+			t.Fatalf("trial %d: second set of a chain was closed again", trial)
+		}
+		if len(sc.closed) != 2 {
+			t.Fatalf("trial %d: memo holds %d entries for 2 support sets", trial, len(sc.closed))
+		}
+	}
+	for trial := 0; trial < 20; trial++ {
+		nTxn := 10 + r.Intn(60)
+		nItems := 4 + r.Intn(12)
+		txns := make([][]int, nTxn)
+		for i := range txns {
+			for j := 1 + r.Intn(nItems); j > 0; j-- {
+				txns[i] = append(txns[i], r.Intn(nItems))
+			}
+		}
+		check(trial, dataset.MustNew(txns))
+	}
+	// Sparse trials: items occur in 0.5–12% of 320–640 rows, so most
+	// support sets are sparse and the dense copies of the queries are not.
+	for trial := 20; trial < 26; trial++ {
+		nTxn := 320 + r.Intn(320)
+		freq := make([]float64, 12+r.Intn(12))
+		for it := range freq {
+			freq[it] = 0.005 + 0.115*r.Float64()
+		}
+		txns := make([][]int, nTxn)
+		for i := range txns {
+			for it, f := range freq {
+				if r.Float64() < f {
+					txns[i] = append(txns[i], it)
+				}
+			}
+		}
+		check(trial, dataset.MustNew(txns))
+	}
+	if hits == 0 || hits == queries {
+		t.Fatalf("%d of %d queries repeated an earlier support set, want some but not all", hits, queries)
+	}
+}
+
+// TestEliteMatchesSort is the differential test for elitism's bounded
+// selection: on random pools of distinct itemsets whose sizes and
+// supports tie often, elite(pool, n) must be the first n patterns of a
+// sorted copy of the pool, pattern for pattern, for every n.
+func TestEliteMatchesSort(t *testing.T) {
+	r := rng.New(11)
+	for trial := 0; trial < 200; trial++ {
+		var pool []*dataset.Pattern
+		seen := make(map[string]bool)
+		for i := 1 + r.Intn(60); i > 0; i-- {
+			raw := make([]int, 1+r.Intn(3))
+			for j := range raw {
+				raw[j] = r.Intn(8)
+			}
+			items := itemset.Canonical(raw)
+			if seen[items.Key()] {
+				continue
+			}
+			seen[items.Key()] = true
+			pool = append(pool, dataset.NewPatternCounted(items, nil, 1+r.Intn(3)))
+		}
+		sorted := append([]*dataset.Pattern(nil), pool...)
+		dataset.SortPatterns(sorted)
+		for n := 1; n <= len(pool)+1; n++ {
+			got := elite(pool, n)
+			want := sorted[:min(n, len(sorted))]
+			if len(got) != len(want) {
+				t.Fatalf("trial %d n=%d: %d elite, want %d", trial, n, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d n=%d: elite %d is %v, want %v", trial, n, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 // TestFuseScratchIsolation runs the same seed's fusion twice through one
-// scratch and interleaved with another seed, proving draws never leak state
-// between calls through the reused buffers.
+// scratch and interleaved with other seeds, proving draws never leak state
+// between calls through the reused buffers. The other seeds warm the
+// scratch's closure memo first, so the reused run answers some closures
+// from entries other seeds made, and its output must still equal a fresh
+// scratch's.
 func TestFuseScratchIsolation(t *testing.T) {
 	d := datagen.Diag(20)
 	pool := initialPool(d, 10, 2)
@@ -353,10 +519,17 @@ func TestFuseScratchIsolation(t *testing.T) {
 		return keys
 	}
 
-	fresh := runSeed(newFuseScratch(d), pool[0])
+	freshScratch := newFuseScratch(d)
+	fresh := runSeed(freshScratch, pool[0])
 	shared := newFuseScratch(d)
-	runSeed(shared, pool[len(pool)-1]) // dirty the buffers with another seed
+	for _, other := range pool[1:] {
+		runSeed(shared, other) // dirty the buffers and warm the memo with other seeds
+	}
+	warm := len(shared.closed)
 	reused := runSeed(shared, pool[0])
+	if added := len(shared.closed) - warm; added >= len(freshScratch.closed) {
+		t.Fatalf("the warmed memo answered none of the seed's closures: %d new entries, %d on a fresh scratch", added, len(freshScratch.closed))
+	}
 	if len(fresh) != len(reused) {
 		t.Fatalf("scratch reuse changed super count: %d vs %d", len(fresh), len(reused))
 	}

@@ -412,20 +412,23 @@ func (p *Pattern) String() string {
 	return fmt.Sprintf("%v:%d", p.Items, p.Support())
 }
 
-// SortPatterns orders patterns by decreasing size, then decreasing support,
-// then lexicographically — the presentation order used in the experiment
-// reports.
+// SortPatterns orders patterns by ComparePatterns — the presentation order
+// used in the experiment reports.
 func SortPatterns(ps []*Pattern) {
-	sort.Slice(ps, func(i, j int) bool {
-		if len(ps[i].Items) != len(ps[j].Items) {
-			return len(ps[i].Items) > len(ps[j].Items)
-		}
-		si, sj := ps[i].Support(), ps[j].Support()
-		if si != sj {
-			return si > sj
-		}
-		return itemset.CompareLex(ps[i].Items, ps[j].Items) < 0
-	})
+	sort.Slice(ps, func(i, j int) bool { return ComparePatterns(ps[i], ps[j]) < 0 })
+}
+
+// ComparePatterns orders p before q (< 0) by decreasing size, then
+// decreasing support, then lexicographically. The order is total on
+// patterns of distinct itemsets.
+func ComparePatterns(p, q *Pattern) int {
+	if len(p.Items) != len(q.Items) {
+		return len(q.Items) - len(p.Items)
+	}
+	if sp, sq := p.Support(), q.Support(); sp != sq {
+		return sq - sp
+	}
+	return itemset.CompareLex(p.Items, q.Items)
 }
 
 // DedupPatterns removes patterns with duplicate itemsets, keeping the first

@@ -11,8 +11,9 @@ package engine
 // between tasks on the same worker, and which tasks share a worker is
 // scheduling-dependent, so a task must leave nothing in the scratch that
 // can influence a later task's output — pools and arenas (whose reuse
-// changes allocation, never values) are fine; memoization caches keyed
-// on prior tasks are not.
+// changes allocation, never values) are fine, and so is a memo of a pure
+// function of its key (its answers do not depend on which tasks filled
+// it); a cache whose answers depend on the tasks that filled it is not.
 func PerWorker[S any](parallelism int, newScratch func() S) func(worker int) S {
 	scratches := make([]S, Workers(parallelism))
 	ready := make([]bool, len(scratches))
