@@ -29,88 +29,72 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/ingest"
-	"repro/internal/rng"
 )
 
 func main() {
-	var (
-		kind      = flag.String("dataset", "diag", "diag, diagplus, replace, microarray, random, or quest")
-		n         = flag.Int("n", 40, "diag/diagplus: matrix size n")
-		extraRows = flag.Int("rows-extra", 20, "diagplus: extra identical rows")
-		width     = flag.Int("width", 39, "diagplus: colossal pattern width")
-		txns      = flag.Int("txns", 1000, "random/quest: number of transactions")
-		universe  = flag.Int("universe", 50, "random/quest: item universe size (-items is the shard range)")
-		density   = flag.Float64("density", 0.1, "random: per-item inclusion probability")
-		avgTxn    = flag.Float64("avg-txn-len", 10, "quest: mean transaction length T")
-		avgPat    = flag.Float64("avg-pat-len", 4, "quest: mean potential-pattern size I")
-		patterns  = flag.Int("patterns", 200, "quest: potential-pattern pool size L")
-		corr      = flag.Float64("corr", 0.5, "quest: correlation between consecutive pool patterns")
-		corrupt   = flag.Float64("corrupt", 0.5, "quest: mean pattern corruption level")
-		seed      = flag.Uint64("seed", 1, "generator seed")
-		out       = flag.String("out", "", "output file (default: stdout; a .gz suffix gzips)")
-	)
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintf(os.Stderr, "pfgen: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run generates the dataset args describe and writes it to -out, or to
+// stdout without one; the dataset's summary goes to stderr. A recipe
+// datagen.Spec.Validate rejects is an error, never a panic; a command
+// line that does not parse exits 2, as flag.ExitOnError does.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("pfgen", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	var spec datagen.Spec
+	fs.StringVar(&spec.Generator, "dataset", "diag", "diag, diagplus, replace, microarray, random, or quest")
+	fs.IntVar(&spec.N, "n", 40, "diag/diagplus: matrix size n")
+	fs.IntVar(&spec.ExtraRows, "rows-extra", 20, "diagplus: extra identical rows")
+	fs.IntVar(&spec.ExtraCols, "width", 39, "diagplus: colossal pattern width")
+	fs.IntVar(&spec.Txns, "txns", 1000, "random/quest: number of transactions")
+	fs.IntVar(&spec.Items, "universe", 50, "random/quest: item universe size (-items is the shard range)")
+	fs.Float64Var(&spec.Density, "density", 0.1, "random: per-item inclusion probability")
+	fs.Float64Var(&spec.AvgTxnLen, "avg-txn-len", 10, "quest: mean transaction length T")
+	fs.Float64Var(&spec.AvgPatLen, "avg-pat-len", 4, "quest: mean potential-pattern size I")
+	fs.IntVar(&spec.Patterns, "patterns", 200, "quest: potential-pattern pool size L")
+	fs.Float64Var(&spec.Corr, "corr", 0.5, "quest: correlation between consecutive pool patterns")
+	fs.Float64Var(&spec.Corrupt, "corrupt", 0.5, "quest: mean pattern corruption level")
+	fs.Uint64Var(&spec.Seed, "seed", 1, "generator seed")
+	out := fs.String("out", "", "output file (default: stdout; a .gz suffix gzips)")
 	var ing ingest.Flags
-	ing.Register(flag.CommandLine)
-	flag.Parse()
-
-	var d *dataset.Dataset
-	switch *kind {
-	case "diag":
-		d = datagen.Diag(*n)
-	case "diagplus":
-		d = datagen.DiagPlus(*n, *extraRows, *width)
-	case "replace":
-		var paths []fmt.Stringer
-		d, paths = replaceGen(*seed)
-		fmt.Fprintf(os.Stderr, "planted colossal paths: %v\n", paths)
-	case "microarray":
-		d, _ = datagen.Microarray(*seed)
-	case "random":
-		d = datagen.Random(rng.New(*seed), *txns, *universe, *density)
-	case "quest":
-		d = datagen.Quest(rng.New(*seed), datagen.QuestConfig{
-			Txns: *txns, Items: *universe,
-			AvgTxnLen: *avgTxn, AvgPatLen: *avgPat,
-			Patterns: *patterns, Corr: *corr, Corrupt: *corrupt,
-		})
-	default:
-		fmt.Fprintf(os.Stderr, "pfgen: unknown dataset %q\n", *kind)
-		os.Exit(2)
+	ing.Register(fs)
+	_ = fs.Parse(args) // ExitOnError: a command line that does not parse never returns
+	if err := spec.Validate(); err != nil {
+		return err
 	}
-
-	// Shard/sample/prune the generated dataset with the same pipeline
-	// pfmine applies at ingestion (indices refer to generated rows).
-	transforms, err := ing.Transforms()
+	opts, err := ing.Options()
 	if err != nil {
-		fail(err)
+		return err
 	}
-	if len(transforms) > 0 || ing.Remap {
-		d, _ = ingest.Apply(d, ing.Remap, transforms...)
-	}
-
 	// -format selects the output encoding; without it the -out extension
 	// decides (SniffFormat: .csv → csv, .mat → matrix, else FIMI), so a
 	// file named shard.csv actually contains CSV and re-ingests as such.
-	var format ingest.Format
-	if ing.Format != "" {
-		if format, err = ingest.FormatByName(ing.Format); err != nil {
-			fail(err)
-		}
-	} else {
-		format = ingest.SniffFormat(*out, nil)
+	if opts.Format == nil {
+		opts.Format = ingest.SniffFormat(*out, nil)
 	}
 
-	fmt.Fprintf(os.Stderr, "%s\n", d.ComputeStats())
-	if err := write(d, format, *out); err != nil {
-		fail(err)
+	d, planted := spec.Build()
+	if planted != nil {
+		fmt.Fprintf(stderr, "planted colossal paths: %v\n", planted)
 	}
+	// Shard/sample/prune the generated dataset with the same pipeline
+	// pfmine applies at ingestion (indices refer to generated rows).
+	if len(opts.Transforms) > 0 || opts.Remap {
+		d, _ = ingest.Apply(d, opts.Remap, opts.Transforms...)
+	}
+	fmt.Fprintf(stderr, "%s\n", d.ComputeStats())
+	return write(d, opts.Format, *out, stdout)
 }
 
 // write encodes d to path (stdout when empty), gzipping when the path
 // ends in .gz. File writes are atomic (dataset.WriteFileAtomic).
-func write(d *dataset.Dataset, format ingest.Format, path string) error {
+func write(d *dataset.Dataset, format ingest.Format, path string, stdout io.Writer) error {
 	if path == "" {
-		return format.Encode(os.Stdout, d)
+		return format.Encode(stdout, d)
 	}
 	return dataset.WriteFileAtomic(path, func(w io.Writer) error {
 		if strings.HasSuffix(path, ".gz") {
@@ -122,18 +106,4 @@ func write(d *dataset.Dataset, format ingest.Format, path string) error {
 		}
 		return format.Encode(w, d)
 	})
-}
-
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "pfgen: %v\n", err)
-	os.Exit(1)
-}
-
-func replaceGen(seed uint64) (*dataset.Dataset, []fmt.Stringer) {
-	d, paths := datagen.Replace(seed)
-	out := make([]fmt.Stringer, len(paths))
-	for i, p := range paths {
-		out[i] = p
-	}
-	return d, out
 }

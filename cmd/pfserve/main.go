@@ -75,6 +75,16 @@ import (
 	"repro/internal/server"
 )
 
+// A client has readHeaderTimeout to send a request's headers, and an idle
+// kept-alive connection is closed after idleTimeout. Bodies and responses
+// have no deadline: uploads may be large, and an event stream lasts as
+// long as its job.
+const readHeaderTimeout, idleTimeout = 5 * time.Second, 2 * time.Minute
+
+func httpServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
@@ -136,7 +146,7 @@ func main() {
 	}
 
 	mgr := server.NewManager(cfg)
-	srv := &http.Server{Addr: *addr, Handler: server.Handler(mgr)}
+	srv := httpServer(*addr, server.Handler(mgr))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -219,11 +219,14 @@ func mineFromPool(ctx context.Context, d *dataset.Dataset, pool []*dataset.Patte
 	}
 	radius := Radius(p.tau)
 	var classes supportClasses // each step's pool grouping, buffers reused
+	// Per-worker scratch buffers, built once per run and lazily: a worker
+	// that never claims a slot never pays for a scratch.
+	scratchOf := engine.PerWorker(p.workers, func() *fuseScratch { return newFuseScratch(d) })
 	// Algorithm 1 is a do-while: Pattern_Fusion runs at least once even when
 	// the initial pool already holds at most K patterns (otherwise a pool of
 	// singletons smaller than K would be returned unfused).
 	for len(cur) > 0 && (rep.Iterations == 0 || len(cur) > p.k) && rep.Iterations < maxIterations {
-		next, stopped := fusionStep(ctx, d, cur, &classes, &p, radius, rep.Iterations)
+		next, stopped := fusionStep(ctx, d, cur, &classes, scratchOf, &p, radius, rep.Iterations)
 		if stopped {
 			rep.Stopped = true
 			break
@@ -274,11 +277,12 @@ func mineFromPool(ctx context.Context, d *dataset.Dataset, pool []*dataset.Patte
 // Before the seeds are dealt, the pool is grouped by support set into
 // classes, whose buffers the caller reuses from step to step; the
 // workers only read the grouping.
-func fusionStep(ctx context.Context, d *dataset.Dataset, pool []*dataset.Pattern, classes *supportClasses, p *params, radius float64, iteration int) (next []*dataset.Pattern, stopped bool) {
+func fusionStep(ctx context.Context, d *dataset.Dataset, pool []*dataset.Pattern, classes *supportClasses, scratchOf func(worker int) *fuseScratch, p *params, radius float64, iteration int) (next []*dataset.Pattern, stopped bool) {
 	seedIdx := rng.Stream(p.seed, uint64(iteration)).SampleInts(len(pool), p.k)
 	perSeed := make([][]*dataset.Pattern, len(seedIdx))
 	classes.group(pool)
 	fuseSlot := func(slot int, sc *fuseScratch) {
+		sc.startStep(iteration)
 		r := rng.Stream(p.seed, uint64(iteration), uint64(slot))
 		seed := pool[seedIdx[slot]]
 		ball := sc.ballOf(seed, pool, classes, radius)
@@ -293,9 +297,6 @@ func fusionStep(ctx context.Context, d *dataset.Dataset, pool []*dataset.Pattern
 		perSeed[slot] = fuse(d, seed, ball, p, r, sc)
 	}
 
-	// Per-worker scratch buffers, allocated lazily: a worker that never
-	// claims a slot never pays for a scratch.
-	scratchOf := engine.PerWorker(p.workers, func() *fuseScratch { return newFuseScratch(d) })
 	if engine.Tasks(ctx, p.workers, len(seedIdx), func(worker, slot int) { fuseSlot(slot, scratchOf(worker)) }) {
 		return nil, true
 	}
@@ -499,7 +500,8 @@ func ballThreshold(sa, sb int, radius float64) int {
 // per-class ball verdicts, the shuffle order, the working TID set, the
 // double-buffered itemset union with its item-stamp mirror, the vertical
 // closure with its memo, and the per-seed supers map. One scratch is owned
-// by exactly one worker goroutine and lives for one fusion step.
+// by exactly one worker goroutine and lives for the whole mine; only its
+// closure memo is per step.
 type fuseScratch struct {
 	ball      []*dataset.Pattern
 	sample    []*dataset.Pattern
@@ -515,9 +517,10 @@ type fuseScratch struct {
 	stamp  []uint32
 	gen    uint32
 	closer *dataset.Closer
-	// closed memoises closedOf for the scratch's step: closed[e] is entry
-	// e of closedIdx, found by the tidset.Set.Hash of its support set.
-	// Its patterns are carved from blocks in pats.
+	// closed memoises closedOf for the fusion step numbered step:
+	// closed[e] is entry e of closedIdx, found by the tidset.Set.Hash of
+	// its support set. Its patterns are carved from blocks in pats.
+	step      int
 	closed    []closedPattern
 	closedIdx hashChains
 	pats      []dataset.Pattern
@@ -568,6 +571,22 @@ func (sc *fuseScratch) closedOf(tids *tidset.Set) closedPattern {
 	sc.closedIdx.add(h)
 	sc.closed = append(sc.closed, c)
 	return c
+}
+
+// startStep empties the closure memo when the scratch enters a new
+// fusion step. The pattern blocks and arenas are dropped, not reset:
+// their patterns escape into the next pool. Every pointer the buffers
+// still hold into the previous pool is cleared, so that pool can be
+// freed while this step runs.
+func (sc *fuseScratch) startStep(iteration int) {
+	if sc.step != iteration {
+		clear(sc.ball[:cap(sc.ball)])
+		clear(sc.sample[:cap(sc.sample)])
+		clear(sc.closed)
+		sc.closedIdx.reset()
+		sc.step, sc.closed, sc.pats = iteration, sc.closed[:0], nil
+		sc.itemArena, sc.tidArena = itemset.Arena{}, tidset.Arena{}
+	}
 }
 
 func newFuseScratch(d *dataset.Dataset) *fuseScratch {

@@ -81,15 +81,8 @@ type Block struct {
 // configuration. It returns the dataset and the planted blocks (for
 // inspection and calibration tests).
 func Microarray(seed uint64) (*dataset.Dataset, []Block) {
-	return MicroarrayWith(DefaultMicroarrayConfig(), seed)
-}
-
-// MicroarrayWith generates an ALL-like dataset under cfg.
-func MicroarrayWith(cfg MicroarrayConfig, seed uint64) (*dataset.Dataset, []Block) {
+	cfg := DefaultMicroarrayConfig()
 	r := rng.New(seed)
-	if len(cfg.ChainSizes) != len(cfg.ChainRows) {
-		panic("datagen: ChainSizes and ChainRows must have equal length")
-	}
 
 	next := 0 // next unallocated item ID
 	alloc := func(k int) itemset.Itemset {

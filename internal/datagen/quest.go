@@ -1,6 +1,7 @@
 package datagen
 
 import (
+	"cmp"
 	"math"
 	"sort"
 
@@ -64,31 +65,13 @@ func DefaultQuestConfig() QuestConfig {
 // the identical dataset.
 func Quest(r *rng.RNG, cfg QuestConfig) *dataset.Dataset {
 	def := DefaultQuestConfig()
-	if cfg.Txns <= 0 {
-		cfg.Txns = def.Txns
-	}
-	if cfg.Items <= 0 {
-		cfg.Items = def.Items
-	}
-	if cfg.AvgTxnLen <= 0 {
-		cfg.AvgTxnLen = def.AvgTxnLen
-	}
-	if cfg.AvgTxnLen > MaxQuestMean {
-		cfg.AvgTxnLen = MaxQuestMean
-	}
-	if cfg.AvgPatLen <= 0 {
-		cfg.AvgPatLen = def.AvgPatLen
-	}
-	if cfg.AvgPatLen > MaxQuestMean {
-		cfg.AvgPatLen = MaxQuestMean
-	}
-	if cfg.Patterns <= 0 {
-		cfg.Patterns = def.Patterns
-	}
-	if cfg.Corr <= 0 {
-		cfg.Corr = def.Corr
-	}
-	if cfg.Corrupt < 0 {
+	cfg.Txns = cmp.Or(max(cfg.Txns, 0), def.Txns)
+	cfg.Items = cmp.Or(max(cfg.Items, 0), def.Items)
+	cfg.AvgTxnLen = cmp.Or(max(cfg.AvgTxnLen, 0), def.AvgTxnLen)
+	cfg.AvgPatLen = cmp.Or(max(cfg.AvgPatLen, 0), def.AvgPatLen)
+	cfg.Patterns = cmp.Or(max(cfg.Patterns, 0), def.Patterns)
+	cfg.Corr = cmp.Or(max(cfg.Corr, 0), def.Corr)
+	if cfg.Corrupt < 0 { // zero corruption is a valid level
 		cfg.Corrupt = def.Corrupt
 	}
 
@@ -190,9 +173,9 @@ func questPool(r *rng.RNG, cfg QuestConfig) (pool [][]int, weights, corrupt []fl
 // MaxQuestMean bounds AvgTxnLen and AvgPatLen: Knuth's
 // product-of-uniforms Poisson sampler needs exp(-λ) to stay a normal
 // float64 (it underflows to 0 near λ ≈ 745, turning the draw into a
-// degenerate underflow hitting time). Quest clamps its configured means
-// to this — far above any sensible transaction length — and surfaces
-// (pfserve) validate against the same constant.
+// degenerate underflow hitting time). Quest's sampler clamps its means
+// to this — far above any sensible transaction length — and Spec.Validate
+// rejects a recipe above it.
 const MaxQuestMean = 500
 
 // poisson draws a Poisson(lambda) variate (Knuth's product-of-uniforms

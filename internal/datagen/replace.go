@@ -74,11 +74,7 @@ const ReplaceColossalSize = 44
 // configuration. The second return value lists the three planted colossal
 // patterns (each of size 44).
 func Replace(seed uint64) (*dataset.Dataset, []itemset.Itemset) {
-	return ReplaceWith(DefaultReplaceConfig(), seed)
-}
-
-// ReplaceWith generates a Replace-like dataset under cfg.
-func ReplaceWith(cfg ReplaceConfig, seed uint64) (*dataset.Dataset, []itemset.Itemset) {
+	cfg := DefaultReplaceConfig()
 	r := rng.New(seed)
 	size := cfg.BackboneSize + cfg.VariantSize
 

@@ -24,9 +24,10 @@
 //
 // # Registry
 //
-// Miner packages register an adapter from init, keyed by the historical
-// CLI names: "fusion" (core), "apriori", "fpgrowth", "eclat", "closed"
-// (charm), "closedrows" (carpenter), "maximal", "topk", "seqfusion".
+// Miner packages register a Ranged adapter from init, keyed by the
+// historical CLI names: "fusion" (core), "apriori", "fpgrowth", "eclat",
+// "closed" (charm), "closedrows" (carpenter), "maximal", "topk",
+// "seqfusion".
 // Importing repro/internal/engine/all (blank import) pulls in all nine;
 // Get, Names and All look them up. cmd/pfmine iterates the registry for
 // dispatch and help text, and cmd/pfserve exposes every registered

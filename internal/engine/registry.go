@@ -8,16 +8,17 @@ import (
 
 // The process-wide algorithm registry. Miner packages register themselves
 // from init, so importing a miner package (directly or via engine/all) is
-// what makes its algorithm reachable by name.
+// what makes its algorithm reachable by name. Every registered miner is a
+// Ranged, so a caller reads its declarations (Uses, Ordered) as fields.
 var (
 	registryMu sync.RWMutex
-	registry   = make(map[string]Algorithm)
+	registry   = make(map[string]Ranged)
 )
 
 // Register adds a to the registry under a.Name(). It panics on an empty
 // name or a duplicate registration — both are programmer errors caught at
 // process start, since all registrations happen in init.
-func Register(a Algorithm) {
+func Register(a Ranged) {
 	name := a.Name()
 	if name == "" {
 		panic("engine: Register with empty algorithm name")
@@ -32,12 +33,12 @@ func Register(a Algorithm) {
 
 // Get returns the registered algorithm with the given name, or an error
 // naming the known algorithms.
-func Get(name string) (Algorithm, error) {
+func Get(name string) (Ranged, error) {
 	registryMu.RLock()
 	a, ok := registry[name]
 	registryMu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("engine: unknown algorithm %q (known: %v)", name, Names())
+		return Ranged{}, fmt.Errorf("engine: unknown algorithm %q (known: %v)", name, Names())
 	}
 	return a, nil
 }
@@ -55,10 +56,10 @@ func Names() []string {
 }
 
 // All returns all registered algorithms in Names() order.
-func All() []Algorithm {
+func All() []Ranged {
 	registryMu.RLock()
 	defer registryMu.RUnlock()
-	algos := make([]Algorithm, 0, len(registry))
+	algos := make([]Ranged, 0, len(registry))
 	for _, a := range registry {
 		algos = append(algos, a)
 	}

@@ -188,6 +188,9 @@ type Ranged struct {
 	// opts.Observer) and returns the decomposition; Ranged fills in the
 	// plan's bookkeeping.
 	Split func(ctx context.Context, d *dataset.Dataset, opts Options) *Plan
+	// Ordered declares pattern Items to be ordered sequences, which an
+	// item-ID translation (ingest.RemapReport) must not re-sort.
+	Ordered bool
 }
 
 // Name implements Algorithm.

@@ -13,16 +13,9 @@ import (
 type Flags struct {
 	// Format is the -format value ("" = sniff).
 	Format string
-	// Sample is the -sample row-keep probability (0 = keep all).
-	Sample float64
-	// SampleSeed seeds the deterministic sampling stream.
-	SampleSeed uint64
-	// MinItemSupport is the -min-item-support pruning threshold.
-	MinItemSupport int
-	// Rows is the -rows "lo:hi" horizontal shard.
-	Rows string
-	// Items is the -items "lo:hi" vertical shard.
-	Items string
+	// Transform is the spec -sample, -sample-seed, -rows, -items and
+	// -min-item-support fill.
+	Transform TransformSpec
 	// Remap is the -remap frequency-reorder toggle.
 	Remap bool
 }
@@ -30,15 +23,16 @@ type Flags struct {
 // Register installs the ingestion flags on fs.
 func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Format, "format", "", "input format: fimi, csv, matrix, or seq (default: sniff by extension/content; gzip always auto-detected)")
-	fs.Float64Var(&f.Sample, "sample", 0, "keep each row independently with this probability in (0,1); deterministic per -sample-seed")
-	fs.Uint64Var(&f.SampleSeed, "sample-seed", 1, "seed of the deterministic row-sampling stream")
-	fs.IntVar(&f.MinItemSupport, "min-item-support", 0, "drop items occurring in fewer than this many kept rows")
-	fs.StringVar(&f.Rows, "rows", "", `keep only the half-open row range "lo:hi" (horizontal shard; empty bound = open end)`)
-	fs.StringVar(&f.Items, "items", "", `keep only the half-open item-ID range "lo:hi" (vertical shard; empty bound = open end)`)
+	fs.Float64Var(&f.Transform.Sample, "sample", 0, "keep each row independently with this probability in [0,1] (0 and 1 keep every row); deterministic per -sample-seed")
+	fs.Uint64Var(&f.Transform.SampleSeed, "sample-seed", 1, "seed of the deterministic row-sampling stream")
+	fs.IntVar(&f.Transform.MinItemSupport, "min-item-support", 0, "drop items occurring in fewer than this many kept rows")
+	fs.Func("rows", `keep only the half-open row range "lo:hi" (horizontal shard; empty bound = open end)`, rangeFlag(&f.Transform.RowLo, &f.Transform.RowHi))
+	fs.Func("items", `keep only the half-open item-ID range "lo:hi" (vertical shard; empty bound = open end)`, rangeFlag(&f.Transform.ItemLo, &f.Transform.ItemHi))
 	fs.BoolVar(&f.Remap, "remap", false, "renumber items in decreasing frequency order (pattern output is translated back to source IDs)")
 }
 
-// Options resolves the parsed flags into ingestion Options.
+// Options resolves the parsed flags into ingestion Options; the
+// transform pipeline is the Transform spec's, checked by its Validate.
 func (f *Flags) Options() (Options, error) {
 	var opts Options
 	if f.Format != "" {
@@ -48,45 +42,12 @@ func (f *Flags) Options() (Options, error) {
 		}
 		opts.Format = format
 	}
-	transforms, err := f.Transforms()
-	if err != nil {
+	if err := f.Transform.Validate(); err != nil {
 		return opts, err
 	}
-	opts.Transforms = transforms
+	opts.Transforms = f.Transform.Transforms()
 	opts.Remap = f.Remap
 	return opts, nil
-}
-
-// Transforms builds the transform pipeline the flags describe, in the
-// fixed application order: row range, sampling, item range, minimum
-// item support. (Row filters and item filters commute within their
-// group, so the order only matters for documentation.)
-func (f *Flags) Transforms() ([]Transform, error) {
-	var out []Transform
-	if f.Rows != "" {
-		lo, hi, err := parseRange(f.Rows)
-		if err != nil {
-			return nil, fmt.Errorf("ingest: -rows %q: %w", f.Rows, err)
-		}
-		out = append(out, RowRange(lo, hi))
-	}
-	if f.Sample != 0 {
-		if f.Sample < 0 || f.Sample > 1 {
-			return nil, fmt.Errorf("ingest: -sample must be in (0,1], got %g", f.Sample)
-		}
-		out = append(out, SampleRows(f.Sample, f.SampleSeed))
-	}
-	if f.Items != "" {
-		lo, hi, err := parseRange(f.Items)
-		if err != nil {
-			return nil, fmt.Errorf("ingest: -items %q: %w", f.Items, err)
-		}
-		out = append(out, ItemRange(lo, hi))
-	}
-	if f.MinItemSupport > 0 {
-		out = append(out, MinItemSupport(f.MinItemSupport))
-	}
-	return out, nil
 }
 
 // Load ingests the named file under the parsed flags.
@@ -98,25 +59,30 @@ func (f *Flags) Load(path string) (*Result, error) {
 	return Load(path, opts)
 }
 
-// parseRange parses "lo:hi" with either side optional: "5:", ":9",
-// "2:9". An empty bound is the open end (lo 0, hi unbounded).
-func parseRange(s string) (lo, hi int, err error) {
-	parts := strings.SplitN(s, ":", 2)
-	if len(parts) != 2 {
-		return 0, 0, fmt.Errorf(`want "lo:hi"`)
-	}
-	if parts[0] != "" {
-		if lo, err = strconv.Atoi(parts[0]); err != nil || lo < 0 {
-			return 0, 0, fmt.Errorf("bad lower bound %q", parts[0])
+// rangeFlag parses a "lo:hi" flag value into *lo and *hi, either side
+// optional: "5:", ":9", "2:9". An empty bound is the open end (lo 0,
+// hi 0 = unbounded), so an explicit hi of 0 is rejected as the empty
+// range it names; TransformSpec.Validate checks the rest.
+func rangeFlag(lo, hi *int) func(string) error {
+	return func(s string) (err error) {
+		before, after, ok := strings.Cut(s, ":")
+		if !ok {
+			return fmt.Errorf(`want "lo:hi"`)
 		}
-	}
-	if parts[1] != "" {
-		if hi, err = strconv.Atoi(parts[1]); err != nil || hi < 0 {
-			return 0, 0, fmt.Errorf("bad upper bound %q", parts[1])
+		*lo, *hi = 0, 0
+		if before != "" {
+			if *lo, err = strconv.Atoi(before); err != nil {
+				return fmt.Errorf("bad lower bound %q", before)
+			}
 		}
-		if hi <= lo {
-			return 0, 0, fmt.Errorf("empty range [%d:%d)", lo, hi)
+		if after != "" {
+			if *hi, err = strconv.Atoi(after); err != nil {
+				return fmt.Errorf("bad upper bound %q", after)
+			}
+			if *hi == 0 {
+				return fmt.Errorf("empty range [%d:0)", *lo)
+			}
 		}
+		return nil
 	}
-	return lo, hi, nil
 }

@@ -425,19 +425,14 @@ func HashFile(path string) (string, error) {
 // Itemset patterns are re-canonicalized after translation (the remap is
 // order-reversing, so a translated itemset is no longer sorted). Pattern
 // item order is preserved verbatim for algorithms that declare it
-// meaningful (the sequence miner, via the OrderedPatterns marker):
+// meaningful (the sequence miner, registered as engine.Ranged.Ordered):
 // there each Items slice is an event sequence and sorting it would
 // corrupt the pattern.
 func RemapReport(rep *engine.Report, mapping []int) *engine.Report {
 	if mapping == nil {
 		return rep
 	}
-	ordered := false
-	if alg, err := engine.Get(rep.Algorithm); err == nil {
-		if o, ok := alg.(interface{ OrderedPatterns() bool }); ok {
-			ordered = o.OrderedPatterns()
-		}
-	}
+	alg, _ := engine.Get(rep.Algorithm)
 	out := *rep
 	out.Patterns = make([]*dataset.Pattern, len(rep.Patterns))
 	for i, p := range rep.Patterns {
@@ -446,7 +441,7 @@ func RemapReport(rep *engine.Report, mapping []int) *engine.Report {
 			raw[j] = mapping[item]
 		}
 		items := itemset.Itemset(raw)
-		if !ordered {
+		if !alg.Ordered {
 			items = itemset.Canonical(raw)
 		}
 		out.Patterns[i] = dataset.NewPatternCounted(items, p.TIDs, p.Support())

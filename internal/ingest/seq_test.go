@@ -77,7 +77,7 @@ func TestSeqPreservesOrderAndRepeats(t *testing.T) {
 // TestSeqRemapReportPreservesOrder pins the remap round trip for the
 // sequence miner: mining a frequency-remapped sequence dataset and
 // translating the report back must keep each pattern's event order —
-// the OrderedPatterns marker suppresses the itemset re-canonicalization
+// its engine.Ranged.Ordered declaration suppresses the itemset re-canonicalization
 // that would corrupt a non-ascending sequence like <5 3>.
 func TestSeqRemapReportPreservesOrder(t *testing.T) {
 	src := "5 3 5\n5 3 5\n5 3\n"

@@ -103,6 +103,72 @@ func (m minItemSupport) Name() string { return fmt.Sprintf("min-item-support(%d)
 
 func (m minItemSupport) KeepItem(_, freq int) bool { return freq >= m.min }
 
+// TransformSpec describes a transform pipeline as data: deterministic
+// row sampling, horizontal and vertical sharding, and minimum item
+// support pruning, applied in that order. pfserve decodes it from a
+// job's dataset spec under these json names, and Flags fills it from
+// the command line; both check it with Validate and build it with
+// Transforms. The zero value keeps everything.
+type TransformSpec struct {
+	// Sample keeps each row independently with this probability in
+	// [0,1]; 0 and 1 keep every row. Deterministic per SampleSeed.
+	Sample float64 `json:"sample,omitempty"`
+	// SampleSeed seeds the sampling stream.
+	SampleSeed uint64 `json:"sample_seed,omitempty"`
+	// RowLo/RowHi keep the half-open row range [RowLo, RowHi);
+	// RowHi 0 = unbounded.
+	RowLo int `json:"row_lo,omitempty"`
+	RowHi int `json:"row_hi,omitempty"`
+	// ItemLo/ItemHi keep the half-open item-ID range; ItemHi 0 =
+	// unbounded.
+	ItemLo int `json:"item_lo,omitempty"`
+	ItemHi int `json:"item_hi,omitempty"`
+	// MinItemSupport drops items occurring in fewer kept rows.
+	MinItemSupport int `json:"min_item_support,omitempty"`
+}
+
+// Validate checks the spec's ranges. A nil spec is valid.
+func (ts *TransformSpec) Validate() error {
+	if ts == nil {
+		return nil
+	}
+	if !(ts.Sample >= 0 && ts.Sample <= 1) {
+		return fmt.Errorf("ingest: transform sample must be in [0,1], got %g", ts.Sample)
+	}
+	if ts.RowLo < 0 || ts.ItemLo < 0 || ts.RowHi < 0 || ts.ItemHi < 0 || ts.MinItemSupport < 0 {
+		return fmt.Errorf("ingest: transform ranges and min_item_support must be non-negative")
+	}
+	if ts.RowHi > 0 && ts.RowHi <= ts.RowLo {
+		return fmt.Errorf("ingest: empty transform row range [%d,%d)", ts.RowLo, ts.RowHi)
+	}
+	if ts.ItemHi > 0 && ts.ItemHi <= ts.ItemLo {
+		return fmt.Errorf("ingest: empty transform item range [%d,%d)", ts.ItemLo, ts.ItemHi)
+	}
+	return nil
+}
+
+// Transforms builds the pipeline a valid spec describes, leaving out
+// every stage that would keep everything; a nil spec builds none.
+func (ts *TransformSpec) Transforms() []Transform {
+	if ts == nil {
+		return nil
+	}
+	var out []Transform
+	if ts.RowLo > 0 || ts.RowHi > 0 {
+		out = append(out, RowRange(ts.RowLo, ts.RowHi))
+	}
+	if ts.Sample > 0 && ts.Sample < 1 {
+		out = append(out, SampleRows(ts.Sample, ts.SampleSeed))
+	}
+	if ts.ItemLo > 0 || ts.ItemHi > 0 {
+		out = append(out, ItemRange(ts.ItemLo, ts.ItemHi))
+	}
+	if ts.MinItemSupport > 0 {
+		out = append(out, MinItemSupport(ts.MinItemSupport))
+	}
+	return out
+}
+
 // keepRow reports whether every transform keeps the row.
 func keepRow(transforms []Transform, row int) bool {
 	for _, t := range transforms {

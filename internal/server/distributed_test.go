@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/datagen"
 	"repro/internal/engine"
 	_ "repro/internal/engine/all"
 	"repro/internal/minertest"
@@ -51,7 +52,7 @@ func startWorkers(t *testing.T, n int) []string {
 func distSpec(alg string) JobSpec {
 	return JobSpec{
 		Algorithm: alg,
-		Dataset:   DatasetSpec{Generator: "random", Txns: 60, Items: 24, Density: 0.4, Seed: 3},
+		Dataset:   DatasetSpec{Spec: datagen.Spec{Generator: "random", Txns: 60, Items: 24, Density: 0.4, Seed: 3}},
 		Options:   engine.Options{MinCount: 4, K: 20, MinSize: 1, MaxSize: 4, Seed: 7},
 	}
 }

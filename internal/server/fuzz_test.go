@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -110,8 +112,8 @@ func decodeJobSpec(b []byte) (JobSpec, error) {
 
 // FuzzJobSpec throws arbitrary bytes at the job-spec decoder and
 // validator. Neither may panic, and every accepted spec must survive
-// json.Marshal → decode → json.Marshal byte for byte, with its options
-// and shard unchanged: persisted job records and shard leases are
+// json.Marshal → decode → json.Marshal byte for byte, with its dataset,
+// options and shard unchanged: persisted job records and shard leases are
 // exactly that round trip, so a field that loses its value in it (an
 // empty warm-start pool did once) changes what a recovered job or a
 // leased shard mines.
@@ -125,6 +127,7 @@ func FuzzJobSpec(f *testing.F) {
 	f.Add([]byte(`{"algorithm":"eclat","dataset":{"generator":"diag","n":4},"options":{"Observer":1}}`))
 	f.Add([]byte(`{"algorithm":"topk","monitor":"tiny","dataset":{"catalog":"tiny"},"options":{"k":0,"seed":18446744073709551615}}`))
 	f.Add([]byte(`{"algorithm":"closed","dataset":{"generator":"diagplus","n":3,"extra_rows":1,"extra_cols":1}} trailing`))
+	f.Add([]byte(`{"algorithm":"apriori","dataset":{"transactions":[],"generator":"diag","n":4}}`))
 	f.Add([]byte(`null`))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		fuzzSpecEnv.once.Do(func() {
@@ -155,8 +158,93 @@ func FuzzJobSpec(f *testing.F) {
 		}
 		// Bytes alone miss a value the encoding drops on both passes:
 		// what gets mined must come back too.
+		if !reflect.DeepEqual(spec.Dataset, back.Dataset) {
+			t.Fatalf("dataset changed across a round trip of %s:\n%+v\n%+v", first, spec.Dataset, back.Dataset)
+		}
 		if !reflect.DeepEqual(spec.Options, back.Options) || !reflect.DeepEqual(spec.Shard, back.Shard) {
 			t.Fatalf("options or shard changed across a round trip of %s:\n%+v %+v\n%+v %+v", first, spec.Options, spec.Shard, back.Options, back.Shard)
+		}
+	})
+}
+
+// FuzzLoadJobs throws arbitrary bytes at the job store as one record
+// file. LoadJobs may not panic, and every record it accepts must survive
+// SaveJob → LoadJobs with the same encoding and the same options and
+// shard: recovery re-runs a job from exactly this round trip.
+func FuzzLoadJobs(f *testing.F) {
+	f.Add([]byte(`{"id":"job-1","seq":1,"spec":{"algorithm":"apriori","dataset":{"generator":"diag","n":10},"options":{"min_count":5,"pool":[]}},"state":"queued","created_at":"2026-08-08T12:00:00Z"}`))
+	f.Add([]byte(`{"id":"job-1","seq":1,"tenant":"alice","spec":{"algorithm":"eclat","dataset":{"transactions":[[0,1],[1]],"transform":{"sample":0.5}},"options":{"pool":null},"shard":{"lo":0,"hi":1,"units":2}},"state":"done","created_at":"2026-08-08T12:00:00+02:00","ended_at":"2026-08-08T12:00:01Z"}`))
+	f.Add([]byte(`{"id":"../job-1","seq":1}`))
+	f.Add([]byte(`{"id":"job-1","seq":-3}`))
+	f.Add([]byte(`{not json`))
+	f.Add([]byte(`null`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		st, err := OpenStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(st.Dir(), storeJobsDir, "job-1.json"), b, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		recs, _, err := st.LoadJobs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs {
+			if err := st.SaveJob(rec); err != nil {
+				t.Fatalf("accepted record does not save: %v", err)
+			}
+			back, warns, err := st.LoadJobs()
+			if err != nil || len(warns) > 0 || len(back) != 1 {
+				t.Fatalf("saved record does not load: %v %v %d records", err, warns, len(back))
+			}
+			first, _ := json.Marshal(rec)
+			second, _ := json.Marshal(back[0])
+			if !bytes.Equal(first, second) {
+				t.Fatalf("record changed across a round trip:\n%s\n%s", first, second)
+			}
+			if !reflect.DeepEqual(rec.Spec.Options, back[0].Spec.Options) || !reflect.DeepEqual(rec.Spec.Shard, back[0].Spec.Shard) {
+				t.Fatalf("options or shard changed across a round trip of %s", first)
+			}
+		}
+	})
+}
+
+// FuzzLoadManifest throws arbitrary bytes at the catalog manifest.
+// LoadManifest may not panic, and every manifest it accepts must survive
+// SaveManifest → LoadManifest with the same encoding: catalog recovery
+// replays each entry's blobs from exactly this round trip.
+func FuzzLoadManifest(f *testing.F) {
+	f.Add([]byte(`[{"name":"tiny","sha256":"ab","bytes":10,"created_at":"2026-08-08T12:00:00Z"}]`))
+	f.Add([]byte(`[{"name":"b","requested_format":"csv","tenant":"t","sha256":"cd","bytes":3,"created_at":"2026-08-08T12:00:00Z","appends":[{"sha256":"ef","bytes":4}]},{"name":"a","sha256":"ab","bytes":1,"created_at":"2026-08-08T12:00:00-07:00"}]`))
+	f.Add([]byte(`[]`))
+	f.Add([]byte(`{"name":"x"}`))
+	f.Add([]byte(`null`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		st, err := OpenStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(st.Dir(), storeCatalogDir, "manifest.json"), b, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		entries, err := st.LoadManifest()
+		if err != nil {
+			return
+		}
+		// SaveManifest sorts entries in place, and the store keeps that
+		// order.
+		if err := st.SaveManifest(entries); err != nil {
+			t.Fatalf("accepted manifest does not save: %v", err)
+		}
+		back, err := st.LoadManifest()
+		if err != nil {
+			t.Fatalf("saved manifest does not load: %v", err)
+		}
+		first, _ := json.Marshal(entries)
+		second, _ := json.Marshal(back)
+		if !bytes.Equal(first, second) {
+			t.Fatalf("manifest changed across a round trip:\n%s\n%s", first, second)
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/engine"
+	"repro/internal/ingest"
 )
 
 // MonitorSpec configures a dataset monitor: a standing re-mine policy
@@ -235,7 +236,7 @@ func monitorJobSpec(name string, mon *monitor, rows int) JobSpec {
 		Algorithm: mon.spec.Algorithm,
 		Dataset: DatasetSpec{
 			Catalog:   name,
-			Transform: &TransformSpec{RowLo: lo, RowHi: rows},
+			Transform: &ingest.TransformSpec{RowLo: lo, RowHi: rows},
 		},
 		Options: opts,
 		Monitor: name,

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,7 +11,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/ingest"
-	"repro/internal/rng"
 )
 
 // JobSpec is the body of POST /jobs.
@@ -100,89 +98,12 @@ type DatasetSpec struct {
 	// Format optionally forces the format of a Path dataset: "fimi",
 	// "csv", "matrix", or "seq" (ordered event sequences).
 	Format string `json:"format,omitempty"`
-	// Generator is one of "diag", "diagplus", "random", "replace",
-	// "microarray", "quest" (the Section 6 workloads plus the classic
-	// sparse benchmark), parameterized by the fields below.
-	Generator string  `json:"generator,omitempty"`
-	N         int     `json:"n,omitempty"`           // diag/diagplus: matrix size
-	ExtraRows int     `json:"extra_rows,omitempty"`  // diagplus
-	ExtraCols int     `json:"extra_cols,omitempty"`  // diagplus
-	Txns      int     `json:"txns,omitempty"`        // random/quest
-	Items     int     `json:"items,omitempty"`       // random/quest
-	Density   float64 `json:"density,omitempty"`     // random
-	AvgTxnLen float64 `json:"avg_txn_len,omitempty"` // quest: T
-	AvgPatLen float64 `json:"avg_pat_len,omitempty"` // quest: I
-	Patterns  int     `json:"patterns,omitempty"`    // quest: pool size L
-	Corr      float64 `json:"corr,omitempty"`        // quest: pattern correlation
-	Corrupt   float64 `json:"corrupt,omitempty"`     // quest: mean corruption
-	Seed      uint64  `json:"seed,omitempty"`        // random/replace/microarray/quest
+	// Spec is the generator recipe ("generator", "n", ... "seed" at
+	// this level of the JSON); Generator "" means no generator.
+	datagen.Spec
 
 	// Transform optionally filters the dataset after materialization.
-	Transform *TransformSpec `json:"transform,omitempty"`
-}
-
-// TransformSpec is the JSON shape of the ingest transform pipeline:
-// deterministic row sampling, horizontal and vertical sharding, and
-// minimum-item-support pruning, applied in that order.
-type TransformSpec struct {
-	// Sample keeps each row independently with this probability in
-	// (0,1); 0 keeps everything. Deterministic per SampleSeed.
-	Sample float64 `json:"sample,omitempty"`
-	// SampleSeed seeds the sampling stream.
-	SampleSeed uint64 `json:"sample_seed,omitempty"`
-	// RowLo/RowHi keep the half-open row range [RowLo, RowHi);
-	// RowHi 0 = unbounded.
-	RowLo int `json:"row_lo,omitempty"`
-	RowHi int `json:"row_hi,omitempty"`
-	// ItemLo/ItemHi keep the half-open item-ID range; ItemHi 0 =
-	// unbounded.
-	ItemLo int `json:"item_lo,omitempty"`
-	ItemHi int `json:"item_hi,omitempty"`
-	// MinItemSupport drops items occurring in fewer kept rows.
-	MinItemSupport int `json:"min_item_support,omitempty"`
-}
-
-func (ts *TransformSpec) validate() error {
-	if ts == nil {
-		return nil
-	}
-	if ts.Sample < 0 || ts.Sample > 1 {
-		return fmt.Errorf("server: transform.sample must be in [0,1], got %g", ts.Sample)
-	}
-	if ts.RowLo < 0 || ts.ItemLo < 0 || ts.RowHi < 0 || ts.ItemHi < 0 {
-		return fmt.Errorf("server: transform ranges must be non-negative")
-	}
-	if ts.RowHi > 0 && ts.RowHi <= ts.RowLo {
-		return fmt.Errorf("server: empty transform row range [%d,%d)", ts.RowLo, ts.RowHi)
-	}
-	if ts.ItemHi > 0 && ts.ItemHi <= ts.ItemLo {
-		return fmt.Errorf("server: empty transform item range [%d,%d)", ts.ItemLo, ts.ItemHi)
-	}
-	if ts.MinItemSupport < 0 {
-		return fmt.Errorf("server: transform.min_item_support must be >= 0")
-	}
-	return nil
-}
-
-// transforms builds the ingest pipeline the spec describes.
-func (ts *TransformSpec) transforms() []ingest.Transform {
-	if ts == nil {
-		return nil
-	}
-	var out []ingest.Transform
-	if ts.RowLo > 0 || ts.RowHi > 0 {
-		out = append(out, ingest.RowRange(ts.RowLo, ts.RowHi))
-	}
-	if ts.Sample > 0 && ts.Sample < 1 {
-		out = append(out, ingest.SampleRows(ts.Sample, ts.SampleSeed))
-	}
-	if ts.ItemLo > 0 || ts.ItemHi > 0 {
-		out = append(out, ingest.ItemRange(ts.ItemLo, ts.ItemHi))
-	}
-	if ts.MinItemSupport > 0 {
-		out = append(out, ingest.MinItemSupport(ts.MinItemSupport))
-	}
-	return out
+	Transform *ingest.TransformSpec `json:"transform,omitempty"`
 }
 
 func (ds DatasetSpec) sources() int {
@@ -203,6 +124,10 @@ func (ds DatasetSpec) sources() int {
 }
 
 func (ds DatasetSpec) validate(cfg Config, cat *Catalog) error {
+	// An empty list is no dataset, and a stored spec would drop it.
+	if ds.Transactions != nil && len(ds.Transactions) == 0 {
+		return fmt.Errorf("server: dataset transactions must not be empty")
+	}
 	if ds.sources() != 1 {
 		return fmt.Errorf("server: dataset must set exactly one of transactions, path, catalog, generator")
 	}
@@ -214,7 +139,7 @@ func (ds DatasetSpec) validate(cfg Config, cat *Catalog) error {
 			return err
 		}
 	}
-	if err := ds.Transform.validate(); err != nil {
+	if err := ds.Transform.Validate(); err != nil {
 		return err
 	}
 	if ds.Path != "" {
@@ -231,43 +156,11 @@ func (ds DatasetSpec) validate(cfg Config, cat *Catalog) error {
 		}
 	}
 	if ds.Generator != "" {
-		switch ds.Generator {
-		case "diag":
-			if ds.N < 2 {
-				return fmt.Errorf("server: diag requires n >= 2")
-			}
-		case "diagplus":
-			if ds.N < 2 || ds.ExtraRows < 1 || ds.ExtraCols < 1 {
-				return fmt.Errorf("server: diagplus requires n >= 2, extra_rows >= 1, extra_cols >= 1")
-			}
-		case "random":
-			if ds.Txns < 1 || ds.Items < 1 || ds.Density <= 0 || ds.Density > 1 {
-				return fmt.Errorf("server: random requires txns >= 1, items >= 1, density in (0,1]")
-			}
-		case "replace", "microarray":
-			// seed-only
-		case "quest":
-			for name, v := range map[string]float64{
-				"avg_txn_len": ds.AvgTxnLen, "avg_pat_len": ds.AvgPatLen,
-				"corr": ds.Corr, "corrupt": ds.Corrupt,
-			} {
-				if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-					return fmt.Errorf("server: quest %s must be a non-negative finite number", name)
-				}
-			}
-			// datagen's Poisson sampler is exact only for means below its
-			// clamp; reject rather than silently generate something else.
-			if ds.AvgTxnLen > datagen.MaxQuestMean || ds.AvgPatLen > datagen.MaxQuestMean {
-				return fmt.Errorf("server: quest average lengths are capped at %d", datagen.MaxQuestMean)
-			}
-			if ds.Txns < 0 || ds.Items < 0 || ds.Patterns < 0 {
-				return fmt.Errorf("server: quest counts must be >= 0 (0 = default)")
-			}
-		default:
-			return fmt.Errorf("server: unknown generator %q (known: diag, diagplus, random, replace, microarray, quest)", ds.Generator)
+		if err := ds.Spec.Validate(); err != nil {
+			return err
 		}
 	}
-	if rows, items, known := ds.sizeBound(); known && overCellCap(rows, items, cfg.MaxCells) {
+	if rows, items := ds.sizeBound(); overCellCap(rows, items, cfg.MaxCells) {
 		return fmt.Errorf("server: dataset of %d×%d exceeds the %d-cell cap", rows, items, cfg.MaxCells)
 	}
 	return nil
@@ -300,37 +193,19 @@ func overCellCap(rows, items, maxCells int) bool {
 	return rows*items+items*itemOverheadCells > maxCells
 }
 
-// sizeBound computes |D|×|I| for specs whose shape is known up front.
-func (ds DatasetSpec) sizeBound() (rows, items int, known bool) {
-	switch {
-	case len(ds.Transactions) > 0:
-		maxItem := -1
-		for _, t := range ds.Transactions {
-			for _, it := range t {
-				if it > maxItem {
-					maxItem = it
-				}
-			}
-		}
-		return len(ds.Transactions), maxItem + 1, true
-	case ds.Generator == "diag":
-		return ds.N, ds.N, true
-	case ds.Generator == "diagplus":
-		return ds.N + ds.ExtraRows, ds.N + ds.ExtraCols, true
-	case ds.Generator == "random":
-		return ds.Txns, ds.Items, true
-	case ds.Generator == "quest":
-		cfg := datagen.DefaultQuestConfig()
-		rows, items = cfg.Txns, cfg.Items
-		if ds.Txns > 0 {
-			rows = ds.Txns
-		}
-		if ds.Items > 0 {
-			items = ds.Items
-		}
-		return rows, items, true
+// sizeBound computes |D|×|I| for specs whose shape is known up front;
+// path and catalog datasets read (0, 0) here and are sized after loading.
+func (ds DatasetSpec) sizeBound() (rows, items int) {
+	if len(ds.Transactions) == 0 {
+		return ds.Spec.Shape()
 	}
-	return 0, 0, false
+	maxItem := -1
+	for _, t := range ds.Transactions {
+		for _, it := range t {
+			maxItem = max(maxItem, it)
+		}
+	}
+	return len(ds.Transactions), maxItem + 1
 }
 
 // resolvePath joins name onto root and rejects escapes.
@@ -362,29 +237,15 @@ func (ds DatasetSpec) build(cfg Config, cat *Catalog) (*dataset.Dataset, error) 
 		}
 	case ds.Catalog != "":
 		d, err = cat.Dataset(ds.Catalog)
-	case ds.Generator == "diag":
-		d = datagen.Diag(ds.N)
-	case ds.Generator == "diagplus":
-		d = datagen.DiagPlus(ds.N, ds.ExtraRows, ds.ExtraCols)
-	case ds.Generator == "random":
-		d = datagen.Random(rng.New(ds.Seed), ds.Txns, ds.Items, ds.Density)
-	case ds.Generator == "replace":
-		d, _ = datagen.Replace(ds.Seed)
-	case ds.Generator == "microarray":
-		d, _ = datagen.Microarray(ds.Seed)
-	case ds.Generator == "quest":
-		d = datagen.Quest(rng.New(ds.Seed), datagen.QuestConfig{
-			Txns: ds.Txns, Items: ds.Items,
-			AvgTxnLen: ds.AvgTxnLen, AvgPatLen: ds.AvgPatLen,
-			Patterns: ds.Patterns, Corr: ds.Corr, Corrupt: ds.Corrupt,
-		})
+	case ds.Generator != "":
+		d, _ = ds.Spec.Build()
 	default:
 		err = fmt.Errorf("server: empty dataset spec")
 	}
 	if err != nil {
 		return nil, err
 	}
-	if transforms := ds.Transform.transforms(); len(transforms) > 0 {
+	if transforms := ds.Transform.Transforms(); len(transforms) > 0 {
 		d, _ = ingest.Apply(d, false, transforms...)
 	}
 	if overCellCap(d.Size(), d.NumItems(), cfg.MaxCells) {

@@ -118,7 +118,9 @@ func (s *Store) DeleteJob(id string) error {
 // LoadJobs reads every job record, sorted by Seq ascending so recovery
 // re-enqueues in original submission order. Unreadable or corrupt
 // records are skipped and reported in warns — one bad file must not
-// block the rest of the recovery.
+// block the rest of the recovery. A record whose ID is not its file's
+// name is corrupt too: the job's later writes and deletes go to the
+// path its ID names.
 func (s *Store) LoadJobs() (recs []JobRecord, warns []string, err error) {
 	entries, err := os.ReadDir(filepath.Join(s.root, storeJobsDir))
 	if err != nil {
@@ -137,6 +139,10 @@ func (s *Store) LoadJobs() (recs []JobRecord, warns []string, err error) {
 		}
 		if rec.ID == "" || rec.Seq <= 0 {
 			warns = append(warns, fmt.Sprintf("job record %s: missing id/seq", name))
+			continue
+		}
+		if rec.ID+".json" != name {
+			warns = append(warns, fmt.Sprintf("job record %s: id %q does not match the file name", name, rec.ID))
 			continue
 		}
 		recs = append(recs, rec)
