@@ -18,6 +18,8 @@ func TestRunRejectsInvalidRecipes(t *testing.T) {
 		{"-dataset", "zipf"},
 		{"-dataset", "diag", "-sample", "1.5"},
 		{"-dataset", "diag", "-rows", "5:3"},
+		{"-dataset", "random", "-txns", "9223372036854775807", "-universe", "1"},
+		{"-dataset", "diag", "-n", "4294967296"},
 	} {
 		var stdout, stderr bytes.Buffer
 		err := run(args, &stdout, &stderr)

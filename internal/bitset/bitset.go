@@ -172,16 +172,6 @@ func (b *Bitset) AndCountAtLeast(o *Bitset, threshold int) bool {
 	return c >= threshold
 }
 
-// OrCount returns |b ∪ o| without allocating.
-func (b *Bitset) OrCount(o *Bitset) int {
-	b.mustMatch(o)
-	c := 0
-	for i, w := range b.words {
-		c += bits.OnesCount64(w | o.words[i])
-	}
-	return c
-}
-
 // AndNotAny reports whether b \ o is non-empty, i.e. whether b ⊄ o.
 func (b *Bitset) AndNotAny(o *Bitset) bool {
 	b.mustMatch(o)

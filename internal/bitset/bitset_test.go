@@ -79,8 +79,8 @@ func TestBooleanAlgebra(t *testing.T) {
 	if got := and.Indices(); len(got) != 2 || got[0] != 5 || got[1] != 64 {
 		t.Fatalf("And = %v", got)
 	}
-	if a.AndCount(b) != 2 || a.OrCount(b) != 5 {
-		t.Fatalf("AndCount/OrCount mismatch: %d, %d", a.AndCount(b), a.OrCount(b))
+	if a.AndCount(b) != 2 {
+		t.Fatalf("AndCount = %d, want 2", a.AndCount(b))
 	}
 }
 
@@ -164,19 +164,15 @@ func sameMembers(a, b *Bitset) bool { return slices.Equal(a.Indices(), b.Indices
 
 func TestAlgebraLawsQuick(t *testing.T) {
 	const n = 60
-	// De Morgan-ish and counting laws on random sets.
+	// Subset and commutativity laws on random sets.
 	err := quick.Check(func(ma, mb uint64) bool {
 		a, b := fromMask(n, ma), fromMask(n, mb)
-		// |a∪b| + |a∩b| == |a| + |b|
-		if a.OrCount(b)+a.AndCount(b) != a.Count()+b.Count() {
-			return false
-		}
 		// subset relation consistency
 		if !a.And(b).SubsetOf(a) || !a.And(b).SubsetOf(b) {
 			return false
 		}
 		// commutativity
-		return sameMembers(a.And(b), b.And(a)) && a.OrCount(b) == b.OrCount(a)
+		return sameMembers(a.And(b), b.And(a))
 	}, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,7 @@
 // compare every hybrid kernel against.
 //
 // Besides the set algebra (And, AndOf, SubsetOf) the package offers
-// allocation-free counting forms (AndCount, OrCount, Jaccard) and the
+// allocation-free counting forms (AndCount, Jaccard) and the
 // early-exit decision form AndCountAtLeast, which answers
 // |b∩o| ≥ threshold without necessarily finishing the word loop.
 //

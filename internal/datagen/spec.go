@@ -38,7 +38,8 @@ type Spec struct {
 // a known generator whose parameters are in range. Quest's zero
 // parameters select DefaultQuestConfig's values; its average lengths
 // are capped at MaxQuestMean, where the generator would otherwise clamp
-// them and make something else than asked for.
+// them and make something else than asked for. No recipe may make more
+// rows than a TID-set can index (math.MaxUint32).
 func (s Spec) Validate() error {
 	switch s.Generator {
 	case "diag":
@@ -68,6 +69,9 @@ func (s Spec) Validate() error {
 		}
 	default:
 		return fmt.Errorf("datagen: unknown generator %q (known: diag, diagplus, random, replace, microarray, quest)", s.Generator)
+	}
+	if rows, _ := s.Shape(); rows > math.MaxUint32 {
+		return fmt.Errorf("datagen: %s would make %d rows, above the %d a TID-set can index", s.Generator, rows, math.MaxUint32)
 	}
 	return nil
 }

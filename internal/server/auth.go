@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -34,8 +35,7 @@ type Tenant struct {
 // Auth is the loaded tenant set. A nil *Auth means open mode: no
 // authentication, one implicit anonymous tenant with no quotas.
 type Auth struct {
-	tenants []*Tenant
-	byKey   map[string]*Tenant
+	byKey map[string]*Tenant
 }
 
 // authFile is the on-disk shape of the -auth-config file.
@@ -52,7 +52,7 @@ func LoadAuth(path string) (*Auth, error) {
 		return nil, fmt.Errorf("server: reading auth config: %w", err)
 	}
 	var f authFile
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&f); err != nil {
 		return nil, fmt.Errorf("server: parsing auth config %s: %w", path, err)
@@ -82,7 +82,6 @@ func NewAuth(tenants []*Tenant) (*Auth, error) {
 		case a.byKey[t.Key] != nil:
 			return nil, fmt.Errorf("server: duplicate tenant key (tenant %q)", t.Name)
 		}
-		a.tenants = append(a.tenants, t)
 		a.byKey[t.Key] = t
 		names[t.Name] = true
 	}

@@ -35,8 +35,8 @@ type Catalog struct {
 	cacheKey []string // insertion order, for eviction
 	hits     int
 	maxCells int
-	store    *Store   // nil = memory-only
-	metrics  *Metrics // nil = uninstrumented (direct construction in tests)
+	store    *Store // nil = memory-only
+	metrics  *Metrics
 }
 
 // parsedDataset is one content-hash cache value: the parsed dataset plus
@@ -101,13 +101,16 @@ type DatasetEntry struct {
 	app             *ingest.Appender // live append state, built on first append
 }
 
-// NewCatalog returns an empty catalog whose datasets are bounded by
-// maxCells (see Config.MaxCells).
-func NewCatalog(maxCells int) *Catalog {
+// newCatalog returns an empty catalog whose datasets are bounded by
+// maxCells (see Config.MaxCells), persisted to store (nil = memory-only)
+// and instrumented by metrics.
+func newCatalog(maxCells int, store *Store, metrics *Metrics) *Catalog {
 	return &Catalog{
 		entries:  make(map[string]*DatasetEntry),
 		cache:    make(map[string]*parsedDataset),
 		maxCells: maxCells,
+		store:    store,
+		metrics:  metrics,
 	}
 }
 
@@ -220,14 +223,11 @@ func (c *Catalog) put(name, format string, data []byte, owner string, quota int6
 			c.gcEntryBlobsLocked(old)
 		}
 	}
-	if c.metrics != nil {
-		c.metrics.IngestBytes.Add(float64(len(data)), tenantLabel(owner))
-		c.metrics.CatalogDatasets.Set(float64(len(c.entries)))
-		if exists {
-			c.metrics.CatalogBytes.Add(-float64(old.Bytes), tenantLabel(old.Tenant))
-		}
-		c.metrics.CatalogBytes.Add(float64(entry.Bytes), tenantLabel(owner))
+	c.metrics.IngestBytes.Add(float64(len(data)), tenantLabel(owner))
+	if exists {
+		c.metrics.CatalogBytes.Add(-float64(old.Bytes), tenantLabel(old.Tenant))
 	}
+	c.metrics.CatalogBytes.Add(float64(entry.Bytes), tenantLabel(owner))
 	return entry, exists, nil
 }
 
@@ -248,9 +248,7 @@ func (c *Catalog) quotaLocked(owner, name string, quota, kept, add int64, op str
 	if used+add <= quota {
 		return nil
 	}
-	if c.metrics != nil {
-		c.metrics.AuthRejections.Inc("catalog_quota")
-	}
+	c.metrics.AuthRejections.Inc("catalog_quota")
 	return &QuotaError{
 		Msg: fmt.Sprintf("server: %s %d bytes exceeds tenant %q's catalog quota (%d of %d bytes in use)",
 			op, add, owner, used, quota),
@@ -261,9 +259,7 @@ func (c *Catalog) quotaLocked(owner, name string, quota, kept, add int64, op str
 // recordHitLocked bumps the parse-saved counters. Caller holds mu.
 func (c *Catalog) recordHitLocked() {
 	c.hits++
-	if c.metrics != nil {
-		c.metrics.CacheHits.Inc()
-	}
+	c.metrics.CacheHits.Inc()
 }
 
 // tenantLabel renders an owner name as a metrics label (open-mode
@@ -296,16 +292,21 @@ func (c *Catalog) blobReferencedLocked(sha string) bool {
 // chunks) once no remaining entry references them. Caller holds mu and
 // has already removed or replaced the entry.
 func (c *Catalog) gcEntryBlobsLocked(old *DatasetEntry) {
-	if c.store == nil {
+	c.gcBlobLocked(old.baseSHA)
+	for _, rec := range old.chunks {
+		c.gcBlobLocked(rec.SHA256)
+	}
+}
+
+// gcBlobLocked deletes one blob from the store once no entry references
+// it. A failed delete only leaks disk space, so it is counted, not
+// returned. Caller holds mu.
+func (c *Catalog) gcBlobLocked(sha string) {
+	if c.store == nil || c.blobReferencedLocked(sha) {
 		return
 	}
-	if !c.blobReferencedLocked(old.baseSHA) {
-		_ = c.store.DeleteBlob(old.baseSHA)
-	}
-	for _, rec := range old.chunks {
-		if !c.blobReferencedLocked(rec.SHA256) {
-			_ = c.store.DeleteBlob(rec.SHA256)
-		}
+	if err := c.store.DeleteBlob(sha); err != nil {
+		c.metrics.storeFailed("blob_gc", sha, err)
 	}
 }
 
@@ -411,8 +412,8 @@ func (c *Catalog) append(name string, data []byte, owner string, quota int64, pe
 		}
 	}
 	dropChunkBlob := func() {
-		if persist && c.store != nil && !c.blobReferencedLocked(chunkSHA) {
-			_ = c.store.DeleteBlob(chunkSHA)
+		if persist {
+			c.gcBlobLocked(chunkSHA)
 		}
 	}
 	snap, err := e.app.Append(data)
@@ -464,7 +465,7 @@ func (c *Catalog) append(name string, data []byte, owner string, quota int64, pe
 	// A future upload of the concatenated file is the same content; let
 	// it hit the parse cache.
 	c.cacheAdd(cacheKey(snap.SHA256, e.requestedFormat), &parsedDataset{ds: snap.Dataset, format: snap.Format, gzipped: snap.Gzipped})
-	if persist && c.metrics != nil {
+	if persist {
 		c.metrics.IngestBytes.Add(float64(len(data)), tenantLabel(e.Tenant))
 		c.metrics.CatalogBytes.Add(float64(len(data)), tenantLabel(e.Tenant))
 		c.metrics.DatasetAppends.Inc(tenantLabel(e.Tenant))
@@ -519,6 +520,13 @@ func (c *Catalog) ensureAppenderLocked(e *DatasetEntry) error {
 	return nil
 }
 
+// size returns the number of named entries.
+func (c *Catalog) size() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
+}
+
 // Get returns the named entry.
 func (c *Catalog) Get(name string) (*DatasetEntry, bool) {
 	c.mu.Lock()
@@ -556,10 +564,7 @@ func (c *Catalog) Delete(name string) bool {
 		}
 		c.gcEntryBlobsLocked(e)
 	}
-	if c.metrics != nil {
-		c.metrics.CatalogDatasets.Set(float64(len(c.entries)))
-		c.metrics.CatalogBytes.Add(-float64(e.Bytes), tenantLabel(e.Tenant))
-	}
+	c.metrics.CatalogBytes.Add(-float64(e.Bytes), tenantLabel(e.Tenant))
 	return true
 }
 

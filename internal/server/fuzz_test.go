@@ -248,3 +248,43 @@ func FuzzLoadManifest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzLoadAuth throws arbitrary bytes at the tenant config loader.
+// LoadAuth may not panic, and every config it accepts must give each
+// tenant a non-empty unique name and key and non-negative quotas:
+// authentication and admission trust exactly these properties.
+func FuzzLoadAuth(f *testing.F) {
+	f.Add([]byte(`{"tenants": [{"name": "alice", "key": "k1", "max_active_jobs": 2, "max_catalog_bytes": 1048576}, {"name": "bob", "key": "k2"}]}`))
+	f.Add([]byte(`{"tenants": [{"name": "a", "key": "k"}, {"name": "a", "key": "k2"}]}`))
+	f.Add([]byte(`{"tenants": [{"name": "a", "key": "k"}, {"name": "b", "key": "k"}]}`))
+	f.Add([]byte(`{"tenants": [{"name": "a", "key": "k", "max_active_jobs": -1}]}`))
+	f.Add([]byte(`{"tenants": [null]}`))
+	f.Add([]byte(`{"tenants": [{"name": "anonymous", "key": "k"}]}`))
+	f.Add([]byte(`{"tenants": [], "extra": 1}`))
+	f.Add([]byte(`{not json`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		path := filepath.Join(t.TempDir(), "auth.json")
+		if err := os.WriteFile(path, b, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		a, err := LoadAuth(path)
+		if err != nil {
+			return
+		}
+		if len(a.byKey) == 0 {
+			t.Fatal("accepted a config without tenants")
+		}
+		names := make(map[string]bool)
+		for key, tn := range a.byKey {
+			switch {
+			case tn == nil || key == "" || tn.Key != key || tn.Name == "":
+				t.Fatalf("accepted tenant %+v under key %q", tn, key)
+			case names[tn.Name]:
+				t.Fatalf("accepted duplicate tenant name %q", tn.Name)
+			case tn.MaxActiveJobs < 0 || tn.MaxCatalogBytes < 0:
+				t.Fatalf("accepted negative quotas for %q", tn.Name)
+			}
+			names[tn.Name] = true
+		}
+	})
+}

@@ -137,10 +137,7 @@ func Handler(m *Manager) http.Handler {
 	})
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec JobSpec
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("invalid job spec: %w", err))
+		if !decodeStrict(w, r, "job spec", &spec) {
 			return
 		}
 		j, err := m.Submit(spec, tenantFrom(r.Context()))
@@ -217,35 +214,17 @@ func Handler(m *Manager) http.Handler {
 			writeError(w, http.StatusForbidden, fmt.Errorf("dataset uploads are disabled"))
 			return
 		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, m.cfg.MaxUploadBytes))
-		if err != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				writeError(w, http.StatusRequestEntityTooLarge,
-					fmt.Errorf("upload exceeds the %d-byte cap", m.cfg.MaxUploadBytes))
-				return
-			}
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
 		name := r.PathValue("name")
-		var owner string
-		var quota int64
-		if t := tenantFrom(r.Context()); t != nil {
-			owner, quota = t.Name, t.MaxCatalogBytes
-		}
 		if old, ok := m.Catalog().Get(name); ok && !mayMutate(m, r, old.Tenant) {
 			writeError(w, http.StatusForbidden, fmt.Errorf("dataset %q belongs to another tenant", name))
 			return
 		}
-		entry, replaced, err := m.Catalog().PutOwned(name, r.URL.Query().Get("format"), body, owner, quota)
-		if err != nil {
-			var qerr *QuotaError
-			if errors.As(err, &qerr) {
-				writeQuotaError(w, qerr)
-				return
-			}
-			writeError(w, http.StatusBadRequest, err)
+		var entry *DatasetEntry
+		var replaced bool
+		if !writeDataset(w, r, m.cfg.MaxUploadBytes, "upload", func(body []byte, owner string, quota int64) (err error) {
+			entry, replaced, err = m.Catalog().PutOwned(name, r.URL.Query().Get("format"), body, owner, quota)
+			return err
+		}) {
 			return
 		}
 		status := http.StatusCreated
@@ -296,30 +275,12 @@ func Handler(m *Manager) http.Handler {
 			writeError(w, http.StatusForbidden, fmt.Errorf("dataset %q belongs to another tenant", name))
 			return
 		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, m.cfg.MaxAppendBytes))
-		if err != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				writeError(w, http.StatusRequestEntityTooLarge,
-					fmt.Errorf("append exceeds the %d-byte cap", m.cfg.MaxAppendBytes))
-				return
-			}
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		var owner string
-		var quota int64
-		if t := tenantFrom(r.Context()); t != nil {
-			owner, quota = t.Name, t.MaxCatalogBytes
-		}
-		entry, added, err := m.Catalog().Append(name, body, owner, quota)
-		if err != nil {
-			var qerr *QuotaError
-			if errors.As(err, &qerr) {
-				writeQuotaError(w, qerr)
-				return
-			}
-			writeError(w, http.StatusBadRequest, err)
+		var entry *DatasetEntry
+		var added int
+		if !writeDataset(w, r, m.cfg.MaxAppendBytes, "append", func(body []byte, owner string, quota int64) (err error) {
+			entry, added, err = m.Catalog().Append(name, body, owner, quota)
+			return err
+		}) {
 			return
 		}
 		resp := map[string]any{"dataset": entry, "rows_added": added}
@@ -340,10 +301,7 @@ func Handler(m *Manager) http.Handler {
 			return
 		}
 		var spec MonitorSpec
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("invalid monitor spec: %w", err))
+		if !decodeStrict(w, r, "monitor spec", &spec) {
 			return
 		}
 		status, err := m.SetMonitor(name, spec, tenantFrom(r.Context()))
@@ -374,6 +332,49 @@ func Handler(m *Manager) http.Handler {
 		writeJSON(w, http.StatusOK, map[string]any{"name": name, "deleted": true})
 	})
 	return m.Metrics().observeHTTP(withAuth(m, mux))
+}
+
+// decodeStrict decodes a JSON request body of at most MaxBodyBytes into
+// v, rejecting unknown fields. On failure it answers 400 "invalid
+// <what>: ..." and returns false.
+func decodeStrict(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid %s: %w", what, err))
+		return false
+	}
+	return true
+}
+
+// writeDataset reads a body of at most limit bytes and hands it to write
+// with the request tenant's name and catalog byte quota ("" and 0 in
+// open mode). It answers 413 past the cap, 429 for a *QuotaError and 400
+// for any other failure, and reports whether write succeeded.
+func writeDataset(w http.ResponseWriter, r *http.Request, limit int64, what string,
+	write func(body []byte, owner string, quota int64) error) bool {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("%s exceeds the %d-byte cap", what, limit))
+		return false
+	}
+	if err == nil {
+		var owner string
+		var quota int64
+		if t := tenantFrom(r.Context()); t != nil {
+			owner, quota = t.Name, t.MaxCatalogBytes
+		}
+		err = write(body, owner, quota)
+	}
+	var qerr *QuotaError
+	switch {
+	case errors.As(err, &qerr):
+		writeQuotaError(w, qerr)
+	case err != nil:
+		writeError(w, http.StatusBadRequest, err)
+	}
+	return err == nil
 }
 
 // serveEvents writes the job's event log as NDJSON. With ?follow=1 it

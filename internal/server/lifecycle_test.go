@@ -200,3 +200,72 @@ func TestJobLifecycleMetrics(t *testing.T) {
 	waitJob(t, mgr, resumed, server.StateCanceled)
 	checkLifecycle(t, "resumed+canceled", mgr, lifecycleCounts{running: 1, canceled: 1})
 }
+
+// TestStoreErrorsCounted breaks the job store under a running manager:
+// a submission whose write-ahead record cannot be written is refused
+// and never counted as queued, and the failure is counted by
+// pfserve_store_errors_total{op="job"}.
+func TestStoreErrorsCounted(t *testing.T) {
+	dir := t.TempDir()
+	st, err := server.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := server.NewManager(server.Config{Workers: 1, Store: st})
+	t.Cleanup(mgr.Close)
+	if err := os.RemoveAll(filepath.Join(dir, "jobs")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mgr.Submit(mustSpec(t, `{"algorithm": "apriori", "dataset": {"generator": "diag", "n": 4}, "options": {}}`), nil); err == nil {
+		t.Fatal("Submit succeeded without a writable job store")
+	}
+	if got := mgr.Metrics().StoreErrors.Value("job"); got != 1 {
+		t.Errorf(`store_errors_total{op="job"} = %v, want 1`, got)
+	}
+	checkLifecycle(t, "refused", mgr, lifecycleCounts{})
+	if jobs := mgr.Jobs(); len(jobs) != 0 {
+		t.Errorf("refused submission left %d jobs in the table", len(jobs))
+	}
+}
+
+// TestDoneWithoutResultReruns pins recovery of a done record whose
+// result file is gone: the restart resumes the job (not counted as a
+// submission) and it runs to done again, instead of answering 409
+// forever.
+func TestDoneWithoutResultReruns(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *server.Manager {
+		t.Helper()
+		st, err := server.OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mgr := server.NewManager(server.Config{Workers: 1, Store: st})
+		t.Cleanup(mgr.Close)
+		return mgr
+	}
+	mgr := open()
+	j, err := mgr.Submit(mustSpec(t, `{"algorithm": "apriori", "dataset": {"generator": "diag", "n": 10}, "options": {"min_count": 5, "max_size": 2}}`), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, mgr, j, server.StateDone)
+	mgr.Close()
+	if err := os.Remove(filepath.Join(dir, "jobs", j.ID+".result.json")); err != nil {
+		t.Fatal(err)
+	}
+
+	mgr = open()
+	if got := mgr.Metrics().JobsResumed.Value(); got != 1 {
+		t.Fatalf("jobs_resumed_total = %v, want 1", got)
+	}
+	again, ok := mgr.Get(j.ID)
+	if !ok {
+		t.Fatalf("%s not recovered", j.ID)
+	}
+	waitJob(t, mgr, again, server.StateDone)
+	if rep, ok := mgr.Report(again); !ok || len(rep.Patterns) != 55 {
+		t.Fatalf("re-run report: ok=%v", ok)
+	}
+	checkLifecycle(t, "re-run", mgr, lifecycleCounts{running: 1, done: 1})
+}

@@ -6,10 +6,11 @@
 // Lifecycle: POST /jobs validates the spec and enqueues; a fixed pool of
 // worker goroutines dequeues, materializes the dataset (so at most
 // `workers` datasets are ever resident), and runs the algorithm under a
-// per-job context. GET /jobs/{id} snapshots status + latest progress,
-// GET /jobs/{id}/events streams the event log as NDJSON, GET
-// /jobs/{id}/result returns the mined patterns, DELETE /jobs/{id} cancels
-// a queued/running job or removes a finished one.
+// per-job context (Handler lists the endpoints). Every job state change
+// (submit, start, cancel while queued, the shutdown checkpoint, finish,
+// startup resume) goes through one method, transitionLocked, which also
+// persists and counts it; the gauges that restate the manager's tables
+// are read from them at scrape time.
 //
 // Production hardening adds three optional layers (all nil-safe, so the
 // in-memory single-tenant behavior is unchanged when they are off):
@@ -184,7 +185,6 @@ type Job struct {
 type Manager struct {
 	cfg      Config
 	catalog  *Catalog
-	store    *Store
 	metrics  *Metrics
 	mu       sync.Mutex
 	cond     *sync.Cond // broadcast on any job state/event change
@@ -218,37 +218,41 @@ func NewManager(cfg Config) *Manager {
 	root, stop := context.WithCancel(context.Background())
 	m := &Manager{
 		cfg:      cfg,
-		store:    cfg.Store,
 		metrics:  cfg.Metrics,
-		catalog:  NewCatalog(cfg.MaxCells),
+		catalog:  newCatalog(cfg.MaxCells, cfg.Store, cfg.Metrics),
 		jobs:     make(map[string]*Job),
 		monitors: make(map[string]*monitor),
 		root:     root,
 		stop:     stop,
 	}
 	m.cond = sync.NewCond(&m.mu)
-	m.catalog.store = cfg.Store
-	m.catalog.metrics = cfg.Metrics
 
 	var resume []*Job
-	if m.store != nil {
+	if m.cfg.Store != nil {
 		for _, w := range m.catalog.restore() {
 			log.Printf("server: catalog recovery: %s", w)
 		}
-		recs, warns, err := m.store.LoadJobs()
+		recs, warns, err := m.cfg.Store.LoadJobs()
 		if err != nil {
 			log.Printf("server: job recovery: %v", err)
 		}
 		for _, w := range warns {
 			log.Printf("server: job recovery: %s", w)
 		}
-		for i := range recs {
-			j := m.recoverJob(recs[i])
+		for _, rec := range recs {
+			j := &Job{JobRecord: rec}
+			if j.State.Terminal() {
+				if j.report, _, err = m.cfg.Store.LoadResult(j.ID); err != nil {
+					log.Printf("server: loading result of %s: %v", j.ID, err)
+				}
+			}
 			m.jobs[j.ID] = j
 			if j.Seq > m.next {
 				m.next = j.Seq
 			}
-			if !j.State.Terminal() {
+			// A done job whose result is unreadable re-runs rather than
+			// answering 409 forever.
+			if !j.State.Terminal() || (j.State == StateDone && j.report == nil) {
 				resume = append(resume, j)
 			}
 		}
@@ -256,43 +260,17 @@ func NewManager(cfg Config) *Manager {
 
 	m.queue = make(chan *Job, cfg.QueueDepth+len(resume))
 	for _, j := range resume {
-		j.State = StateQueued
-		j.Started, j.Ended = time.Time{}, time.Time{}
-		j.Error = ""
-		if err := m.persistJobLocked(j); err != nil {
-			log.Printf("server: checkpointing recovered job %s: %v", j.ID, err)
-		}
+		m.transitionLocked(j, StateQueued)
 		m.queue <- j
 		m.metrics.JobsResumed.Inc()
-		m.metrics.JobsActive.Inc(string(StateQueued))
 	}
-	m.metrics.QueueDepth.Set(float64(len(m.queue)))
+	m.metrics.reg.OnScrape(m.sampleGauges)
 
 	for i := 0; i < cfg.Workers; i++ {
 		m.wg.Add(1)
 		go m.worker()
 	}
 	return m
-}
-
-// recoverJob rebuilds one in-memory job from its durable record,
-// loading the persisted result for terminal states. A "done" record
-// whose result file is unreadable is demoted to queued so the job
-// re-runs instead of serving a 409 forever.
-func (m *Manager) recoverJob(rec JobRecord) *Job {
-	j := &Job{JobRecord: rec}
-	if j.State.Terminal() {
-		rep, ok, err := m.store.LoadResult(j.ID)
-		if err != nil {
-			log.Printf("server: loading result of %s: %v", j.ID, err)
-		}
-		if ok {
-			j.report = rep
-		} else if j.State == StateDone {
-			j.State = StateQueued
-		}
-	}
-	return j
 }
 
 // Close cancels every job, stops the workers, and waits for them. It is
@@ -333,7 +311,7 @@ func (m *Manager) Shutdown(ctx context.Context) int {
 		defer close(drained)
 		m.mu.Lock()
 		defer m.mu.Unlock()
-		for m.root.Err() == nil && m.activeLocked() > 0 {
+		for m.root.Err() == nil && m.activeLocked("") > 0 {
 			m.cond.Wait()
 		}
 	}()
@@ -346,25 +324,15 @@ func (m *Manager) Shutdown(ctx context.Context) int {
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.activeLocked()
+	return m.activeLocked("")
 }
 
-// activeLocked counts non-terminal jobs. Caller holds mu.
-func (m *Manager) activeLocked() int {
+// activeLocked counts the non-terminal jobs of tenant, or of every
+// tenant when it is "". Caller holds mu.
+func (m *Manager) activeLocked(tenant string) int {
 	n := 0
 	for _, j := range m.jobs {
-		if !j.State.Terminal() {
-			n++
-		}
-	}
-	return n
-}
-
-// activeForLocked counts tenant's non-terminal jobs. Caller holds mu.
-func (m *Manager) activeForLocked(tenant string) int {
-	n := 0
-	for _, j := range m.jobs {
-		if j.Tenant == tenant && !j.State.Terminal() {
+		if !j.State.Terminal() && (tenant == "" || j.Tenant == tenant) {
 			n++
 		}
 	}
@@ -404,53 +372,100 @@ func (m *Manager) Submit(spec JobSpec, tenant *Tenant) (*Job, error) {
 		return nil, ErrDraining
 	}
 	name := tenantName(tenant)
-	if tenant != nil && tenant.MaxActiveJobs > 0 && m.activeForLocked(name) >= tenant.MaxActiveJobs {
+	if tenant != nil && tenant.MaxActiveJobs > 0 && m.activeLocked(name) >= tenant.MaxActiveJobs {
 		m.metrics.AuthRejections.Inc("job_quota")
 		return nil, &QuotaError{
 			Msg:        fmt.Sprintf("server: tenant %q is at its quota of %d active jobs", name, tenant.MaxActiveJobs),
 			RetryAfter: 1,
 		}
 	}
-	m.next++
-	j := &Job{JobRecord: JobRecord{
-		ID:      fmt.Sprintf("job-%d", m.next),
-		Seq:     m.next,
-		Tenant:  name,
-		Spec:    spec,
-		State:   StateQueued,
-		Created: time.Now(),
-	}}
-	// Write-ahead: the record must be durable before the job is visible
-	// anywhere else; a crash after this point re-enqueues it at startup.
-	if err := m.persistJobLocked(j); err != nil {
-		m.next--
-		return nil, fmt.Errorf("server: persisting job record: %w", err)
-	}
-	select {
-	case m.queue <- j:
-	default:
-		if m.store != nil {
-			_ = m.store.DeleteJob(j.ID)
-		}
-		m.next--
+	// Only Submit sends on the queue after start-up, and it holds mu, so
+	// this room check cannot go stale before the send below: a rejected
+	// job never reaches the store.
+	if len(m.queue) == cap(m.queue) {
 		m.metrics.AuthRejections.Inc("queue_full")
 		return nil, ErrQueueFull
 	}
+	m.next++
+	j := &Job{JobRecord: JobRecord{
+		ID:     fmt.Sprintf("job-%d", m.next),
+		Seq:    m.next,
+		Tenant: name,
+		Spec:   spec,
+	}}
+	// Write-ahead: the record must be durable before the job is visible
+	// anywhere else; a crash after this point re-enqueues it at startup.
+	if err := m.transitionLocked(j, StateQueued); err != nil {
+		m.next--
+		return nil, fmt.Errorf("server: persisting job record: %w", err)
+	}
+	m.queue <- j
 	m.jobs[j.ID] = j
-	m.metrics.JobsTotal.Inc(string(StateQueued), name)
-	m.metrics.JobsActive.Inc(string(StateQueued))
-	m.metrics.QueueDepth.Set(float64(len(m.queue)))
-	m.cond.Broadcast()
 	return j, nil
 }
 
-// persistJobLocked writes the job's current state to the store (no-op
-// without one). Caller holds mu.
-func (m *Manager) persistJobLocked(j *Job) error {
-	if m.store == nil {
-		return nil
+// transitionLocked moves j to state to; it is the only place a job
+// changes state. It stamps the lifecycle timestamps (entering queued
+// discards any previous run), stores the result (if any) and then the
+// record, counts the entry in pfserve_jobs_total (a re-queue by the
+// shutdown checkpoint or the startup resume is not a new entry) and
+// wakes waiters. Store failures are logged and counted; a new job whose
+// write-ahead record fails is not admitted, and the error is returned.
+// The caller holds mu and sets Error or the report first.
+func (m *Manager) transitionLocked(j *Job, to State) error {
+	from := j.State
+	now := time.Now()
+	j.State = to
+	switch to {
+	case StateQueued:
+		if from == "" {
+			j.Created = now
+		}
+		j.Started, j.Ended, j.Error = time.Time{}, time.Time{}, ""
+		j.events, j.eventsBase, j.cancel = nil, 0, nil
+	case StateRunning:
+		j.Started = now
+	default:
+		j.Ended = now
 	}
-	return m.store.SaveJob(j.JobRecord)
+	if m.cfg.Store != nil {
+		// Result before record: a record that says "done" must always find
+		// its result on disk (recovery demotes it otherwise).
+		if j.report != nil {
+			if err := m.cfg.Store.SaveResult(j.ID, j.report); err != nil {
+				m.metrics.storeFailed("result", j.ID, err)
+			}
+		}
+		if err := m.cfg.Store.SaveJob(j.JobRecord); err != nil {
+			m.metrics.storeFailed("job", j.ID, err)
+			if from == "" {
+				return err
+			}
+		}
+	}
+	if to != StateQueued || from == "" {
+		m.metrics.JobsTotal.Inc(string(to), j.Tenant)
+	}
+	m.cond.Broadcast()
+	return nil
+}
+
+// sampleGauges is the scrape hook that sets the gauges restating the
+// manager's tables from the tables, so they cannot drift.
+func (m *Manager) sampleGauges() {
+	datasets := m.catalog.size()
+	m.mu.Lock()
+	jobs := make(map[State]int)
+	for _, j := range m.jobs {
+		jobs[j.State]++
+	}
+	depth, monitors := len(m.queue), len(m.monitors)
+	m.mu.Unlock()
+	m.metrics.JobsActive.Set(float64(jobs[StateQueued]), string(StateQueued))
+	m.metrics.JobsActive.Set(float64(jobs[StateRunning]), string(StateRunning))
+	m.metrics.QueueDepth.Set(float64(depth))
+	m.metrics.Monitors.Set(float64(monitors))
+	m.metrics.CatalogDatasets.Set(float64(datasets))
 }
 
 // Get returns the job with the given id.
@@ -472,19 +487,12 @@ func (m *Manager) Cancel(id string) bool {
 	}
 	j.userCancel = true
 	if j.State == StateQueued {
-		// The worker will observe userCancel when it dequeues.
-		j.State = StateCanceled
-		j.Ended = time.Now()
-		m.metrics.JobsActive.Dec(string(StateQueued))
-		m.metrics.JobsTotal.Inc(string(StateCanceled), j.Tenant)
-		if err := m.persistJobLocked(j); err != nil {
-			log.Printf("server: persisting cancel of %s: %v", j.ID, err)
-		}
+		// The worker skips it when it dequeues.
+		m.transitionLocked(j, StateCanceled)
 	}
 	if j.cancel != nil {
-		j.cancel()
+		j.cancel() // run records the end once the miner returns
 	}
-	m.cond.Broadcast()
 	return true
 }
 
@@ -498,9 +506,9 @@ func (m *Manager) Remove(id string) bool {
 		return false
 	}
 	delete(m.jobs, id)
-	if m.store != nil {
-		if err := m.store.DeleteJob(id); err != nil {
-			log.Printf("server: deleting job files of %s: %v", id, err)
+	if m.cfg.Store != nil {
+		if err := m.cfg.Store.DeleteJob(id); err != nil {
+			m.metrics.storeFailed("delete", id, err)
 		}
 	}
 	return true
@@ -533,17 +541,12 @@ func (m *Manager) worker() {
 // determinism contract makes the re-run byte-identical.
 func (m *Manager) run(j *Job) {
 	m.mu.Lock()
-	if j.State != StateQueued { // canceled while queued
+	if j.State != StateQueued || m.root.Err() != nil {
+		// Canceled while queued; or shutdown began before this job
+		// started, and its durable record already says queued, so it is
+		// left for the next start instead of materializing a dataset
+		// only to cancel the mine.
 		m.mu.Unlock()
-		m.metrics.QueueDepth.Set(float64(len(m.queue)))
-		return
-	}
-	if m.root.Err() != nil && !j.userCancel {
-		// Shutdown began before this job started: its durable record
-		// already says queued, so just leave it for the next start
-		// instead of materializing a dataset only to cancel the mine.
-		m.mu.Unlock()
-		m.metrics.QueueDepth.Set(float64(len(m.queue)))
 		return
 	}
 	timeout := m.cfg.DefaultTimeout
@@ -552,16 +555,7 @@ func (m *Manager) run(j *Job) {
 	}
 	ctx, cancel := context.WithTimeout(m.root, timeout)
 	j.cancel = cancel
-	j.State = StateRunning
-	j.Started = time.Now()
-	if err := m.persistJobLocked(j); err != nil {
-		log.Printf("server: persisting start of %s: %v", j.ID, err)
-	}
-	m.metrics.JobsActive.Dec(string(StateQueued))
-	m.metrics.JobsActive.Inc(string(StateRunning))
-	m.metrics.JobsTotal.Inc(string(StateRunning), j.Tenant)
-	m.metrics.QueueDepth.Set(float64(len(m.queue)))
-	m.cond.Broadcast()
+	m.transitionLocked(j, StateRunning)
 	m.mu.Unlock()
 	defer cancel()
 
@@ -574,51 +568,26 @@ func (m *Manager) run(j *Job) {
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.metrics.JobsActive.Dec(string(StateRunning))
 	if m.root.Err() != nil && !j.userCancel && err == nil {
 		// Shutdown interruption: drop the partial run and checkpoint the
 		// job back to queued for the next start.
-		j.State = StateQueued
-		j.Started, j.Ended = time.Time{}, time.Time{}
-		j.events, j.eventsBase = nil, 0
-		j.cancel = nil
-		if perr := m.persistJobLocked(j); perr != nil {
-			log.Printf("server: checkpointing %s at shutdown: %v", j.ID, perr)
-		}
-		m.metrics.JobsActive.Inc(string(StateQueued))
-		m.cond.Broadcast()
+		m.transitionLocked(j, StateQueued)
 		return
 	}
-	j.Ended = time.Now()
+	var to State
 	switch {
 	case err != nil:
-		j.State = StateFailed
-		j.Error = err.Error()
+		to, j.Error = StateFailed, err.Error()
 	case j.userCancel:
-		j.State = StateCanceled
-		j.report = rep // partial results stay retrievable
+		to, j.report = StateCanceled, rep // partial results stay retrievable
 	default:
-		j.State = StateDone
-		j.report = rep
+		to, j.report = StateDone, rep
 	}
+	m.metrics.observeMine(j.Spec.Algorithm, elapsed)
+	m.transitionLocked(j, to)
 	if j.Spec.Monitor != "" {
 		m.harvestMonitorLocked(j)
 	}
-	m.metrics.JobsTotal.Inc(string(j.State), j.Tenant)
-	m.metrics.observeMine(j.Spec.Algorithm, elapsed)
-	if m.store != nil {
-		// Result before record: a record that says "done" must always
-		// find its result on disk (recovery demotes it otherwise).
-		if j.report != nil {
-			if serr := m.store.SaveResult(j.ID, j.report); serr != nil {
-				log.Printf("server: persisting result of %s: %v", j.ID, serr)
-			}
-		}
-		if perr := m.persistJobLocked(j); perr != nil {
-			log.Printf("server: persisting end of %s: %v", j.ID, perr)
-		}
-	}
-	m.cond.Broadcast()
 }
 
 // mine materializes the job's dataset and runs its algorithm. A panic

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"log"
 	"net/http"
 	"strconv"
 	"time"
@@ -19,7 +20,8 @@ type Metrics struct {
 	// events for uncanceled runs.
 	JobsTotal *metrics.Counter
 	// JobsActive gauges the current queued and running jobs, labeled
-	// (state).
+	// (state). It, QueueDepth, Monitors and CatalogDatasets are set at
+	// scrape time (Manager.sampleGauges).
 	JobsActive *metrics.Gauge
 	// QueueDepth gauges the bounded submission queue's backlog.
 	QueueDepth *metrics.Gauge
@@ -72,6 +74,9 @@ type Metrics struct {
 	// ShardUploads counts dataset ships to peers, labeled (outcome):
 	// hit (already cached by content hash) or miss (uploaded).
 	ShardUploads *metrics.Counter
+	// StoreErrors counts failed store writes and deletes, labeled (op):
+	// job, result, delete, blob_gc.
+	StoreErrors *metrics.Counter
 }
 
 // NewMetrics registers the pfserve instrument set on reg (a nil reg
@@ -126,6 +131,8 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 			"Wall time of one shard lease (ship + mine + fetch).", nil, "algorithm"),
 		ShardUploads: reg.NewCounter("pfserve_shard_dataset_uploads_total",
 			"Dataset ships to peers by cache outcome.", "outcome"),
+		StoreErrors: reg.NewCounter("pfserve_store_errors_total",
+			"Failed durable-store operations by op.", "op"),
 	}
 }
 
@@ -160,6 +167,13 @@ func (w *statusWriter) Flush() {
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
+}
+
+// storeFailed logs and counts a failed store operation on what (a job
+// ID or a blob hash).
+func (m *Metrics) storeFailed(op, what string, err error) {
+	log.Printf("server: store %s %s: %v", op, what, err)
+	m.StoreErrors.Inc(op)
 }
 
 // observeMine records one mining run's wall time.

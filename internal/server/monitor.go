@@ -112,7 +112,6 @@ func (m *Manager) SetMonitor(name string, spec MonitorSpec, t *Tenant) (MonitorS
 	defer m.mu.Unlock()
 	mon := &monitor{spec: spec, tenant: t, lastRows: entry.Rows}
 	m.monitors[name] = mon
-	m.metrics.Monitors.Set(float64(len(m.monitors)))
 	return m.monitorStatusLocked(name, mon, entry.Rows), nil
 }
 
@@ -139,7 +138,6 @@ func (m *Manager) DeleteMonitor(name string) bool {
 		return false
 	}
 	delete(m.monitors, name)
-	m.metrics.Monitors.Set(float64(len(m.monitors)))
 	return true
 }
 

@@ -66,9 +66,6 @@ func FuzzTIDSet(f *testing.F) {
 		if got, want := sb.SubsetOf(sa), bb.AndCount(ba) == bb.Count(); got != want {
 			t.Fatalf("reverse SubsetOf: %v vs %v", got, want)
 		}
-		if got, want := sa.OrCount(sb), ba.OrCount(bb); got != want {
-			t.Fatalf("OrCount: %d vs %d", got, want)
-		}
 		if got, want := sa.Jaccard(sb), ba.Jaccard(bb); got != want {
 			t.Fatalf("Jaccard: %v vs %v", got, want)
 		}

@@ -593,12 +593,6 @@ func (s *Set) SubsetOf(o *Set) bool {
 	}
 }
 
-// OrCount returns |s ∪ o| without allocating, by inclusion–exclusion on
-// the maintained cardinalities.
-func (s *Set) OrCount(o *Set) int {
-	return s.card + o.card - s.AndCount(o)
-}
-
 // Jaccard returns the Jaccard similarity |s∩o| / |s∪o|. By convention
 // Jaccard of two empty sets is 1. The division is performed on the same
 // integer counts the dense bitset computes, so the float64 result is

@@ -70,9 +70,6 @@ func TestBasicOpsMatchBitset(t *testing.T) {
 				if got, want := a.AndCount(b), ba.AndCount(bb); got != want {
 					t.Fatalf("AndCount(dense=%v/%v): %d vs %d", da, db, got, want)
 				}
-				if got, want := a.OrCount(b), ba.OrCount(bb); got != want {
-					t.Fatalf("OrCount: %d vs %d", got, want)
-				}
 				if got, want := a.Jaccard(b), ba.Jaccard(bb); got != want {
 					t.Fatalf("Jaccard: %v vs %v", got, want)
 				}
