@@ -223,3 +223,35 @@ func bruteSupport(d *dataset.Dataset, p seq.Sequence) int {
 	}
 	return n
 }
+
+// TestEmptyPoolQuality pins the answer of a run whose core pool is
+// empty (no event reaches the support threshold): its root report is
+// blank, so the range loop leaves it out of the merge, and the answer
+// still carries Δ = 0 — single-node and through a coordinator's lease
+// alike.
+func TestEmptyPoolQuality(t *testing.T) {
+	d := seqDataset(t, [][]int{{1, 2}, {2, 1}, {1, 3}})
+	opts := engine.Options{MinCount: 4, K: 3, Seed: 1}
+	alg, err := engine.Get("seqfusion")
+	if err != nil {
+		t.Fatal(err)
+	}
+	leased, err := engine.Lease(context.Background(), alg, d, opts, 2, func(ctx context.Context, s engine.Shard) (*engine.Report, error) {
+		plan, err := alg.Plan(ctx, d, opts)
+		if err != nil {
+			return nil, err
+		}
+		return plan.MineShard(ctx, s.Lo, s.Hi, s.Units)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, rep := range map[string]*engine.Report{"mine": mineSeqfusion(t, d, opts), "lease": leased} {
+		if len(rep.Patterns) != 0 || rep.InitPoolSize != 0 {
+			t.Fatalf("%s: %d patterns from a pool of %d, want none", name, len(rep.Patterns), rep.InitPoolSize)
+		}
+		if rep.Quality == nil || rep.Quality.Delta != 0 {
+			t.Fatalf("%s: quality %+v, want Δ = 0", name, rep.Quality)
+		}
+	}
+}
