@@ -1,22 +1,20 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation
-// (Section 6), plus ablations of Pattern-Fusion's design choices and
-// micro-benchmarks of the substrates. Custom metrics report the quantities
-// the paper plots (approximation error Δ, patterns recovered), so `go test
-// -bench=. -benchmem` reproduces the experiment outputs alongside timings;
-// cmd/pfexp renders the same experiments as tables.
+// Benchmarks of the paper's experiments (the list cmd/pfexp runs, one
+// sub-benchmark per table), of every miner at one and several workers,
+// and micro-benchmarks of the substrates.
 package patternfusion_test
 
 import (
-	"context"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	patternfusion "repro"
 
-	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/dataset"
+	"repro/internal/experiments"
+	"repro/internal/ingest"
 	"repro/internal/itemset"
 	"repro/internal/quality"
 	"repro/internal/rng"
@@ -85,242 +83,23 @@ func microFixture(b *testing.B) (*dataset.Dataset, []*dataset.Pattern) {
 }
 
 // ---------------------------------------------------------------------------
-// Section 1 motivating example.
+// The paper's experiments: every entry of the experiment list cmd/pfexp
+// runs, at a small exact-miner budget, with "data" on the Section 1
+// dataset. Each sub-benchmark times the regeneration of one figure's
+// table, so a run with -benchtime=1x runs every figure's code once.
 
-func BenchmarkIntroDiagPlusFusion(b *testing.B) {
-	d := datagen.DiagPlus(40, 20, 39)
-	colossal := itemset.Canonical(datagen.DiagColossal(40, 39))
-	found := 0
-	for i := 0; i < b.N; i++ {
-		res := mine(b, "fusion", d, patternfusion.Options{K: 20, MinCount: 20, InitPoolMaxSize: 2, Seed: uint64(i + 1)})
-		for _, p := range res.Patterns {
-			if p.Items.Equal(colossal) {
-				found++
-				break
-			}
-		}
+func BenchmarkExperiments(b *testing.B) {
+	cfg := experiments.Config{
+		Budget: 100 * time.Millisecond, Seed: 1, Parallelism: 1,
+		Data: &ingest.Result{Dataset: datagen.DiagPlus(40, 20, 39)}, MinSupport: 0.3, K: 20,
 	}
-	b.ReportMetric(float64(found)/float64(b.N), "colossal-hit-rate")
-}
-
-// ---------------------------------------------------------------------------
-// Figure 6: run time on Diag_n. The exact miner's exponential blow-up is
-// benchmarked at sizes it can still finish; Pattern-Fusion at the sizes the
-// paper sweeps.
-
-func BenchmarkFig6MaximalDiag(b *testing.B) {
-	for _, n := range []int{10, 12, 14, 16} {
-		b.Run(byN(n), func(b *testing.B) {
-			d := datagen.Diag(n)
+	for _, e := range experiments.All {
+		b.Run(e.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res := mine(b, "maximal", d, patternfusion.Options{MinCount: n / 2})
-				if res.Stopped {
-					b.Fatal("unexpected stop")
+				if _, err := e.Run(cfg); err != nil {
+					b.Fatal(err)
 				}
 			}
-		})
-	}
-}
-
-func BenchmarkFig6FusionDiag(b *testing.B) {
-	for _, n := range []int{10, 20, 30, 40} {
-		b.Run(byN(n), func(b *testing.B) {
-			d := datagen.Diag(n)
-			for i := 0; i < b.N; i++ {
-				mine(b, "fusion", d, patternfusion.Options{K: 40, MinCount: n / 2, InitPoolMaxSize: 2, Seed: uint64(i + 1)})
-			}
-		})
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Figure 7: approximation error on Diag40 vs uniform sampling.
-
-func BenchmarkFig7ApproxErrorDiag40(b *testing.B) {
-	d := datagen.Diag(40)
-	r := rng.New(7)
-	q := make([]itemset.Itemset, 300)
-	for i := range q {
-		q[i] = itemset.Canonical(r.SampleInts(40, 20))
-	}
-	var fusionDelta, uniformDelta float64
-	for i := 0; i < b.N; i++ {
-		res := mine(b, "fusion", d, patternfusion.Options{K: 100, MinCount: 20, InitPoolMaxSize: 2, Seed: uint64(i + 1)})
-		fusionDelta = quality.Delta(dataset.Itemsets(res.Patterns), q)
-		uniform := make([]itemset.Itemset, 100)
-		for j := range uniform {
-			uniform[j] = itemset.Canonical(r.SampleInts(40, 20))
-		}
-		uniformDelta = quality.Delta(uniform, q)
-	}
-	b.ReportMetric(fusionDelta, "Δ-fusion")
-	b.ReportMetric(uniformDelta, "Δ-uniform")
-}
-
-// ---------------------------------------------------------------------------
-// Figure 8: approximation error on Replace.
-
-func BenchmarkFig8ApproxErrorReplace(b *testing.B) {
-	d, paths, closed := replaceFixture(b)
-	q42 := quality.FilterBySize(closed, 42)
-	b.ResetTimer()
-	var delta float64
-	hits := 0
-	for i := 0; i < b.N; i++ {
-		res := mine(b, "fusion", d, patternfusion.Options{K: 100, MinSupport: 0.03, Seed: uint64(i + 1)})
-		p := dataset.Itemsets(res.Patterns)
-		delta = quality.Delta(p, q42)
-		found := 0
-		for _, path := range paths {
-			for _, got := range p {
-				if got.Equal(path) {
-					found++
-					break
-				}
-			}
-		}
-		if found == len(paths) {
-			hits++
-		}
-	}
-	b.ReportMetric(delta, "Δ-size≥42")
-	b.ReportMetric(float64(hits)/float64(b.N), "all-colossal-rate")
-}
-
-// ---------------------------------------------------------------------------
-// Figure 9: mining result comparison on the microarray dataset.
-
-func BenchmarkFig9MicroarrayComparison(b *testing.B) {
-	d, top := microFixture(b)
-	b.ResetTimer()
-	var recovered, total float64
-	for i := 0; i < b.N; i++ {
-		res := mine(b, "fusion", d, patternfusion.Options{K: 100, MinCount: 30, InitPoolMaxSize: 2, Seed: uint64(i + 1)})
-		found := make(map[string]bool, len(res.Patterns))
-		for _, p := range res.Patterns {
-			found[p.Items.Key()] = true
-		}
-		recovered, total = 0, 0
-		for _, p := range top {
-			total++
-			if found[p.Items.Key()] {
-				recovered++
-			}
-		}
-	}
-	b.ReportMetric(recovered, "colossal-recovered")
-	b.ReportMetric(total, "colossal-complete")
-}
-
-// ---------------------------------------------------------------------------
-// Figure 10: run time on the microarray dataset with decreasing support.
-// Pattern-Fusion must level off (compare the sub-benchmark timings); the
-// exact miners' blow-up is visible in BenchmarkFig10MaximalALL.
-
-func BenchmarkFig10FusionALL(b *testing.B) {
-	d, _ := microFixture(b)
-	for _, mc := range []int{31, 28, 25, 21} {
-		b.Run(byMinCount(mc), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				mine(b, "fusion", d, patternfusion.Options{K: 100, MinCount: mc, InitPoolMaxSize: 2, Seed: uint64(i + 1)})
-			}
-		})
-	}
-}
-
-func BenchmarkFig10MaximalALL(b *testing.B) {
-	d, _ := microFixture(b)
-	// Only the supports the exact miner still finishes at laptop scale.
-	for _, mc := range []int{31, 30, 29} {
-		b.Run(byMinCount(mc), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				mine(b, "maximal", d, patternfusion.Options{MinCount: mc})
-			}
-		})
-	}
-}
-
-func BenchmarkFig10TopKALL(b *testing.B) {
-	d, _ := microFixture(b)
-	for _, mc := range []int{31, 28, 25} {
-		b.Run(byMinCount(mc), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				mine(b, "topk", d, patternfusion.Options{K: 5000, MinSize: 5, MinCount: mc})
-			}
-		})
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Ablations (DESIGN.md §4): the design choices behind Pattern-Fusion,
-// measured on the Replace workload with recall of the three colossal
-// patterns as the quality metric.
-
-// ablationRun mines the Replace workload with the registered fusion
-// defaults, as modified by mutate: engine options for τ and the initial
-// pool, the fusion-only knobs for everything else.
-func ablationRun(b *testing.B, mutate func(*patternfusion.Options, *core.Knobs)) {
-	d, paths, _ := replaceFixture(b)
-	b.ResetTimer()
-	found := 0
-	for i := 0; i < b.N; i++ {
-		opts := patternfusion.Options{K: 100, MinSupport: 0.03, Seed: uint64(i + 1)}
-		kn := core.DefaultKnobs(opts.K)
-		mutate(&opts, &kn)
-		res, err := core.WithKnobs(kn).Mine(context.Background(), d, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		hits := 0
-		for _, path := range paths {
-			for _, p := range res.Patterns {
-				if p.Items.Equal(path) {
-					hits++
-					break
-				}
-			}
-		}
-		found += hits
-	}
-	b.ReportMetric(float64(found)/float64(3*b.N), "colossal-recall")
-}
-
-func BenchmarkAblationTau(b *testing.B) {
-	for _, tau := range []float64{0.5, 0.7, 0.9} {
-		b.Run(byTau(tau), func(b *testing.B) {
-			ablationRun(b, func(o *patternfusion.Options, _ *core.Knobs) { o.Tau = tau })
-		})
-	}
-}
-
-func BenchmarkAblationInitPoolSize(b *testing.B) {
-	for _, s := range []int{1, 2, 3} {
-		b.Run(byN(s), func(b *testing.B) {
-			ablationRun(b, func(o *patternfusion.Options, _ *core.Knobs) { o.InitPoolMaxSize = s })
-		})
-	}
-}
-
-func BenchmarkAblationFusionDraws(b *testing.B) {
-	for _, draws := range []int{2, 10, 20} {
-		b.Run(byN(draws), func(b *testing.B) {
-			ablationRun(b, func(_ *patternfusion.Options, k *core.Knobs) { k.FusionDraws = draws })
-		})
-	}
-}
-
-func BenchmarkAblationBallSize(b *testing.B) {
-	for _, size := range []int{256, 2048, 8192} {
-		b.Run(byN(size), func(b *testing.B) {
-			ablationRun(b, func(_ *patternfusion.Options, k *core.Knobs) { k.MaxBallSize = size })
-		})
-	}
-}
-
-func BenchmarkAblationElitism(b *testing.B) {
-	for _, e := range []int{0, 26} {
-		b.Run(byN(e), func(b *testing.B) {
-			ablationRun(b, func(_ *patternfusion.Options, k *core.Knobs) { k.Elitism = e })
 		})
 	}
 }
@@ -698,20 +477,6 @@ func BenchmarkPublicAPIQuickMine(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-
-func byN(n int) string        { return "n=" + itoa(n) }
-func byMinCount(n int) string { return "minsup=" + itoa(n) }
-func byTau(t float64) string {
-	switch t {
-	case 0.5:
-		return "tau=0.5"
-	case 0.7:
-		return "tau=0.7"
-	case 0.9:
-		return "tau=0.9"
-	}
-	return "tau"
-}
 
 func itoa(n int) string {
 	if n == 0 {

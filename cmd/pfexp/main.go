@@ -1,7 +1,8 @@
 // Command pfexp regenerates every experiment of the paper: the motivating
 // example of Section 1, the core-pattern table of Figure 3, the worked
-// quality-model example of Figure 5 / Example 1, and the evaluation's
-// Figures 6–10.
+// quality-model example of Figure 5 / Example 1, the evaluation's
+// Figures 6–10, and the ablations. Each prints as one table; -csv also
+// writes each table as CSV.
 //
 // Usage:
 //
@@ -18,28 +19,21 @@
 //
 // Absolute timings differ from the paper's 2007 hardware; the reproduced
 // quantities are the shapes: who wins, exponential-vs-flat curves, and the
-// error orderings. See EXPERIMENTS.md for the recorded comparison.
+// error orderings. PAPER_MAP.md maps each experiment to the paper.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
-	"text/tabwriter"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/dataset"
-	"repro/internal/engine"
 	_ "repro/internal/engine/all"
 	"repro/internal/experiments"
 	"repro/internal/ingest"
-	"repro/internal/itemset"
 	"repro/internal/profiling"
-	"repro/internal/quality"
 )
 
 func main() {
@@ -52,377 +46,71 @@ func main() {
 	dataPath := flag.String("data", "", "dataset file for -fig data (fimi/csv/matrix, gzip auto-detected)")
 	minsup := flag.Float64("minsup", 0.1, "-fig data: relative minimum support")
 	k := flag.Int("k", 20, "-fig data: Pattern-Fusion K")
-	flag.StringVar(&csvDir, "csv", "", "also write each figure's data as CSV into this directory")
+	csvDir := flag.String("csv", "", "also write each figure's data as CSV into this directory")
 	var ing ingest.Flags
 	ing.Register(flag.CommandLine)
 	flag.Parse()
 	stopProfiles := profiling.Start(*cpuprof, *memprof)
 	defer stopProfiles()
+	if err := run(*fig, *csvDir, *dataPath, &ing, experiments.Config{
+		Budget: *budget, Seed: *seed, Parallelism: *par, MinSupport: *minsup, K: *k,
+	}); err != nil {
+		stopProfiles()
+		fmt.Fprintf(os.Stderr, "pfexp: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run prints the table of the named experiment, or of every experiment
+// but "data" for "all", and writes each as CSV into csvDir when set.
+func run(fig, csvDir, dataPath string, ing *ingest.Flags, cfg experiments.Config) error {
 	if csvDir != "" {
 		if err := os.MkdirAll(csvDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "pfexp: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 	}
-
-	// The data figure never runs under -fig all: it needs user input.
-	if *fig == "data" {
-		fmt.Printf("=== %s ===\n", title("data"))
-		if err := runData(&ing, *dataPath, *minsup, *k, *budget, *seed, *par); err != nil {
-			fmt.Fprintf(os.Stderr, "pfexp: data: %v\n", err)
-			os.Exit(1)
+	if fig == "data" && dataPath != "" {
+		res, err := ing.Load(dataPath)
+		if err != nil {
+			return err
 		}
-		return
+		cfg.Data = res
 	}
-
-	run := func(name string, fn func() error) {
-		if *fig != "all" && *fig != name {
-			return
+	ran := false
+	for _, e := range experiments.All {
+		if fig != e.Name && (fig != "all" || e.Name == "data") {
+			continue
 		}
-		fmt.Printf("=== %s ===\n", title(name))
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "pfexp: %s: %v\n", name, err)
-			os.Exit(1)
+		ran = true
+		fmt.Printf("=== %s ===\n", e.Title)
+		t, err := e.Run(cfg)
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.Name, err)
+		}
+		if err := t.WriteText(os.Stdout); err != nil {
+			return err
 		}
 		fmt.Println()
-	}
-
-	run("intro", func() error { return runIntro(*budget, *seed, *par) })
-	run("3", runFig3)
-	run("5", runFig5)
-	run("6", func() error { return runFig6(*budget, *seed, *par) })
-	run("7", func() error { return runFig7(*seed, *par) })
-	run("8", func() error { return runFig8(*seed, *par) })
-	run("9", func() error { return runFig9(*seed, *par) })
-	run("10", func() error { return runFig10(*budget, *seed, *par) })
-	run("ablation", func() error { return runAblations(*seed, *par) })
-}
-
-func runAblations(seed uint64, par int) error {
-	cfg := experiments.DefaultAblationConfig()
-	cfg.Seed = seed
-	cfg.Parallelism = par
-	groups, err := experiments.Ablations(cfg)
-	if err != nil {
-		return err
-	}
-	if err := writeCSV("ablation.csv", func(f *os.File) error { return experiments.WriteAblationCSV(f, groups) }); err != nil {
-		return err
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "sweep\tsetting\tcolossal recall\ttime\tpatterns")
-	for _, group := range []string{"tau", "initpool", "draws", "ball", "elitism", "closure"} {
-		for _, row := range groups[group] {
-			fmt.Fprintf(w, "%s\t%s\t%.2f\t%v\t%d\n",
-				group, row.Name, row.Recall, row.Time.Round(time.Millisecond), row.Patterns)
+		if csvDir != "" {
+			if err := writeCSV(filepath.Join(csvDir, e.CSV), t); err != nil {
+				return err
+			}
 		}
 	}
-	return w.Flush()
+	if !ran {
+		return fmt.Errorf("unknown -fig %q", fig)
+	}
+	return nil
 }
 
-// csvDir, when non-empty, receives one CSV per figure alongside the tables.
-var csvDir string
-
-// writeCSV saves one figure's data via the given writer function.
-func writeCSV(name string, write func(w *os.File) error) error {
-	if csvDir == "" {
-		return nil
-	}
-	f, err := os.Create(filepath.Join(csvDir, name))
+func writeCSV(path string, t *experiments.Table) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := write(f); err != nil {
+	if err := t.WriteCSV(f); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
-}
-
-func title(name string) string {
-	switch name {
-	case "intro":
-		return "Section 1 motivating example (Diag40 + colossal pattern)"
-	case "3":
-		return "Figure 3: core patterns of the example database"
-	case "5":
-		return "Figure 5 / Example 1: pattern set approximation error"
-	case "6":
-		return "Figure 6: run time on Diag_n"
-	case "7":
-		return "Figure 7: approximation error on Diag40"
-	case "8":
-		return "Figure 8: approximation error on Replace"
-	case "9":
-		return "Figure 9: mining result comparison on ALL"
-	case "10":
-		return "Figure 10: run time on ALL"
-	case "ablation":
-		return "Ablations: design choices on the Replace workload"
-	case "data":
-		return "Bring-your-own-data: exact maximal miner vs Pattern-Fusion"
-	}
-	return name
-}
-
-// runData reproduces the Section 1 comparison on a user dataset: the
-// exact maximal miner under a time budget against Pattern-Fusion, plus
-// the largest patterns each found.
-func runData(ing *ingest.Flags, path string, minsup float64, k int, budget time.Duration, seed uint64, par int) error {
-	if path == "" {
-		return fmt.Errorf("-fig data requires -data <file>")
-	}
-	res, err := ing.Load(path)
-	if err != nil {
-		return err
-	}
-	d := res.Dataset
-	fmt.Printf("ingested: format=%s rows=%d/%d %s\n", res.Format, res.RowsKept, res.RowsRead, d.ComputeStats())
-
-	mine := func(name string, opts engine.Options, budget time.Duration) (*engine.Report, time.Duration, error) {
-		alg, err := engine.Get(name)
-		if err != nil {
-			return nil, 0, err
-		}
-		ctx := context.Background()
-		if budget > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, budget)
-			defer cancel()
-		}
-		t0 := time.Now()
-		rep, err := alg.Mine(ctx, d, opts)
-		if err != nil {
-			return nil, 0, err
-		}
-		return ingest.RemapReport(rep, res.Mapping), time.Since(t0), nil
-	}
-
-	maxRep, maxTime, err := mine("maximal", engine.Options{MinSupport: minsup, Parallelism: par}, budget)
-	if err != nil {
-		return err
-	}
-	fusRep, fusTime, err := mine("fusion", engine.Options{MinSupport: minsup, K: k, Seed: seed, Parallelism: par}, 0)
-	if err != nil {
-		return err
-	}
-
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "miner\ttime\tpatterns\tlargest\tnote")
-	note := ""
-	if maxRep.Stopped {
-		note = fmt.Sprintf("stopped at %v budget (partial)", budget)
-	}
-	fmt.Fprintf(w, "maximal (exact)\t%v\t%d\t%d\t%s\n",
-		maxTime.Round(time.Millisecond), len(maxRep.Patterns), largest(maxRep), note)
-	fmt.Fprintf(w, "fusion (K=%d)\t%v\t%d\t%d\t\n",
-		k, fusTime.Round(time.Millisecond), len(fusRep.Patterns), largest(fusRep))
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	for i, p := range fusRep.Patterns {
-		if i == 5 {
-			fmt.Printf("  … %d more\n", len(fusRep.Patterns)-5)
-			break
-		}
-		items := make([]string, len(p.Items))
-		for j, it := range p.Items {
-			items[j] = res.Symbols.Symbol(it)
-		}
-		fmt.Printf("  fusion #%d: size=%d support=%d  %v\n", i+1, len(p.Items), p.Support(), items)
-	}
-	return nil
-}
-
-func largest(rep *engine.Report) int {
-	if len(rep.Patterns) == 0 {
-		return 0
-	}
-	return len(rep.Patterns[0].Items)
-}
-
-func runIntro(budget time.Duration, seed uint64, par int) error {
-	res, err := experiments.Intro(budget, seed, par)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("exact maximal miner:   timed out=%v after %v with %d mid-sized patterns\n",
-		res.MaximalTimedOut, res.MaximalTime.Round(time.Millisecond), res.MaximalFound)
-	fmt.Printf("Pattern-Fusion:        found colossal α=(40..78)? %v, in %v (%d patterns)\n",
-		res.FusionFound, res.FusionTime.Round(time.Millisecond), res.FusionPatterns)
-	return nil
-}
-
-func runFig3() error {
-	// The Figure 3 database: (abe), (bcf), (acf), (abcef) ×100 each.
-	names := map[int]string{0: "a", 1: "b", 2: "c", 3: "e", 4: "f"}
-	var txns [][]int
-	rows := [][]int{{0, 1, 3}, {1, 2, 4}, {0, 2, 4}, {0, 1, 2, 3, 4}}
-	for _, row := range rows {
-		for i := 0; i < 100; i++ {
-			txns = append(txns, row)
-		}
-	}
-	d := dataset.MustNew(txns)
-	render := func(s itemset.Itemset) string {
-		out := "("
-		for _, it := range s {
-			out += names[it]
-		}
-		return out + ")"
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "transaction\t(d,τ)-robustness (τ=0.5)\tcore patterns (Definition 3)")
-	for _, row := range rows {
-		alpha := itemset.Canonical(row)
-		cores := core.CorePatterns(d, alpha, 0.5)
-		rendered := ""
-		for i, c := range cores {
-			if i > 0 {
-				rendered += ","
-			}
-			rendered += render(c)
-		}
-		fmt.Fprintf(w, "%s ×100\t(%d, 0.5)\t%s\n", render(alpha), core.Robustness(d, alpha, 0.5), rendered)
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	fmt.Println("note: the paper's table computes |D_αi| for the first three rows as the")
-	fmt.Println("100 transaction duplicates; under the literal Definition 3 (pattern support)")
-	fmt.Println("their core sets are larger. The (abcef) row and all robustness values match.")
-	return nil
-}
-
-func runFig5() error {
-	q := []itemset.Itemset{
-		{0, 1, 2, 3, 5}, {0, 2, 3, 4}, {0, 1, 2, 3}, {0, 1, 2, 3, 4},
-		{10, 11}, {10, 11, 12}, {11, 12},
-	}
-	p := []itemset.Itemset{{0, 1, 2, 3, 4}, {10, 11, 12}}
-	ap := quality.Evaluate(p, q)
-	for i, c := range ap.Clusters {
-		fmt.Printf("cluster %d: center %v, %d members, r=%0.4f (farthest %v)\n",
-			i+1, c.Center, len(c.Members), c.MaxErr, c.Farthest)
-	}
-	fmt.Printf("Δ(A_P^Q) = %.4f (paper: 11/30 ≈ 0.3667)\n", ap.Delta)
-	return nil
-}
-
-func runFig6(budget time.Duration, seed uint64, par int) error {
-	cfg := experiments.DefaultFig6Config()
-	cfg.Budget = budget
-	cfg.Seed = seed
-	cfg.Parallelism = par
-	rows, err := experiments.Fig6(cfg)
-	if err != nil {
-		return err
-	}
-	if err := writeCSV("fig6.csv", func(f *os.File) error { return experiments.WriteFig6CSV(f, rows) }); err != nil {
-		return err
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "n\tLCM_maximal (stand-in)\tmid-sized found\tPattern-Fusion")
-	for _, r := range rows {
-		mt := r.MaximalTime.Round(time.Microsecond).String()
-		if r.MaximalOut {
-			mt = fmt.Sprintf("> %v (budget)", budget)
-		}
-		fmt.Fprintf(w, "%d\t%s\t%d\t%v\n", r.N, mt, r.MaximalFound, r.FusionTime.Round(time.Microsecond))
-	}
-	return w.Flush()
-}
-
-func runFig7(seed uint64, par int) error {
-	cfg := experiments.DefaultFig7Config()
-	cfg.Seed = seed
-	cfg.Parallelism = par
-	rows, err := experiments.Fig7(cfg)
-	if err != nil {
-		return err
-	}
-	if err := writeCSV("fig7.csv", func(f *os.File) error { return experiments.WriteFig7CSV(f, rows) }); err != nil {
-		return err
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "patterns mined K\tΔ Pattern-Fusion\tΔ uniform sampling")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%d\t%.4f\t%.4f\n", r.K, r.FusionDelta, r.UniformDelta)
-	}
-	return w.Flush()
-}
-
-func runFig8(seed uint64, par int) error {
-	cfg := experiments.DefaultFig8Config()
-	cfg.Seed = seed
-	cfg.Parallelism = par
-	res, err := experiments.Fig8(cfg)
-	if err != nil {
-		return err
-	}
-	if err := writeCSV("fig8.csv", func(f *os.File) error { return experiments.WriteFig8CSV(f, res) }); err != nil {
-		return err
-	}
-	fmt.Printf("complete closed set: %d patterns (paper: 4,315); initial pool: %d (paper: 20,948)\n",
-		res.ClosedTotal, res.InitPool)
-	fmt.Printf("all three size-44 colossal patterns found in every run: %v\n", res.ColossalFound)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "pattern size ≥\t|Q|\tΔ K=50\tΔ K=100\tΔ K=200")
-	for _, row := range res.Rows {
-		fmt.Fprintf(w, "%d\t%d\t%.4f\t%.4f\t%.4f\n",
-			row.MinSize, row.QSize, row.Deltas[50], row.Deltas[100], row.Deltas[200])
-	}
-	return w.Flush()
-}
-
-func runFig9(seed uint64, par int) error {
-	cfg := experiments.DefaultFig9Config()
-	cfg.Seed = seed
-	cfg.Parallelism = par
-	res, err := experiments.Fig9(cfg)
-	if err != nil {
-		return err
-	}
-	if err := writeCSV("fig9.csv", func(f *os.File) error { return experiments.WriteFig9CSV(f, res) }); err != nil {
-		return err
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "pattern size\tcomplete set\tPattern-Fusion")
-	for _, row := range res.Rows {
-		fmt.Fprintf(w, "%d\t%d\t%d\n", row.Size, row.Complete, row.Fusion)
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	fmt.Printf("total: %d/%d; every pattern of size > %d found: %v\n",
-		res.FusionAll, res.CompleteAll, res.LargeCutoff, res.LargestHit)
-	return nil
-}
-
-func runFig10(budget time.Duration, seed uint64, par int) error {
-	cfg := experiments.DefaultFig10Config()
-	cfg.Budget = budget
-	cfg.Seed = seed
-	cfg.Parallelism = par
-	rows, err := experiments.Fig10(cfg)
-	if err != nil {
-		return err
-	}
-	if err := writeCSV("fig10.csv", func(f *os.File) error { return experiments.WriteFig10CSV(f, rows) }); err != nil {
-		return err
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "min support count\tLCM_maximal (stand-in)\tTFP top-k (stand-in)\tPattern-Fusion")
-	for _, r := range rows {
-		mt := r.MaximalTime.Round(time.Millisecond).String()
-		if r.MaximalOut {
-			mt = fmt.Sprintf("> %v (budget)", budget)
-		}
-		tt := r.TopKTime.Round(time.Millisecond).String()
-		if r.TopKOut {
-			tt = fmt.Sprintf("> %v (budget)", budget)
-		}
-		fmt.Fprintf(w, "%d\t%s\t%s\t%v\n", r.MinCount, mt, tt, r.FusionTime.Round(time.Millisecond))
-	}
-	return w.Flush()
 }

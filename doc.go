@@ -89,8 +89,7 @@
 // (Evaluate, Delta) and the paper's dataset generators (Diag, DiagPlus,
 // ReplaceSim, MicroarraySim).
 //
-// Every experiment of the paper (Figures 6–10 and the motivating example)
-// can be regenerated with cmd/pfexp or the benchmarks in bench_test.go;
-// see DESIGN.md for the experiment index and EXPERIMENTS.md for
-// paper-vs-measured results.
+// Every experiment of the paper (Figures 3 and 5–10 and the motivating
+// example) can be regenerated with cmd/pfexp or BenchmarkExperiments in
+// bench_test.go; PAPER_MAP.md maps each to the paper's text.
 package patternfusion

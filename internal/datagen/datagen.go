@@ -6,8 +6,8 @@
 // data), so this package provides planted-pattern simulators that reproduce
 // their published summary statistics and — more importantly — the structural
 // properties the experiments depend on: a handful of robust colossal
-// patterns on top of an explosive mid-sized pattern background. The
-// substitutions are documented in DESIGN.md §3.
+// patterns on top of an explosive mid-sized pattern background.
+// PAPER_MAP.md lists the substitutions.
 package datagen
 
 import (

@@ -302,7 +302,7 @@ func (d *Dataset) FrequentItems(minCount int) []int {
 	return out
 }
 
-// Stats summarizes a dataset; used by the CLI tools and EXPERIMENTS.md.
+// Stats summarizes a dataset; used by the CLI tools.
 type Stats struct {
 	Transactions   int
 	DistinctItems  int // items that occur at least once

@@ -1,19 +1,20 @@
-// Package experiments contains one driver per figure/table of the paper's
-// evaluation (Section 6), shared by the pfexp command and the repository's
-// benchmark suite. Each driver returns typed rows so callers can render or
-// assert on them; wall-clock comparisons use per-point time budgets since
-// the exact miners are expected to blow up (that is the paper's point).
-//
-// The experiment identifiers follow DESIGN.md §4: E3 = Figure 6, E4 =
-// Figure 7, E5 = Figure 8, E6 = Figure 9, E7 = Figure 10, E8 = the
-// introduction's Diag40+20 example.
+// Package experiments defines every experiment of the paper once: the
+// Section 1 motivating example, the worked examples of Figures 3 and 5,
+// the evaluation's Figures 6–10 (Section 6), the ablations of
+// Pattern-Fusion's design choices, and the Section 1 comparison on a
+// dataset the caller brings. All lists them in the order cmd/pfexp runs
+// them, and the repository's benchmark suite runs the same list. Each
+// experiment returns one Table, which pfexp prints as text and writes as
+// CSV. Wall-clock comparisons give each exact-miner run a time budget,
+// since the exact miners are expected to blow up (that is the paper's
+// point). PAPER_MAP.md maps each experiment to the paper's text.
 package experiments
 
 import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
+	"strings"
 	"time"
 
 	"repro/internal/carpenter"
@@ -22,6 +23,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/engine"
+	"repro/internal/ingest"
 	"repro/internal/itemset"
 	"repro/internal/maximal"
 	"repro/internal/quality"
@@ -29,269 +31,272 @@ import (
 	"repro/internal/topk"
 )
 
-// mine runs the registered algorithm name on d through the engine under
-// a time budget (zero: none); a run that exhausts it returns a partial
-// report with Stopped set.
-func mine(budget time.Duration, name string, d *dataset.Dataset, opts engine.Options) (*engine.Report, error) {
+// An Experiment is one entry of the paper's evaluation.
+type Experiment struct {
+	Name  string // pfexp's -fig value
+	Title string
+	CSV   string // file name of the table's CSV
+	Run   func(Config) (*Table, error)
+}
+
+// All is every experiment, in the order pfexp -fig all runs them ("data"
+// needs Config.Data, so -fig all leaves it out).
+var All = []Experiment{
+	{"intro", "Section 1 motivating example (Diag40 + colossal pattern)", "intro.csv", Intro},
+	{"3", "Figure 3: core patterns of the example database", "fig3.csv", Fig3},
+	{"5", "Figure 5 / Example 1: pattern set approximation error", "fig5.csv", Fig5},
+	{"6", "Figure 6: run time on Diag_n", "fig6.csv", func(c Config) (*Table, error) { return Fig6(DefaultFig6Config(c)) }},
+	{"7", "Figure 7: approximation error on Diag40", "fig7.csv", func(c Config) (*Table, error) { return Fig7(DefaultFig7Config(c)) }},
+	{"8", "Figure 8: approximation error on Replace", "fig8.csv", func(c Config) (*Table, error) { return Fig8(DefaultFig8Config(c)) }},
+	{"9", "Figure 9: mining result comparison on ALL", "fig9.csv", func(c Config) (*Table, error) { return Fig9(DefaultFig9Config(c)) }},
+	{"10", "Figure 10: run time on ALL", "fig10.csv", func(c Config) (*Table, error) { return Fig10(DefaultFig10Config(c)) }},
+	{"ablation", "Ablations: design choices on the Replace workload", "ablation.csv", func(c Config) (*Table, error) { return Ablations(DefaultAblationConfig(c)) }},
+	{"data", "Bring-your-own-data: exact maximal miner vs Pattern-Fusion", "data.csv", Data},
+}
+
+// Config is what every experiment shares.
+type Config struct {
+	// Budget is the time budget of each exact-miner run in the timed
+	// experiments (intro, 6, 10 and data); zero means none.
+	Budget time.Duration
+	Seed   uint64
+	// Parallelism is how many cells of a sweep run at once, and the
+	// Parallelism of every fusion run. Cells are seeded independently of
+	// execution order, so every table but its timings is identical for
+	// any value. Unlike engine.Options, <= 1 means sequential, for
+	// per-cell timings free of sibling contention.
+	Parallelism int
+	// Data is the data experiment's ingested dataset, mined at MinSupport
+	// with Pattern-Fusion's K.
+	Data       *ingest.Result
+	MinSupport float64
+	K          int
+}
+
+// fusionPar is the Parallelism of the experiment's fusion runs.
+func (c Config) fusionPar() int { return max(c.Parallelism, 1) }
+
+// registered returns the miner registered under name; the packages this
+// one imports register every name it uses.
+func registered(name string) engine.Algorithm {
 	alg, err := engine.Get(name)
 	if err != nil {
-		return nil, err
+		panic(err)
 	}
-	ctx, cancel := budgetContext(budget)
+	return alg
+}
+
+// mine runs alg on d under a time budget (zero: none) and reports how
+// long it took; a run that exhausts the budget returns a partial report
+// with Stopped set, and its time is the budget plus the time it took to
+// stop.
+func mine(budget time.Duration, alg engine.Algorithm, d *dataset.Dataset, opts engine.Options) (*engine.Report, time.Duration, error) {
+	ctx, cancel := context.Background(), context.CancelFunc(func() {})
+	if budget > 0 {
+		ctx, cancel = context.WithTimeout(ctx, budget)
+	}
 	defer cancel()
-	return alg.Mine(ctx, d, opts)
-}
-
-// budgetContext returns a Context enforcing a time budget, plus its cancel
-// func (which must be called to release the deadline timer). A zero budget
-// never cancels.
-func budgetContext(budget time.Duration) (context.Context, context.CancelFunc) {
-	if budget <= 0 {
-		return context.Background(), func() {}
-	}
-	return context.WithTimeout(context.Background(), budget)
-}
-
-// corePar maps an experiment-level Parallelism value to the fusion run's
-// engine.Options.Parallelism: at this layer 0 means "sequential" (like 1),
-// never "all CPUs", so that default-constructed configs measure
-// single-core fusion timings as documented.
-func corePar(parallelism int) int {
-	if parallelism < 1 {
-		return 1
-	}
-	return parallelism
-}
-
-// forEachCell runs fn(i) for every cell index in [0, n), fanning the cells
-// out to a pool of parallelism workers. Parallelism <= 1 runs the cells
-// sequentially on the calling goroutine — the default for every
-// experiment config, so that per-cell wall-clock measurements stay free of
-// sibling-cell contention unless the caller opts in. Each fn must write
-// only its own cell's slot. The first error encountered wins; once an
-// error occurs no new cells are started (parallel cells already in flight
-// still finish), so a failing sweep aborts instead of burning the
-// remaining cells' budgets.
-func forEachCell(parallelism, n int, fn func(i int) error) error {
-	if parallelism > n {
-		parallelism = n
-	}
-	if parallelism <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	cells := make(chan int)
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range cells {
-				if err := fn(i); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		mu.Lock()
-		failed := firstErr != nil
-		mu.Unlock()
-		if failed {
-			break
-		}
-		cells <- i
-	}
-	close(cells)
-	wg.Wait()
-	return firstErr
-}
-
-// ---------------------------------------------------------------------------
-// E8: the introduction's motivating example (Diag40 + 20 rows of a fresh
-// 39-item pattern; σ count = 20).
-
-// IntroResult reports the motivating example: the exact maximal miner gets
-// trapped in the C(40,20) mid-sized patterns while Pattern-Fusion finds the
-// single colossal pattern.
-type IntroResult struct {
-	MaximalTimedOut bool          // the exact miner hit its budget
-	MaximalFound    int           // patterns it had found by then
-	MaximalTime     time.Duration // how long it ran
-	FusionTime      time.Duration
-	FusionFound     bool // Pattern-Fusion found α = (40 … 78)
-	FusionPatterns  int
-}
-
-// Intro runs the motivating example with the given budget for the exact
-// miner. Parallelism follows the experiment-layer convention: it is handed
-// to the fusion run's Parallelism with <= 1 meaning a sequential fusion run.
-func Intro(budget time.Duration, seed uint64, parallelism int) (*IntroResult, error) {
-	d := datagen.DiagPlus(40, 20, 39)
-	colossal := itemset.Canonical(datagen.DiagColossal(40, 39))
-	res := &IntroResult{}
-
 	t0 := time.Now()
-	mres, err := mine(budget, maximal.Name, d, engine.Options{MinCount: 20})
-	if err != nil {
-		return nil, err
-	}
-	res.MaximalTime = time.Since(t0)
-	res.MaximalTimedOut = mres.Stopped
-	res.MaximalFound = len(mres.Patterns)
+	rep, err := alg.Mine(ctx, d, opts)
+	return rep, time.Since(t0), err
+}
 
-	t0 = time.Now()
-	fres, err := mine(0, core.Name, d, engine.Options{
-		K: 20, MinCount: 20, InitPoolMaxSize: 2, Seed: seed, Parallelism: corePar(parallelism),
+// cells runs cell(i) for every i in [0, n) on engine.Tasks, parallelism
+// at a time. Each cell writes only its own slot; the first error stops
+// the cells not yet started and is returned.
+func cells(parallelism, n int, cell func(i int) error) error {
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	engine.Tasks(ctx, parallelism, n, func(_, i int) {
+		if err := cell(i); err != nil {
+			cancel(err)
+		}
 	})
-	if err != nil {
-		return nil, err
-	}
-	res.FusionTime = time.Since(t0)
-	res.FusionPatterns = len(fres.Patterns)
-	for _, p := range fres.Patterns {
-		if p.Items.Equal(colossal) {
-			res.FusionFound = true
+	return context.Cause(ctx)
+}
+
+// found counts the itemsets of want present in got.
+func found(got []*dataset.Pattern, want []itemset.Itemset) int {
+	n := 0
+	for _, w := range want {
+		for _, p := range got {
+			if p.Items.Equal(w) {
+				n++
+				break
+			}
 		}
 	}
-	return res, nil
+	return n
+}
+
+// versus is the Section 1 comparison: the exact maximal miner under
+// c.Budget against Pattern-Fusion on d, one row per miner. It also
+// returns Pattern-Fusion's report.
+func versus(c Config, d *dataset.Dataset, exact, fusion engine.Options) (*Table, *engine.Report, error) {
+	t := &Table{Columns: []string{"miner", "seconds", "exceeded", "patterns", "largest"}}
+	var rep *engine.Report
+	for _, run := range []struct {
+		name   string
+		budget time.Duration
+		opts   engine.Options
+	}{{maximal.Name, c.Budget, exact}, {core.Name, 0, fusion}} {
+		r, took, err := mine(run.budget, registered(run.name), d, run.opts)
+		if err != nil {
+			return nil, nil, err
+		}
+		largest := 0
+		if len(r.Patterns) > 0 {
+			largest = len(r.Patterns[0].Items)
+		}
+		t.Rows = append(t.Rows, []any{run.name, took, r.Stopped, len(r.Patterns), largest})
+		rep = r
+	}
+	return t, rep, nil
 }
 
 // ---------------------------------------------------------------------------
-// E3: Figure 6 — run time on Diag_n, Pattern-Fusion vs the exact maximal
-// miner (LCM_maximal stand-in).
+// Section 1: the motivating example (Diag40 + 20 rows of a fresh 39-item
+// pattern; σ count = 20). The exact maximal miner gets trapped in the
+// C(40,20) mid-sized patterns while Pattern-Fusion finds the single
+// colossal pattern, of 39 items.
 
-// Fig6Row is one point of Figure 6.
-type Fig6Row struct {
-	N            int
-	MaximalTime  time.Duration
-	MaximalOut   bool // exceeded budget (the paper's "cannot finish" regime)
-	MaximalFound int
-	FusionTime   time.Duration
-	FusionSizes  int // number of patterns Pattern-Fusion returned
+// Intro runs the motivating example.
+func Intro(c Config) (*Table, error) {
+	t, _, err := versus(c, datagen.DiagPlus(40, 20, 39), engine.Options{MinCount: 20},
+		engine.Options{K: 20, MinCount: 20, InitPoolMaxSize: 2, Seed: c.Seed, Parallelism: c.fusionPar()})
+	return t, err
 }
+
+// ---------------------------------------------------------------------------
+// Figure 3: the core patterns (Definition 3) and (d, τ)-robustness of the
+// example database's transactions at τ = 0.5.
+
+// Fig3 renders the Figure 3 table.
+func Fig3(Config) (*Table, error) {
+	// The Figure 3 database: (abe), (bcf), (acf), (abcef) ×100 each.
+	const names = "abcef"
+	rows := [][]int{{0, 1, 3}, {1, 2, 4}, {0, 2, 4}, {0, 1, 2, 3, 4}}
+	var txns [][]int
+	for _, row := range rows {
+		for i := 0; i < 100; i++ {
+			txns = append(txns, row)
+		}
+	}
+	d := dataset.MustNew(txns)
+	render := func(s itemset.Itemset) string {
+		var b strings.Builder
+		for _, it := range s {
+			b.WriteByte(names[it])
+		}
+		return "(" + b.String() + ")"
+	}
+	t := &Table{Columns: []string{"transaction", "robustness", "core_patterns"}, Facts: []Fact{
+		{"tau", 0.5},
+		{"note", "the paper's table computes |D_αi| for the first three rows as the 100 transaction duplicates; " +
+			"under the literal Definition 3 (pattern support) their core sets are larger. The (abcef) row and all robustness values match."},
+	}}
+	for _, row := range rows {
+		alpha := itemset.Canonical(row)
+		var cores []string
+		for _, c := range core.CorePatterns(d, alpha, 0.5) {
+			cores = append(cores, render(c))
+		}
+		t.Rows = append(t.Rows, []any{render(alpha) + " ×100", core.Robustness(d, alpha, 0.5), strings.Join(cores, ",")})
+	}
+	return t, nil
+}
+
+// ---------------------------------------------------------------------------
+// Figure 5 / Example 1: the approximation A_P^Q of a complete set Q by
+// two patterns, one cluster per pattern, and its error Δ.
+
+// Fig5 renders the Figure 5 example.
+func Fig5(Config) (*Table, error) {
+	q := []itemset.Itemset{
+		{0, 1, 2, 3, 5}, {0, 2, 3, 4}, {0, 1, 2, 3}, {0, 1, 2, 3, 4},
+		{10, 11}, {10, 11, 12}, {11, 12},
+	}
+	ap := quality.Evaluate([]itemset.Itemset{{0, 1, 2, 3, 4}, {10, 11, 12}}, q)
+	t := &Table{Columns: []string{"cluster", "center", "members", "r", "farthest"},
+		Facts: []Fact{{"delta", ap.Delta}, {"paper_delta", 11.0 / 30}}}
+	for i, c := range ap.Clusters {
+		t.Rows = append(t.Rows, []any{i + 1, c.Center, len(c.Members), c.MaxErr, c.Farthest})
+	}
+	return t, nil
+}
+
+// ---------------------------------------------------------------------------
+// Figure 6: run time on Diag_n, Pattern-Fusion vs the exact maximal miner
+// (LCM_maximal stand-in).
 
 // Fig6Config parameterizes the sweep.
 type Fig6Config struct {
-	Sizes  []int         // matrix sizes n (paper: 5 … 45)
-	K      int           // Pattern-Fusion K
-	Tau    float64       // core ratio
-	Budget time.Duration // per-point budget for the exact miner
-	Seed   uint64
-	// Parallelism fans the per-n cells out to this many workers and is
-	// handed to the fusion run's Parallelism. Cells are seeded independently of
-	// execution order, so mined results are identical for any value; <= 1
-	// keeps both the cells and the fusion runs sequential for clean
-	// per-cell timings (unlike engine.Options, 0 here never means all CPUs).
-	Parallelism int
+	Config
+	Sizes []int   // matrix sizes n (paper: 5 … 45)
+	K     int     // Pattern-Fusion K
+	Tau   float64 // core ratio
 }
 
-// DefaultFig6Config mirrors the paper's sweep, with a laptop-scale budget.
-func DefaultFig6Config() Fig6Config {
-	return Fig6Config{
-		Sizes:  []int{5, 10, 15, 20, 22, 24, 26, 28, 30},
-		K:      40,
-		Tau:    0.5,
-		Budget: 2 * time.Second,
-		Seed:   1,
+// DefaultFig6Config mirrors the paper's sweep at laptop scale.
+func DefaultFig6Config(c Config) Fig6Config {
+	return Fig6Config{Config: c, Sizes: []int{5, 10, 15, 20, 22, 24, 26, 28, 30}, K: 40, Tau: 0.5}
+}
+
+// Fig6 runs the Diag_n runtime sweep, one cell per n.
+func Fig6(cfg Fig6Config) (*Table, error) {
+	t := &Table{
+		Columns: []string{"n", "maximal_seconds", "maximal_exceeded", "maximal_found", "fusion_seconds", "fusion_patterns"},
+		Rows:    make([][]any, len(cfg.Sizes)),
 	}
-}
-
-// Fig6 runs the Diag_n runtime sweep.
-func Fig6(cfg Fig6Config) ([]Fig6Row, error) {
-	rows := make([]Fig6Row, len(cfg.Sizes))
-	err := forEachCell(cfg.Parallelism, len(cfg.Sizes), func(i int) error {
+	err := cells(cfg.Parallelism, len(cfg.Sizes), func(i int) error {
 		n := cfg.Sizes[i]
 		d := datagen.Diag(n)
-		minCount := n / 2
-		if minCount < 1 {
-			minCount = 1
-		}
-		row := Fig6Row{N: n}
-
-		t0 := time.Now()
-		mres, err := mine(cfg.Budget, maximal.Name, d, engine.Options{MinCount: minCount})
+		minCount := max(n/2, 1)
+		mres, mt, err := mine(cfg.Budget, registered(maximal.Name), d, engine.Options{MinCount: minCount})
 		if err != nil {
 			return err
 		}
-		row.MaximalTime = time.Since(t0)
-		row.MaximalOut = mres.Stopped
-		row.MaximalFound = len(mres.Patterns)
-
-		t0 = time.Now()
-		fres, err := mine(0, core.Name, d, engine.Options{
+		fres, ft, err := mine(0, registered(core.Name), d, engine.Options{
 			K: cfg.K, MinCount: minCount, Tau: cfg.Tau, InitPoolMaxSize: 2,
-			Seed: cfg.Seed, Parallelism: corePar(cfg.Parallelism),
+			Seed: cfg.Seed, Parallelism: cfg.fusionPar(),
 		})
 		if err != nil {
 			return err
 		}
-		row.FusionTime = time.Since(t0)
-		row.FusionSizes = len(fres.Patterns)
-		rows[i] = row
+		t.Rows[i] = []any{n, mt, mres.Stopped, len(mres.Patterns), ft, len(fres.Patterns)}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return rows, nil
+	return t, nil
 }
 
 // ---------------------------------------------------------------------------
-// E4: Figure 7 — approximation error on Diag40 vs number of mined patterns,
+// Figure 7: approximation error on Diag40 vs number of mined patterns,
 // Pattern-Fusion vs uniform sampling from the complete answer set.
-
-// Fig7Row is one point of Figure 7.
-type Fig7Row struct {
-	K            int     // number of mined patterns
-	FusionDelta  float64 // Δ(A_P^Q) of Pattern-Fusion's result
-	UniformDelta float64 // Δ for K patterns sampled uniformly from Q
-}
 
 // Fig7Config parameterizes the sweep.
 type Fig7Config struct {
+	Config
 	N          int   // Diag size (paper: 40)
 	MinCount   int   // support threshold (paper: 20)
 	Ks         []int // pattern budget sweep (paper: up to 450)
 	SampleSize int   // |Q|: the complete set is too large, so it is sampled
-	Seed       uint64
-	// Parallelism fans the per-K cells out to this many workers and is
-	// handed to the fusion run's Parallelism (<= 1 = fully sequential, even for
-	// the fusion runs). Each cell draws from its own rng.Stream keyed by K,
-	// so results are identical for any Parallelism and unaffected by
-	// adding or removing other Ks.
-	Parallelism int
 }
 
 // DefaultFig7Config mirrors the paper's setup: Diag40, σ count 20, initial
 // pool of the 820 patterns of size ≤ 2, complete set sampled.
-func DefaultFig7Config() Fig7Config {
-	return Fig7Config{
-		N:          40,
-		MinCount:   20,
-		Ks:         []int{20, 50, 100, 150, 200, 250, 300, 350, 400, 450},
-		SampleSize: 500,
-		Seed:       1,
-	}
+func DefaultFig7Config(c Config) Fig7Config {
+	return Fig7Config{Config: c, N: 40, MinCount: 20,
+		Ks: []int{20, 50, 100, 150, 200, 250, 300, 350, 400, 450}, SampleSize: 500}
 }
 
-// Fig7 runs the Diag40 approximation-error sweep. The complete set of
-// maximal patterns of Diag40 at σ count 20 is all C(40,20) subsets of size
-// 20 — far too many to enumerate, so (as in the paper) Q is a uniform
-// sample of it: random 20-subsets of the 40 items.
-func Fig7(cfg Fig7Config) ([]Fig7Row, error) {
+// Fig7 runs the Diag40 approximation-error sweep, one cell per K. The
+// complete set of maximal patterns of Diag40 at σ count 20 is all
+// C(40,20) subsets of size 20 — far too many to enumerate, so (as in the
+// paper) Q is a uniform sample of it: random 20-subsets of the 40 items.
+func Fig7(cfg Fig7Config) (*Table, error) {
 	d := datagen.Diag(cfg.N)
 
 	// The evaluation sample Q is shared by all cells and drawn from the
@@ -302,22 +307,20 @@ func Fig7(cfg Fig7Config) ([]Fig7Row, error) {
 	target := cfg.N - cfg.MinCount // pattern size in the complete set
 	q := make([]itemset.Itemset, cfg.SampleSize)
 	for i := range q {
-		pick := qr.SampleInts(cfg.N, target)
-		q[i] = itemset.Canonical(pick)
+		q[i] = itemset.Canonical(qr.SampleInts(cfg.N, target))
 	}
 
-	rows := make([]Fig7Row, len(cfg.Ks))
-	err := forEachCell(cfg.Parallelism, len(cfg.Ks), func(i int) error {
+	t := &Table{Columns: []string{"k", "delta_fusion", "delta_uniform"}, Rows: make([][]any, len(cfg.Ks))}
+	err := cells(cfg.Parallelism, len(cfg.Ks), func(i int) error {
 		k := cfg.Ks[i]
 		cr := rng.Stream(cfg.Seed, uint64(k))
-		res, err := mine(0, core.Name, d, engine.Options{
+		res, _, err := mine(0, registered(core.Name), d, engine.Options{
 			K: k, MinCount: cfg.MinCount, InitPoolMaxSize: 2,
-			Seed: cr.Uint64(), Parallelism: corePar(cfg.Parallelism),
+			Seed: cr.Uint64(), Parallelism: cfg.fusionPar(),
 		})
 		if err != nil {
 			return err
 		}
-		p := dataset.Itemsets(res.Patterns)
 		// The uniform-sampling baseline picks K patterns from the complete
 		// answer set (all C(40,20) size-20 subsets), independently of the
 		// sample Q it is evaluated against.
@@ -325,234 +328,150 @@ func Fig7(cfg Fig7Config) ([]Fig7Row, error) {
 		for j := range uniform {
 			uniform[j] = itemset.Canonical(cr.SampleInts(cfg.N, target))
 		}
-		rows[i] = Fig7Row{
-			K:            k,
-			FusionDelta:  quality.Delta(p, q),
-			UniformDelta: quality.Delta(uniform, q),
-		}
+		t.Rows[i] = []any{k, quality.Delta(dataset.Itemsets(res.Patterns), q), quality.Delta(uniform, q)}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return rows, nil
+	return t, nil
 }
 
 // ---------------------------------------------------------------------------
-// E5: Figure 8 — approximation error on Replace for K ∈ {50,100,200},
-// against the complete closed set filtered by pattern size ≥ x.
-
-// Fig8Row is one point of Figure 8: Δ when comparing against all complete
-// patterns of size ≥ MinSize, for each K.
-type Fig8Row struct {
-	MinSize int
-	Deltas  map[int]float64 // K → Δ
-	QSize   int             // |Q_{≥MinSize}|
-}
-
-// Fig8Result carries the sweep plus the headline findings.
-type Fig8Result struct {
-	Rows          []Fig8Row
-	ClosedTotal   int  // size of the complete closed set (paper: 4,315)
-	ColossalFound bool // all three size-44 patterns present in every run
-	InitPool      int  // paper: 20,948
-}
+// Figure 8: approximation error on Replace for K ∈ {50,100,200}, against
+// the complete closed set filtered by pattern size ≥ x.
 
 // Fig8Config parameterizes the experiment.
 type Fig8Config struct {
+	Config
 	Sigma    float64 // minimum support (paper: 0.03)
 	Ks       []int   // paper: 50, 100, 200
 	MinSizes []int   // x sweep (paper: 39 … 45)
-	Seed     uint64
-	Budget   time.Duration // budget for the complete closed mining
-	// Parallelism fans the per-K Pattern-Fusion cells out to this many
-	// workers and is handed to the fusion run's Parallelism (<= 1 = fully
-	// sequential). Results are identical for any value.
-	Parallelism int
 }
 
 // DefaultFig8Config mirrors the paper's setup.
-func DefaultFig8Config() Fig8Config {
-	return Fig8Config{
-		Sigma:    0.03,
-		Ks:       []int{50, 100, 200},
-		MinSizes: []int{38, 39, 40, 41, 42, 43, 44},
-		Seed:     1,
-		Budget:   5 * time.Minute,
-	}
+func DefaultFig8Config(c Config) Fig8Config {
+	return Fig8Config{Config: c, Sigma: 0.03, Ks: []int{50, 100, 200}, MinSizes: []int{38, 39, 40, 41, 42, 43, 44}}
 }
 
-// Fig8 runs the Replace approximation-error sweep.
-func Fig8(cfg Fig8Config) (*Fig8Result, error) {
+// Fig8 runs the Replace approximation-error sweep, one Pattern-Fusion
+// cell per K; the table has one row per (size floor, K). Its facts are
+// the complete closed set's size (paper: 4,315), the initial pool's
+// (paper: 20,948), and whether every run found all three size-44
+// colossal patterns, which the paper stresses are never missed.
+func Fig8(cfg Fig8Config) (*Table, error) {
 	d, paths := datagen.Replace(cfg.Seed)
-	minCount := d.MinCount(cfg.Sigma)
-
-	closed, err := mine(cfg.Budget, charm.Name, d, engine.Options{MinCount: minCount})
+	closed, _, err := mine(0, registered(charm.Name), d, engine.Options{MinCount: d.MinCount(cfg.Sigma)})
 	if err != nil {
 		return nil, err
 	}
-	if closed.Stopped {
-		return nil, fmt.Errorf("fig8: complete closed mining exceeded budget with %d patterns", len(closed.Patterns))
-	}
-	qAll := dataset.Itemsets(closed.Patterns)
-
-	out := &Fig8Result{ClosedTotal: len(qAll), ColossalFound: true}
-	// Each K-cell writes only its own slot; the fold below is sequential.
-	type cell struct {
-		itemsets []itemset.Itemset
-		initPool int
-	}
-	cells := make([]cell, len(cfg.Ks))
-	err = forEachCell(cfg.Parallelism, len(cfg.Ks), func(i int) error {
+	runs := make([]*engine.Report, len(cfg.Ks))
+	err = cells(cfg.Parallelism, len(cfg.Ks), func(i int) error {
 		k := cfg.Ks[i]
-		res, err := mine(0, core.Name, d, engine.Options{
+		rep, _, err := mine(0, registered(core.Name), d, engine.Options{
 			K: k, MinSupport: cfg.Sigma, InitPoolMaxSize: 3,
-			Seed: cfg.Seed + uint64(k), Parallelism: corePar(cfg.Parallelism),
+			Seed: cfg.Seed + uint64(k), Parallelism: cfg.fusionPar(),
 		})
-		if err != nil {
-			return err
-		}
-		cells[i] = cell{itemsets: dataset.Itemsets(res.Patterns), initPool: res.InitPoolSize}
-		return nil
+		runs[i] = rep
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	results := make(map[int][]itemset.Itemset)
-	for i, k := range cfg.Ks {
-		out.InitPool = cells[i].initPool
-		results[k] = cells[i].itemsets
-		// The paper stresses that the three size-44 colossal patterns are
-		// never missed, for any K and τ.
-		for _, path := range paths {
-			found := false
-			for _, got := range results[k] {
-				if got.Equal(path) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				out.ColossalFound = false
-			}
-		}
+	qAll := dataset.Itemsets(closed.Patterns)
+	colossal, pool := true, 0
+	for _, run := range runs {
+		colossal = colossal && found(run.Patterns, paths) == len(paths)
+		pool = run.InitPoolSize
 	}
+	t := &Table{Columns: []string{"min_size", "q_size", "k", "delta"}, Facts: []Fact{
+		{"closed_total", len(qAll)}, {"init_pool", pool}, {"colossal_found", colossal},
+	}}
 	for _, ms := range cfg.MinSizes {
 		qf := quality.FilterBySize(qAll, ms)
-		row := Fig8Row{MinSize: ms, Deltas: make(map[int]float64), QSize: len(qf)}
-		for _, k := range cfg.Ks {
-			row.Deltas[k] = quality.Delta(results[k], qf)
+		for i, k := range cfg.Ks {
+			t.Rows = append(t.Rows, []any{ms, len(qf), k, quality.Delta(dataset.Itemsets(runs[i].Patterns), qf)})
 		}
-		out.Rows = append(out.Rows, row)
 	}
-	return out, nil
+	return t, nil
 }
 
 // ---------------------------------------------------------------------------
-// E6: Figure 9 — mining result comparison on the microarray dataset:
-// per pattern size, how many of the complete set's colossal patterns
+// Figure 9: mining result comparison on the microarray dataset: per
+// pattern size, how many of the complete set's colossal patterns
 // Pattern-Fusion recovers.
-
-// Fig9Row is one row of the Figure 9 table.
-type Fig9Row struct {
-	Size     int
-	Complete int // patterns of this size in the complete set
-	Fusion   int // of those, found (exactly) by Pattern-Fusion
-}
-
-// Fig9Result carries the comparison table.
-type Fig9Result struct {
-	Rows        []Fig9Row
-	CompleteAll int  // total complete patterns of size ≥ MinSize
-	FusionAll   int  // total of those recovered
-	LargestHit  bool // every pattern of size > LargeCutoff recovered
-	LargeCutoff int
-}
 
 // Fig9Config parameterizes the experiment.
 type Fig9Config struct {
+	Config
 	MinCount int // paper: 30
 	MinSize  int // paper: colossal cutoff 70
 	K        int // paper: 100
 	// LargeCutoff: the paper reports Pattern-Fusion never misses patterns
 	// of size > 85.
 	LargeCutoff int
-	Seed        uint64
-	// Parallelism is handed to the fusion run's Parallelism (<= 1 = sequential;
-	// Figure 9 is a single Pattern-Fusion run, so there are no cells to
-	// fan out).
-	Parallelism int
 }
 
 // DefaultFig9Config mirrors the paper's setup.
-func DefaultFig9Config() Fig9Config {
-	return Fig9Config{MinCount: 30, MinSize: 70, K: 100, LargeCutoff: 85, Seed: 1}
+func DefaultFig9Config(c Config) Fig9Config {
+	return Fig9Config{Config: c, MinCount: 30, MinSize: 70, K: 100, LargeCutoff: 85}
 }
 
-// Fig9 runs the microarray comparison.
-func Fig9(cfg Fig9Config) (*Fig9Result, error) {
+// Fig9 runs the microarray comparison: one row per pattern size, largest
+// first. Its facts are the totals and whether every complete pattern
+// larger than LargeCutoff was recovered.
+func Fig9(cfg Fig9Config) (*Table, error) {
 	d, _ := datagen.Microarray(cfg.Seed)
-	complete, err := mine(0, carpenter.Name, d, engine.Options{MinCount: cfg.MinCount, MinSize: cfg.MinSize})
+	complete, _, err := mine(0, registered(carpenter.Name), d, engine.Options{MinCount: cfg.MinCount, MinSize: cfg.MinSize})
 	if err != nil {
 		return nil, err
 	}
-	fres, err := mine(0, core.Name, d, engine.Options{
-		K: cfg.K, MinCount: cfg.MinCount, InitPoolMaxSize: 2,
-		Seed: cfg.Seed, Parallelism: corePar(cfg.Parallelism),
+	fres, _, err := mine(0, registered(core.Name), d, engine.Options{
+		K: cfg.K, MinCount: cfg.MinCount, InitPoolMaxSize: 2, Seed: cfg.Seed, Parallelism: cfg.fusionPar(),
 	})
 	if err != nil {
 		return nil, err
 	}
-	found := make(map[string]bool)
+	hit := make(map[string]bool)
 	for _, p := range fres.Patterns {
-		found[p.Items.Key()] = true
+		hit[p.Items.Key()] = true
 	}
-
-	bySize := make(map[int]*Fig9Row)
-	out := &Fig9Result{LargestHit: true, LargeCutoff: cfg.LargeCutoff}
+	bySize := make(map[int][2]int) // size → (complete, recovered)
+	recovered, largeHit := 0, true
 	for _, p := range complete.Patterns {
 		size := len(p.Items)
-		row, ok := bySize[size]
-		if !ok {
-			row = &Fig9Row{Size: size}
-			bySize[size] = row
-		}
-		row.Complete++
-		out.CompleteAll++
-		if found[p.Items.Key()] {
-			row.Fusion++
-			out.FusionAll++
+		c := bySize[size]
+		c[0]++
+		if hit[p.Items.Key()] {
+			c[1]++
+			recovered++
 		} else if size > cfg.LargeCutoff {
-			out.LargestHit = false
+			largeHit = false
 		}
+		bySize[size] = c
 	}
 	sizes := make([]int, 0, len(bySize))
 	for s := range bySize {
 		sizes = append(sizes, s)
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
+	t := &Table{Columns: []string{"pattern_size", "complete", "fusion"}, Facts: []Fact{
+		{"complete_total", len(complete.Patterns)}, {"fusion_total", recovered},
+		{fmt.Sprintf("all_larger_than_%d_found", cfg.LargeCutoff), largeHit},
+	}}
 	for _, s := range sizes {
-		out.Rows = append(out.Rows, *bySize[s])
+		t.Rows = append(t.Rows, []any{s, bySize[s][0], bySize[s][1]})
 	}
-	return out, nil
+	return t, nil
 }
 
 // ---------------------------------------------------------------------------
-// E7: Figure 10 — run time on the microarray dataset with decreasing
-// minimum support: LCM_maximal and TFP blow up, Pattern-Fusion levels off.
-
-// Fig10Row is one point of Figure 10.
-type Fig10Row struct {
-	MinCount    int
-	MaximalTime time.Duration
-	MaximalOut  bool
-	TopKTime    time.Duration
-	TopKOut     bool
-	FusionTime  time.Duration
-}
+// Figure 10: run time on the microarray dataset with decreasing minimum
+// support: LCM_maximal and TFP blow up, Pattern-Fusion levels off.
 
 // Fig10Config parameterizes the sweep.
 type Fig10Config struct {
+	Config
 	MinCounts []int // paper: 31 down to 21
 	K         int   // Pattern-Fusion K
 	// TopKK is the k given to the TFP stand-in. The paper parameterizes
@@ -560,67 +479,76 @@ type Fig10Config struct {
 	// lattice down to σ; a large k with the floor set to σ reproduces
 	// that workload.
 	TopKK    int
-	TopKMinL int           // TFP min pattern length
-	Budget   time.Duration // per-point budget for the exact miners
-	Seed     uint64
-	// Parallelism fans the per-support cells out to this many workers and
-	// is handed to the fusion run's Parallelism. <= 1 keeps the cells and
-	// fusion runs sequential so the runtime curves stay free of sibling
-	// contention (unlike engine.Options, 0 here never means all CPUs).
-	Parallelism int
+	TopKMinL int // TFP min pattern length
 }
 
-// DefaultFig10Config mirrors the paper's sweep with laptop budgets.
-func DefaultFig10Config() Fig10Config {
-	return Fig10Config{
-		MinCounts: []int{31, 30, 29, 28, 27, 26, 25, 24, 23, 22, 21},
-		K:         100,
-		TopKK:     5000,
-		TopKMinL:  5,
-		Budget:    2 * time.Second,
-		Seed:      1,
-	}
+// DefaultFig10Config mirrors the paper's sweep.
+func DefaultFig10Config(c Config) Fig10Config {
+	return Fig10Config{Config: c, MinCounts: []int{31, 30, 29, 28, 27, 26, 25, 24, 23, 22, 21},
+		K: 100, TopKK: 5000, TopKMinL: 5}
 }
 
-// Fig10 runs the microarray runtime sweep.
-func Fig10(cfg Fig10Config) ([]Fig10Row, error) {
+// Fig10 runs the microarray runtime sweep, one cell per support count.
+func Fig10(cfg Fig10Config) (*Table, error) {
 	d, _ := datagen.Microarray(cfg.Seed)
-	rows := make([]Fig10Row, len(cfg.MinCounts))
-	err := forEachCell(cfg.Parallelism, len(cfg.MinCounts), func(i int) error {
+	t := &Table{
+		Columns: []string{"min_count", "maximal_seconds", "maximal_exceeded", "topk_seconds", "topk_exceeded", "fusion_seconds"},
+		Rows:    make([][]any, len(cfg.MinCounts)),
+	}
+	err := cells(cfg.Parallelism, len(cfg.MinCounts), func(i int) error {
 		mc := cfg.MinCounts[i]
-		row := Fig10Row{MinCount: mc}
-
-		t0 := time.Now()
-		mres, err := mine(cfg.Budget, maximal.Name, d, engine.Options{MinCount: mc})
+		mres, mt, err := mine(cfg.Budget, registered(maximal.Name), d, engine.Options{MinCount: mc})
 		if err != nil {
 			return err
 		}
-		row.MaximalTime = time.Since(t0)
-		row.MaximalOut = mres.Stopped
-
-		// The support threshold is TFP's floor: it must enumerate the closed
-		// lattice down to σ.
-		t0 = time.Now()
-		tres, err := mine(cfg.Budget, topk.Name, d,
+		// The support threshold is TFP's floor: it must enumerate the
+		// closed lattice down to σ.
+		tres, tt, err := mine(cfg.Budget, registered(topk.Name), d,
 			engine.Options{K: cfg.TopKK, MinSize: cfg.TopKMinL, MinCount: mc})
 		if err != nil {
 			return err
 		}
-		row.TopKTime = time.Since(t0)
-		row.TopKOut = tres.Stopped
-
-		t0 = time.Now()
-		if _, err := mine(0, core.Name, d, engine.Options{
-			K: cfg.K, MinCount: mc, InitPoolMaxSize: 2, Seed: cfg.Seed, Parallelism: corePar(cfg.Parallelism),
-		}); err != nil {
+		_, ft, err := mine(0, registered(core.Name), d, engine.Options{
+			K: cfg.K, MinCount: mc, InitPoolMaxSize: 2, Seed: cfg.Seed, Parallelism: cfg.fusionPar(),
+		})
+		if err != nil {
 			return err
 		}
-		row.FusionTime = time.Since(t0)
-		rows[i] = row
+		t.Rows[i] = []any{mc, mt, mres.Stopped, tt, tres.Stopped, ft}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return rows, nil
+	return t, nil
+}
+
+// ---------------------------------------------------------------------------
+// The Section 1 comparison on a dataset the caller brings.
+
+// Data runs the exact maximal miner under c.Budget against
+// Pattern-Fusion on c.Data at c.MinSupport. Its facts describe the
+// ingestion and list Pattern-Fusion's five largest patterns, in source
+// item symbols.
+func Data(c Config) (*Table, error) {
+	if c.Data == nil {
+		return nil, fmt.Errorf("-fig data requires -data <file>")
+	}
+	d := c.Data.Dataset
+	t, fres, err := versus(c, d, engine.Options{MinSupport: c.MinSupport, Parallelism: c.Parallelism},
+		engine.Options{MinSupport: c.MinSupport, K: c.K, Seed: c.Seed, Parallelism: c.Parallelism})
+	if err != nil {
+		return nil, err
+	}
+	t.Facts = append(t.Facts, Fact{"ingested", fmt.Sprintf("format=%s rows=%d/%d %s",
+		c.Data.Format, c.Data.RowsKept, c.Data.RowsRead, d.ComputeStats())})
+	for i, p := range ingest.RemapReport(fres, c.Data.Mapping).Patterns[:min(5, len(fres.Patterns))] {
+		items := make([]string, len(p.Items))
+		for j, it := range p.Items {
+			items[j] = c.Data.Symbols.Symbol(it)
+		}
+		t.Facts = append(t.Facts, Fact{fmt.Sprintf("fusion #%d", i+1),
+			fmt.Sprintf("size=%d support=%d %v", len(p.Items), p.Support(), items)})
+	}
+	return t, nil
 }

@@ -40,63 +40,32 @@ func TestFigureDataGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs Figures 7-9 and the ablations at full scale")
 	}
+	want := map[string]string{
+		"7":        "cb0508bdd7e0f831b58d94002263a6208e1ee917bc23ace59d68e9d9b2f7d5b2",
+		"8":        "13ad6fbd193b88543c8b17ab14d3c88f3fe3d247f1135be0a715758db4d031b2",
+		"9":        "e9caa76efa7e181549b94fb77c8dfc69aeb5396eaa30938ed719dcf47c8444c7",
+		"ablation": "437065d206aac5e848795fcadd333a39b87cb579e428177b121c586372c16a20",
+	}
 	for _, par := range []int{1, 2} {
-		var buf bytes.Buffer
-
-		c7 := DefaultFig7Config()
-		c7.Parallelism = par
-		rows7, err := Fig7(c7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteFig7CSV(&buf, rows7); err != nil {
-			t.Fatal(err)
-		}
-		if got, want := sha256Hex(buf.Bytes()), "cb0508bdd7e0f831b58d94002263a6208e1ee917bc23ace59d68e9d9b2f7d5b2"; got != want {
-			t.Errorf("p=%d: fig7.csv sha256 = %s, want %s\n%s", par, got, want, buf.String())
-		}
-
-		buf.Reset()
-		c8 := DefaultFig8Config()
-		c8.Parallelism = par
-		res8, err := Fig8(c8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteFig8CSV(&buf, res8); err != nil {
-			t.Fatal(err)
-		}
-		if got, want := sha256Hex(buf.Bytes()), "13ad6fbd193b88543c8b17ab14d3c88f3fe3d247f1135be0a715758db4d031b2"; got != want {
-			t.Errorf("p=%d: fig8.csv sha256 = %s, want %s\n%s", par, got, want, buf.String())
-		}
-
-		buf.Reset()
-		c9 := DefaultFig9Config()
-		c9.Parallelism = par
-		res9, err := Fig9(c9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteFig9CSV(&buf, res9); err != nil {
-			t.Fatal(err)
-		}
-		if got, want := sha256Hex(buf.Bytes()), "e9caa76efa7e181549b94fb77c8dfc69aeb5396eaa30938ed719dcf47c8444c7"; got != want {
-			t.Errorf("p=%d: fig9.csv sha256 = %s, want %s\n%s", par, got, want, buf.String())
-		}
-
-		buf.Reset()
-		ca := DefaultAblationConfig()
-		ca.Parallelism = par
-		groups, err := Ablations(ca)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteAblationCSV(&buf, groups); err != nil {
-			t.Fatal(err)
-		}
-		cut := cutColumns(buf.String(), 0, 1, 2, 4)
-		if got, want := sha256Hex([]byte(cut)), "437065d206aac5e848795fcadd333a39b87cb579e428177b121c586372c16a20"; got != want {
-			t.Errorf("p=%d: ablation.csv columns 1,2,3,5 sha256 = %s, want %s\n%s", par, got, want, cut)
+		for _, e := range All {
+			if want[e.Name] == "" {
+				continue
+			}
+			tab, err := e.Run(Config{Seed: 1, Parallelism: par})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := tab.WriteCSV(&buf); err != nil {
+				t.Fatal(err)
+			}
+			data := buf.String()
+			if e.Name == "ablation" {
+				data = cutColumns(data, 0, 1, 2, 4)
+			}
+			if got := sha256Hex([]byte(data)); got != want[e.Name] {
+				t.Errorf("p=%d: %s sha256 = %s, want %s\n%s", par, e.CSV, got, want[e.Name], data)
+			}
 		}
 	}
 }

@@ -61,7 +61,9 @@ func split(ctx context.Context, d *dataset.Dataset, opts engine.Options) *engine
 	root := &miner{meter: meter, d: d, minCount: minCount, res: &engine.Report{}, sc: newScratch(d)}
 	plan := &engine.Plan{Root: root.res, Merge: func(parts []*engine.Report) *engine.Report {
 		rep := engine.Concat(parts)
-		rep.Patterns = filterSubsumed(d, rep.Patterns)
+		var stopped bool
+		rep.Patterns, stopped = filterSubsumed(ctx, d, rep.Patterns)
+		rep.Stopped = rep.Stopped || stopped
 		return rep
 	}}
 
@@ -99,11 +101,16 @@ func split(ctx context.Context, d *dataset.Dataset, opts engine.Options) *engine
 // transitive, that keeps exactly the candidates contained in no earlier
 // candidate, so filtering consecutive runs of the stream first and their
 // concatenation after gives the same answer: a shard can ship its
-// filtered stream.
-func filterSubsumed(d *dataset.Dataset, candidates []*dataset.Pattern) []*dataset.Pattern {
+// filtered stream. The filter is quadratic, so it polls ctx before each
+// candidate: once ctx is canceled it returns the candidates kept so far
+// followed by the rest unfiltered, and reports stopped.
+func filterSubsumed(ctx context.Context, d *dataset.Dataset, candidates []*dataset.Pattern) (out []*dataset.Pattern, stopped bool) {
 	kept := make([]itemBits, 0, len(candidates))
-	out := make([]*dataset.Pattern, 0, len(candidates))
-	for _, p := range candidates {
+	out = make([]*dataset.Pattern, 0, len(candidates))
+	for i, p := range candidates {
+		if ctx.Err() != nil {
+			return append(out, candidates[i:]...), true
+		}
 		bits := bitset.New(d.NumItems())
 		for _, it := range p.Items {
 			bits.Set(it)
@@ -121,7 +128,7 @@ func filterSubsumed(d *dataset.Dataset, candidates []*dataset.Pattern) []*datase
 		kept = append(kept, itemBits{pattern: p, bits: bits})
 		out = append(out, p)
 	}
-	return out
+	return out, false
 }
 
 type extension struct {

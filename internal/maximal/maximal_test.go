@@ -139,3 +139,35 @@ func TestVisitedGrowsWithDiagSize(t *testing.T) {
 		t.Fatalf("expected node explosion: Diag10=%d, Diag14=%d", v10, v14)
 	}
 }
+
+// TestFilterSubsumedCanceled pins the merge's cancellation: the filter
+// polls ctx before each candidate, and once ctx is canceled it returns
+// the candidates kept so far followed by the rest unfiltered, stopped.
+func TestFilterSubsumedCanceled(t *testing.T) {
+	d := datagen.Diag(6)
+	var cands []*dataset.Pattern
+	for _, items := range []itemset.Itemset{{0, 1, 2}, {0, 1}, {3, 4}, {3}} {
+		cands = append(cands, dataset.NewPatternCounted(items, nil, 1))
+	}
+	render := func(ps []*dataset.Pattern) string {
+		var s string
+		for _, p := range ps {
+			s += p.Items.String()
+		}
+		return s
+	}
+	for _, c := range []struct {
+		ctx     context.Context
+		want    string
+		stopped bool
+	}{
+		{context.Background(), "(0 1 2)(3 4)", false},
+		{minertest.CancelAfter(2), "(0 1 2)(3 4)(3)", true},
+		{minertest.CancelAfter(0), "(0 1 2)(0 1)(3 4)(3)", true},
+	} {
+		got, stopped := filterSubsumed(c.ctx, d, cands)
+		if render(got) != c.want || stopped != c.stopped {
+			t.Errorf("filtered to %s (stopped %v), want %s (stopped %v)", render(got), stopped, c.want, c.stopped)
+		}
+	}
+}

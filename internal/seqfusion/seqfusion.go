@@ -287,8 +287,12 @@ func fuseBall(pool []candidate, sups []int, seedIdx int, tids *tidset.Set, cfg c
 // split plans a run: the root work is building the initial pool, and
 // the task units are the K seed slots. The plan's Merge concatenates
 // slot reports in slot order with duplicates removed (first slot wins)
-// and — for completed runs — attaches Δ against the plan's pool.
-// Cancellation yields the slots mined so far with Stopped set.
+// and, for a completed run, attaches Δ against the plan's pool. Only
+// the merge that includes the root (Mine, a coordinator's Lease) does:
+// a shard's Δ would be discarded by the coordinator's merge. An empty
+// pool leaves the root blank, so the range loop drops it; that answer's
+// Δ is 0 wherever it is merged. Cancellation yields the slots mined so
+// far with Stopped set.
 func split(ctx context.Context, d *dataset.Dataset, opts engine.Options) *engine.Plan {
 	cfg := resolve(d, opts)
 	root := &engine.Report{}
@@ -313,7 +317,7 @@ func split(ctx context.Context, d *dataset.Dataset, opts engine.Options) *engine
 			}
 		}
 		rep.Patterns = kept
-		if !rep.Stopped {
+		if !rep.Stopped && (len(pool) == 0 || len(parts) > 0 && parts[0] == root) {
 			rep.Quality = estimateQuality(pool, kept)
 		}
 		return rep

@@ -255,3 +255,42 @@ func TestEmptyPoolQuality(t *testing.T) {
 		}
 	}
 }
+
+// TestShardAnswerCarriesNoDelta pins that Δ is computed once, in the
+// merge that includes the plan's root: a worker's shard answer carries
+// none, and the coordinator's merged answer carries the single-node Δ.
+func TestShardAnswerCarriesNoDelta(t *testing.T) {
+	rows, _ := datagen.ReplaceSequences(1)
+	rows = rows[:400]
+	d := seqDataset(t, rows)
+	opts := engine.Options{MinCount: 30, K: 6, Seed: 1}
+	alg, err := engine.Get("seqfusion")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := alg.Plan(context.Background(), d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard, err := plan.MineShard(context.Background(), 0, 3, plan.Units)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(shard.Patterns) == 0 || shard.Quality != nil {
+		t.Fatalf("shard answer: %d patterns, quality %+v; want patterns and no Δ", len(shard.Patterns), shard.Quality)
+	}
+	single := mineSeqfusion(t, d, opts)
+	leased, err := engine.Lease(context.Background(), alg, d, opts, 2, func(ctx context.Context, s engine.Shard) (*engine.Report, error) {
+		plan, err := alg.Plan(ctx, d, opts)
+		if err != nil {
+			return nil, err
+		}
+		return plan.MineShard(ctx, s.Lo, s.Hi, s.Units)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if single.Quality == nil || engine.ReportHash(leased) != engine.ReportHash(single) {
+		t.Fatalf("leased answer %+v differs from single-node %+v", leased.Quality, single.Quality)
+	}
+}
